@@ -6,10 +6,15 @@
 // ISSUE 6 adds the dispatch MICRObench: per-decision latency of the
 // impact and JSQ rules at 256-endpoint shapes with deep pending queues,
 // comparing the engine's incremental impact index (O(log n) per edge;
-// O(1) for JSQ's load) against the pre-index naive queue scans kept in
-// core/impact.hpp as oracles. Emits BenchReport JSON (ns_per_dispatch
-// rows; committed baseline in BENCH_dispatch.json) and prints the
-// indexed-vs-scan speedup per shape.
+// O(1) for JSQ's load) against the naive scans kept in core/impact.hpp as
+// oracles. Emits BenchReport JSON (ns_per_dispatch rows; committed
+// baseline in BENCH_dispatch.json) and prints the indexed-vs-scan speedup
+// per shape.
+//
+// The scan rows filter the engine's whole candidate list, so they cost
+// O(all pending) per edge, while the PR 6 scan rows committed in
+// BENCH_dispatch.json read only the pending chunks at the edge's
+// endpoints: the two are NOT comparable. The indexed rows are unaffected.
 //
 //   bench_dispatch [--json]
 
@@ -33,7 +38,7 @@ using namespace rdcn;
 using namespace rdcn::bench;
 
 /// ImpactDispatcher's exact decision rule, resolved through the naive
-/// O(pending) queue scan -- the pre-index hot path, timed as the probe
+/// O(pending) candidate scan -- the pre-index rule, timed as the probe
 /// baseline. Decisions are identical to the indexed rule up to l_weight
 /// reassociation ulps.
 class ScanImpactDispatcher final : public DispatchPolicy {
@@ -73,8 +78,8 @@ class ScanImpactDispatcher final : public DispatchPolicy {
   std::vector<EdgeIndex> edges_;
 };
 
-/// JSQ through the pre-index queue scan (the load rule JsqDispatcher now
-/// reads from the impact index's O(1) counters).
+/// JSQ through a scan of the pending candidates (the load rule
+/// JsqDispatcher reads from the impact index's O(1) counters).
 class ScanJsqDispatcher final : public DispatchPolicy {
  public:
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
@@ -90,12 +95,12 @@ class ScanJsqDispatcher final : public DispatchPolicy {
     for (EdgeIndex e : edges_) {
       const ReconfigEdge& edge = topology.edge(e);
       std::int64_t load = 0;
-      for (PacketIndex q : engine.pending_on_transmitter(edge.transmitter)) {
-        load += engine.remaining_chunks(q);
-      }
-      for (PacketIndex q : engine.pending_on_receiver(edge.receiver)) {
-        if (engine.assigned_transmitter(q) == edge.transmitter) continue;
-        load += engine.remaining_chunks(q);
+      for (const auto* list : {&engine.pending_candidates(), &engine.staged_candidates()}) {
+        for (const Candidate& c : *list) {
+          if (c.transmitter == edge.transmitter || c.receiver == edge.receiver) {
+            load += c.remaining;
+          }
+        }
       }
       if (load < best_load) {
         best_load = load;

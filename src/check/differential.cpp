@@ -306,19 +306,22 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
 
 /// Dispatcher replicating ImpactDispatcher's decision rule while, for
 /// every candidate edge it evaluates, cross-validating the engine's
-/// incremental impact index against both oracles:
+/// incremental impact index against both oracles. Both read the engine's
+/// one pending structure -- the candidate entries, pending_candidates()
+/// plus the staged same-step arrivals of staged_candidates(), which the
+/// index already counts -- filtered by e's transmitter and receiver:
 ///
-///  * the naive queue scan (impact_of_scan): base and h_count must match
+///  * the naive scan (impact_of_scan): base and h_count must match
 ///    EXACTLY (integer / identical arithmetic); l_weight and delta to a
 ///    tight relative tolerance scaled by the endpoint weight mass (the
 ///    two sides sum the same terms in different associations, and the
 ///    (t + r) - pair combination can cancel);
-///  * a fresh ImpactAggregate per endpoint, rebuilt from the engine's
-///    queues in queue order and combined through combine_impact: must
+///  * a fresh ImpactAggregate per endpoint, rebuilt from the candidate
+///    entries in list order and combined through combine_impact: must
 ///    match the live index BIT FOR BIT (canonical shape makes the sums a
 ///    pure function of the pending multiset);
-///  * the index's O(1) integer edge load against a scan of the queues
-///    (JSQ's signal): exact.
+///  * the index's O(1) integer edge load against a scan of the candidate
+///    entries (JSQ's signal): exact.
 ///
 /// The run it drives is therefore ALG's run; the checks are pure readers.
 class CrossCheckedImpactDispatcher final : public DispatchPolicy {
@@ -380,30 +383,29 @@ class CrossCheckedImpactDispatcher final : public DispatchPolicy {
     const std::string where = "impact index, packet " + std::to_string(packet.id) +
                               " edge " + std::to_string(e) + ": ";
 
-    // Oracle 1: the naive queue scan.
+    // Oracle 1: the naive candidate scan.
     const ImpactBreakdown scan = impact_of_scan(engine, packet, e);
     if (indexed.base != scan.base || indexed.h_count != scan.h_count) {
       violation(where + "index (h " + std::to_string(indexed.h_count) + ") != scan (h " +
                 std::to_string(scan.h_count) + ") on the exact fields");
     }
 
-    // Oracle 2: fresh canonical-shape aggregates from the queues, plus the
-    // exact integer load scan. The pair aggregate holds the packets both
-    // queues list -- those assigned to a parallel edge of e's (t, r) pair.
+    // Oracle 2: fresh canonical-shape aggregates from the candidate
+    // entries, plus the exact integer load scan. The pair aggregate holds
+    // the packets at both endpoints -- those assigned to a parallel edge of
+    // e's (t, r) pair.
     t_agg_.clear();
     r_agg_.clear();
     p_agg_.clear();
     std::int64_t scan_load = 0;
-    for (PacketIndex q : engine.pending_on_transmitter(edge.transmitter)) {
-      t_agg_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
-      scan_load += engine.remaining_chunks(q);
-    }
-    for (PacketIndex q : engine.pending_on_receiver(edge.receiver)) {
-      r_agg_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
-      if (engine.assigned_transmitter(q) == edge.transmitter) {
-        p_agg_.add(engine.chunk_weight(q), engine.remaining_chunks(q));
-      } else {
-        scan_load += engine.remaining_chunks(q);
+    for (const auto* list : {&engine.pending_candidates(), &engine.staged_candidates()}) {
+      for (const Candidate& c : *list) {
+        const bool at_t = c.transmitter == edge.transmitter;
+        const bool at_r = c.receiver == edge.receiver;
+        if (at_t) t_agg_.add(c.chunk_weight, c.remaining);
+        if (at_r) r_agg_.add(c.chunk_weight, c.remaining);
+        if (at_t && at_r) p_agg_.add(c.chunk_weight, c.remaining);
+        if (at_t || at_r) scan_load += c.remaining;
       }
     }
     const WeightBelow t_below = t_agg_.below(threshold);
@@ -419,7 +421,7 @@ class CrossCheckedImpactDispatcher final : public DispatchPolicy {
     }
     if (engine.impact_index().edge_load(e) != scan_load) {
       violation(where + "index edge load " +
-                std::to_string(engine.impact_index().edge_load(e)) + " != queue scan " +
+                std::to_string(engine.impact_index().edge_load(e)) + " != candidate scan " +
                 std::to_string(scan_load));
     }
 

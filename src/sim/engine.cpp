@@ -1,40 +1,92 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace rdcn {
+
+namespace {
+
+/// Records RunResult::trace: one StepRecord per step, listing every pending
+/// candidate with whether it transmitted and, if not, its blocker -- the
+/// transmitting packet that holds its transmitter or receiver. Candidates
+/// are sorted by priority, so of two blockers the higher-priority one has
+/// the lower candidate index. Relies on the analysis model (one round per
+/// step, capacity 1, no reconfiguration delay) that record_trace enforces.
+class TraceRecorder final : public EngineObserver {
+ public:
+  TraceRecorder(std::vector<StepRecord>& trace, const Topology& topology)
+      : trace_(&trace),
+        owner_t_(static_cast<std::size_t>(topology.num_transmitters()), kNone),
+        owner_r_(static_cast<std::size_t>(topology.num_receivers()), kNone) {}
+
+  void on_step_begin(const Engine& engine, Time /*previous_now*/) override {
+    trace_->push_back(StepRecord{engine.now(), {}, 0});
+  }
+
+  void on_round(const Engine& /*engine*/, const std::vector<Candidate>& candidates,
+                const std::vector<std::size_t>& transmitted) override {
+    StepRecord& step = trace_->back();
+    step.matching_size = transmitted.size();
+    for (std::size_t index : transmitted) {
+      owner_t_[static_cast<std::size_t>(candidates[index].transmitter)] = index;
+      owner_r_[static_cast<std::size_t>(candidates[index].receiver)] = index;
+    }
+    step.packets.reserve(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const Candidate& c = candidates[i];
+      const std::size_t owner = std::min(owner_t_[static_cast<std::size_t>(c.transmitter)],
+                                         owner_r_[static_cast<std::size_t>(c.receiver)]);
+      StepPacketRecord record;
+      record.packet = c.packet;
+      record.transmitted = owner == i;
+      if (owner != i && owner != kNone) record.blocker = candidates[owner].packet;
+      step.packets.push_back(record);
+    }
+    for (std::size_t index : transmitted) {
+      owner_t_[static_cast<std::size_t>(candidates[index].transmitter)] = kNone;
+      owner_r_[static_cast<std::size_t>(candidates[index].receiver)] = kNone;
+    }
+  }
+
+  void on_dispatch(const Engine&, const Packet&, const RouteDecision&) override {}
+  void on_selection(const Engine&, const std::vector<Candidate>&,
+                    const std::vector<std::size_t>&) override {}
+  void on_retire(const Engine&, PacketIndex, const PacketOutcome&) override {}
+  void on_step_end(const Engine&) override {}
+
+ private:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<StepRecord>* trace_;
+  std::vector<std::size_t> owner_t_, owner_r_;  ///< endpoint -> transmitting index
+};
+
+}  // namespace
 
 Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
                SchedulePolicy& scheduler, EngineOptions options)
     : instance_(&instance),
       topology_(&instance.topology()),
       dispatcher_(&dispatcher),
-      scheduler_(&scheduler) {
+      scheduler_(&scheduler),
+      sink_([this](RetiredPacket&& retired) {
+        result_.outcomes[static_cast<std::size_t>(retired.id)] = std::move(retired.outcome);
+      }) {
   const std::string error = instance.validate();
   if (!error.empty()) throw std::invalid_argument("invalid instance: " + error);
   init(options);
   if (options_.max_steps == 0) {
     options_.max_steps = default_max_steps(instance, options_.reconfig_delay);
   }
-  // Batch mode knows the full packet count up front: size every window
-  // array once so dispatch never grows them incrementally.
+  // Batch mode knows the full packet count up front: size the window and
+  // outcome arrays once so dispatch never grows them incrementally.
   const std::size_t n = instance.num_packets();
   state_.reserve(n);
-  remaining_.reserve(n);
-  chunk_weight_.reserve(n);
-  assigned_transmitter_.reserve(n);
   outcomes_.reserve(n);
-  queue_pos_transmitter_.reserve(n);
-  queue_pos_receiver_.reserve(n);
   impact_index_.reserve_pending(n);
   result_.outcomes.resize(n);
-  // Seed the per-endpoint pending queues: their incremental growth during
-  // the run otherwise accounts for most of the run loop's allocations.
-  const std::size_t queue_seed = std::min<std::size_t>(n, 16);
-  for (auto& queue : pending_by_transmitter_) queue.reserve(queue_seed);
-  for (auto& queue : pending_by_receiver_) queue.reserve(queue_seed);
 }
 
 Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
@@ -74,8 +126,6 @@ void Engine::init(EngineOptions options) {
   }
   const auto num_t = static_cast<std::size_t>(topology_->num_transmitters());
   const auto num_r = static_cast<std::size_t>(topology_->num_receivers());
-  pending_by_transmitter_.resize(num_t);
-  pending_by_receiver_.resize(num_r);
   transmitter_config_.resize(num_t);
   receiver_config_.resize(num_r);
   edge_used_round_.assign(static_cast<std::size_t>(topology_->num_edges()), 0);
@@ -83,8 +133,6 @@ void Engine::init(EngineOptions options) {
   load_r_round_.assign(num_r, 0);
   load_t_.assign(num_t, 0);
   load_r_.assign(num_r, 0);
-  owner_t_.assign(num_t, -1);
-  owner_r_.assign(num_r, -1);
   active_.transmitter_rank_.assign(num_t, -1);
   active_.receiver_rank_.assign(num_r, -1);
   impact_index_.attach(*topology_);
@@ -109,16 +157,14 @@ void Engine::init(EngineOptions options) {
       std::min(num_t, num_r) * static_cast<std::size_t>(options_.endpoint_capacity);
   selection_.mutable_indices().reserve(matching_bound);
   finished_scratch_.reserve(matching_bound);
-  if (options_.audit) auditor_ = make_invariant_auditor();
+  if (options_.audit) observers_.push_back(make_invariant_auditor());
+  if (options_.record_trace) {
+    observers_.push_back(std::make_unique<TraceRecorder>(result_.trace, *topology_));
+  }
   if (options_.probe.enabled) {
     probe_store_ = std::make_unique<Probe>(options_.probe);
     probe_ = probe_store_.get();
   }
-}
-
-bool Engine::work_left() const {
-  return next_arrival_ < instance_->num_packets() || !candidates_.empty() ||
-         !staged_.empty();
 }
 
 // rdcn-lint: hot
@@ -132,12 +178,7 @@ void Engine::append_slot(const Packet& packet) {
   ps.source = packet.source;
   ps.destination = packet.destination;
   state_.push_back(ps);
-  remaining_.push_back(0);
-  chunk_weight_.push_back(0.0);
-  assigned_transmitter_.push_back(-1);
   outcomes_.emplace_back();
-  queue_pos_transmitter_.push_back(-1);
-  queue_pos_receiver_.push_back(-1);
   peak_resident_ = std::max(peak_resident_, state_.size());
   ++in_flight_;
   ++dispatched_count_;
@@ -145,19 +186,22 @@ void Engine::append_slot(const Packet& packet) {
 }
 
 // rdcn-lint: hot
-void Engine::retire_packet(PacketIndex packet) {
+void Engine::retire_packet(PacketIndex packet, bool dropped) {
   const std::size_t s = slot(packet);
-  if (auditor_) auditor_->on_retire(*this, packet, outcomes_[s]);
+  PacketOutcome& outcome = outcomes_[s];
+  outcome.dropped = dropped;
+  for (const auto& observer : observers_) {
+    if (dropped) {
+      observer->on_drop(*this, packet, outcome);
+    } else {
+      observer->on_retire(*this, packet, outcome);
+    }
+  }
   state_[s].retired = true;
   --in_flight_;
-  ++retired_count_;
-  if (probe_) probe_->count(Counter::PacketsRetired);
-  if (sink_) {
-    sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight,
-                        std::move(outcomes_[s])});
-  } else {
-    result_.outcomes[static_cast<std::size_t>(packet)] = std::move(outcomes_[s]);
-  }
+  ++(dropped ? dropped_count_ : retired_count_);
+  if (probe_) probe_->count(dropped ? Counter::PacketsDropped : Counter::PacketsRetired);
+  sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight, std::move(outcome)});
   compact_window();
 }
 
@@ -171,30 +215,21 @@ void Engine::compact_window() {
   if (front_retired_ < 64 || front_retired_ * 2 < state_.size()) return;
   const auto n = static_cast<std::ptrdiff_t>(front_retired_);
   state_.erase(state_.begin(), state_.begin() + n);
-  remaining_.erase(remaining_.begin(), remaining_.begin() + n);
-  chunk_weight_.erase(chunk_weight_.begin(), chunk_weight_.begin() + n);
-  assigned_transmitter_.erase(assigned_transmitter_.begin(),
-                              assigned_transmitter_.begin() + n);
   outcomes_.erase(outcomes_.begin(), outcomes_.begin() + n);
-  queue_pos_transmitter_.erase(queue_pos_transmitter_.begin(),
-                               queue_pos_transmitter_.begin() + n);
-  queue_pos_receiver_.erase(queue_pos_receiver_.begin(), queue_pos_receiver_.begin() + n);
   window_base_ += static_cast<PacketIndex>(front_retired_);
   front_retired_ = 0;
 }
 
 // rdcn-lint: hot
 void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
-  if (auditor_) auditor_->on_dispatch(*this, packet, route);
+  for (const auto& observer : observers_) observer->on_dispatch(*this, packet, route);
   const std::size_t s = slot(packet.id);
   auto& ps = state_[s];
   auto& outcome = outcomes_[s];
   ps.route = route;
-  ps.dispatched = true;
   outcome.route = route;
 
   if (route.use_fixed) {
-    assigned_transmitter_[s] = -1;  // may migrate here under redispatch_queued
     const auto delay = topology_->fixed_link_delay(packet.source, packet.destination);
     if (!delay) throw std::logic_error("dispatcher chose a non-existent fixed link");
     // Fixed links are uncapacitated: transmission starts at the decision
@@ -220,29 +255,18 @@ void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
         topology_->destination_of(edge.receiver) != packet.destination) {
       throw std::logic_error("dispatcher chose an edge outside E_p");
     }
-    auto& remaining = remaining_[s];
-    auto& chunk_weight = chunk_weight_[s];
-    remaining = edge.delay;
-    chunk_weight = packet.weight / static_cast<double>(edge.delay);
-    assigned_transmitter_[s] = edge.transmitter;
-
-    auto& t_queue = pending_by_transmitter_[static_cast<std::size_t>(edge.transmitter)];
-    auto& r_queue = pending_by_receiver_[static_cast<std::size_t>(edge.receiver)];
-    queue_pos_transmitter_[s] = static_cast<std::int32_t>(t_queue.size());
-    queue_pos_receiver_[s] = static_cast<std::int32_t>(r_queue.size());
-    t_queue.push_back(packet.id);  // rdcn-lint: allow(hot-alloc) -- pending_by_* seeded in init
-    r_queue.push_back(packet.id);  // rdcn-lint: allow(hot-alloc) -- pending_by_* seeded in init
-    impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge, chunk_weight,
-                             remaining);
+    ps.chunk_weight = packet.weight / static_cast<double>(edge.delay);
+    impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge, ps.chunk_weight,
+                             edge.delay);
 
     Candidate candidate;
     candidate.packet = packet.id;
     candidate.edge = route.edge;
     candidate.transmitter = edge.transmitter;
     candidate.receiver = edge.receiver;
-    candidate.chunk_weight = chunk_weight;
+    candidate.chunk_weight = ps.chunk_weight;
     candidate.arrival = packet.arrival;
-    candidate.remaining = remaining;
+    candidate.remaining = edge.delay;
     staged_.push_back(candidate);  // rdcn-lint: allow(hot-alloc) -- settles at high-water capacity (see merge)
 
     outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
@@ -314,23 +338,6 @@ const ActiveEndpoints& Engine::active_endpoints(
 }
 
 // rdcn-lint: hot
-void Engine::dispatch_arrivals() {
-  const auto& packets = instance_->packets();
-  if (next_arrival_ >= packets.size() || packets[next_arrival_].arrival != now_) return;
-  Probe::Span span(probe_, Phase::Dispatch);
-  while (next_arrival_ < packets.size() && packets[next_arrival_].arrival == now_) {
-    const Packet& packet = packets[next_arrival_];
-    append_slot(packet);
-    if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
-      drop_packet(packet.id);  // pair severed by failures; nothing to route over
-    } else {
-      apply_route(packet, dispatcher_->dispatch(*this, packet));
-    }
-    ++next_arrival_;
-  }
-}
-
-// rdcn-lint: hot
 void Engine::inject(const Packet& packet) {
   if (packet.arrival != now_) {
     throw std::logic_error("inject: packet.arrival must equal the current step");
@@ -338,68 +345,59 @@ void Engine::inject(const Packet& packet) {
   Probe::Span span(probe_, Phase::Dispatch);
   append_slot(packet);
   if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
-    drop_packet(packet.id);  // pair severed by failures; nothing to route over
+    retire_packet(packet.id, /*dropped=*/true);  // pair severed; nothing to route over
   } else {
     apply_route(packet, dispatcher_->dispatch(*this, packet));
   }
 }
 
 // rdcn-lint: hot
-void Engine::erase_from_queue(std::vector<PacketIndex>& queue,
-                              std::vector<std::int32_t>& position, PacketIndex packet) {
-  // Swap-remove: every queue consumer (impact_of, JSQ load, membership
-  // checks) aggregates order-independently, so O(1) removal beats keeping
-  // dispatch order and shifting the tail on every retirement.
-  const auto index = static_cast<std::size_t>(position[slot(packet)]);
-  position[slot(packet)] = -1;
-  if (index + 1 != queue.size()) {
-    queue[index] = queue.back();
-    position[slot(queue[index])] = static_cast<std::int32_t>(index);
-  }
-  queue.pop_back();
-}
-
-// rdcn-lint: hot
-void Engine::unlist_pending(PacketIndex packet) {
-  const auto& ps = state_[slot(packet)];
-  const ReconfigEdge& edge = topology_->edge(ps.route.edge);
-
+std::int64_t Engine::unlist_pending(PacketIndex packet) {
   // The priority key (chunk_weight, arrival, id) is immutable, so the
   // candidate's slot is found by binary search instead of a full scan.
   Candidate key;
   key.packet = packet;
-  key.chunk_weight = chunk_weight_[slot(packet)];
-  key.arrival = ps.arrival;
+  key.chunk_weight = state_[slot(packet)].chunk_weight;
+  key.arrival = state_[slot(packet)].arrival;
   const auto it =
       std::lower_bound(candidates_.begin(), candidates_.end(), key, chunk_higher_priority);
   if (it == candidates_.end() || it->packet != packet) {
     throw std::logic_error("unlist_pending: packet is not pending");
   }
+  const Candidate c = *it;
   candidates_.erase(it);
-
-  erase_from_queue(pending_by_transmitter_[static_cast<std::size_t>(edge.transmitter)],
-                   queue_pos_transmitter_, packet);
-  erase_from_queue(pending_by_receiver_[static_cast<std::size_t>(edge.receiver)],
-                   queue_pos_receiver_, packet);
-  impact_index_.add_chunks(edge.transmitter, edge.receiver, ps.route.edge,
-                           chunk_weight_[slot(packet)], -remaining_[slot(packet)]);
+  impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -c.remaining);
+  return c.remaining;
 }
 
-void Engine::drop_packet(PacketIndex packet) {
-  const std::size_t s = slot(packet);
-  outcomes_[s].dropped = true;
-  if (auditor_) auditor_->on_drop(*this, packet, outcomes_[s]);
-  state_[s].retired = true;
-  --in_flight_;
-  ++dropped_count_;
-  if (probe_) probe_->count(Counter::PacketsDropped);
-  if (sink_) {
-    sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight,
-                        std::move(outcomes_[s])});
-  } else {
-    result_.outcomes[static_cast<std::size_t>(packet)] = std::move(outcomes_[s]);
+template <typename Pick>
+void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats) {
+  merge_staged_candidates();  // unlist_pending needs the merged list
+  requeue_scratch_.clear();
+  for (const Candidate& c : candidates_) {
+    if (pick(c)) requeue_scratch_.push_back(c.packet);
   }
-  compact_window();
+  // Ids are injected in arrival order, so id order is (arrival, id) order.
+  std::sort(requeue_scratch_.begin(), requeue_scratch_.end());
+  for (PacketIndex p : requeue_scratch_) {
+    const std::int64_t remaining = unlist_pending(p);
+    const PacketState& ps = state_[slot(p)];
+    const Packet packet{p, ps.arrival, ps.weight, ps.source, ps.destination};
+    if (policy == DeadPolicy::Requeue && remaining == topology_->edge(ps.route.edge).delay &&
+        has_viable_route(packet.source, packet.destination)) {
+      if (stats != nullptr) {
+        for (const auto& observer : observers_) observer->on_requeue(*this, p);
+        ++requeued_count_;
+        ++stats->packets_requeued;
+        if (probe_) probe_->count(Counter::PacketsRequeued);
+      }
+      apply_route(packet, dispatcher_->dispatch(*this, packet));
+    } else {
+      retire_packet(p, /*dropped=*/true);
+      if (stats != nullptr) ++stats->packets_dropped;
+    }
+  }
+  merge_staged_candidates();
 }
 
 // rdcn-lint: hot
@@ -432,125 +430,71 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
     throw std::invalid_argument(
         "stage mutations are incompatible with record_trace / redispatch_queued");
   }
-  MutationStats stats;
-  merge_staged_candidates();  // unlist_pending needs the merged list
-
-  const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
+  // Validate every index and scalar before changing any state, so a
+  // rejected mutation leaves the engine exactly as it was.
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw std::invalid_argument(std::string("apply_mutation: ") + message);
+  };
+  const auto valid_edge = [&](EdgeIndex e) { return e >= 0 && e < topology_->num_edges(); };
   const auto valid_rack = [&](NodeIndex r) {
     return r >= 0 && (r < topology_->num_sources() || r < topology_->num_destinations());
   };
+  const auto all_of = [](const auto& items, const auto& valid) {
+    return std::all_of(items.begin(), items.end(), valid);
+  };
+  require(all_of(mutation.restore_edges, valid_edge), "restore_edges index out of range");
+  require(all_of(mutation.restore_racks, valid_rack), "restore_racks index out of range");
+  require(all_of(mutation.kill_edges, valid_edge), "kill_edges index out of range");
+  require(all_of(mutation.kill_racks, valid_rack), "kill_racks index out of range");
+  require(mutation.speedup_rounds >= 0, "speedup_rounds must be >= 1");
+  require(mutation.endpoint_capacity >= 0, "endpoint_capacity must be >= 1");
+  require(mutation.endpoint_capacity <= 1 || options_.reconfig_delay == 0,
+          "reconfig_delay requires endpoint_capacity == 1");
+
+  merge_staged_candidates();  // the index crosscheck rebuilds from the merged list
+  MutationStats stats;
+  const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   const auto rack_touches = [&](const ReconfigEdge& edge, NodeIndex r) {
     return topology_->source_of(edge.transmitter) == r ||
            topology_->destination_of(edge.receiver) == r;
   };
-  const auto restore_edge = [&](EdgeIndex e) {
-    char& alive = edge_alive_[static_cast<std::size_t>(e)];
-    if (!alive) {
-      alive = 1;
+  const auto set_alive = [&](EdgeIndex e, char alive) {
+    char& state = edge_alive_[static_cast<std::size_t>(e)];
+    if (state == alive) return;
+    state = alive;
+    if (alive) {
       --dead_edges_;
       ++stats.edges_restored;
-    }
-  };
-  const auto kill_edge = [&](EdgeIndex e) {
-    char& alive = edge_alive_[static_cast<std::size_t>(e)];
-    if (alive) {
-      alive = 0;
+    } else {
       ++dead_edges_;
       ++stats.edges_killed;
     }
   };
+  const auto set_racks_alive = [&](const std::vector<NodeIndex>& racks, char alive) {
+    for (NodeIndex r : racks) {
+      for (std::size_t i = 0; i < num_edges; ++i) {
+        const auto e = static_cast<EdgeIndex>(i);
+        if (rack_touches(topology_->edge(e), r)) set_alive(e, alive);
+      }
+    }
+  };
 
   // Restores before kills: an edge named by both stays dead.
-  for (EdgeIndex e : mutation.restore_edges) {
-    if (e < 0 || e >= topology_->num_edges()) {
-      throw std::invalid_argument("apply_mutation: restore_edges index out of range");
-    }
-    restore_edge(e);
-  }
-  for (NodeIndex r : mutation.restore_racks) {
-    if (!valid_rack(r)) {
-      throw std::invalid_argument("apply_mutation: restore_racks index out of range");
-    }
-    for (std::size_t i = 0; i < num_edges; ++i) {
-      const auto e = static_cast<EdgeIndex>(i);
-      if (rack_touches(topology_->edge(e), r)) restore_edge(e);
-    }
-  }
-  for (EdgeIndex e : mutation.kill_edges) {
-    if (e < 0 || e >= topology_->num_edges()) {
-      throw std::invalid_argument("apply_mutation: kill_edges index out of range");
-    }
-    kill_edge(e);
-  }
-  for (NodeIndex r : mutation.kill_racks) {
-    if (!valid_rack(r)) {
-      throw std::invalid_argument("apply_mutation: kill_racks index out of range");
-    }
-    for (std::size_t i = 0; i < num_edges; ++i) {
-      const auto e = static_cast<EdgeIndex>(i);
-      if (rack_touches(topology_->edge(e), r)) kill_edge(e);
-    }
-  }
+  for (EdgeIndex e : mutation.restore_edges) set_alive(e, 1);
+  set_racks_alive(mutation.restore_racks, 1);
+  for (EdgeIndex e : mutation.kill_edges) set_alive(e, 0);
+  set_racks_alive(mutation.kill_racks, 0);
 
-  // In-flight packets stranded on freshly-killed edges, in (arrival, id)
-  // order so requeue re-dispatch is deterministic and arrival-fair.
-  // Edges dead before this call carry no candidates, so scanning for any
-  // dead edge finds exactly the newly stranded set.
+  // In-flight packets stranded on freshly-killed edges. Edges dead before
+  // this call carry no candidates, so picking any dead edge finds exactly
+  // the newly stranded set.
   if (stats.edges_killed != 0) {
-    mutation_scratch_.clear();
-    for (const Candidate& c : candidates_) {
-      if (!edge_alive_[static_cast<std::size_t>(c.edge)]) {
-        mutation_scratch_.push_back(c.packet);
-      }
-    }
-    std::sort(mutation_scratch_.begin(), mutation_scratch_.end(),
-              [this](PacketIndex a, PacketIndex b) {
-                const Time aa = state_[slot(a)].arrival;
-                const Time ab = state_[slot(b)].arrival;
-                if (aa != ab) return aa < ab;
-                return a < b;
-              });
-    for (PacketIndex p : mutation_scratch_) {
-      const std::size_t s = slot(p);
-      const bool untouched =
-          remaining_[s] == topology_->edge(state_[s].route.edge).delay;
-      unlist_pending(p);
-      if (mutation.dead_policy == DeadPolicy::Requeue && untouched &&
-          has_viable_route(state_[s].source, state_[s].destination)) {
-        remaining_[s] = 0;
-        Packet packet;
-        packet.id = p;
-        packet.arrival = state_[s].arrival;
-        packet.weight = state_[s].weight;
-        packet.source = state_[s].source;
-        packet.destination = state_[s].destination;
-        if (auditor_) auditor_->on_requeue(*this, p);
-        ++requeued_count_;
-        ++stats.packets_requeued;
-        if (probe_) probe_->count(Counter::PacketsRequeued);
-        apply_route(packet, dispatcher_->dispatch(*this, packet));
-      } else {
-        drop_packet(p);
-        ++stats.packets_dropped;
-      }
-    }
-    merge_staged_candidates();
+    requeue_pending([this](const Candidate& c) { return !edge_alive(c.edge); },
+                    mutation.dead_policy, &stats);
   }
 
-  if (mutation.speedup_rounds != 0) {
-    if (mutation.speedup_rounds < 1) {
-      throw std::invalid_argument("apply_mutation: speedup_rounds must be >= 1");
-    }
-    options_.speedup_rounds = mutation.speedup_rounds;
-  }
+  if (mutation.speedup_rounds != 0) options_.speedup_rounds = mutation.speedup_rounds;
   if (mutation.endpoint_capacity != 0) {
-    if (mutation.endpoint_capacity < 1) {
-      throw std::invalid_argument("apply_mutation: endpoint_capacity must be >= 1");
-    }
-    if (options_.reconfig_delay > 0 && mutation.endpoint_capacity != 1) {
-      throw std::invalid_argument(
-          "apply_mutation: reconfig_delay requires endpoint_capacity == 1");
-    }
     options_.endpoint_capacity = mutation.endpoint_capacity;
     // The matching bound may have grown; keep the round loop off the heap.
     const auto num_t = static_cast<std::size_t>(topology_->num_transmitters());
@@ -598,37 +542,10 @@ void Engine::crosscheck_impact_index() {
   }
 }
 
-void Engine::redispatch_queued_packets() {
-  merge_staged_candidates();
-  // Packets with every chunk still untransmitted may change route; they
-  // are re-offered to the dispatcher in arrival order, each temporarily
-  // removed so it does not see itself as queue pressure.
-  std::vector<PacketIndex> queued;
-  for (const Candidate& c : candidates_) {
-    if (c.remaining == topology_->edge(c.edge).delay) queued.push_back(c.packet);
-  }
-  std::sort(queued.begin(), queued.end(), [this](PacketIndex a, PacketIndex b) {
-    const Time aa = state_[slot(a)].arrival;
-    const Time ab = state_[slot(b)].arrival;
-    if (aa != ab) return aa < ab;
-    return a < b;
-  });
-  for (PacketIndex p : queued) {
-    const Packet& packet = instance_->packets()[static_cast<std::size_t>(p)];
-    unlist_pending(p);
-    remaining_[slot(p)] = 0;
-    apply_route(packet, dispatcher_->dispatch(*this, packet));
-  }
-  merge_staged_candidates();
-}
-
 // rdcn-lint: hot
-std::size_t Engine::schedule_round(bool record) {
+std::size_t Engine::schedule_round() {
   merge_staged_candidates();
-  if (candidates_.empty()) {
-    if (record) result_.trace.push_back(StepRecord{now_, {}, 0});  // rdcn-lint: allow(hot-alloc) -- record mode only
-    return 0;
-  }
+  if (candidates_.empty()) return 0;
 
   if (probe_) {
     probe_->count(Counter::Rounds);
@@ -653,12 +570,11 @@ std::size_t Engine::schedule_round(bool record) {
 
   // The auditor validates first (independently), so a contract violation
   // under audit surfaces as AuditFailure, not as the engine's logic_error.
-  if (auditor_) auditor_->on_selection(*this, candidates_, selected);
+  for (const auto& observer : observers_) observer->on_selection(*this, candidates_, selected);
 
   // Validate the selection is a (b-)matching: per-endpoint load within
   // capacity, each edge used at most once. Scratch arrays are stamped with
-  // the round serial so nothing is re-zeroed per round. owner_* tracks the
-  // single occupant for the trace path (capacity 1 there by construction).
+  // the round serial so nothing is re-zeroed per round.
   ++round_serial_;
   const std::uint64_t round = round_serial_;
   {
@@ -688,10 +604,6 @@ std::size_t Engine::schedule_round(bool record) {
       if (++load_t_[t] > options_.endpoint_capacity ||
           ++load_r_[r] > options_.endpoint_capacity) {
         throw std::logic_error("scheduler selection exceeds endpoint capacity");
-      }
-      if (record) {
-        owner_t_[t] = c.packet;
-        owner_r_[r] = c.packet;
       }
     }
 
@@ -723,11 +635,7 @@ std::size_t Engine::schedule_round(bool record) {
         } else if (now_ < rc.ready) {
           ready = false;
         }
-        if (ready) {
-          indices[write++] = index;
-        } else {
-          chosen_round_[index] = 0;
-        }
+        if (ready) indices[write++] = index;
       }
       indices.resize(write);
     }
@@ -735,22 +643,16 @@ std::size_t Engine::schedule_round(bool record) {
 
   if (probe_) probe_->gauge(Gauge::SelectedPerRound, selected.size());
 
-  if (auditor_) auditor_->on_round(*this, candidates_, selected);
+  for (const auto& observer : observers_) observer->on_round(*this, candidates_, selected);
 
-  StepRecord step;
-  step.time = now_;
-  step.matching_size = selected.size();
-  if (record) step.packets.reserve(candidates_.size());
-
-  // Transmit the selected chunks and account their latency. `remaining`
-  // is updated in place on both the packet state and its candidate entry.
+  // Transmit the selected chunks and account their latency; `remaining`
+  // counts down in place on the candidate entry.
   std::vector<std::size_t>& finished_slots = finished_scratch_;
   finished_slots.clear();
   Probe::Span service_span(probe_, Phase::Service);
   if (probe_) probe_->count(Counter::ChunksTransmitted, selected.size());
   for (std::size_t index : selected) {
     Candidate& c = candidates_[index];
-    auto& remaining = remaining_[slot(c.packet)];
     auto& outcome = outcomes_[slot(c.packet)];
     const Time completion =
         now_ + 1 + edge_meta_[static_cast<std::size_t>(c.edge)].attach_tail;
@@ -759,63 +661,20 @@ std::size_t Engine::schedule_round(bool record) {
     outcome.weighted_latency += latency;
     result_.reconfig_cost += latency;
     result_.total_cost += latency;
-    --remaining;
-    c.remaining = remaining;
+    --c.remaining;
     impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -1);
-    if (remaining == 0) {
+    if (c.remaining == 0) {
       outcome.completion = completion;
       result_.makespan = std::max(result_.makespan, completion);
       finished_slots.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
     }
   }
 
-  if (record) {
-    // For every pending packet, note whether it transmitted and otherwise
-    // which transmitted packet blocked it (the heaviest conflicting owner;
-    // the charging auditor checks the priority relation separately).
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      const Candidate& c = candidates_[i];
-      StepPacketRecord rec;
-      rec.packet = c.packet;
-      rec.transmitted = chosen_round_[i] == round;
-      if (!rec.transmitted) {
-        const auto t = static_cast<std::size_t>(c.transmitter);
-        const auto r = static_cast<std::size_t>(c.receiver);
-        const PacketIndex via_t = load_t_round_[t] == round ? owner_t_[t] : -1;
-        const PacketIndex via_r = load_r_round_[r] == round ? owner_r_[r] : -1;
-        auto better = [this](PacketIndex a, PacketIndex b) {
-          // Prefer the blocker earlier in the chunk priority order:
-          // heavier chunk first, then earlier arrival, then lower id.
-          if (b == -1) return a;
-          if (a == -1) return b;
-          const Weight wa = chunk_weight_[slot(a)];
-          const Weight wb = chunk_weight_[slot(b)];
-          if (wa != wb) return wa > wb ? a : b;
-          const Time aa = state_[slot(a)].arrival;
-          const Time ab = state_[slot(b)].arrival;
-          if (aa != ab) return aa < ab ? a : b;
-          return a < b ? a : b;
-        };
-        rec.blocker = better(via_t, via_r);
-      }
-      step.packets.push_back(rec);
-    }
-  }
-  if (record) result_.trace.push_back(std::move(step));  // rdcn-lint: allow(hot-alloc) -- record mode only
-
-  // Drop completed packets: one compaction pass over the candidate tail
-  // plus scan-free removal from the per-endpoint queues, then retirement
-  // out of the per-packet window.
+  // Drop completed packets: retirement out of the per-packet window, then
+  // one compaction pass over the candidate tail.
   if (!finished_slots.empty()) {
     std::sort(finished_slots.begin(), finished_slots.end());
-    for (std::size_t index : finished_slots) {
-      const Candidate& c = candidates_[index];
-      erase_from_queue(pending_by_transmitter_[static_cast<std::size_t>(c.transmitter)],
-                       queue_pos_transmitter_, c.packet);
-      erase_from_queue(pending_by_receiver_[static_cast<std::size_t>(c.receiver)],
-                       queue_pos_receiver_, c.packet);
-      retire_packet(c.packet);
-    }
+    for (std::size_t index : finished_slots) retire_packet(candidates_[index].packet);
     // Compaction is a MergeCompact child of the surrounding Service span:
     // self-time accounting keeps the two phases disjoint.
     Probe::Span compact_span(probe_, Phase::MergeCompact);
@@ -853,42 +712,32 @@ void Engine::begin_step(const Time* next_arrival) {
     throw std::runtime_error("engine exceeded max_steps; scheduler may be starving packets");
   }
   step_open_ = true;
-  if (auditor_) auditor_->on_step_begin(*this, previous);
+  for (const auto& observer : observers_) observer->on_step_begin(*this, previous);
 }
 
 // rdcn-lint: hot
 void Engine::finish_step() {
-  if (options_.redispatch_queued) redispatch_queued_packets();
+  if (options_.redispatch_queued) {
+    // Restricted migration: packets with every chunk still untransmitted
+    // are re-offered to the dispatcher, each unlisted first so it does not
+    // see itself as queue pressure.
+    requeue_pending(
+        [this](const Candidate& c) { return c.remaining == topology_->edge(c.edge).delay; },
+        DeadPolicy::Requeue, nullptr);
+  }
   for (int round = 0; round < options_.speedup_rounds; ++round) {
-    if (candidates_.empty() && staged_.empty() && round > 0) break;
-    schedule_round(options_.record_trace);
+    if (!busy() && round > 0) break;
+    schedule_round();
   }
-  if (auditor_) auditor_->on_step_end(*this);
+  for (const auto& observer : observers_) observer->on_step_end(*this);
   step_open_ = false;
-}
-
-RunResult Engine::run() {
-  if (instance_ == nullptr) {
-    throw std::logic_error("run() requires batch mode; streaming engines are step-driven");
-  }
-  const auto& packets = instance_->packets();
-  now_ = 0;
-  while (work_left()) {
-    const Time* upcoming =
-        next_arrival_ < packets.size() ? &packets[next_arrival_].arrival : nullptr;
-    begin_step(upcoming);
-    dispatch_arrivals();
-    finish_step();
-  }
-  if (probe_) result_.probe = probe_->report();
-  return std::move(result_);
 }
 
 RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
   if (instance_ == nullptr) {
     throw std::logic_error("run() requires batch mode; streaming engines are step-driven");
   }
-  if (options_.record_trace || options_.redispatch_queued) {
+  if (!schedule.empty() && (options_.record_trace || options_.redispatch_queued)) {
     throw std::invalid_argument(
         "staged runs are incompatible with record_trace / redispatch_queued");
   }
@@ -898,7 +747,7 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
     }
   }
   const auto& packets = instance_->packets();
-  now_ = 0;
+  std::size_t next = 0;
   std::size_t next_stage = 0;
   while (true) {
     // A mutation at time T governs every step with now() >= T, so it is
@@ -908,9 +757,8 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
       apply_mutation(schedule[next_stage].mutation);
       ++next_stage;
     }
-    if (!work_left()) break;
-    const Time* upcoming =
-        next_arrival_ < packets.size() ? &packets[next_arrival_].arrival : nullptr;
+    if (next == packets.size() && !busy()) break;
+    const Time* upcoming = next < packets.size() ? &packets[next].arrival : nullptr;
     Time stage_bound = 0;
     if (next_stage < schedule.size()) {
       // Clamp the idle jump to the step before the stage edge: the loop
@@ -919,7 +767,7 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
       if (upcoming == nullptr || stage_bound < *upcoming) upcoming = &stage_bound;
     }
     begin_step(upcoming);
-    dispatch_arrivals();
+    while (next < packets.size() && packets[next].arrival == now_) inject(packets[next++]);
     finish_step();
   }
   if (probe_) result_.probe = probe_->report();

@@ -14,25 +14,26 @@
 // the 1/(2+eps) slowdown on OPT instead); k > 1 realizes an integral
 // algorithm-side speedup for the ablation experiments.
 //
-// The engine runs in one of two modes sharing the identical stepping code
-// (so a streamed run over a recorded arrival sequence reproduces the batch
-// schedule bit-for-bit):
-//
-//  * batch: constructed from an Instance, run() simulates the whole packet
-//    sequence and returns a RunResult with every PacketOutcome;
-//  * streaming: constructed from a Topology plus a retirement sink; the
-//    caller injects packets online (begin_step / inject / finish_step) and
-//    completed packets leave through the sink instead of accumulating, so
-//    resident per-packet state is O(in-flight), not O(total served) --
-//    the mode behind traffic/'s open-loop steady-state runs.
+// The engine is driven one step at a time (begin_step / inject /
+// finish_step); completed packets leave through a retirement sink instead
+// of accumulating, so resident per-packet state is O(in-flight), not
+// O(total served) -- the mode behind traffic/'s open-loop steady-state
+// runs. Batch mode is the same streaming engine plus a sink that collects
+// every PacketOutcome: constructed from an Instance, run() feeds the
+// packet sequence through inject(), so a streamed run over a recorded
+// arrival sequence reproduces the batch schedule bit-for-bit.
 //
 // Hot-path design (the engine is the inner loop of every bench and the
 // ScenarioRunner fan-out):
-//  * the pending-candidate list is maintained incrementally in chunk
-//    priority order -- a packet's (chunk_weight, arrival, id) key never
-//    changes, so candidates are sorted once at dispatch (batch-merged per
-//    step through a reusable merge buffer) and handed to
-//    SchedulePolicy::select without per-step rebuild or re-sort;
+//  * the Candidate entries -- the priority-sorted candidates_ list plus
+//    the same-step staged_ tail -- are the engine's only record of pending
+//    reconfigurable work; the service loop decrements their `remaining`
+//    in place. A packet's (chunk_weight, arrival, id) key never changes,
+//    so candidates are sorted once at dispatch (batch-merged per step
+//    through a reusable merge buffer), handed to SchedulePolicy::select
+//    without per-step rebuild or re-sort, and found again by binary
+//    search when a packet leaves early; completed candidates leave the
+//    list in one compaction pass per round;
 //  * the steady-state round loop performs zero heap allocations: the
 //    scheduler fills an engine-owned Selection scratch in place, the
 //    reconfiguration-delay filter and the completed-candidate compaction
@@ -43,18 +44,16 @@
 //    pending candidates, so matching computations (MaxWeight's Hungarian,
 //    the greedy/iSLIP passes) run over k_active-sized state instead of
 //    topology-sized arrays;
-//  * per-endpoint queues carry index maps, so removing a finished packet
-//    costs the queue tail shift instead of a full scan, and completed
-//    candidates leave the global list in one compaction pass per round;
 //  * dispatch-side queries go through an incremental per-endpoint impact
-//    index (sim/impact_index.hpp): integer chunk-load counters make JSQ's
-//    edge load O(1), and weight-keyed order-statistic treaps answer
-//    impact_of's |H|/w(L) split in O(log n) instead of scanning both
-//    endpoint queues per candidate edge. The engine feeds the index at the
-//    same three lifecycle points that maintain the queues (dispatch,
-//    per-chunk service, unlisting); the weight structures are enabled
-//    lazily by the first impact_split() call and decay during long
-//    non-impact drains, so non-impact policies pay only the O(1) counters;
+//    index (sim/impact_index.hpp), a query structure derived from the
+//    candidate entries: integer chunk-load counters make JSQ's edge load
+//    O(1), and weight-keyed order-statistic treaps answer impact_of's
+//    |H|/w(L) split in O(log n) instead of scanning the pending candidates
+//    per candidate edge. The engine feeds the index at the three points
+//    where candidates change (dispatch, per-chunk service, unlisting); the
+//    weight structures are enabled lazily by the first impact_split() call
+//    and decay during long non-impact drains, so non-impact policies pay
+//    only the O(1) counters;
 //  * per-packet state lives in a sliding window of dense arrays indexed by
 //    (id - window base); retired prefixes are compacted away amortized
 //    O(1), which is what bounds streaming memory; batch mode preallocates
@@ -62,7 +61,10 @@
 //  * matching validation uses round-stamped scratch arrays instead of
 //    per-round allocations sized by the topology;
 //  * time advances event-driven: when no chunk is pending the clock jumps
-//    to the next arrival instead of simulating empty steps.
+//    to the next arrival instead of simulating empty steps;
+//  * special cases stay out of the round loop: the invariant audit and
+//    trace recording are EngineObservers, and restricted migration and
+//    stage-mutation requeues share one requeue routine.
 
 #include <functional>
 #include <memory>
@@ -80,8 +82,9 @@ namespace rdcn {
 
 struct EngineOptions {
   int speedup_rounds = 1;
-  /// Record per-step blocking information (needed by the charging auditor
-  /// and the figure benches). Only meaningful with speedup_rounds == 1,
+  /// Record per-step blocking information into RunResult::trace (needed by
+  /// the charging auditor and the figure benches; an EngineObserver beside
+  /// the invariant auditor). Only meaningful with speedup_rounds == 1,
   /// endpoint_capacity == 1 and reconfig_delay == 0 (the analysis model).
   /// Batch mode only.
   bool record_trace = false;
@@ -152,10 +155,9 @@ enum class DeadPolicy {
 
 /// One atomic engine/topology mutation. Valid only at a step boundary
 /// (between finish_step() and the next begin_step()): the engine patches
-/// the candidate list, the per-endpoint queues, the impact index and the
-/// affected in-flight packets together, then cross-checks the index
-/// against a rebuild from scratch. Restores apply before kills, so an edge
-/// named by both ends up dead.
+/// the candidate list, the impact index and the affected in-flight packets
+/// together, then cross-checks the index against a rebuild from scratch.
+/// Restores apply before kills, so an edge named by both ends up dead.
 struct StageMutation {
   std::vector<EdgeIndex> kill_edges;
   std::vector<EdgeIndex> restore_edges;
@@ -200,8 +202,8 @@ struct RetiredPacket {
   PacketOutcome outcome;
 };
 
-/// Retirement callback of a streaming engine. Called once per packet, in
-/// completion order (not id order).
+/// Retirement callback of an engine. Called once per packet, in completion
+/// order (not id order).
 using RetireSink = std::function<void(RetiredPacket&&)>;
 
 /// Dense remap of the endpoints that currently carry pending candidates
@@ -259,7 +261,8 @@ struct RunResult {
 
 class Engine {
  public:
-  /// Batch mode: simulate a full Instance via run().
+  /// Batch mode: simulate a full Instance via run(). The engine installs
+  /// its own sink, which collects every outcome into RunResult::outcomes.
   Engine(const Instance& instance, DispatchPolicy& dispatcher, SchedulePolicy& scheduler,
          EngineOptions options = {});
 
@@ -269,24 +272,27 @@ class Engine {
   Engine(const Topology& topology, DispatchPolicy& dispatcher, SchedulePolicy& scheduler,
          EngineOptions options, RetireSink sink);
 
-  /// Runs the full simulation to completion and returns the result.
-  /// Batch mode only.
-  RunResult run();
+  /// Not copyable or movable: the batch sink captures `this`.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  /// Batch-mode run under a stage schedule: mutations sorted by `at`
-  /// (nondecreasing) are applied at step boundaries so that every step
-  /// with now() >= at executes post-mutation. The idle jump is clamped to
+  /// Batch mode only: injects the instance's packets step by step and runs
+  /// to completion. Mutations of `schedule`, sorted by `at`
+  /// (nondecreasing), are applied at step boundaries so that every step
+  /// with now() >= at executes post-mutation; the idle jump is clamped to
   /// the next stage edge, so schedules are honored even across arrival
-  /// gaps. Incompatible with record_trace and redispatch_queued.
-  RunResult run(const std::vector<TimedMutation>& schedule);
+  /// gaps. A nonempty schedule is incompatible with record_trace and
+  /// redispatch_queued.
+  RunResult run(const std::vector<TimedMutation>& schedule = {});
 
   // --- stage mutations ----------------------------------------------------
 
   /// Applies one mutation atomically at a step boundary (throws between
-  /// begin_step and finish_step). Patches candidates, endpoint queues and
-  /// the impact index together, drops or requeues in-flight packets on
-  /// dead edges, then cross-checks the index bit-for-bit against a rebuild
-  /// from scratch. Both modes.
+  /// begin_step and finish_step). Every index and scalar is validated
+  /// before any state changes, so a rejected mutation leaves the engine
+  /// untouched. Patches the candidates and the impact index together,
+  /// drops or requeues in-flight packets on dead edges, then cross-checks
+  /// the index bit-for-bit against a rebuild from scratch. Both modes.
   MutationStats apply_mutation(const StageMutation& mutation);
 
   /// False only for reconfigurable edges killed by a StageMutation.
@@ -314,8 +320,6 @@ class Engine {
   //   begin_step(next_arrival);              // clock advance + step guard
   //   while (arrival == now()) inject(p);    // dispatch this step's packets
   //   finish_step();                         // scheduling rounds, retirement
-  // Driving a streaming engine with a pre-recorded arrival sequence
-  // therefore reproduces the batch engine's schedule bit-for-bit.
 
   /// True while any chunk is pending on the reconfigurable layer.
   bool busy() const noexcept { return !candidates_.empty() || !staged_.empty(); }
@@ -327,7 +331,7 @@ class Engine {
   void begin_step(const Time* next_arrival);
 
   /// Dispatches one packet at the current step (packet.arrival must equal
-  /// now(), packet.id must be the next sequential id). Streaming mode.
+  /// now(), packet.id must be the next sequential id).
   void inject(const Packet& packet);
 
   /// Runs the step's scheduling rounds and retires completed packets.
@@ -348,32 +352,18 @@ class Engine {
 
   // --- read-only view for policies ---------------------------------------
 
-  /// Batch mode only (streaming engines have no Instance); policies use
-  /// topology()/options() and the per-packet accessors below instead.
-  const Instance& instance() const noexcept { return *instance_; }
   const Topology& topology() const noexcept { return *topology_; }
   const EngineOptions& options() const noexcept { return options_; }
   Time now() const noexcept { return now_; }
-
-  /// Packets committed to a reconfigurable edge at transmitter t / receiver
-  /// r that still have untransmitted chunks. Unordered (removal is
-  /// swap-remove): consumers must aggregate order-independently, which
-  /// every dispatcher's accounting does. The dispatch hot paths no longer
-  /// scan these queues (they query the impact index below, whose
-  /// canonical-shape summation is queue-order independent); the queues
-  /// remain the authority for membership and for check/'s naive-scan
-  /// oracle.
-  const std::vector<PacketIndex>& pending_on_transmitter(NodeIndex t) const {
-    return pending_by_transmitter_.at(static_cast<std::size_t>(t));
-  }
-  const std::vector<PacketIndex>& pending_on_receiver(NodeIndex r) const {
-    return pending_by_receiver_.at(static_cast<std::size_t>(r));
-  }
 
   /// All pending reconfigurable-route candidates, in decreasing chunk
   /// priority -- the exact list SchedulePolicy::select receives. Same-step
   /// arrivals staged since the last scheduling round are not yet merged.
   const std::vector<Candidate>& pending_candidates() const noexcept { return candidates_; }
+  /// Those staged same-step arrivals, unsorted. Together with
+  /// pending_candidates() they are the full pending multiset -- what the
+  /// impact index counts, and what its scan oracles must filter.
+  const std::vector<Candidate>& staged_candidates() const noexcept { return staged_; }
 
   /// Dense remap of the endpoints carrying candidates in `candidates`.
   /// When called on the engine's own pending list (the normal select()
@@ -382,16 +372,6 @@ class Engine {
   /// select call -- rebuilds into the same reusable buffers. Either way
   /// the build allocates nothing at steady state.
   const ActiveEndpoints& active_endpoints(const std::vector<Candidate>& candidates) const;
-
-  /// Per-packet accessors; valid for pending (dispatched, unretired)
-  /// packets -- the ones policies see in queues and candidate lists.
-  EdgeIndex assigned_edge(PacketIndex p) const { return state_[slot(p)].route.edge; }
-  std::int64_t remaining_chunks(PacketIndex p) const { return remaining_[slot(p)]; }
-  Weight chunk_weight(PacketIndex p) const { return chunk_weight_[slot(p)]; }
-  /// Transmitter of the packet's assigned edge (-1 on the fixed route); a
-  /// dense mirror so the dispatch-time queue scans (impact_of, JSQ) avoid
-  /// chasing PacketState + the topology edge array per entry.
-  NodeIndex assigned_transmitter(PacketIndex p) const { return assigned_transmitter_[slot(p)]; }
 
   /// The incremental impact index's always-on integer-load view (JSQ's
   /// edge_load, pair grouping). Never enables the weight structures.
@@ -430,12 +410,14 @@ class Engine {
     RouteDecision route;
     Time arrival = 0;
     Weight weight = 0.0;
+    /// w_p / d(e_p) on a reconfigurable route: with `arrival` and the id,
+    /// the binary-search key of the packet's candidate entry.
+    Weight chunk_weight = 0.0;
     /// Endpoints kept per packet so stage mutations can re-dispatch or
     /// route-check in-flight packets without an Instance (streaming mode
     /// has no packet sequence to look them up in).
     NodeIndex source = 0;
     NodeIndex destination = 0;
-    bool dispatched = false;
     bool retired = false;
   };
 
@@ -445,29 +427,28 @@ class Engine {
   }
   /// Creates the window slot for the next sequential packet id.
   void append_slot(const Packet& packet);
-  /// Moves a completed packet's outcome out of the window (to the sink in
-  /// streaming mode, to result_.outcomes in batch mode) and compacts the
-  /// window's retired prefix.
-  void retire_packet(PacketIndex packet);
+  /// Moves a finished packet's outcome out of the window through the sink
+  /// and compacts the window's retired prefix. `dropped` retires it
+  /// without completion (outcome.dropped; partial latency kept).
+  void retire_packet(PacketIndex packet, bool dropped = false);
   void compact_window();
-  void dispatch_arrivals();
   /// Applies a dispatch decision to a packet (enqueue on edge or fixed).
   void apply_route(const Packet& packet, const RouteDecision& route);
   /// Folds candidates staged by apply_route into the priority-sorted list.
   void merge_staged_candidates();
-  /// Removes a not-yet-started packet from the pending structures.
-  void unlist_pending(PacketIndex packet);
-  /// Order-preserving removal from one per-endpoint queue via its index map.
-  void erase_from_queue(std::vector<PacketIndex>& queue,
-                        std::vector<std::int32_t>& position, PacketIndex packet);
-  /// Restricted migration: re-dispatches packets with no transmitted chunk.
-  void redispatch_queued_packets();
+  /// Removes a packet's entry from the merged candidate list and the
+  /// impact index; returns its untransmitted chunk count.
+  std::int64_t unlist_pending(PacketIndex packet);
+  /// Unlists every pending packet `pick` selects and hands it back to the
+  /// dispatcher in (arrival, id) order, so re-dispatch is deterministic
+  /// and arrival-fair. A packet that already transmitted a chunk, has no
+  /// surviving route, or meets DeadPolicy::Drop is dropped instead. With
+  /// `stats` (the stage-mutation path) requeues and drops are counted and
+  /// requeues reported to observers; restricted migration passes null.
+  template <typename Pick>
+  void requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats);
   /// One scheduling round; returns number of chunks transmitted.
-  std::size_t schedule_round(bool record);
-  bool work_left() const;
-  /// Retires `packet` without completion: marks the outcome dropped and
-  /// delivers it (sink / result_.outcomes) like a normal retirement.
-  void drop_packet(PacketIndex packet);
+  std::size_t schedule_round();
   /// Verifies the incremental impact index against a rebuild from scratch
   /// (integer loads always; treap splits when the weight structures are
   /// live). Throws std::logic_error on any mismatch. Called after every
@@ -479,8 +460,10 @@ class Engine {
   DispatchPolicy* dispatcher_;
   SchedulePolicy* scheduler_;
   EngineOptions options_;
-  RetireSink sink_;  ///< set iff streaming mode
-  std::unique_ptr<EngineObserver> auditor_;  ///< set iff options_.audit
+  RetireSink sink_;  ///< the caller's, or batch mode's outcome collector
+  /// The invariant auditor (options_.audit) and the trace recorder
+  /// (options_.record_trace), in that order; empty by default.
+  std::vector<std::unique_ptr<EngineObserver>> observers_;
   std::unique_ptr<Probe> probe_store_;  ///< set iff options_.probe.enabled
   /// Raw mirror of probe_store_: the hot-path sites branch on one pointer;
   /// const views (impact_split) still time themselves through it.
@@ -496,19 +479,13 @@ class Engine {
   std::vector<EndpointConfig> receiver_config_;
 
   Time now_ = 0;
-  std::size_t next_arrival_ = 0;  ///< batch: first not-yet-dispatched packet
 
   /// Sliding per-packet window: slot i holds packet window_base_ + i.
   /// Slots are appended in id order at dispatch and compacted away once a
-  /// retired prefix accumulates. Dense per-packet mirrors of the fields
-  /// the dispatch hot loops read (impact_of / JSQ scan whole per-endpoint
-  /// queues) stay separate arrays so those scans sit in few cache lines.
+  /// retired prefix accumulates.
   PacketIndex window_base_ = 0;
   std::size_t front_retired_ = 0;  ///< length of the window's retired prefix
   std::vector<PacketState> state_;
-  std::vector<std::int64_t> remaining_;  ///< untransmitted chunks
-  std::vector<Weight> chunk_weight_;
-  std::vector<NodeIndex> assigned_transmitter_;  ///< -1 on the fixed route
   std::vector<PacketOutcome> outcomes_;
   std::size_t in_flight_ = 0;
   std::size_t peak_resident_ = 0;
@@ -524,24 +501,16 @@ class Engine {
   std::vector<char> edge_alive_;
   std::size_t dead_edges_ = 0;
   bool step_open_ = false;
-  /// Mutation-path scratch (cold): packets affected by a kill, and the
-  /// route-check buffer behind has_viable_route.
-  std::vector<PacketIndex> mutation_scratch_;
+  /// Requeue-path scratch (cold): the packets requeue_pending handles, and
+  /// the route-check buffer behind has_viable_route.
+  std::vector<PacketIndex> requeue_scratch_;
   mutable std::vector<EdgeIndex> route_scratch_;
 
-  /// Pending candidates in decreasing chunk priority; the list handed to
-  /// the scheduler. Maintained incrementally: same-step dispatches stage
-  /// into staged_ and are batch-merged before the next scheduling round.
+  /// The pending work: candidates in decreasing chunk priority (the list
+  /// handed to the scheduler), plus the same-step dispatches staged for
+  /// one batch-merge before the next scheduling round.
   std::vector<Candidate> candidates_;
   std::vector<Candidate> staged_;
-
-  /// Per-endpoint queues (dispatch order, as impact_of's accounting
-  /// expects) with per-packet index maps (window-slot indexed) for
-  /// scan-free removal.
-  std::vector<std::vector<PacketIndex>> pending_by_transmitter_;
-  std::vector<std::vector<PacketIndex>> pending_by_receiver_;
-  std::vector<std::int32_t> queue_pos_transmitter_;  ///< window slot -> index
-  std::vector<std::int32_t> queue_pos_receiver_;
 
   /// Round-stamped scratch for selection validation (replaces per-round
   /// allocations sized by the topology).
@@ -549,8 +518,7 @@ class Engine {
   std::vector<std::uint64_t> edge_used_round_;
   std::vector<std::uint64_t> load_t_round_, load_r_round_;
   std::vector<int> load_t_, load_r_;
-  std::vector<PacketIndex> owner_t_, owner_r_;  ///< valid iff round matches
-  std::vector<std::uint64_t> chosen_round_;     ///< per candidate index
+  std::vector<std::uint64_t> chosen_round_;  ///< per candidate index
 
   std::vector<EdgeMeta> edge_meta_;  ///< per-edge constants (see edge_meta())
 

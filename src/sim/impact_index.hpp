@@ -10,8 +10,8 @@
 //                 (ties go to H: every pending packet arrived earlier), and
 //   w(L_p(e))  -- total weight of the strictly lighter pending chunks,
 //
-// which the naive rule re-derives by scanning both endpoint queues per
-// candidate edge. This index instead maintains one weight-keyed treap per
+// which the naive rule re-derives by scanning the pending candidates at
+// both endpoints per candidate edge. This index instead maintains one weight-keyed treap per
 // transmitter, per receiver, and per (t, r) edge group ("pair": parallel
 // edges share pending state), each node aggregating every pending chunk of
 // one distinct chunk-weight key:
@@ -27,12 +27,12 @@
 //
 //   |H| = (H_t + H_r) - H_pair        w(L) = (L_t + L_r) - L_pair
 //
-// (the pair structure removes the packets double-counted by both endpoint
-// queues -- exactly those assigned to a parallel edge of the same pair).
+// (the pair structure removes the packets counted at both endpoints --
+// exactly those assigned to a parallel edge of the same pair).
 //
 // DETERMINISM BY CANONICAL SHAPE. Floating-point sums are association-
 // sensitive, and an incremental structure cannot reproduce a flat
-// queue-order sum bit-for-bit. The index therefore defines its own
+// scan-order sum bit-for-bit. The index therefore defines its own
 // canonical summation order and makes it a pure function of the pending
 // multiset: each node's heap priority is a stateless hash of its key's
 // bits, so the treap shape -- hence every bracketing -- depends only on

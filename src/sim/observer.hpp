@@ -12,8 +12,10 @@
 // incremental accounting cannot hide itself. Violations throw AuditFailure.
 //
 // The interface lives in sim/ (below check/) so the engine can hold an
-// observer without an include cycle; the only implementation ships in
-// src/check/audit.cpp and is linked through the factory below.
+// observer without an include cycle; the auditor ships in
+// src/check/audit.cpp and is linked through the factory below. The engine
+// records RunResult::trace (EngineOptions::record_trace) through a second,
+// engine-private observer.
 
 #include <memory>
 #include <stdexcept>

@@ -34,8 +34,8 @@
 
 namespace rdcn {
 
-/// The engine's round phases, in round order. Dispatch covers the
-/// per-step packet dispatch (policy decision + route application);
+/// The engine's round phases, in round order. Dispatch covers one packet's
+/// dispatch per span (policy decision + route application, per inject);
 /// IndexMaintenance the impact index's lazy rebuild + deferred-event flush
 /// + query, nested inside Dispatch (or Select, for index-using
 /// schedulers); MergeCompact both the staged-candidate merge and the

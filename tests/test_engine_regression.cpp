@@ -4,7 +4,8 @@
 //    bit-for-bit; the golden costs below were captured from the seed
 //    engine on the make_varied_instance family;
 //  * the SchedulePolicy contract -- candidates arrive priority-sorted at
-//    every round with consistent remaining counts;
+//    every round with consistent remaining counts, and the impact index
+//    agrees with them;
 //  * EngineOptions edge interactions (reconfig_delay x endpoint_capacity,
 //    redispatch_queued / record_trace rejection matrix).
 
@@ -22,24 +23,66 @@
 namespace rdcn {
 namespace {
 
+std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over the integral schedule data (route kind/edge, completion,
+/// per-chunk transmit steps) in packet-id order: equal hashes == bit-for-
+/// bit identical schedules, with no floating-point in the fingerprint.
+std::uint64_t schedule_hash(const std::vector<PacketOutcome>& outcomes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const PacketOutcome& o : outcomes) {
+    h = mix64(h, o.route.use_fixed ? 1u : 0u);
+    h = mix64(h, static_cast<std::uint64_t>(o.route.use_fixed ? -1 : o.route.edge));
+    h = mix64(h, static_cast<std::uint64_t>(o.completion));
+    h = mix64(h, o.chunk_transmit_steps.size());
+    for (Time t : o.chunk_transmit_steps) h = mix64(h, static_cast<std::uint64_t>(t));
+  }
+  return h;
+}
+
+/// FNV-1a over a recorded trace: each step's time and matching size, then
+/// every pending packet's id, transmitted flag and blocker, in list order.
+std::uint64_t trace_hash(const std::vector<StepRecord>& trace) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const StepRecord& step : trace) {
+    h = mix64(h, static_cast<std::uint64_t>(step.time));
+    h = mix64(h, step.matching_size);
+    for (const StepPacketRecord& record : step.packets) {
+      h = mix64(h, static_cast<std::uint64_t>(record.packet));
+      h = mix64(h, record.transmitted ? 1u : 0u);
+      h = mix64(h, static_cast<std::uint64_t>(record.blocker));
+    }
+  }
+  return h;
+}
+
 struct Golden {
   std::uint64_t seed;
   double total_cost;
   Time makespan;
+  std::uint64_t trace_hash;
 };
 
-// Captured from the seed engine (pre-refactor) at commit b07bcdf, %.17g.
+// Costs captured from the seed engine (pre-refactor) at commit b07bcdf,
+// %.17g; trace hashes captured before trace recording moved into an
+// engine observer.
 constexpr Golden kSeedEngineGoldens[] = {
-    {1ULL, 136, 12},
-    {2ULL, 146.5, 17},
-    {3ULL, 16, 6},
-    {4ULL, 263, 20},
-    {5ULL, 297.49999999999994, 12},
-    {7ULL, 152.5, 8},
-    {11ULL, 163.5, 11},
-    {101ULL, 2940.5, 32},
-    {103ULL, 5376.333333333333, 56},
-    {117ULL, 5024, 42},
+    {1ULL, 136, 12, 0x3b15ab9dd7b71c36ULL},
+    {2ULL, 146.5, 17, 0x0824b7d914a462aaULL},
+    {3ULL, 16, 6, 0x410e6c5eebf9bae5ULL},
+    {4ULL, 263, 20, 0xa89e8ba233df7fcbULL},
+    {5ULL, 297.49999999999994, 12, 0xb8f58f92348ad693ULL},
+    {7ULL, 152.5, 8, 0x05135c44dda81889ULL},
+    {11ULL, 163.5, 11, 0xc50391a7bdd6f273ULL},
+    {101ULL, 2940.5, 32, 0x8d256f0bfb719b4cULL},
+    {103ULL, 5376.333333333333, 56, 0x0960d15ef9787a52ULL},
+    {117ULL, 5024, 42, 0xe34dc80a9c8bc82fULL},
 };
 
 TEST(EngineRegression, ReproducesSeedEngineCosts) {
@@ -71,6 +114,18 @@ TEST(EngineRegression, GoldensPassThePerStepAudit) {
   }
 }
 
+TEST(EngineRegression, RecordedTracesMatchGoldens) {
+  // Pins the charging auditor's input: one record per simulated step, with
+  // every pending packet's transmitted flag and blocker.
+  for (const Golden& golden : kSeedEngineGoldens) {
+    const Instance instance = testing::make_varied_instance(golden.seed);
+    const RunResult run = run_alg(instance);  // records the trace by default
+    EXPECT_EQ(run.trace.size(), static_cast<std::size_t>(run.steps_simulated))
+        << "seed " << golden.seed;
+    EXPECT_EQ(trace_hash(run.trace), golden.trace_hash) << "seed " << golden.seed;
+  }
+}
+
 TEST(EngineRegression, RepeatedRunsAreIdentical) {
   for (const std::uint64_t seed : {2ULL, 103ULL}) {
     const Instance instance = testing::make_varied_instance(seed);
@@ -85,29 +140,6 @@ TEST(EngineRegression, RepeatedRunsAreIdentical) {
 }
 
 // --------------------------- all-policy schedule goldens (Selection API) --
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// FNV-1a over the integral schedule data (route kind/edge, completion,
-/// per-chunk transmit steps) in packet-id order: equal hashes == bit-for-
-/// bit identical schedules, with no floating-point in the fingerprint.
-std::uint64_t schedule_hash(const std::vector<PacketOutcome>& outcomes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const PacketOutcome& o : outcomes) {
-    h = mix64(h, o.route.use_fixed ? 1u : 0u);
-    h = mix64(h, static_cast<std::uint64_t>(o.route.use_fixed ? -1 : o.route.edge));
-    h = mix64(h, static_cast<std::uint64_t>(o.completion));
-    h = mix64(h, o.chunk_transmit_steps.size());
-    for (Time t : o.chunk_transmit_steps) h = mix64(h, static_cast<std::uint64_t>(t));
-  }
-  return h;
-}
 
 struct PolicyGolden {
   const char* policy;
@@ -242,6 +274,84 @@ TEST(EngineRegression, AllRegistryPoliciesMatchScheduleGoldensStreamed) {
   }
 }
 
+// Restricted-migration schedules (EngineOptions::redispatch_queued),
+// captured before the queued-redispatch and stage-requeue paths merged.
+constexpr PolicyGolden kMigrationGoldens[] = {
+    {"alg", 101ULL, 2932.5, 32, 0x4af4f9b31813f917ULL},
+    {"jsq", 101ULL, 2963, 32, 0xc6524b909f119d06ULL},
+    {"alg", 103ULL, 5246, 56, 0x2fbc04e6b68f3cffULL},
+    {"jsq", 103ULL, 5356.9999999999991, 56, 0xb307eb9b3d22d948ULL},
+};
+
+TEST(EngineRegression, RedispatchQueuedMatchesScheduleGoldens) {
+  for (const PolicyGolden& golden : kMigrationGoldens) {
+    const Instance instance = testing::make_varied_instance(golden.seed);
+    const PolicyFactory policy = named_policy(golden.policy);
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(instance.topology());
+    EngineOptions options;
+    options.redispatch_queued = true;
+    options.audit = true;
+    const RunResult run = simulate(instance, *dispatcher, *scheduler, options);
+    EXPECT_NEAR(run.total_cost, golden.total_cost, 1e-9 * (1.0 + golden.total_cost))
+        << golden.policy << " seed " << golden.seed;
+    EXPECT_EQ(run.makespan, golden.makespan) << golden.policy << " seed " << golden.seed;
+    EXPECT_EQ(schedule_hash(run.outcomes), golden.hash)
+        << golden.policy << " seed " << golden.seed;
+  }
+}
+
+struct StagedGolden {
+  const char* policy;
+  std::uint64_t seed;
+  EdgeIndex edge;
+  std::uint64_t hash;
+  std::uint64_t dropped;
+  std::uint64_t requeued;
+};
+
+// A batch run(schedule) that kills `edge` at step 4 under
+// DeadPolicy::Requeue and restores it at step 14; the edges are picked so
+// the kill strands both untouched packets (requeued) and mid-transmit ones
+// (dropped). Captured before the queued-redispatch and stage-requeue
+// paths merged.
+constexpr StagedGolden kStagedGoldens[] = {
+    {"alg", 101ULL, 44, 0xfde31c53f2d95bcdULL, 1, 1},
+    {"jsq", 101ULL, 44, 0x2e4b02627d58ec93ULL, 1, 1},
+    {"alg", 101ULL, 8, 0x62b606a84fa4aeb2ULL, 0, 6},
+    {"alg", 103ULL, 24, 0x18e337409814baa8ULL, 2, 1},
+    {"jsq", 103ULL, 24, 0xc57cc371aa54d406ULL, 2, 1},
+};
+
+TEST(EngineRegression, StagedBatchRunMatchesScheduleGoldens) {
+  for (const StagedGolden& golden : kStagedGoldens) {
+    std::vector<TimedMutation> schedule(2);
+    schedule[0].at = 4;
+    schedule[0].mutation.kill_edges = {golden.edge};
+    schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
+    schedule[1].at = 14;
+    schedule[1].mutation.restore_edges = {golden.edge};
+    const Instance instance = testing::make_varied_instance(golden.seed);
+    const PolicyFactory policy = named_policy(golden.policy);
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(instance.topology());
+    EngineOptions options;
+    options.audit = true;
+    Engine engine(instance, *dispatcher, *scheduler, options);
+    const RunResult run = engine.run(schedule);
+    const auto dropped = static_cast<std::uint64_t>(
+        std::count_if(run.outcomes.begin(), run.outcomes.end(),
+                      [](const PacketOutcome& o) { return o.dropped; }));
+    EXPECT_EQ(schedule_hash(run.outcomes), golden.hash)
+        << golden.policy << " seed " << golden.seed;
+    EXPECT_EQ(dropped, golden.dropped) << golden.policy << " seed " << golden.seed;
+    EXPECT_EQ(engine.packets_dropped(), golden.dropped)
+        << golden.policy << " seed " << golden.seed;
+    EXPECT_EQ(engine.packets_requeued(), golden.requeued)
+        << golden.policy << " seed " << golden.seed;
+  }
+}
+
 /// Delegating scheduler that asserts the engine's candidate contract.
 class ContractCheckingScheduler final : public SchedulePolicy {
  public:
@@ -252,16 +362,17 @@ class ContractCheckingScheduler final : public SchedulePolicy {
                                  return chunk_higher_priority(a, b);
                                }));
     EXPECT_EQ(&candidates, &engine.pending_candidates());
+    EXPECT_TRUE(engine.staged_candidates().empty());  // merged before every round
     EXPECT_TRUE(out.empty());  // the engine hands the scratch cleared
     const ActiveEndpoints& active = engine.active_endpoints(candidates);
+    std::map<NodeIndex, std::int64_t> transmitter_chunks;
     for (const Candidate& c : candidates) {
+      const ReconfigEdge& edge = engine.topology().edge(c.edge);
       EXPECT_GT(c.remaining, 0);
-      EXPECT_EQ(c.remaining, engine.remaining_chunks(c.packet));
-      EXPECT_EQ(c.edge, engine.assigned_edge(c.packet));
-      EXPECT_DOUBLE_EQ(c.chunk_weight, engine.chunk_weight(c.packet));
-      // The per-endpoint queues and the candidate list agree.
-      const auto& queue = engine.pending_on_transmitter(c.transmitter);
-      EXPECT_NE(std::find(queue.begin(), queue.end(), c.packet), queue.end());
+      EXPECT_LE(c.remaining, edge.delay);
+      EXPECT_EQ(c.transmitter, edge.transmitter);
+      EXPECT_EQ(c.receiver, edge.receiver);
+      transmitter_chunks[c.transmitter] += c.remaining;
       // The active-endpoint remap round-trips for every candidate endpoint.
       const auto t_rank = static_cast<std::size_t>(active.transmitter_rank(c.transmitter));
       const auto r_rank = static_cast<std::size_t>(active.receiver_rank(c.receiver));
@@ -269,6 +380,10 @@ class ContractCheckingScheduler final : public SchedulePolicy {
       ASSERT_LT(r_rank, active.num_receivers());
       EXPECT_EQ(active.transmitters[t_rank], c.transmitter);
       EXPECT_EQ(active.receivers[r_rank], c.receiver);
+    }
+    // The impact index is derived from the candidate entries alone.
+    for (const auto& [t, chunks] : transmitter_chunks) {
+      EXPECT_EQ(engine.impact_index().transmitter_chunks(t), chunks);
     }
     ++rounds_checked;
     inner_.select(engine, now, candidates, out);

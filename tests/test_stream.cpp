@@ -467,19 +467,59 @@ TEST(StageMutations, ValidatesBoundariesAndArguments) {
   const PolicyFactory policy = named_policy("min-delay");
   auto dispatcher = policy.dispatcher();
   auto scheduler = policy.scheduler(topology);
-  Engine engine(topology, *dispatcher, *scheduler, {}, [](RetiredPacket&&) {});
+  EngineOptions options;
+  options.audit = true;
+  std::uint64_t served = 0;
+  std::uint64_t dropped = 0;
+  Engine engine(topology, *dispatcher, *scheduler, options, [&](RetiredPacket&& packet) {
+    ++(packet.outcome.dropped ? dropped : served);
+  });
 
   StageMutation bad_edge;
   bad_edge.kill_edges = {99};
   EXPECT_THROW(engine.apply_mutation(bad_edge), std::invalid_argument);
 
+  // One packet on edge 0 (two chunks): the first transmits at step 1.
   StageMutation kill;
   kill.kill_edges = {0};
   const Time first = 1;
   engine.begin_step(&first);
+  engine.inject(Packet{0, 1, 1.0, 0, 0});
   EXPECT_THROW(engine.apply_mutation(kill), std::logic_error);  // mid-step
   engine.finish_step();
-  EXPECT_EQ(engine.apply_mutation(kill).edges_killed, 1u);
+
+  // A rejected mutation is atomic: the parts named before the bad
+  // argument are not applied either.
+  const auto expect_unchanged = [&](const char* label) {
+    EXPECT_EQ(engine.dead_edge_count(), 0u) << label;
+    EXPECT_TRUE(engine.edge_alive(0)) << label;
+    EXPECT_TRUE(engine.edge_alive(1)) << label;
+    EXPECT_EQ(engine.options().speedup_rounds, 1) << label;
+    ASSERT_EQ(engine.pending_candidates().size(), 1u) << label;
+    EXPECT_EQ(engine.pending_candidates()[0].edge, 0) << label;
+    EXPECT_EQ(engine.pending_candidates()[0].remaining, 1) << label;
+    EXPECT_EQ(engine.packets_dropped(), 0u) << label;
+  };
+  StageMutation bad_second_edge;
+  bad_second_edge.kill_edges = {0, 99};
+  EXPECT_THROW(engine.apply_mutation(bad_second_edge), std::invalid_argument);
+  expect_unchanged("kill_edges {0, 99}");
+  StageMutation bad_scalar;
+  bad_scalar.kill_edges = {1};
+  bad_scalar.speedup_rounds = -1;
+  EXPECT_THROW(engine.apply_mutation(bad_scalar), std::invalid_argument);
+  expect_unchanged("kill_edges {1}, speedup_rounds -1");
+
+  // The packet finishes on its (still alive) edge; killing it afterwards
+  // strands nothing.
+  engine.begin_step(nullptr);
+  engine.finish_step();
+  EXPECT_FALSE(engine.busy());
+  EXPECT_EQ(served, 1u);
+  EXPECT_EQ(dropped, 0u);
+  const MutationStats stats = engine.apply_mutation(kill);
+  EXPECT_EQ(stats.edges_killed, 1u);
+  EXPECT_EQ(stats.packets_dropped, 0u);
 }
 
 // ----------------------------------------------------- staged StreamRunner --

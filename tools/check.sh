@@ -7,6 +7,8 @@
 #                                       #   rdcn_lint (+ self-tests),
 #                                       #   clang-format / clang-tidy over
 #                                       #   changed files when installed
+#   $ tools/check.sh resume [build-dir] # suite kill-and-resume smoke over
+#                                       #   an existing build's rdcn_cli
 #
 # RDCN_WERROR=ON in the environment turns warnings into errors (CI does).
 # Exit code is nonzero if any stage fails.
@@ -17,6 +19,80 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 configure() {
   cmake -B "$1" -S "$repo" -DRDCN_WERROR="${RDCN_WERROR:-OFF}" "${@:2}"
 }
+
+# Kill-and-resume smoke of the fault-tolerant suite runner, plus its
+# isolate / fail_fast / transient-retry variants. Needs only rdcn_cli in
+# the build directory; the full run and CI's perf-smoke job both call it.
+resume_smoke() {
+  local build="$1"
+  # A small two-workload suite; the fault hook targets the zipf cells.
+  cat > "$build/resume_smoke.json" <<'EOF'
+{
+  "suite": "resume-smoke",
+  "mode": "batch",
+  "seeds": {"base": 1, "repetitions": 2},
+  "policies": ["alg", "fifo"],
+  "topologies": [
+    {"name": "pod", "kind": "two_tier", "racks": 6, "lasers": 2,
+     "photodetectors": 2, "density": 0.6, "max_edge_delay": 2}
+  ],
+  "workloads": [
+    {"name": "uniform", "packets": 80, "rate": 4.0, "skew": "uniform"},
+    {"name": "zipf", "packets": 80, "rate": 4.0, "skew": "zipf",
+     "zipf_exponent": 1.2}
+  ]
+}
+EOF
+  # Reference: the uninterrupted run every fault-tolerant variant must match.
+  # wall_ms is a wall-clock measurement -- the one field two runs of the
+  # same cell never agree on -- so cross-run comparisons strip it; every
+  # actual metric must then be byte-identical.
+  strip_wall() { sed -E 's/"wall_ms":[0-9.eE+-]+,?//g' "$1"; }
+  "$build/rdcn_cli" suite "$build/resume_smoke.json" --threads 1 \
+      > "$build/resume_ref.out" 2>/dev/null
+  # Kill-and-resume: the injected crash SIGKILLs the process at the first
+  # zipf cell (cells run in order under --threads 1, so the uniform cells
+  # are already journaled); the resume must produce bit-identical output.
+  rm -f "$build/resume_smoke.journal"
+  local kill_status=0
+  RDCN_SUITE_FAULT="crash@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
+      --threads 1 --journal "$build/resume_smoke.journal" \
+      >/dev/null 2>&1 || kill_status=$?
+  if [ "$kill_status" -ne 137 ]; then
+    echo "check.sh: crash injection did not SIGKILL the suite (exit $kill_status)" >&2
+    exit 1
+  fi
+  grep -q '"rdcn_suite_journal":1' "$build/resume_smoke.journal"
+  "$build/rdcn_cli" suite --resume "$build/resume_smoke.journal" \
+      > "$build/resume_merged.out" 2>/dev/null
+  cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_merged.out")
+  # Isolate: the failing zipf cells become structured error rows; the
+  # healthy uniform rows stay bit-identical to the reference.
+  RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
+      --threads 1 --isolate > "$build/resume_isolate.out" 2>/dev/null
+  test "$(grep -c '"status":"failed"' "$build/resume_isolate.out")" -eq 2
+  cmp <(strip_wall "$build/resume_ref.out" | head -n 2) \
+      <(strip_wall "$build/resume_isolate.out" | head -n 2)
+  # fail_fast: same injection without --isolate aborts nonzero and reports
+  # the suppressed sibling ("and 1 more cell failed").
+  if RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
+      --threads 1 > /dev/null 2> "$build/resume_failfast.err"; then
+    echo "check.sh: fail_fast suite with injected fault exited 0" >&2
+    exit 1
+  fi
+  grep -q "more cell" "$build/resume_failfast.err"
+  # Transient retry: the injection fires once per repetition, so a retry
+  # budget of 2 recovers and the output is bit-identical to the reference.
+  RDCN_SUITE_FAULT="transient@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
+      --threads 1 --attempts 2 --backoff-ms 1 > "$build/resume_retry.out" 2>/dev/null
+  cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_retry.out")
+}
+
+if [ "${1:-}" = "resume" ]; then
+  resume_smoke "${2:-$repo/build}"
+  echo "check.sh: resume passed"
+  exit 0
+fi
 
 if [ "${1:-}" = "lint" ]; then
   build="${2:-$repo/build}"
@@ -148,66 +224,6 @@ if "$build/rdcn_cli" suite "$repo/tests/suites/unknown_key.json" >/dev/null 2>&1
 fi
 
 echo "== smoke fault tolerance & resume =="
-# A small two-workload suite; the fault hook targets the zipf cells.
-cat > "$build/resume_smoke.json" <<'EOF'
-{
-  "suite": "resume-smoke",
-  "mode": "batch",
-  "seeds": {"base": 1, "repetitions": 2},
-  "policies": ["alg", "fifo"],
-  "topologies": [
-    {"name": "pod", "kind": "two_tier", "racks": 6, "lasers": 2,
-     "photodetectors": 2, "density": 0.6, "max_edge_delay": 2}
-  ],
-  "workloads": [
-    {"name": "uniform", "packets": 80, "rate": 4.0, "skew": "uniform"},
-    {"name": "zipf", "packets": 80, "rate": 4.0, "skew": "zipf",
-     "zipf_exponent": 1.2}
-  ]
-}
-EOF
-# Reference: the uninterrupted run every fault-tolerant variant must match.
-# wall_ms is a wall-clock measurement -- the one field two runs of the
-# same cell never agree on -- so cross-run comparisons strip it; every
-# actual metric must then be byte-identical.
-strip_wall() { sed -E 's/"wall_ms":[0-9.eE+-]+,?//g' "$1"; }
-"$build/rdcn_cli" suite "$build/resume_smoke.json" --threads 1 \
-    > "$build/resume_ref.out" 2>/dev/null
-# Kill-and-resume: the injected crash SIGKILLs the process at the first
-# zipf cell (cells run in order under --threads 1, so the uniform cells
-# are already journaled); the resume must produce bit-identical output.
-rm -f "$build/resume_smoke.journal"
-kill_status=0
-RDCN_SUITE_FAULT="crash@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-    --threads 1 --journal "$build/resume_smoke.journal" \
-    >/dev/null 2>&1 || kill_status=$?
-if [ "$kill_status" -ne 137 ]; then
-  echo "check.sh: crash injection did not SIGKILL the suite (exit $kill_status)" >&2
-  exit 1
-fi
-grep -q '"rdcn_suite_journal":1' "$build/resume_smoke.journal"
-"$build/rdcn_cli" suite --resume "$build/resume_smoke.journal" \
-    > "$build/resume_merged.out" 2>/dev/null
-cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_merged.out")
-# Isolate: the failing zipf cells become structured error rows; the
-# healthy uniform rows stay bit-identical to the reference.
-RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-    --threads 1 --isolate > "$build/resume_isolate.out" 2>/dev/null
-test "$(grep -c '"status":"failed"' "$build/resume_isolate.out")" -eq 2
-cmp <(strip_wall "$build/resume_ref.out" | head -n 2) \
-    <(strip_wall "$build/resume_isolate.out" | head -n 2)
-# fail_fast: same injection without --isolate aborts nonzero and reports
-# the suppressed sibling ("and 1 more cell failed").
-if RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-    --threads 1 > /dev/null 2> "$build/resume_failfast.err"; then
-  echo "check.sh: fail_fast suite with injected fault exited 0" >&2
-  exit 1
-fi
-grep -q "more cell" "$build/resume_failfast.err"
-# Transient retry: the injection fires once per repetition, so a retry
-# budget of 2 recovers and the output is bit-identical to the reference.
-RDCN_SUITE_FAULT="transient@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-    --threads 1 --attempts 2 --backoff-ms 1 > "$build/resume_retry.out" 2>/dev/null
-cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_retry.out")
+resume_smoke "$build"
 
 echo "check.sh: all stages passed"
