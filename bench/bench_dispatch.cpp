@@ -11,10 +11,10 @@
 // baseline in BENCH_dispatch.json) and prints the indexed-vs-scan speedup
 // per shape.
 //
-// The scan rows filter the engine's whole candidate list, so they cost
-// O(all pending) per edge, while the PR 6 scan rows committed in
-// BENCH_dispatch.json read only the pending chunks at the edge's
-// endpoints: the two are NOT comparable. The indexed rows are unaffected.
+// The scan rows read the edge queues incident to the candidate edge's
+// endpoints (Engine::for_each_pending_at), so they cost O(pending at those
+// endpoints) per edge, like the per-endpoint scans behind the scan rows
+// committed in BENCH_dispatch.json.
 //
 //   bench_dispatch [--json]
 
@@ -38,8 +38,8 @@ using namespace rdcn;
 using namespace rdcn::bench;
 
 /// ImpactDispatcher's exact decision rule, resolved through the naive
-/// O(pending) candidate scan -- the pre-index rule, timed as the probe
-/// baseline. Decisions are identical to the indexed rule up to l_weight
+/// scan of the queues at the edge's endpoints -- the pre-index rule,
+/// timed as the probe baseline. Decisions are identical to the indexed rule up to l_weight
 /// reassociation ulps.
 class ScanImpactDispatcher final : public DispatchPolicy {
  public:
@@ -78,8 +78,8 @@ class ScanImpactDispatcher final : public DispatchPolicy {
   std::vector<EdgeIndex> edges_;
 };
 
-/// JSQ through a scan of the pending candidates (the load rule
-/// JsqDispatcher reads from the impact index's O(1) counters).
+/// JSQ through a scan of the queues at the edge's endpoints (the load
+/// rule JsqDispatcher reads from the impact index's O(1) counters).
 class ScanJsqDispatcher final : public DispatchPolicy {
  public:
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
@@ -95,13 +95,8 @@ class ScanJsqDispatcher final : public DispatchPolicy {
     for (EdgeIndex e : edges_) {
       const ReconfigEdge& edge = topology.edge(e);
       std::int64_t load = 0;
-      for (const auto* list : {&engine.pending_candidates(), &engine.staged_candidates()}) {
-        for (const Candidate& c : *list) {
-          if (c.transmitter == edge.transmitter || c.receiver == edge.receiver) {
-            load += c.remaining;
-          }
-        }
-      }
+      engine.for_each_pending_at(edge.transmitter, edge.receiver,
+                                 [&load](const Candidate& c) { load += c.remaining; });
       if (load < best_load) {
         best_load = load;
         best = e;

@@ -11,11 +11,19 @@
 // (ns_per_round, rounds, total_cost); the committed baseline lives in
 // BENCH_hotpath.json and tools/perf_diff gates CI against it.
 //
+// Outside --quick, deep-queue rows follow: a 20k-packet burst on
+// bench_steady_state's 8-rack pod (2x2 ports, density 0.8, delays 1-2)
+// for alg, maxweight and fifo, so the drain starts with over a hundred
+// packets queued per edge -- the congested regime the 400-packet rows
+// never reach. They report ns_per_round and pkts_per_cpu_s (burst size
+// over the drain's process CPU time) under shape "deep_two_tier8x2".
+//
 //   bench_hotpath [--json] [--quick] [--phases] [--no-meta]
 //
 //   --json     print only the JSON lines (what BENCH_hotpath.json stores)
-//   --quick    fewer repetitions, crossbar shape only (the CI perf-smoke
-//              subset; same burst size so row keys match the baseline)
+//   --quick    fewer repetitions, crossbar shape only, no deep-queue rows
+//              (the CI perf-smoke subset; same burst size so row keys
+//              match the baseline)
 //   --phases   additionally run probe-enabled drains and emit one row per
 //              round phase (params gain "phase"; metric phase_ns_per_round
 //              = phase self-time / rounds). The gated rows above stay
@@ -29,6 +37,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +87,19 @@ std::vector<Shape> zoo_shapes(bool quick) {
   return shapes;
 }
 
+/// bench_steady_state's pod: past its knee the backlog reaches thousands
+/// of packets on 178 edges.
+Topology deep_pod() {
+  TwoTierConfig net;
+  net.racks = 8;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 0.8;
+  net.max_edge_delay = 2;
+  Rng rng(7);
+  return build_two_tier(net, rng);
+}
+
 std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Packet> packets;
@@ -99,6 +122,7 @@ std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint
 struct DrainResult {
   double ns_per_round = 0.0;
   double wall_ms = 0.0;
+  double cpu_s = 0.0;  ///< process CPU time of the drain
   std::int64_t rounds = 0;
   double total_cost = 0.0;
   ProbeReport probe;  ///< populated only by probed drains
@@ -116,6 +140,7 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   for (const Packet& p : packets) engine.inject(p);
   engine.finish_step();
 
+  const std::clock_t cpu_start = std::clock();
   const auto start = std::chrono::steady_clock::now();
   std::int64_t rounds = 0;
   while (engine.busy()) {
@@ -125,6 +150,7 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   DrainResult result;
+  result.cpu_s = static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
   result.rounds = rounds;
   result.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(elapsed).count();
@@ -136,6 +162,26 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   result.total_cost = engine.aggregates().total_cost;
   if (engine.probe() != nullptr) result.probe = engine.probe()->report();
   return result;
+}
+
+/// Median (by ns_per_round) of `repetitions` probe-off drains. The
+/// repetitions replay identical engine state, so schedule-derived
+/// quantities must agree bit-for-bit; nullopt flags a mismatch.
+std::optional<DrainResult> median_drain(const Topology& topology, const PolicyFactory& policy,
+                                        const std::vector<Packet>& packets, int repetitions) {
+  std::vector<DrainResult> reps;
+  reps.reserve(static_cast<std::size_t>(repetitions));
+  for (int rep = 0; rep < repetitions; ++rep) {
+    reps.push_back(drain_once(topology, policy, packets));
+    if (reps.back().total_cost != reps.front().total_cost ||
+        reps.back().rounds != reps.front().rounds) {
+      return std::nullopt;
+    }
+  }
+  std::sort(reps.begin(), reps.end(), [](const DrainResult& a, const DrainResult& b) {
+    return a.ns_per_round < b.ns_per_round;
+  });
+  return reps[reps.size() / 2];
 }
 
 }  // namespace
@@ -180,23 +226,14 @@ int main(int argc, char** argv) {
     const std::vector<Packet> load = burst(shape.topology, packets, 11);
     for (const char* name : policies) {
       const PolicyFactory policy = named_policy(name);
-      std::vector<DrainResult> reps;
-      reps.reserve(static_cast<std::size_t>(repetitions));
-      for (int rep = 0; rep < repetitions; ++rep) {
-        reps.push_back(drain_once(shape.topology, policy, load));
-        // Determinism cross-check: identical engine state per repetition,
-        // so schedule-derived quantities must agree bit-for-bit.
-        if (reps.back().total_cost != reps.front().total_cost ||
-            reps.back().rounds != reps.front().rounds) {
-          std::fprintf(stderr, "bench_hotpath: %s/%s nondeterministic across reps\n",
-                       shape.name, name);
-          return 3;
-        }
+      const std::optional<DrainResult> result =
+          median_drain(shape.topology, policy, load, repetitions);
+      if (!result) {
+        std::fprintf(stderr, "bench_hotpath: %s/%s nondeterministic across reps\n",
+                     shape.name, name);
+        return 3;
       }
-      std::sort(reps.begin(), reps.end(), [](const DrainResult& a, const DrainResult& b) {
-        return a.ns_per_round < b.ns_per_round;
-      });
-      const DrainResult& median = reps[reps.size() / 2];
+      const DrainResult& median = *result;
       report.add(name, median.total_cost, median.wall_ms)
           .param("shape", std::string(shape.name))
           .param("packets", static_cast<std::int64_t>(packets))
@@ -246,10 +283,38 @@ int main(int argc, char** argv) {
       }
     }
   }
+  Table deep_table({"policy", "rounds", "ns/round", "pkts/cpu-s", "total cost"});
+  if (!quick) {
+    const Topology pod = deep_pod();
+    const std::size_t deep_packets = 20000;
+    const std::vector<Packet> load = burst(pod, deep_packets, 11);
+    for (const char* name : {"alg", "maxweight", "fifo"}) {
+      const PolicyFactory policy = named_policy(name);
+      const std::optional<DrainResult> result = median_drain(pod, policy, load, repetitions);
+      if (!result) {
+        std::fprintf(stderr, "bench_hotpath: deep/%s nondeterministic across reps\n", name);
+        return 3;
+      }
+      const DrainResult& median = *result;
+      const double pkts_per_cpu_s =
+          median.cpu_s > 0.0 ? static_cast<double>(deep_packets) / median.cpu_s : 0.0;
+      report.add(name, median.total_cost, median.wall_ms)
+          .param("shape", std::string("deep_two_tier8x2"))
+          .param("packets", static_cast<std::int64_t>(deep_packets))
+          .value("ns_per_round", median.ns_per_round)
+          .value("rounds", static_cast<double>(median.rounds))
+          .value("pkts_per_cpu_s", pkts_per_cpu_s);
+      deep_table.add_row({name, Table::fmt(median.rounds), Table::fmt(median.ns_per_round, 1),
+                          Table::fmt(pkts_per_cpu_s, 0), Table::fmt(median.total_cost, 1)});
+    }
+  }
   if (json_only) {
     for (const std::string& line : report.json_lines()) std::printf("%s\n", line.c_str());
   } else {
     table.print("EXP-P2: scheduling-round drain cost (median of repetitions)");
+    if (!quick) {
+      deep_table.print("EXP-P2: deep-queue drain, 20k-packet burst on the 8-rack pod");
+    }
     if (phases) {
       phase_table.print("EXP-P2: per-phase self time (probe-on drains, median rep)");
     }

@@ -73,8 +73,8 @@ void IslipScheduler::select(const Engine& engine, Time /*now*/,
   const std::size_t kr = active.num_receivers();
   if (kt == 0 || kr == 0) return;
 
-  // request_[tt*kr + rr] = head-of-line candidate for the (t, r) pair
-  // (FIFO), over active-endpoint ranks.
+  // request_[tt*kr + rr] = FIFO head for the (t, r) pair -- the earliest
+  // of its edges' arrival heads -- over active-endpoint ranks.
   request_.assign(kt * kr, kNone);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const auto tt = static_cast<std::size_t>(active.transmitter_rank(candidates[i].transmitter));
@@ -165,9 +165,10 @@ void RotorScheduler::select(const Engine& /*engine*/, Time now,
   const std::int32_t active_color =
       static_cast<std::int32_t>(now % static_cast<Time>(coloring_.num_colors));
   // The active color class is a matching over (t, r); per active edge,
-  // transmit the FIFO head among the packets committed to it. Only edges
-  // seen in the candidate scan are touched (serial-stamped slots), so the
-  // pass is O(candidates + touched log touched), not O(edges).
+  // transmit the FIFO head among the packets committed to it -- its
+  // arrival head. Only edges seen in the head-list scan are touched
+  // (serial-stamped slots), so the pass is O(heads + touched log touched),
+  // not O(edges).
   ++serial_;
   touched_edges_.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {

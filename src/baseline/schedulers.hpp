@@ -5,7 +5,7 @@
 // rotor design of [8]):
 //
 //   MaxWeightScheduler -- per step, a maximum-weight matching of the
-//                         head-of-line chunks (Hungarian);
+//                         heaviest chunk per (t, r) pair (Hungarian);
 //   IslipScheduler     -- McKeown's iSLIP: iterative round-robin
 //                         request/grant/accept with pointer desynchronization;
 //   RotorScheduler     -- cycles through a fixed edge coloring of the
@@ -14,9 +14,14 @@
 //   FifoScheduler      -- greedy maximal matching in arrival order
 //                         (weight-blind stable matching).
 //
-// All five keep their working storage in per-instance members sized by the
-// round's active endpoints (engine.active_endpoints), so steady-state
-// select() calls perform zero heap allocations.
+// Each pass reads the engine's head list -- at most two entries per edge
+// (SchedulePolicy::select) -- so a round costs O(|E|) however deep the
+// backlog: MaxWeight's heaviest chunk per pair is some edge's priority
+// head, and the FIFO head that iSLIP, rotor and FIFO look for is some
+// edge's arrival head. All five keep their working storage in
+// per-instance members sized by the topology or the round's active
+// endpoints (engine.active_endpoints), so steady-state select() calls
+// perform zero heap allocations.
 
 #include <cstdint>
 #include <vector>
@@ -75,8 +80,8 @@ class RotorScheduler final : public SchedulePolicy {
 
  private:
   EdgeColoring coloring_;
-  // Serial-stamped head-of-line slot per edge: only edges touched by the
-  // candidate scan are visited, never the whole edge array.
+  // Serial-stamped FIFO-head slot per edge: only edges touched by the
+  // head-list scan are visited, never the whole edge array.
   std::uint64_t serial_ = 0;
   std::vector<std::uint64_t> head_stamp_;
   std::vector<std::size_t> head_slot_;

@@ -110,7 +110,7 @@ void InvariantAuditor::on_selection(const Engine& engine,
                                     const std::vector<std::size_t>& selected) {
   const Topology& topology = engine.topology();
   ++rounds_;
-  // Two distinct stamps per round, so the candidate-integrity pass and the
+  // Two distinct stamps per round, so the head-list integrity pass and the
   // selection-distinctness pass below share picked_round_ without clearing.
   const std::uint64_t round = 2 * rounds_;
   const std::uint64_t pick_round = 2 * rounds_ + 1;
@@ -120,31 +120,61 @@ void InvariantAuditor::on_selection(const Engine& engine,
   load_t_.resize(load_t_round_.size(), 0);
   load_r_.resize(load_r_round_.size(), 0);
 
-  // Candidate-list integrity: sorted by the chunk priority order, one entry
-  // per pending reconfigurable packet, every entry consistent with the
-  // ledger. (picked_round_ doubles as the per-round "seen" stamp.)
-  std::size_t pending = 0;
+  // Head-list integrity: sorted by the chunk priority order, and exactly
+  // the per-edge heads of the ledger's pending packets -- each edge's
+  // highest-priority and earliest-arriving packet, one entry when they
+  // coincide -- with every entry consistent with the ledger.
+  // (picked_round_ doubles as the per-round "seen" stamp.)
+  edge_heads_.resize(edge_round_.size());
+  const auto distinct = [](const EdgeHeads& heads) -> std::size_t {
+    return heads.priority == heads.earliest ? 1 : 2;
+  };
+  std::size_t expected = 0;
   for (const auto& [id, ledger] : ledger_) {
-    (void)id;
-    if (!ledger.use_fixed && ledger.transmitted < ledger.total_chunks) ++pending;
+    if (ledger.use_fixed || ledger.transmitted >= ledger.total_chunks) continue;
+    EdgeHeads& heads = edge_heads_[static_cast<std::size_t>(ledger.edge)];
+    if (heads.round != round) {
+      heads = EdgeHeads{round, id, ledger.chunk_weight, ledger.arrival, id, ledger.arrival};
+      ++expected;
+      continue;
+    }
+    expected -= distinct(heads);
+    const bool higher =
+        ledger.chunk_weight != heads.priority_weight
+            ? ledger.chunk_weight > heads.priority_weight
+            : (ledger.arrival != heads.priority_arrival ? ledger.arrival < heads.priority_arrival
+                                                        : id < heads.priority);
+    if (higher) {
+      heads.priority = id;
+      heads.priority_weight = ledger.chunk_weight;
+      heads.priority_arrival = ledger.arrival;
+    }
+    const bool earlier = ledger.arrival != heads.earliest_arrival
+                             ? ledger.arrival < heads.earliest_arrival
+                             : id < heads.earliest;
+    if (earlier) {
+      heads.earliest = id;
+      heads.earliest_arrival = ledger.arrival;
+    }
+    expected += distinct(heads);
   }
-  if (candidates.size() != pending) {
-    fail(engine, "candidate list has " + std::to_string(candidates.size()) +
-                     " entries but " + std::to_string(pending) + " packets are pending");
+  if (candidates.size() != expected) {
+    fail(engine, "head list has " + std::to_string(candidates.size()) + " entries but " +
+                     std::to_string(expected) + " per-edge heads are pending");
   }
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
     if (i + 1 < candidates.size() && chunk_higher_priority(candidates[i + 1], c)) {
-      fail(engine, "candidate list is not sorted by chunk priority at index " +
+      fail(engine, "head list is not sorted by chunk priority at index " +
                        std::to_string(i));
     }
     auto& seen = picked_round_[c.packet];
     if (seen == round) {
       fail(engine, "packet " + std::to_string(c.packet) + " appears twice in the "
-                   "candidate list");
+                   "head list");
     }
     seen = round;
-    const Ledger& ledger = entry(engine, c.packet, "candidate list");
+    const Ledger& ledger = entry(engine, c.packet, "head list");
     if (ledger.use_fixed || c.edge != ledger.edge ||
         c.remaining != ledger.total_chunks - ledger.transmitted ||
         c.arrival != ledger.arrival || c.chunk_weight != ledger.chunk_weight) {
@@ -155,6 +185,12 @@ void InvariantAuditor::on_selection(const Engine& engine,
     if (edge.transmitter != c.transmitter || edge.receiver != c.receiver) {
       fail(engine, "candidate for packet " + std::to_string(c.packet) +
                        " carries endpoints that are not edge " + std::to_string(c.edge));
+    }
+    const EdgeHeads& heads = edge_heads_[static_cast<std::size_t>(c.edge)];
+    if (heads.round != round || (c.packet != heads.priority && c.packet != heads.earliest)) {
+      fail(engine, "packet " + std::to_string(c.packet) + " is in the head list but is "
+                   "neither the priority nor the arrival head of edge " +
+                       std::to_string(c.edge));
     }
   }
 
@@ -324,19 +360,17 @@ void InvariantAuditor::on_requeue(const Engine& engine, PacketIndex packet) {
 }
 
 void InvariantAuditor::on_step_end(const Engine& engine) {
-  // The scheduling rounds merged every staged dispatch, so the engine's
-  // candidate list must now cover exactly the ledger's pending packets --
-  // catching candidates silently dropped without retirement (the hook
-  // above only fires when the list is nonempty).
+  // The engine's edge queues must hold exactly the ledger's pending
+  // packets -- catching packets silently dropped without retirement (the
+  // selection hook above only fires when something is pending).
   std::size_t pending = 0;
   for (const auto& [id, ledger] : ledger_) {
     (void)id;
     if (!ledger.use_fixed && ledger.transmitted < ledger.total_chunks) ++pending;
   }
-  if (engine.pending_candidates().size() != pending) {
-    fail(engine, "pending candidate list has " +
-                     std::to_string(engine.pending_candidates().size()) + " entries but " +
-                     std::to_string(pending) + " packets are pending");
+  if (engine.pending_count() != pending) {
+    fail(engine, "edge queues hold " + std::to_string(engine.pending_count()) +
+                     " packets but " + std::to_string(pending) + " are pending");
   }
   if (dispatched_ != retired_ + dropped_ + ledger_.size()) {
     fail(engine, "auditor conservation broken: dispatched " + std::to_string(dispatched_) +

@@ -11,10 +11,12 @@
 //    indices valid and distinct, no edge twice, per-endpoint load within
 //    EngineOptions::endpoint_capacity, every selected chunk genuinely
 //    pending;
-//  * candidate-list integrity -- the engine's incrementally maintained
-//    pending list is sorted by chunk_higher_priority, contains every
-//    pending reconfigurable packet exactly once, and each entry's
-//    (edge, chunk weight, arrival, remaining) agrees with the ledger;
+//  * head-list integrity -- the list the scheduler receives is sorted by
+//    chunk_higher_priority and holds exactly the per-edge heads of the
+//    ledger's pending packets (each edge's highest-priority and earliest-
+//    arriving packet, once each), each entry's (edge, chunk weight,
+//    arrival, remaining) agreeing with the ledger; at step end the edge
+//    queues hold exactly the ledger's pending packets;
 //  * conservation -- packets dispatched == in flight + retired + dropped,
 //    and the engine's in-flight count matches the ledger size;
 //  * monotone clocks -- the step clock strictly increases, transmissions
@@ -90,11 +92,23 @@ class InvariantAuditor final : public EngineObserver {
   /// Round-scratch for the matching recount, stamped per round so nothing
   /// is re-zeroed (mirrors the engine's trick, but entirely separate
   /// state). picked_round_ carries two stamps per round -- one for the
-  /// candidate-integrity pass, one for selection distinctness -- and is
+  /// head-list integrity pass, one for selection distinctness -- and is
   /// pruned at retirement so it stays O(in-flight) like the ledger.
   std::vector<std::uint64_t> load_t_round_, load_r_round_, edge_round_;
   std::vector<int> load_t_, load_r_;
   std::unordered_map<PacketIndex, std::uint64_t> picked_round_;
+
+  /// The heads each edge's pending packets imply, derived from the ledger
+  /// each round (valid iff `round` is the round's integrity stamp).
+  struct EdgeHeads {
+    std::uint64_t round = 0;
+    PacketIndex priority = 0;  ///< highest chunk priority
+    Weight priority_weight = 0.0;
+    Time priority_arrival = 0;
+    PacketIndex earliest = 0;  ///< earliest (arrival, id)
+    Time earliest_arrival = 0;
+  };
+  std::vector<EdgeHeads> edge_heads_;
 };
 
 }  // namespace rdcn::check

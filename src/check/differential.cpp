@@ -307,21 +307,20 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
 /// Dispatcher replicating ImpactDispatcher's decision rule while, for
 /// every candidate edge it evaluates, cross-validating the engine's
 /// incremental impact index against both oracles. Both read the engine's
-/// one pending structure -- the candidate entries, pending_candidates()
-/// plus the staged same-step arrivals of staged_candidates(), which the
-/// index already counts -- filtered by e's transmitter and receiver:
+/// one pending structure, the edge queues, at the edges incident to e's
+/// transmitter or receiver (each packet once):
 ///
 ///  * the naive scan (impact_of_scan): base and h_count must match
 ///    EXACTLY (integer / identical arithmetic); l_weight and delta to a
 ///    tight relative tolerance scaled by the endpoint weight mass (the
 ///    two sides sum the same terms in different associations, and the
 ///    (t + r) - pair combination can cancel);
-///  * a fresh ImpactAggregate per endpoint, rebuilt from the candidate
-///    entries in list order and combined through combine_impact: must
+///  * a fresh ImpactAggregate per endpoint, rebuilt from the queues in
+///    scan order and combined through combine_impact: must
 ///    match the live index BIT FOR BIT (canonical shape makes the sums a
 ///    pure function of the pending multiset);
-///  * the index's O(1) integer edge load against a scan of the candidate
-///    entries (JSQ's signal): exact.
+///  * the index's O(1) integer edge load against a scan of the queues
+///    (JSQ's signal): exact.
 ///
 /// The run it drives is therefore ALG's run; the checks are pure readers.
 class CrossCheckedImpactDispatcher final : public DispatchPolicy {
@@ -390,24 +389,21 @@ class CrossCheckedImpactDispatcher final : public DispatchPolicy {
                 std::to_string(scan.h_count) + ") on the exact fields");
     }
 
-    // Oracle 2: fresh canonical-shape aggregates from the candidate
-    // entries, plus the exact integer load scan. The pair aggregate holds
-    // the packets at both endpoints -- those assigned to a parallel edge of
-    // e's (t, r) pair.
+    // Oracle 2: fresh canonical-shape aggregates from the queues, plus the
+    // exact integer load scan. The pair aggregate holds the packets at both
+    // endpoints -- those assigned to a parallel edge of e's (t, r) pair.
     t_agg_.clear();
     r_agg_.clear();
     p_agg_.clear();
     std::int64_t scan_load = 0;
-    for (const auto* list : {&engine.pending_candidates(), &engine.staged_candidates()}) {
-      for (const Candidate& c : *list) {
-        const bool at_t = c.transmitter == edge.transmitter;
-        const bool at_r = c.receiver == edge.receiver;
-        if (at_t) t_agg_.add(c.chunk_weight, c.remaining);
-        if (at_r) r_agg_.add(c.chunk_weight, c.remaining);
-        if (at_t && at_r) p_agg_.add(c.chunk_weight, c.remaining);
-        if (at_t || at_r) scan_load += c.remaining;
-      }
-    }
+    engine.for_each_pending_at(edge.transmitter, edge.receiver, [&](const Candidate& c) {
+      const bool at_t = c.transmitter == edge.transmitter;
+      const bool at_r = c.receiver == edge.receiver;
+      if (at_t) t_agg_.add(c.chunk_weight, c.remaining);
+      if (at_r) r_agg_.add(c.chunk_weight, c.remaining);
+      if (at_t && at_r) p_agg_.add(c.chunk_weight, c.remaining);
+      scan_load += c.remaining;
+    });
     const WeightBelow t_below = t_agg_.below(threshold);
     const WeightBelow r_below = r_agg_.below(threshold);
     const ImpactSplit fresh = combine_impact(t_agg_.chunks(), t_below, r_agg_.chunks(),

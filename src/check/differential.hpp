@@ -19,8 +19,9 @@
 //  * the engine's incremental impact index agrees with its oracles at
 //    every dispatch decision of an ALG replay: exactly (h_count, base,
 //    JSQ edge load) and to reassociation tolerance (l_weight, delta)
-//    against the naive candidate scan, and bit-for-bit against a fresh
-//    canonical-shape aggregate rebuilt from the candidate entries per edge.
+//    against the naive scan of the edge queues at e's endpoints, and bit-
+//    for-bit against a fresh canonical-shape aggregate rebuilt from those
+//    queues per edge.
 //
 // Streaming specs get the outcome-level invariants (measurement window
 // accounting, histogram/throughput consistency, truncation and

@@ -44,9 +44,11 @@ RouteDecision ImpactDispatcher::dispatch(const Engine& engine, const Packet& pac
 void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
                                      const std::vector<Candidate>& candidates,
                                      Selection& out) {
-  // The engine hands candidates in the paper's priority order (see
+  // The engine hands the per-edge heads in the paper's priority order (see
   // SchedulePolicy::select), so the greedy stable matching of Section
-  // III-C is a single scan: accept whenever both endpoints are free.
+  // III-C is a single scan: accept whenever both endpoints are free. An
+  // edge's other packets rank below its priority head and share both its
+  // endpoints, so scanning the full backlog would accept the same set.
   const auto num_t = static_cast<std::size_t>(engine.topology().num_transmitters());
   const auto num_r = static_cast<std::size_t>(engine.topology().num_receivers());
 
@@ -69,9 +71,11 @@ void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
   }
 
   // b-matching extension: endpoints carry up to b edges per step, each
-  // physical edge at most one chunk. Same greedy accept order as
-  // match/capacitated's greedy_stable_bmatching, run in place on stamped
+  // physical edge at most one chunk: greedy accept in priority order under
+  // endpoint capacities and edge exclusivity, run in place on stamped
   // load counters so this path is allocation-free at steady state too.
+  // (A packet behind its edge's priority head finds that edge used or an
+  // endpoint already full, so the head list loses nothing here either.)
   const std::int32_t capacity = engine.options().endpoint_capacity;
   t_load_stamp_.resize(num_t, 0);
   r_load_stamp_.resize(num_r, 0);

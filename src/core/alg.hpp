@@ -41,8 +41,9 @@ class StableMatchingScheduler final : public SchedulePolicy {
   std::vector<std::uint64_t> transmitter_taken_;
   std::vector<std::uint64_t> receiver_taken_;
   // b-matching path (endpoint_capacity > 1): stamped per-endpoint load
-  // counters and a stamped per-edge used flag -- the same greedy as
-  // match/capacitated's greedy_stable_bmatching, run in place.
+  // counters and a stamped per-edge used flag -- the capacitated greedy
+  // stable b-matching, run in place (tests/capacitated_matching.hpp keeps
+  // a reference implementation and its stability checker).
   std::vector<std::uint64_t> t_load_stamp_, r_load_stamp_, edge_used_stamp_;
   std::vector<std::int32_t> t_load_, r_load_;
 };

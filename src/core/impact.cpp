@@ -44,19 +44,16 @@ ImpactBreakdown impact_of_scan(const Engine& engine, const Packet& packet, EdgeI
   double own_chunk_weight = 0.0;
   ImpactBreakdown breakdown = base_terms(engine, packet, e, d, own_chunk_weight);
 
-  // Every pending chunk at e's transmitter or receiver, each packet once
-  // (a parallel edge of e's pair shares both endpoints). Staged same-step
-  // arrivals count too: they are pending, and the index holds them.
-  for (const auto* list : {&engine.pending_candidates(), &engine.staged_candidates()}) {
-    for (const Candidate& c : *list) {
-      if (c.transmitter != edge.transmitter && c.receiver != edge.receiver) continue;
-      if (c.chunk_weight >= own_chunk_weight) {
-        breakdown.h_count += c.remaining;
-      } else {
-        breakdown.l_weight += static_cast<double>(c.remaining) * c.chunk_weight;
-      }
+  // Every pending chunk at e's transmitter or receiver: the queues of the
+  // edges incident to either, each packet once (a parallel edge of e's
+  // pair shares both endpoints).
+  engine.for_each_pending_at(edge.transmitter, edge.receiver, [&](const Candidate& c) {
+    if (c.chunk_weight >= own_chunk_weight) {
+      breakdown.h_count += c.remaining;
+    } else {
+      breakdown.l_weight += static_cast<double>(c.remaining) * c.chunk_weight;
     }
-  }
+  });
 
   breakdown.delta = breakdown.base + packet.weight * static_cast<double>(breakdown.h_count) +
                     d * breakdown.l_weight;

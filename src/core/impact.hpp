@@ -31,13 +31,12 @@ struct ImpactBreakdown {
 /// order (see sim/impact_index.hpp).
 ImpactBreakdown impact_of(const Engine& engine, const Packet& packet, EdgeIndex e);
 
-/// The pre-index formulation: a full scan of the engine's pending
-/// candidates (pending_candidates() plus staged_candidates()), keeping the
-/// ones at e's transmitter or receiver. O(pending) per call -- kept as the
-/// verification oracle behind check/'s differential cross-validation and
-/// the property tests; not on any hot path. Agrees with impact_of exactly
-/// on base/h_count and to summation-reassociation tolerance on
-/// l_weight/delta.
+/// The pre-index formulation: a scan of the edge queues incident to e's
+/// transmitter or receiver (Engine::for_each_pending_at), O(pending at
+/// e's endpoints) per call -- kept as the verification oracle behind
+/// check/'s differential cross-validation and the property tests; not on
+/// any hot path. Agrees with impact_of exactly on base/h_count and to
+/// summation-reassociation tolerance on l_weight/delta.
 ImpactBreakdown impact_of_scan(const Engine& engine, const Packet& packet, EdgeIndex e);
 
 }  // namespace rdcn

@@ -10,11 +10,13 @@ namespace rdcn {
 namespace {
 
 /// Records RunResult::trace: one StepRecord per step, listing every pending
-/// candidate with whether it transmitted and, if not, its blocker -- the
-/// transmitting packet that holds its transmitter or receiver. Candidates
-/// are sorted by priority, so of two blockers the higher-priority one has
-/// the lower candidate index. Relies on the analysis model (one round per
-/// step, capacity 1, no reconfiguration delay) that record_trace enforces.
+/// packet with whether it transmitted and, if not, its blocker -- the
+/// transmitting packet that holds its transmitter or receiver. The round
+/// only sees the head list, so the recorder rebuilds the full pending list
+/// from the edge queues in priority order; of two blockers the higher-
+/// priority one has the lower index. Relies on the analysis model (one
+/// round per step, capacity 1, no reconfiguration delay) that record_trace
+/// enforces.
 class TraceRecorder final : public EngineObserver {
  public:
   TraceRecorder(std::vector<StepRecord>& trace, const Topology& topology)
@@ -26,28 +28,36 @@ class TraceRecorder final : public EngineObserver {
     trace_->push_back(StepRecord{engine.now(), {}, 0});
   }
 
-  void on_round(const Engine& /*engine*/, const std::vector<Candidate>& candidates,
+  void on_round(const Engine& engine, const std::vector<Candidate>& heads,
                 const std::vector<std::size_t>& transmitted) override {
+    pending_.clear();
+    engine.for_each_pending([this](const Candidate& c) { pending_.push_back(c); });
+    std::sort(pending_.begin(), pending_.end(), chunk_higher_priority);
     StepRecord& step = trace_->back();
     step.matching_size = transmitted.size();
     for (std::size_t index : transmitted) {
-      owner_t_[static_cast<std::size_t>(candidates[index].transmitter)] = index;
-      owner_r_[static_cast<std::size_t>(candidates[index].receiver)] = index;
+      // Priority keys are unique per packet, so this finds the head itself.
+      const Candidate& head = heads[index];
+      const auto position = static_cast<std::size_t>(
+          std::lower_bound(pending_.begin(), pending_.end(), head, chunk_higher_priority) -
+          pending_.begin());
+      owner_t_[static_cast<std::size_t>(head.transmitter)] = position;
+      owner_r_[static_cast<std::size_t>(head.receiver)] = position;
     }
-    step.packets.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
+    step.packets.reserve(pending_.size());
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const Candidate& c = pending_[i];
       const std::size_t owner = std::min(owner_t_[static_cast<std::size_t>(c.transmitter)],
                                          owner_r_[static_cast<std::size_t>(c.receiver)]);
       StepPacketRecord record;
       record.packet = c.packet;
       record.transmitted = owner == i;
-      if (owner != i && owner != kNone) record.blocker = candidates[owner].packet;
+      if (owner != i && owner != kNone) record.blocker = pending_[owner].packet;
       step.packets.push_back(record);
     }
     for (std::size_t index : transmitted) {
-      owner_t_[static_cast<std::size_t>(candidates[index].transmitter)] = kNone;
-      owner_r_[static_cast<std::size_t>(candidates[index].receiver)] = kNone;
+      owner_t_[static_cast<std::size_t>(heads[index].transmitter)] = kNone;
+      owner_r_[static_cast<std::size_t>(heads[index].receiver)] = kNone;
     }
   }
 
@@ -60,6 +70,7 @@ class TraceRecorder final : public EngineObserver {
  private:
   static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<StepRecord>* trace_;
+  std::vector<Candidate> pending_;  ///< this round's full pending list
   std::vector<std::size_t> owner_t_, owner_r_;  ///< endpoint -> transmitting index
 };
 
@@ -137,6 +148,8 @@ void Engine::init(EngineOptions options) {
   active_.receiver_rank_.assign(num_r, -1);
   impact_index_.attach(*topology_);
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
+  queues_.assign(num_edges, EdgeQueue{});
+  dirty_edges_.reserve(num_edges);  // an edge is listed at most once
   edge_alive_.assign(num_edges, 1);
   edge_meta_.resize(num_edges);
   for (std::size_t i = 0; i < num_edges; ++i) {
@@ -255,42 +268,147 @@ void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
         topology_->destination_of(edge.receiver) != packet.destination) {
       throw std::logic_error("dispatcher chose an edge outside E_p");
     }
-    ps.chunk_weight = packet.weight / static_cast<double>(edge.delay);
-    impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge, ps.chunk_weight,
-                             edge.delay);
-
     Candidate candidate;
     candidate.packet = packet.id;
     candidate.edge = route.edge;
     candidate.transmitter = edge.transmitter;
     candidate.receiver = edge.receiver;
-    candidate.chunk_weight = ps.chunk_weight;
+    candidate.chunk_weight = packet.weight / static_cast<double>(edge.delay);
     candidate.arrival = packet.arrival;
     candidate.remaining = edge.delay;
-    staged_.push_back(candidate);  // rdcn-lint: allow(hot-alloc) -- settles at high-water capacity (see merge)
+    impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge,
+                             candidate.chunk_weight, edge.delay);
+    enqueue(candidate);
 
     outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
   }
 }
 
 // rdcn-lint: hot
-void Engine::merge_staged_candidates() {
-  if (staged_.empty()) return;
-  Probe::Span span(probe_, Phase::MergeCompact);
-  if (probe_) probe_->count(Counter::CandidatesMerged, staged_.size());
-  std::sort(staged_.begin(), staged_.end(), chunk_higher_priority);
-  if (candidates_.empty()) {
-    candidates_.swap(staged_);
-  } else {
-    // One linear pass into a reusable buffer: both vectors settle at the
-    // high-water capacity and the merge stops allocating.
-    merge_scratch_.clear();
-    merge_scratch_.reserve(candidates_.size() + staged_.size());
-    std::merge(candidates_.begin(), candidates_.end(), staged_.begin(), staged_.end(),
-               std::back_inserter(merge_scratch_), chunk_higher_priority);
-    candidates_.swap(merge_scratch_);
-    staged_.clear();
+void Engine::enqueue(const Candidate& candidate) {
+  EdgeQueue& q = queues_[static_cast<std::size_t>(candidate.edge)];
+  // Priority order: walk in from both ends at once and stop at whichever
+  // meets the insertion point first, so the cost is twice the distance to
+  // the nearer end. (Policies that serve priority heads leave light
+  // packets queued and new arrivals land near the top; FIFO service leaves
+  // a mix.) `above` ends as the node to insert after, -1 for the top.
+  std::int32_t above = q.last;
+  std::int32_t below = q.first;
+  while (above >= 0 &&
+         chunk_higher_priority(candidate, nodes_[static_cast<std::size_t>(above)].candidate)) {
+    if (!chunk_higher_priority(nodes_[static_cast<std::size_t>(below)].candidate, candidate)) {
+      above = nodes_[static_cast<std::size_t>(below)].prev;
+      break;
+    }
+    above = nodes_[static_cast<std::size_t>(above)].prev;
+    below = nodes_[static_cast<std::size_t>(below)].next;
   }
+  // Arrival order, walked back from the newest: ids are dispatched in
+  // arrival order, so a fresh dispatch appends; a requeued (older) packet
+  // walks back to its place.
+  std::int32_t older = q.newest;
+  while (older >= 0 &&
+         nodes_[static_cast<std::size_t>(older)].candidate.packet > candidate.packet) {
+    older = nodes_[static_cast<std::size_t>(older)].older;
+  }
+  if (above < 0 || older < 0) mark_dirty(candidate.edge);  // a new head
+
+  std::int32_t n = free_node_;
+  if (n >= 0) {
+    free_node_ = nodes_[static_cast<std::size_t>(n)].next;
+  } else {
+    n = static_cast<std::int32_t>(nodes_.size());
+    nodes_.emplace_back();  // rdcn-lint: allow(hot-alloc) -- the pool grows to the high-water backlog once
+  }
+  QueueNode& node = nodes_[static_cast<std::size_t>(n)];
+  node.candidate = candidate;
+  node.prev = above;
+  node.next = above >= 0 ? nodes_[static_cast<std::size_t>(above)].next : q.first;
+  (above >= 0 ? nodes_[static_cast<std::size_t>(above)].next : q.first) = n;
+  (node.next >= 0 ? nodes_[static_cast<std::size_t>(node.next)].prev : q.last) = n;
+  node.older = older;
+  node.newer = older >= 0 ? nodes_[static_cast<std::size_t>(older)].newer : q.oldest;
+  (older >= 0 ? nodes_[static_cast<std::size_t>(older)].newer : q.oldest) = n;
+  (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) = n;
+  ++pending_count_;
+}
+
+// rdcn-lint: hot
+void Engine::dequeue(std::int32_t n) {
+  QueueNode& node = nodes_[static_cast<std::size_t>(n)];
+  EdgeQueue& q = queues_[static_cast<std::size_t>(node.candidate.edge)];
+  if (q.first == n || q.oldest == n) mark_dirty(node.candidate.edge);
+  (node.prev >= 0 ? nodes_[static_cast<std::size_t>(node.prev)].next : q.first) = node.next;
+  (node.next >= 0 ? nodes_[static_cast<std::size_t>(node.next)].prev : q.last) = node.prev;
+  (node.older >= 0 ? nodes_[static_cast<std::size_t>(node.older)].newer : q.oldest) =
+      node.newer;
+  (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) =
+      node.older;
+  node.next = free_node_;
+  free_node_ = n;
+  --pending_count_;
+}
+
+// rdcn-lint: hot
+void Engine::mark_dirty(EdgeIndex e) {
+  EdgeQueue& q = queues_[static_cast<std::size_t>(e)];
+  if (q.dirty) return;
+  q.dirty = true;
+  dirty_edges_.push_back(e);  // rdcn-lint: allow(hot-alloc) -- reserved to |E| in init
+  // Every head change passes here before it happens, so on an edge's
+  // first change since the last refresh its heads are still the entries
+  // the head list holds for it: the ones the refresh drops.
+  if (q.first >= 0) dropped_heads_ += q.oldest == q.first ? 1 : 2;
+}
+
+// rdcn-lint: hot
+void Engine::refresh_heads() {
+  if (dirty_edges_.empty()) return;
+  Probe::Span span(probe_, Phase::MergeCompact);
+  // The dirty edges' current heads, sorted by priority.
+  fresh_heads_.clear();
+  for (EdgeIndex e : dirty_edges_) {
+    const EdgeQueue& q = queues_[static_cast<std::size_t>(e)];
+    if (q.first < 0) continue;  // drained
+    fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.first)].candidate);  // rdcn-lint: allow(hot-alloc) -- grows to the high-water head count once
+    if (q.oldest != q.first) {
+      fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.oldest)].candidate);  // rdcn-lint: allow(hot-alloc) -- as above
+    }
+  }
+  if (probe_) probe_->count(Counter::CandidatesMerged, fresh_heads_.size());
+  std::sort(fresh_heads_.begin(), fresh_heads_.end(), chunk_higher_priority);
+
+  // One merge pass into the spare buffer: the old entries minus the dirty
+  // edges', and the fresh ones, both in priority order. The next fresh
+  // entry is held by value, so stores do not force it to be reloaded;
+  // once they are used up its chunk weight of -inf fails the cheap
+  // pre-check.
+  const EdgeQueue* const queues = queues_.data();
+  const std::size_t k = fresh_heads_.size();
+  spare_heads_.resize(heads_.size() - dropped_heads_ + k);  // rdcn-lint: allow(hot-alloc) -- at most 2|E| entries, grow-once
+  Candidate* out = spare_heads_.data();
+  constexpr double kUsedUp = -std::numeric_limits<double>::infinity();
+  Candidate pending;
+  pending.chunk_weight = kUsedUp;
+  std::size_t next = 0;
+  if (k > 0) pending = fresh_heads_.front();
+  for (const Candidate& c : heads_) {
+    if (queues[static_cast<std::size_t>(c.edge)].dirty) continue;
+    while (pending.chunk_weight >= c.chunk_weight && chunk_higher_priority(pending, c)) {
+      *out++ = pending;
+      if (++next < k) {
+        pending = fresh_heads_[next];
+      } else {
+        pending.chunk_weight = kUsedUp;
+      }
+    }
+    *out++ = c;
+  }
+  for (; next < k; ++next) *out++ = fresh_heads_[next];
+  heads_.swap(spare_heads_);
+  for (EdgeIndex e : dirty_edges_) queues_[static_cast<std::size_t>(e)].dirty = false;
+  dirty_edges_.clear();
+  dropped_heads_ = 0;
 }
 
 // rdcn-lint: hot
@@ -300,18 +418,20 @@ ImpactSplit Engine::impact_split(EdgeIndex e, double threshold) const {
   // counter work they measure. Nests under Dispatch (or Select).
   Probe::Span span(probe_, Phase::IndexMaintenance);
   if (probe_) probe_->count(Counter::ImpactQueries);
-  if (!impact_index_.weight_ready()) impact_index_.rebuild(candidates_, staged_);
+  if (!impact_index_.weight_ready()) {
+    impact_index_.rebuild([this](const auto& add) { for_each_pending(add); });
+  }
   return impact_index_.edge_split(e, threshold);
 }
 
 // rdcn-lint: hot
 const ActiveEndpoints& Engine::active_endpoints(
     const std::vector<Candidate>& candidates) const {
-  // Round-stamped cache for the engine's own pending list; a foreign list
+  // Round-stamped cache for the engine's own head list; a foreign list
   // (benches driving select() directly) rebuilds every call. Rank entries
   // of endpoints absent from `candidates` are left stale on purpose --
   // consumers may only look up endpoints of the candidates themselves.
-  const bool own = &candidates == &candidates_;
+  const bool own = &candidates == &heads_;
   if (own && active_serial_ == select_serial_ && select_serial_ != 0) return active_;
   active_.transmitters.clear();
   active_.receivers.clear();
@@ -353,30 +473,26 @@ void Engine::inject(const Packet& packet) {
 
 // rdcn-lint: hot
 std::int64_t Engine::unlist_pending(PacketIndex packet) {
-  // The priority key (chunk_weight, arrival, id) is immutable, so the
-  // candidate's slot is found by binary search instead of a full scan.
-  Candidate key;
-  key.packet = packet;
-  key.chunk_weight = state_[slot(packet)].chunk_weight;
-  key.arrival = state_[slot(packet)].arrival;
-  const auto it =
-      std::lower_bound(candidates_.begin(), candidates_.end(), key, chunk_higher_priority);
-  if (it == candidates_.end() || it->packet != packet) {
-    throw std::logic_error("unlist_pending: packet is not pending");
+  // Cold path (requeues): walk the packet's edge queue to its node.
+  const PacketState& ps = state_[slot(packet)];
+  std::int32_t n =
+      ps.route.use_fixed ? -1 : queues_[static_cast<std::size_t>(ps.route.edge)].first;
+  while (n >= 0 && nodes_[static_cast<std::size_t>(n)].candidate.packet != packet) {
+    n = nodes_[static_cast<std::size_t>(n)].next;
   }
-  const Candidate c = *it;
-  candidates_.erase(it);
+  if (n < 0) throw std::logic_error("unlist_pending: packet is not pending");
+  const Candidate c = nodes_[static_cast<std::size_t>(n)].candidate;
+  dequeue(n);
   impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -c.remaining);
   return c.remaining;
 }
 
 template <typename Pick>
 void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats) {
-  merge_staged_candidates();  // unlist_pending needs the merged list
   requeue_scratch_.clear();
-  for (const Candidate& c : candidates_) {
+  for_each_pending([&](const Candidate& c) {
     if (pick(c)) requeue_scratch_.push_back(c.packet);
-  }
+  });
   // Ids are injected in arrival order, so id order is (arrival, id) order.
   std::sort(requeue_scratch_.begin(), requeue_scratch_.end());
   for (PacketIndex p : requeue_scratch_) {
@@ -397,7 +513,6 @@ void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats)
       if (stats != nullptr) ++stats->packets_dropped;
     }
   }
-  merge_staged_candidates();
 }
 
 // rdcn-lint: hot
@@ -451,7 +566,6 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
   require(mutation.endpoint_capacity <= 1 || options_.reconfig_delay == 0,
           "reconfig_delay requires endpoint_capacity == 1");
 
-  merge_staged_candidates();  // the index crosscheck rebuilds from the merged list
   MutationStats stats;
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   const auto rack_touches = [&](const ReconfigEdge& edge, NodeIndex r) {
@@ -511,16 +625,16 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
 }
 
 void Engine::crosscheck_impact_index() {
-  // Rebuild the index from the candidate list alone and require bitwise
+  // Rebuild the index from the edge queues alone and require bitwise
   // agreement: integer loads always, treap splits when the live index has
   // its weight structures up (canonical hash-priority shape makes the
   // incremental and rebuilt treaps structurally identical). Mutations are
   // cold, so the O(n log n) rebuild is free at steady state.
   ImpactIndex fresh;
   fresh.attach(*topology_);
-  for (const Candidate& c : candidates_) {
+  for_each_pending([&fresh](const Candidate& c) {
     fresh.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, c.remaining);
-  }
+  });
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   for (std::size_t i = 0; i < num_edges; ++i) {
     const auto e = static_cast<EdgeIndex>(i);
@@ -530,26 +644,26 @@ void Engine::crosscheck_impact_index() {
     }
   }
   if (impact_index_.weight_ready()) {
-    fresh.rebuild(candidates_, staged_);
-    for (const Candidate& c : candidates_) {
+    fresh.rebuild([this](const auto& add) { for_each_pending(add); });
+    for_each_pending([&](const Candidate& c) {
       const ImpactSplit live = impact_index_.edge_split(c.edge, c.chunk_weight);
       const ImpactSplit ref = fresh.edge_split(c.edge, c.chunk_weight);
       if (live.heavier != ref.heavier || live.lighter_weight != ref.lighter_weight) {
         throw std::logic_error(
             "apply_mutation: impact index weight split diverged from rebuild");
       }
-    }
+    });
   }
 }
 
 // rdcn-lint: hot
 std::size_t Engine::schedule_round() {
-  merge_staged_candidates();
-  if (candidates_.empty()) return 0;
+  if (pending_count_ == 0) return 0;
+  refresh_heads();
 
   if (probe_) {
     probe_->count(Counter::Rounds);
-    probe_->gauge(Gauge::PendingCandidates, candidates_.size());
+    probe_->gauge(Gauge::PendingCandidates, pending_count_);
     probe_->gauge(Gauge::InFlight, in_flight_);
     probe_->gauge(Gauge::TreapNodes, impact_index_.live_weight_nodes());
     probe_->set(Counter::IndexRebuilds, impact_index_.rebuilds());
@@ -559,7 +673,7 @@ std::size_t Engine::schedule_round() {
   selection_.clear();
   {
     Probe::Span span(probe_, Phase::Select);
-    scheduler_->select(*this, now_, candidates_, selection_);
+    scheduler_->select(*this, now_, heads_, selection_);
   }
   const std::vector<std::size_t>& selected = selection_.indices();
   if (probe_ && active_serial_ == select_serial_) {
@@ -570,7 +684,7 @@ std::size_t Engine::schedule_round() {
 
   // The auditor validates first (independently), so a contract violation
   // under audit surfaces as AuditFailure, not as the engine's logic_error.
-  for (const auto& observer : observers_) observer->on_selection(*this, candidates_, selected);
+  for (const auto& observer : observers_) observer->on_selection(*this, heads_, selected);
 
   // Validate the selection is a (b-)matching: per-endpoint load within
   // capacity, each edge used at most once. Scratch arrays are stamped with
@@ -579,13 +693,13 @@ std::size_t Engine::schedule_round() {
   const std::uint64_t round = round_serial_;
   {
     Probe::Span validate_span(probe_, Phase::Validate);
-    chosen_round_.resize(std::max(chosen_round_.size(), candidates_.size()), 0);
+    chosen_round_.resize(std::max(chosen_round_.size(), heads_.size()), 0);
     for (std::size_t index : selected) {
-      if (index >= candidates_.size() || chosen_round_[index] == round) {
+      if (index >= heads_.size() || chosen_round_[index] == round) {
         throw std::logic_error("scheduler returned an invalid candidate index");
       }
       chosen_round_[index] = round;
-      const Candidate& c = candidates_[index];
+      const Candidate& c = heads_[index];
       const auto e = static_cast<std::size_t>(c.edge);
       const auto t = static_cast<std::size_t>(c.transmitter);
       const auto r = static_cast<std::size_t>(c.receiver);
@@ -617,7 +731,7 @@ std::size_t Engine::schedule_round() {
       std::vector<std::size_t>& indices = selection_.mutable_indices();
       std::size_t write = 0;
       for (std::size_t index : indices) {
-        const Candidate& c = candidates_[index];
+        const Candidate& c = heads_[index];
         auto& tc = transmitter_config_[static_cast<std::size_t>(c.transmitter)];
         auto& rc = receiver_config_[static_cast<std::size_t>(c.receiver)];
         bool ready = true;
@@ -643,17 +757,19 @@ std::size_t Engine::schedule_round() {
 
   if (probe_) probe_->gauge(Gauge::SelectedPerRound, selected.size());
 
-  for (const auto& observer : observers_) observer->on_round(*this, candidates_, selected);
+  for (const auto& observer : observers_) observer->on_round(*this, heads_, selected);
 
   // Transmit the selected chunks and account their latency; `remaining`
-  // counts down in place on the candidate entry.
-  std::vector<std::size_t>& finished_slots = finished_scratch_;
-  finished_slots.clear();
+  // counts down on both the head entry and its queue node, and a finished
+  // packet leaves its queue at once (its edge's heads refresh next round).
+  std::vector<std::size_t>& finished = finished_scratch_;
+  finished.clear();
   Probe::Span service_span(probe_, Phase::Service);
   if (probe_) probe_->count(Counter::ChunksTransmitted, selected.size());
   for (std::size_t index : selected) {
-    Candidate& c = candidates_[index];
-    auto& outcome = outcomes_[slot(c.packet)];
+    Candidate& c = heads_[index];
+    const std::size_t s = slot(c.packet);
+    auto& outcome = outcomes_[s];
     const Time completion =
         now_ + 1 + edge_meta_[static_cast<std::size_t>(c.edge)].attach_tail;
     outcome.chunk_transmit_steps.push_back(now_);
@@ -663,32 +779,22 @@ std::size_t Engine::schedule_round() {
     result_.total_cost += latency;
     --c.remaining;
     impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -1);
+    // A head entry's node is its edge's priority head or arrival head.
+    const EdgeQueue& q = queues_[static_cast<std::size_t>(c.edge)];
+    const std::int32_t n =
+        nodes_[static_cast<std::size_t>(q.first)].candidate.packet == c.packet ? q.first
+                                                                                : q.oldest;
+    nodes_[static_cast<std::size_t>(n)].candidate.remaining = c.remaining;
     if (c.remaining == 0) {
       outcome.completion = completion;
       result_.makespan = std::max(result_.makespan, completion);
-      finished_slots.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
+      dequeue(n);
+      finished.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
     }
   }
-
-  // Drop completed packets: retirement out of the per-packet window, then
-  // one compaction pass over the candidate tail.
-  if (!finished_slots.empty()) {
-    std::sort(finished_slots.begin(), finished_slots.end());
-    for (std::size_t index : finished_slots) retire_packet(candidates_[index].packet);
-    // Compaction is a MergeCompact child of the surrounding Service span:
-    // self-time accounting keeps the two phases disjoint.
-    Probe::Span compact_span(probe_, Phase::MergeCompact);
-    std::size_t write = finished_slots.front();
-    std::size_t next_finished = 0;
-    for (std::size_t read = write; read < candidates_.size(); ++read) {
-      if (next_finished < finished_slots.size() && read == finished_slots[next_finished]) {
-        ++next_finished;
-        continue;
-      }
-      candidates_[write++] = candidates_[read];
-    }
-    candidates_.resize(write);
-  }
+  // Retire in head-list (priority) order.
+  std::sort(finished.begin(), finished.end());
+  for (std::size_t index : finished) retire_packet(heads_[index].packet);
   return selected.size();
 }
 
@@ -701,8 +807,7 @@ void Engine::begin_step(const Time* next_arrival) {
     throw CancelledError("run cancelled at step boundary (deadline exceeded)");
   }
   const Time previous = now_;
-  if (candidates_.empty() && staged_.empty() && next_arrival != nullptr &&
-      *next_arrival > now_ + 1) {
+  if (pending_count_ == 0 && next_arrival != nullptr && *next_arrival > now_ + 1) {
     now_ = *next_arrival;  // event-driven: jump idle gaps
   } else {
     ++now_;

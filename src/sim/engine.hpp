@@ -25,32 +25,41 @@
 //
 // Hot-path design (the engine is the inner loop of every bench and the
 // ScenarioRunner fan-out):
-//  * the Candidate entries -- the priority-sorted candidates_ list plus
-//    the same-step staged_ tail -- are the engine's only record of pending
-//    reconfigurable work; the service loop decrements their `remaining`
-//    in place. A packet's (chunk_weight, arrival, id) key never changes,
-//    so candidates are sorted once at dispatch (batch-merged per step
-//    through a reusable merge buffer), handed to SchedulePolicy::select
-//    without per-step rebuild or re-sort, and found again by binary
-//    search when a packet leaves early; completed candidates leave the
-//    list in one compaction pass per round;
+//  * pending reconfigurable work lives in per-edge queues -- virtual
+//    output queues -- and nowhere else. Each pending packet is one pooled
+//    node holding its Candidate, linked into its edge's priority order and
+//    its edge's arrival order; the pool grows once to the high-water
+//    backlog and recycles nodes through a free list, and each edge costs
+//    four node links plus a dirty flag;
+//  * SchedulePolicy::select receives a head list, not the backlog: for
+//    every edge with pending work, its highest-priority and its earliest-
+//    arriving candidate (one entry when they coincide), sorted by
+//    chunk_higher_priority -- at most 2|E| entries. Each round re-reads
+//    only the edges whose heads changed since the last one and merges
+//    them into the sorted list. Every policy transmits at most one chunk
+//    per edge and round, and a non-head candidate shares both endpoints
+//    with its edge's heads while ranking below one of them in the
+//    policy's own order (chunk priority, or arrival for FIFO, iSLIP and
+//    rotor), so the restriction selects exactly what the full backlog
+//    would -- b-matching included; only policies whose random draws range
+//    over the list (random) see a different draw;
 //  * the steady-state round loop performs zero heap allocations: the
 //    scheduler fills an engine-owned Selection scratch in place, the
-//    reconfiguration-delay filter and the completed-candidate compaction
-//    work on reusable buffers, and every registry policy keeps its own
-//    working storage in members (pinned by tests/test_hotpath.cpp);
+//    reconfiguration-delay filter and the head refresh work on reusable
+//    buffers, and every registry policy keeps its own working storage in
+//    members (pinned by tests/test_hotpath.cpp);
 //  * active-endpoint compression: active_endpoints() exposes a per-round
 //    dense remap of only the transmitters/receivers that currently carry
 //    pending candidates, so matching computations (MaxWeight's Hungarian,
-//    the greedy/iSLIP passes) run over k_active-sized state instead of
+//    iSLIP's request matrix) run over k_active-sized state instead of
 //    topology-sized arrays;
 //  * dispatch-side queries go through an incremental per-endpoint impact
 //    index (sim/impact_index.hpp), a query structure derived from the
-//    candidate entries: integer chunk-load counters make JSQ's edge load
-//    O(1), and weight-keyed order-statistic treaps answer impact_of's
-//    |H|/w(L) split in O(log n) instead of scanning the pending candidates
-//    per candidate edge. The engine feeds the index at the three points
-//    where candidates change (dispatch, per-chunk service, unlisting); the
+//    queues: integer chunk-load counters make JSQ's edge load O(1), and
+//    weight-keyed order-statistic treaps answer impact_of's |H|/w(L)
+//    split in O(log n) instead of scanning the queues of the candidate
+//    edge's endpoints. The engine feeds the index at the three points
+//    where the queues change (dispatch, per-chunk service, unlisting); the
 //    weight structures are enabled lazily by the first impact_split() call
 //    and decay during long non-impact drains, so non-impact policies pay
 //    only the O(1) counters;
@@ -155,7 +164,7 @@ enum class DeadPolicy {
 
 /// One atomic engine/topology mutation. Valid only at a step boundary
 /// (between finish_step() and the next begin_step()): the engine patches
-/// the candidate list, the impact index and the affected in-flight packets
+/// the edge queues, the impact index and the affected in-flight packets
 /// together, then cross-checks the index against a rebuild from scratch.
 /// Restores apply before kills, so an edge named by both ends up dead.
 struct StageMutation {
@@ -208,7 +217,7 @@ using RetireSink = std::function<void(RetiredPacket&&)>;
 
 /// Dense remap of the endpoints that currently carry pending candidates
 /// (built per scheduling round; see Engine::active_endpoints). Ranks are
-/// assigned in order of first appearance in the priority-sorted candidate
+/// assigned in order of first appearance in the priority-sorted head
 /// list, so they are deterministic in the engine state.
 struct ActiveEndpoints {
   std::vector<NodeIndex> transmitters;  ///< dense rank -> topology id
@@ -290,7 +299,7 @@ class Engine {
   /// Applies one mutation atomically at a step boundary (throws between
   /// begin_step and finish_step). Every index and scalar is validated
   /// before any state changes, so a rejected mutation leaves the engine
-  /// untouched. Patches the candidates and the impact index together,
+  /// untouched. Patches the edge queues and the impact index together,
   /// drops or requeues in-flight packets on dead edges, then cross-checks
   /// the index bit-for-bit against a rebuild from scratch. Both modes.
   MutationStats apply_mutation(const StageMutation& mutation);
@@ -322,7 +331,7 @@ class Engine {
   //   finish_step();                         // scheduling rounds, retirement
 
   /// True while any chunk is pending on the reconfigurable layer.
-  bool busy() const noexcept { return !candidates_.empty() || !staged_.empty(); }
+  bool busy() const noexcept { return pending_count_ != 0; }
 
   /// Advances the clock one step -- jumping to *next_arrival when idle --
   /// and counts the step against max_steps. Pass the arrival time of the
@@ -356,21 +365,50 @@ class Engine {
   const EngineOptions& options() const noexcept { return options_; }
   Time now() const noexcept { return now_; }
 
-  /// All pending reconfigurable-route candidates, in decreasing chunk
-  /// priority -- the exact list SchedulePolicy::select receives. Same-step
-  /// arrivals staged since the last scheduling round are not yet merged.
-  const std::vector<Candidate>& pending_candidates() const noexcept { return candidates_; }
-  /// Those staged same-step arrivals, unsorted. Together with
-  /// pending_candidates() they are the full pending multiset -- what the
-  /// impact index counts, and what its scan oracles must filter.
-  const std::vector<Candidate>& staged_candidates() const noexcept { return staged_; }
+  /// Packets pending on the reconfigurable layer: the queues' total length.
+  std::size_t pending_count() const noexcept { return pending_count_; }
+
+  /// The head list SchedulePolicy::select receives: for every edge with
+  /// pending work, its highest-priority and its earliest-arriving
+  /// candidate (one entry when they coincide), in decreasing chunk
+  /// priority. Refreshed at the start of each scheduling round, so between
+  /// rounds it may still show packets that finished or miss ones that
+  /// arrived since.
+  const std::vector<Candidate>& head_candidates() const noexcept { return heads_; }
+
+  /// Calls visit(const Candidate&) for every candidate pending on edge
+  /// `e`, in decreasing chunk priority.
+  template <typename Visit>
+  void for_each_pending_on(EdgeIndex e, Visit&& visit) const {
+    for (std::int32_t n = queues_[static_cast<std::size_t>(e)].first; n >= 0;
+         n = nodes_[static_cast<std::size_t>(n)].next) {
+      visit(nodes_[static_cast<std::size_t>(n)].candidate);
+    }
+  }
+  /// Every pending candidate whose transmitter is `t` or whose receiver is
+  /// `r`, each once: the queues of the edges incident to t, then those
+  /// incident to r but not to t -- the A_p(e) scan of the impact oracles.
+  template <typename Visit>
+  void for_each_pending_at(NodeIndex t, NodeIndex r, Visit&& visit) const {
+    for (EdgeIndex e : topology_->edges_of_transmitter(t)) for_each_pending_on(e, visit);
+    for (EdgeIndex e : topology_->edges_of_receiver(r)) {
+      if (topology_->edge(e).transmitter != t) for_each_pending_on(e, visit);
+    }
+  }
+  /// Every pending candidate, edge by edge. O(|E| + pending).
+  template <typename Visit>
+  void for_each_pending(Visit&& visit) const {
+    for (std::size_t e = 0; e < queues_.size(); ++e) {
+      for_each_pending_on(static_cast<EdgeIndex>(e), visit);
+    }
+  }
 
   /// Dense remap of the endpoints carrying candidates in `candidates`.
-  /// When called on the engine's own pending list (the normal select()
-  /// path) the map is built at most once per scheduling round
-  /// (round-stamped); a foreign list -- bench harnesses isolating one
-  /// select call -- rebuilds into the same reusable buffers. Either way
-  /// the build allocates nothing at steady state.
+  /// When called on the engine's own head list (the normal select() path)
+  /// the map is built at most once per scheduling round (round-stamped); a
+  /// foreign list -- bench harnesses isolating one select call -- rebuilds
+  /// into the same reusable buffers. Either way the build allocates
+  /// nothing at steady state.
   const ActiveEndpoints& active_endpoints(const std::vector<Candidate>& candidates) const;
 
   /// The incremental impact index's always-on integer-load view (JSQ's
@@ -410,15 +448,30 @@ class Engine {
     RouteDecision route;
     Time arrival = 0;
     Weight weight = 0.0;
-    /// w_p / d(e_p) on a reconfigurable route: with `arrival` and the id,
-    /// the binary-search key of the packet's candidate entry.
-    Weight chunk_weight = 0.0;
     /// Endpoints kept per packet so stage mutations can re-dispatch or
     /// route-check in-flight packets without an Instance (streaming mode
     /// has no packet sequence to look them up in).
     NodeIndex source = 0;
     NodeIndex destination = 0;
     bool retired = false;
+  };
+
+  /// One pending packet: its Candidate, linked into its edge's priority
+  /// order (prev/next) and arrival order (older/newer). A free node keeps
+  /// the free list in `next`.
+  struct QueueNode {
+    Candidate candidate;
+    std::int32_t prev = -1, next = -1;
+    std::int32_t older = -1, newer = -1;
+  };
+  /// One edge's queue: both ends of both orders, and whether its heads
+  /// changed since the head list last read them.
+  struct EdgeQueue {
+    std::int32_t first = -1;   ///< highest priority: the priority head
+    std::int32_t last = -1;    ///< lowest priority
+    std::int32_t oldest = -1;  ///< earliest arrival: the arrival head
+    std::int32_t newest = -1;
+    bool dirty = false;
   };
 
   void init(EngineOptions options);
@@ -434,10 +487,18 @@ class Engine {
   void compact_window();
   /// Applies a dispatch decision to a packet (enqueue on edge or fixed).
   void apply_route(const Packet& packet, const RouteDecision& route);
-  /// Folds candidates staged by apply_route into the priority-sorted list.
-  void merge_staged_candidates();
-  /// Removes a packet's entry from the merged candidate list and the
-  /// impact index; returns its untransmitted chunk count.
+  /// Links a fresh node for `candidate` into its edge's two orders.
+  void enqueue(const Candidate& candidate);
+  /// Unlinks node `n` from its edge's orders and frees it.
+  void dequeue(std::int32_t n);
+  /// Flags edge `e` for the next head refresh; called before each change
+  /// to its heads, so the first call counts the entries the list drops.
+  void mark_dirty(EdgeIndex e);
+  /// Re-reads the heads of the dirty edges and merges them into the
+  /// sorted head list.
+  void refresh_heads();
+  /// Removes a packet from its edge queue and the impact index; returns
+  /// its untransmitted chunk count.
   std::int64_t unlist_pending(PacketIndex packet);
   /// Unlists every pending packet `pick` selects and hands it back to the
   /// dispatcher in (arrival, id) order, so re-dispatch is deterministic
@@ -506,11 +567,18 @@ class Engine {
   std::vector<PacketIndex> requeue_scratch_;
   mutable std::vector<EdgeIndex> route_scratch_;
 
-  /// The pending work: candidates in decreasing chunk priority (the list
-  /// handed to the scheduler), plus the same-step dispatches staged for
-  /// one batch-merge before the next scheduling round.
-  std::vector<Candidate> candidates_;
-  std::vector<Candidate> staged_;
+  /// The pending work: one queue per edge over a pooled node arena (free
+  /// list threaded through QueueNode::next), the sorted head list handed
+  /// to the scheduler (and the buffer its refresh merges into), the edges
+  /// whose heads it has yet to re-read, and how many list entries those
+  /// edges held when they changed.
+  std::vector<EdgeQueue> queues_;
+  std::vector<QueueNode> nodes_;
+  std::int32_t free_node_ = -1;
+  std::size_t pending_count_ = 0;
+  std::vector<Candidate> heads_, spare_heads_;
+  std::vector<EdgeIndex> dirty_edges_;
+  std::size_t dropped_heads_ = 0;
 
   /// Round-stamped scratch for selection validation (replaces per-round
   /// allocations sized by the topology).
@@ -518,15 +586,15 @@ class Engine {
   std::vector<std::uint64_t> edge_used_round_;
   std::vector<std::uint64_t> load_t_round_, load_r_round_;
   std::vector<int> load_t_, load_r_;
-  std::vector<std::uint64_t> chosen_round_;  ///< per candidate index
+  std::vector<std::uint64_t> chosen_round_;  ///< per head-list index
 
   std::vector<EdgeMeta> edge_meta_;  ///< per-edge constants (see edge_meta())
 
   /// Reusable round-loop scratch: the Selection handed to the scheduler,
-  /// the merge buffer behind merge_staged_candidates, and the finished-
-  /// candidate list of the post-transmit compaction. All grow-once.
+  /// the dirty edges' fresh heads, and the head indices a round finished.
+  /// All grow-once.
   Selection selection_;
-  std::vector<Candidate> merge_scratch_;
+  std::vector<Candidate> fresh_heads_;
   std::vector<std::size_t> finished_scratch_;
 
   /// Incremental per-endpoint impact index; fed at dispatch, per-chunk

@@ -4,12 +4,13 @@
 // randomized family, random-maximal): accept candidates in a caller-
 // imposed order whenever both endpoints are still free. Endpoint-busy
 // state is serial-stamped -- bumping one counter frees every endpoint --
-// so a round costs one pass over the candidates with direct topology
-// indexing: no per-round clearing, no dense remap, no allocations after
-// the arrays grow to the topology size once. (Measured against the
-// active-endpoint remap of engine.active_endpoints(): for these O(1)-per-
-// candidate passes the extra remap pass costs more than compact bitsets
-// save; the remap pays off for matrix-shaped state -- MaxWeight, iSLIP.)
+// so a round costs one pass over the head list (at most two entries per
+// edge) with direct topology indexing: no per-round clearing, no dense
+// remap, no allocations after the arrays grow to the topology size once.
+// (Measured against the active-endpoint remap of
+// engine.active_endpoints(): for these O(1)-per-candidate passes the
+// extra remap pass costs more than compact bitsets save; the remap pays
+// off for matrix-shaped state -- MaxWeight, iSLIP.)
 
 // rdcn-lint: hot-file
 

@@ -285,20 +285,6 @@ void ImpactIndex::decay() {
   weight_ready_ = false;
 }
 
-void ImpactIndex::rebuild(const std::vector<Candidate>& merged,
-                          const std::vector<Candidate>& staged) {
-  decay();
-  weight_ready_ = true;
-  ++rebuilds_;
-  for (const std::vector<Candidate>* list : {&merged, &staged}) {
-    for (const Candidate& c : *list) {
-      if (c.remaining <= 0) continue;
-      apply_weight(c.transmitter, c.receiver, pair_of_[static_cast<std::size_t>(c.edge)],
-                   c.chunk_weight, c.remaining);
-    }
-  }
-}
-
 ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
   if (!weight_ready_) {
     throw std::logic_error("impact index: edge_split before rebuild");

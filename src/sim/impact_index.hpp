@@ -10,8 +10,8 @@
 //                 (ties go to H: every pending packet arrived earlier), and
 //   w(L_p(e))  -- total weight of the strictly lighter pending chunks,
 //
-// which the naive rule re-derives by scanning the pending candidates at
-// both endpoints per candidate edge. This index instead maintains one weight-keyed treap per
+// which the naive rule re-derives by scanning the edge queues at both
+// endpoints per candidate edge. This index instead maintains one weight-keyed treap per
 // transmitter, per receiver, and per (t, r) edge group ("pair": parallel
 // edges share pending state), each node aggregating every pending chunk of
 // one distinct chunk-weight key:
@@ -48,7 +48,7 @@
 // maintained, O(1) eagerly, on dispatch, per-chunk service, and unlisting
 // -- they make JSQ's edge load a three-counter read with bit-identical
 // results. The weight treaps are lazily enabled on the first impact query
-// (rebuilt from the engine's candidate lists) and thereafter maintained
+// (rebuilt from the engine's edge queues) and thereafter maintained
 // through a deferred-event queue flushed at query time: because the
 // structure is a pure function of the current multiset, batching updates
 // is equivalent to applying them eagerly. If many maintenance events
@@ -228,10 +228,21 @@ class ImpactIndex {
 
   bool weight_ready() const noexcept { return weight_ready_; }
 
-  /// (Re)builds the weight treaps from the engine's candidate lists (the
-  /// full pending multiset) and enables query-time maintenance. The engine
-  /// calls this lazily on the first impact query and again after a decay.
-  void rebuild(const std::vector<Candidate>& merged, const std::vector<Candidate>& staged);
+  /// (Re)builds the weight treaps from the full pending multiset and
+  /// enables query-time maintenance: `for_each_pending(add)` must call
+  /// add(const Candidate&) once per pending candidate (as
+  /// Engine::for_each_pending does). The engine calls this lazily on the
+  /// first impact query and again after a decay.
+  template <typename ForEachPending>
+  void rebuild(ForEachPending&& for_each_pending) {
+    decay();
+    weight_ready_ = true;
+    ++rebuilds_;
+    for_each_pending([this](const Candidate& c) {
+      if (c.remaining <= 0) return;
+      apply_weight(c.transmitter, c.receiver, pair_of(c.edge), c.chunk_weight, c.remaining);
+    });
+  }
 
   /// |H| and w(L) for edge `e` at `threshold` = w_p/d(e); requires
   /// weight_ready(). Flushes deferred maintenance first (O(log n) each),

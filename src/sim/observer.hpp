@@ -52,9 +52,10 @@ class EngineObserver {
   virtual void on_dispatch(const Engine& engine, const Packet& packet,
                            const RouteDecision& route) = 0;
 
-  /// The scheduler returned `selected` (indices into `candidates`), before
-  /// the engine's own validation runs -- the auditor independently verifies
-  /// the selection is a feasible (b-)matching.
+  /// The scheduler returned `selected` (indices into `candidates`, the
+  /// head list it was handed), before the engine's own validation runs --
+  /// the auditor independently verifies the selection is a feasible
+  /// (b-)matching.
   virtual void on_selection(const Engine& engine, const std::vector<Candidate>& candidates,
                             const std::vector<std::size_t>& selected) = 0;
 

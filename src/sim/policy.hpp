@@ -29,7 +29,7 @@ struct RouteDecision {
   double alpha = 0.0;
 };
 
-/// One pending packet's head-of-line chunk at the current step.
+/// One pending packet's next chunk at the current step.
 struct Candidate {
   PacketIndex packet = 0;
   EdgeIndex edge = kInvalidEdge;
@@ -48,8 +48,9 @@ struct Candidate {
 /// using one comparator keeps the dispatcher's H/L classification and the
 /// scheduler's blocking relation consistent (which Lemma 2 relies on).
 ///
-/// The engine maintains its pending-candidate list sorted by this order
-/// (see SchedulePolicy::select), so priority-driven schedulers never sort.
+/// The engine keeps each edge's queue and the head list it hands
+/// SchedulePolicy::select sorted by this order, so priority-driven
+/// schedulers never sort.
 inline bool chunk_higher_priority(const Candidate& a, const Candidate& b) noexcept {
   if (a.chunk_weight != b.chunk_weight) return a.chunk_weight > b.chunk_weight;
   if (a.arrival != b.arrival) return a.arrival < b.arrival;
@@ -92,14 +93,22 @@ class SchedulePolicy {
   virtual ~SchedulePolicy() = default;
   /// Fills `out` (cleared by the caller) with indices into `candidates` to
   /// transmit this step. The engine checks the selection occupies each
-  /// transmitter/receiver at most once (or up to endpoint_capacity).
+  /// transmitter/receiver at most once (or up to endpoint_capacity) and
+  /// each edge at most once.
   ///
   /// Contract:
+  ///  * `candidates` is the engine's head list, not the whole backlog: for
+  ///    every edge with pending work, its highest-priority candidate and
+  ///    its earliest-arriving candidate (one entry when they coincide), at
+  ///    most 2|E| entries. A policy that ranks an edge's packets by chunk
+  ///    priority or by arrival therefore sees every packet it could pick:
+  ///    a packet behind both heads shares its edge's endpoints and ranks
+  ///    below one of them, so whatever excludes that head excludes it.
+  ///    Policies whose random draws range over the list draw over heads.
   ///  * `candidates` is sorted by chunk_higher_priority (decreasing chunk
-  ///    weight, then arrival, then packet id) -- the engine maintains the
-  ///    list incrementally across steps, so priority-driven schedulers can
-  ///    scan it in index order without sorting. Order-sensitive policies
-  ///    (FIFO, randomized) impose their own order on top as before.
+  ///    weight, then arrival, then packet id), so priority-driven
+  ///    schedulers scan it in index order without sorting. Order-sensitive
+  ///    policies (FIFO, randomized) impose their own order on top.
   ///  * `out` is an engine-owned scratch buffer reused across rounds;
   ///    policies must not keep references to it. Policies are expected to
   ///    keep their own working storage in members sized on first use so
@@ -108,7 +117,8 @@ class SchedulePolicy {
   ///  * Engine::active_endpoints(candidates) exposes a dense remap of the
   ///    endpoints that currently carry pending candidates, so per-endpoint
   ///    working state can be sized by the number of busy endpoints instead
-  ///    of the topology.
+  ///    of the topology. The full queues stay readable through
+  ///    Engine::for_each_pending_on / for_each_pending_at.
   virtual void select(const Engine& engine, Time now,
                       const std::vector<Candidate>& candidates, Selection& out) = 0;
 };

@@ -38,9 +38,10 @@ namespace rdcn {
 /// dispatch per span (policy decision + route application, per inject);
 /// IndexMaintenance the impact index's lazy rebuild + deferred-event flush
 /// + query, nested inside Dispatch (or Select, for index-using
-/// schedulers); MergeCompact both the staged-candidate merge and the
-/// post-round completed-candidate compaction; Service the chunk transmit
-/// and retirement accounting.
+/// schedulers); MergeCompact the head-list refresh (re-reading the heads
+/// of the edges whose queues changed and merging them into the sorted
+/// list); Service the chunk transmit, queue removal and retirement
+/// accounting.
 enum class Phase : std::uint8_t {
   Dispatch = 0,
   IndexMaintenance,
@@ -52,7 +53,8 @@ enum class Phase : std::uint8_t {
 inline constexpr std::size_t kNumPhases = 6;
 const char* to_string(Phase phase);
 
-/// Monotone counters. IndexRebuilds mirrors ImpactIndex::rebuilds() (set,
+/// Monotone counters. CandidatesMerged counts head entries the head-list
+/// refresh merged in; IndexRebuilds mirrors ImpactIndex::rebuilds() (set,
 /// not incremented, by the engine once per round); DroppedEvents counts
 /// ring-overflow span discards and is maintained by the probe itself.
 enum class Counter : std::uint8_t {
@@ -73,7 +75,8 @@ const char* to_string(Counter counter);
 
 /// Sampled gauges: last value and high-water mark. Sampled once per
 /// scheduling round (ActiveTransmitters/ActiveReceivers only on rounds
-/// where the policy built the active-endpoint map).
+/// where the policy built the active-endpoint map). PendingCandidates
+/// counts pending packets (the queues' total), not head-list entries.
 enum class Gauge : std::uint8_t {
   PendingCandidates = 0,
   SelectedPerRound,

@@ -81,7 +81,10 @@ void DeadlineWatchdog::loop() {
       entries_.erase(earliest);
       continue;
     }
-    wake_.wait_until(lock, earliest->deadline);
+    // Copy the deadline: wait_until releases the mutex, and an arm() in
+    // that window may reallocate entries_ under the reference.
+    const auto deadline = earliest->deadline;
+    wake_.wait_until(lock, deadline);
   }
 }
 

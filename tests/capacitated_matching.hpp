@@ -1,12 +1,37 @@
-#include "match/capacitated.hpp"
+#pragma once
 
+// Reference implementation for the tests: the capacitated ("b-matching")
+// generalization of the greedy stable matching, the rule
+// StableMatchingScheduler's b-matching path runs in place. Each left/right
+// endpoint may carry up to `capacity` simultaneous requests, while each
+// physical edge (identified by the caller-supplied key) still carries at
+// most one. This models ToR nodes with b lasers
+// usable in parallel -- the online dynamic b-matching setting of
+// Bienkowski et al. [46] that the paper cites as related work.
+//
+// The stability notion generalizes pointwise: a rejected request must find
+// at a saturated endpoint (or on its occupied edge) only requests of
+// priority at least its own.
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 namespace rdcn {
 
-std::vector<std::size_t> greedy_stable_bmatching(std::span<const CapacitatedRequest> requests,
-                                                 std::size_t num_left, std::size_t num_right,
-                                                 std::int32_t capacity) {
+struct CapacitatedRequest {
+  std::int32_t left = 0;
+  std::int32_t right = 0;
+  std::int64_t edge_key = -1;  ///< requests sharing a key exclude each other
+};
+
+/// Greedy accept in the given (priority) order subject to left/right
+/// capacities and per-edge exclusivity. capacity >= 1.
+inline std::vector<std::size_t> greedy_stable_bmatching(
+    std::span<const CapacitatedRequest> requests, std::size_t num_left, std::size_t num_right,
+    std::int32_t capacity) {
   std::vector<std::int32_t> left_used(num_left, 0);
   std::vector<std::int32_t> right_used(num_right, 0);
   std::unordered_set<std::int64_t> edges_used;
@@ -24,9 +49,14 @@ std::vector<std::size_t> greedy_stable_bmatching(std::span<const CapacitatedRequ
   return accepted;
 }
 
-bool is_stable_bmatching(std::span<const CapacitatedRequest> requests,
-                         std::span<const std::size_t> accepted, std::size_t num_left,
-                         std::size_t num_right, std::int32_t capacity) {
+/// Checks the generalized stability property of a selection produced for
+/// the given priority order (requests sorted by decreasing priority):
+/// capacities and edge-exclusivity hold, and every rejected request is
+/// blocked by an earlier accepted request on a saturated endpoint or on
+/// its own edge.
+inline bool is_stable_bmatching(std::span<const CapacitatedRequest> requests,
+                                std::span<const std::size_t> accepted, std::size_t num_left,
+                                std::size_t num_right, std::int32_t capacity) {
   std::vector<std::int32_t> left_used(num_left, 0);
   std::vector<std::int32_t> right_used(num_right, 0);
   // For blocking checks we need the LAST (lowest-priority) occupant index

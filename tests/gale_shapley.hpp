@@ -1,13 +1,36 @@
-#include "match/gale_shapley.hpp"
+#pragma once
 
+// Reference implementation for the tests: Gale-Shapley deferred
+// acceptance (the paper's reference [23]) on preference lists, the
+// classical substrate the paper's symmetric-priority greedy specializes:
+// with symmetric edge weights the proposer-optimal and receiver-optimal
+// stable matchings coincide and the greedy of match/stable.hpp computes
+// them directly.
+
+#include <cstdint>
 #include <queue>
+#include <vector>
 
 namespace rdcn {
 
-namespace {
+/// preferences_left[i] = ordered list of right-indices i prefers (best
+/// first); analogously for preferences_right. Agents may have partial
+/// lists; unlisted pairs are unacceptable.
+struct StableMarriageInput {
+  std::vector<std::vector<std::int32_t>> preferences_left;
+  std::vector<std::vector<std::int32_t>> preferences_right;
+};
+
+/// match_of_left[i] = matched right index or -1; proposer (left) optimal.
+struct StableMarriageResult {
+  std::vector<std::int32_t> match_of_left;
+  std::vector<std::int32_t> match_of_right;
+};
+
+namespace gale_shapley_detail {
 
 /// rank[j][i] = position of left i in right j's list, or INT32_MAX.
-std::vector<std::vector<std::int32_t>> build_ranks(
+inline std::vector<std::vector<std::int32_t>> build_ranks(
     const std::vector<std::vector<std::int32_t>>& preferences, std::size_t other_side) {
   std::vector<std::vector<std::int32_t>> ranks(preferences.size());
   for (std::size_t j = 0; j < preferences.size(); ++j) {
@@ -20,12 +43,12 @@ std::vector<std::vector<std::int32_t>> build_ranks(
   return ranks;
 }
 
-}  // namespace
+}  // namespace gale_shapley_detail
 
-StableMarriageResult gale_shapley(const StableMarriageInput& input) {
+inline StableMarriageResult gale_shapley(const StableMarriageInput& input) {
   const std::size_t num_left = input.preferences_left.size();
   const std::size_t num_right = input.preferences_right.size();
-  const auto right_rank = build_ranks(input.preferences_right, num_left);
+  const auto right_rank = gale_shapley_detail::build_ranks(input.preferences_right, num_left);
 
   StableMarriageResult result;
   result.match_of_left.assign(num_left, -1);
@@ -66,11 +89,14 @@ StableMarriageResult gale_shapley(const StableMarriageInput& input) {
   return result;
 }
 
-bool is_stable_marriage(const StableMarriageInput& input, const StableMarriageResult& result) {
+/// True iff no blocking pair exists: a mutually acceptable (i, j) where i
+/// prefers j to its match (or is unmatched) and j prefers i to its match.
+inline bool is_stable_marriage(const StableMarriageInput& input,
+                               const StableMarriageResult& result) {
   const std::size_t num_left = input.preferences_left.size();
   const std::size_t num_right = input.preferences_right.size();
-  const auto left_rank = build_ranks(input.preferences_left, num_right);
-  const auto right_rank = build_ranks(input.preferences_right, num_left);
+  const auto left_rank = gale_shapley_detail::build_ranks(input.preferences_left, num_right);
+  const auto right_rank = gale_shapley_detail::build_ranks(input.preferences_right, num_left);
 
   for (std::size_t i = 0; i < num_left; ++i) {
     for (std::int32_t j : input.preferences_left[i]) {

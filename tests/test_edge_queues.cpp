@@ -1,0 +1,172 @@
+// Property test for the engine's per-edge queues and the head list that
+// SchedulePolicy::select receives. On random topology-zoo instances, under
+// endpoint capacity 1 and 2, speedup 2, reconfiguration delay 1, a staged
+// kill with DeadPolicy::Requeue and restricted migration (the last two
+// re-insert older packets behind newer ones), every round checks that
+//  * the list is exactly the priority head and the arrival head of every
+//    non-empty edge (one entry when they coincide), sorted by
+//    chunk_higher_priority and at most 2|E| long;
+//  * alg, fifo and maxweight select the same packets, in the same order,
+//    as a second instance of the same policy run on the full pending list
+//    rebuilt from the queues -- the list select() received before the
+//    queues replaced it.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "run/policies.hpp"
+#include "run/random.hpp"
+#include "run/scenario.hpp"
+#include "sim/engine.hpp"
+
+namespace rdcn {
+namespace {
+
+/// Checks the head list against the queues, then runs the wrapped policy
+/// on it and a reference instance of the same policy on the full list.
+class HeadListChecker final : public SchedulePolicy {
+ public:
+  HeadListChecker(std::unique_ptr<SchedulePolicy> policy,
+                  std::unique_ptr<SchedulePolicy> reference, std::string label)
+      : policy_(std::move(policy)), reference_(std::move(reference)), label_(std::move(label)) {}
+
+  void select(const Engine& engine, Time now, const std::vector<Candidate>& heads,
+              Selection& out) override {
+    full_.clear();
+    engine.for_each_pending([this](const Candidate& c) { full_.push_back(c); });
+    std::sort(full_.begin(), full_.end(), chunk_higher_priority);
+    ASSERT_EQ(full_.size(), engine.pending_count()) << label_;
+
+    // Per edge: the first entry in priority order, and the earliest arrival.
+    std::map<EdgeIndex, std::pair<Candidate, Candidate>> edge_heads;
+    for (const Candidate& c : full_) {
+      const auto [it, fresh] = edge_heads.emplace(c.edge, std::make_pair(c, c));
+      Candidate& earliest = it->second.second;
+      if (!fresh && (c.arrival < earliest.arrival ||
+                     (c.arrival == earliest.arrival && c.packet < earliest.packet))) {
+        earliest = c;
+      }
+    }
+    std::vector<Candidate> expected;
+    for (const auto& [edge, pair] : edge_heads) {
+      expected.push_back(pair.first);
+      if (pair.second.packet != pair.first.packet) expected.push_back(pair.second);
+    }
+    std::sort(expected.begin(), expected.end(), chunk_higher_priority);
+
+    EXPECT_LE(heads.size(), 2 * static_cast<std::size_t>(engine.topology().num_edges()))
+        << label_;
+    ASSERT_EQ(heads.size(), expected.size()) << label_ << " at step " << now;
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      const Candidate& got = heads[i];
+      const Candidate& want = expected[i];
+      ASSERT_EQ(got.packet, want.packet) << label_ << " at step " << now << ", entry " << i;
+      EXPECT_EQ(got.edge, want.edge) << label_;
+      EXPECT_EQ(got.transmitter, want.transmitter) << label_;
+      EXPECT_EQ(got.receiver, want.receiver) << label_;
+      EXPECT_EQ(got.chunk_weight, want.chunk_weight) << label_;
+      EXPECT_EQ(got.arrival, want.arrival) << label_;
+      EXPECT_EQ(got.remaining, want.remaining) << label_;
+    }
+
+    reference_out_.clear();
+    reference_->select(engine, now, full_, reference_out_);
+    policy_->select(engine, now, heads, out);
+    ASSERT_EQ(out.size(), reference_out_.size()) << label_ << " at step " << now;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(heads[out.indices()[i]].packet, full_[reference_out_.indices()[i]].packet)
+          << label_ << " at step " << now << ", pick " << i;
+    }
+    ++rounds;
+    if (full_.size() > heads.size()) ++deep_rounds;
+  }
+
+  int rounds = 0;
+  int deep_rounds = 0;  ///< rounds where some packet queued behind its heads
+
+ private:
+  std::unique_ptr<SchedulePolicy> policy_;
+  std::unique_ptr<SchedulePolicy> reference_;
+  std::string label_;
+  std::vector<Candidate> full_;
+  Selection reference_out_;
+};
+
+struct Variant {
+  const char* name;
+  EngineOptions options;
+  bool staged_kill = false;
+};
+
+std::vector<Variant> variants() {
+  std::vector<Variant> list;
+  list.push_back({"capacity1", {}});
+  EngineOptions capacity2;
+  capacity2.endpoint_capacity = 2;
+  list.push_back({"capacity2", capacity2});
+  EngineOptions speedup2;
+  speedup2.speedup_rounds = 2;
+  list.push_back({"speedup2", speedup2});
+  EngineOptions delay1;
+  delay1.reconfig_delay = 1;
+  list.push_back({"reconfig_delay1", delay1});
+  list.push_back({"staged_kill_requeue", {}, true});
+  EngineOptions migrate;
+  migrate.redispatch_queued = true;
+  list.push_back({"redispatch_queued", migrate});
+  return list;
+}
+
+TEST(EdgeQueues, HeadListIsExactAndSelectionsMatchTheFullList) {
+  int total_rounds = 0;
+  int total_deep_rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    // A zoo topology from the fuzz generator, with a denser workload than
+    // its default so packets queue behind their edge's heads.
+    ScenarioSpec spec = random_scenario_spec(seed);
+    spec.workload.num_packets = 160;
+    spec.workload.arrival_rate = 8.0;
+    const Instance instance = ScenarioRunner(spec).instance(spec.base_seed);
+    for (const Variant& variant : variants()) {
+      for (const char* name : {"alg", "fifo", "maxweight"}) {
+        const std::string label = "seed " + std::to_string(seed) + " " + variant.name + " " +
+                                  name;
+        const PolicyFactory policy = named_policy(name);
+        auto dispatcher = policy.dispatcher();
+        HeadListChecker checker(policy.scheduler(instance.topology()),
+                                policy.scheduler(instance.topology()), label);
+        EngineOptions options = variant.options;
+        options.audit = true;
+        Engine engine(instance, *dispatcher, checker, options);
+        std::vector<TimedMutation> schedule;
+        if (variant.staged_kill) {
+          // Every other edge dies at step 3: stranded packets with a
+          // surviving parallel edge requeue onto it, behind newer packets.
+          schedule.resize(2);
+          for (EdgeIndex e = 0; e < instance.topology().num_edges(); e += 2) {
+            schedule[0].mutation.kill_edges.push_back(e);
+          }
+          schedule[0].at = 3;
+          schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
+          schedule[1].at = 9;
+          schedule[1].mutation.restore_edges = schedule[0].mutation.kill_edges;
+        }
+        engine.run(schedule);
+        if (::testing::Test::HasFatalFailure()) return;
+        total_rounds += checker.rounds;
+        total_deep_rounds += checker.deep_rounds;
+      }
+    }
+  }
+  EXPECT_GT(total_rounds, 1000);
+  // The property only bites when packets wait behind their edge's heads.
+  EXPECT_GT(total_deep_rounds, total_rounds / 4);
+}
+
+}  // namespace
+}  // namespace rdcn

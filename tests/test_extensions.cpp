@@ -6,11 +6,12 @@
 
 #include "baseline/dispatchers.hpp"
 #include "baseline/schedulers.hpp"
+#include "capacitated_matching.hpp"
 #include "core/alg.hpp"
 #include "core/randomized.hpp"
 #include "flow/flows.hpp"
 #include "helpers.hpp"
-#include "match/capacitated.hpp"
+#include "match/stable.hpp"
 #include "net/builders.hpp"
 #include "sim/metrics.hpp"
 

@@ -6,9 +6,9 @@
 
 #include <numeric>
 
+#include "gale_shapley.hpp"
 #include "match/brute_force.hpp"
 #include "match/edge_coloring.hpp"
-#include "match/gale_shapley.hpp"
 #include "match/hopcroft_karp.hpp"
 #include "match/hungarian.hpp"
 #include "match/stable.hpp"

@@ -495,9 +495,11 @@ TEST(StageMutations, ValidatesBoundariesAndArguments) {
     EXPECT_TRUE(engine.edge_alive(0)) << label;
     EXPECT_TRUE(engine.edge_alive(1)) << label;
     EXPECT_EQ(engine.options().speedup_rounds, 1) << label;
-    ASSERT_EQ(engine.pending_candidates().size(), 1u) << label;
-    EXPECT_EQ(engine.pending_candidates()[0].edge, 0) << label;
-    EXPECT_EQ(engine.pending_candidates()[0].remaining, 1) << label;
+    ASSERT_EQ(engine.pending_count(), 1u) << label;
+    std::vector<Candidate> on_edge_0;
+    engine.for_each_pending_on(0, [&](const Candidate& c) { on_edge_0.push_back(c); });
+    ASSERT_EQ(on_edge_0.size(), 1u) << label;
+    EXPECT_EQ(on_edge_0[0].remaining, 1) << label;
     EXPECT_EQ(engine.packets_dropped(), 0u) << label;
   };
   StageMutation bad_second_edge;
