@@ -40,14 +40,7 @@ Topology make_topology(const TopologySpec& spec, std::uint64_t rep_seed) {
 }
 
 const char* to_string(TopologySpec::Kind kind) {
-  switch (kind) {
-    case TopologySpec::Kind::TwoTier: return "two_tier";
-    case TopologySpec::Kind::Crossbar: return "crossbar";
-    case TopologySpec::Kind::Oversubscribed: return "oversubscribed";
-    case TopologySpec::Kind::Expander: return "expander";
-    case TopologySpec::Kind::Rotor: return "rotor";
-  }
-  return "unknown";
+  return name_of(kTopologyKindNames, kind);
 }
 
 ScenarioRunner::ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {

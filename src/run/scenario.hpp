@@ -18,6 +18,7 @@
 #include "run/failure.hpp"
 #include "run/policies.hpp"
 #include "sim/engine.hpp"
+#include "util/enum_names.hpp"
 #include "util/stats.hpp"
 #include "workload/generator.hpp"
 
@@ -44,9 +45,16 @@ struct TopologySpec {
   bool fixed_wiring = false;
 };
 
-/// Registry-style names of the topology kinds ("two_tier", "crossbar",
-/// "oversubscribed", "expander", "rotor"); shared by suite files, CLI
+/// Registry-style names of the topology kinds; shared by suite files, CLI
 /// output and test parameterization.
+inline constexpr EnumName<TopologySpec::Kind> kTopologyKindNames[] = {
+    {TopologySpec::Kind::TwoTier, "two_tier"},
+    {TopologySpec::Kind::Crossbar, "crossbar"},
+    {TopologySpec::Kind::Oversubscribed, "oversubscribed"},
+    {TopologySpec::Kind::Expander, "expander"},
+    {TopologySpec::Kind::Rotor, "rotor"},
+};
+
 const char* to_string(TopologySpec::Kind kind);
 
 /// Builds the topology for one repetition of the spec.

@@ -1,435 +1,63 @@
 #include "run/suite.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "util/atomic_file.hpp"
+#include "util/enum_names.hpp"
 #include "util/json.hpp"
 
 namespace rdcn {
 
 namespace {
 
-// --- strict object reading --------------------------------------------------
-
-/// Wraps one JSON object: typed getters with range checks, every error
-/// carrying the full path, and unknown-key rejection in finish().
-class Fields {
- public:
-  Fields(const json::Value& value, std::string path) : path_(std::move(path)) {
-    if (!value.is_object()) {
-      throw SuiteError(path_, std::string("expected an object, found ") + value.type_name());
-    }
-    object_ = &value.as_object();
-  }
-
-  std::string path_of(const char* key) const {
-    return path_.empty() ? key : path_ + "." + key;
-  }
-
-  const json::Value* member(const char* key) {
-    allowed_.emplace_back(key);
-    for (const json::Member& entry : *object_) {
-      if (entry.first == key) return &entry.second;
-    }
-    return nullptr;
-  }
-
-  std::string str(const char* key, const std::string& fallback) {
-    const json::Value* value = member(key);
-    if (!value) return fallback;
-    if (!value->is_string()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a string, found ") + value->type_name());
-    }
-    return value->as_string();
-  }
-
-  std::string required_str(const char* key) {
-    const json::Value* value = member(key);
-    if (!value) throw SuiteError(path_of(key), "required key is missing");
-    if (!value->is_string()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a string, found ") + value->type_name());
-    }
-    return value->as_string();
-  }
-
-  std::int64_t integer(const char* key, std::int64_t fallback, std::int64_t lo,
-                       std::int64_t hi) {
-    const json::Value* value = member(key);
-    if (!value) return fallback;
-    if (!value->is_integer()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected an integer, found ") + value->type_name());
-    }
-    const std::int64_t parsed = value->as_integer();
-    if (parsed < lo || parsed > hi) {
-      throw SuiteError(path_of(key), std::to_string(parsed) + " is out of range [" +
-                                         std::to_string(lo) + ", " + std::to_string(hi) +
-                                         "]");
-    }
-    return parsed;
-  }
-
-  double real(const char* key, double fallback, double lo, double hi) {
-    const json::Value* value = member(key);
-    if (!value) return fallback;
-    if (!value->is_number()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected a number, found ") + value->type_name());
-    }
-    const double parsed = value->as_number();
-    if (!(parsed >= lo && parsed <= hi)) {
-      std::ostringstream what;
-      what << parsed << " is out of range [" << lo << ", " << hi << "]";
-      throw SuiteError(path_of(key), what.str());
-    }
-    return parsed;
-  }
-
-  bool boolean(const char* key, bool fallback) {
-    const json::Value* value = member(key);
-    if (!value) return fallback;
-    if (!value->is_bool()) {
-      throw SuiteError(path_of(key),
-                       std::string("expected true or false, found ") + value->type_name());
-    }
-    return value->as_bool();
-  }
-
-  /// Rejects every key no getter consulted, listing what the object accepts.
-  void finish() const {
-    for (const json::Member& entry : *object_) {
-      if (std::find(allowed_.begin(), allowed_.end(), entry.first) != allowed_.end()) {
-        continue;
-      }
-      std::string known;
-      for (const std::string& key : allowed_) known += " " + key;
-      throw SuiteError(path_.empty() ? entry.first : path_ + "." + entry.first,
-                       "unknown key; this object accepts:" + known);
-    }
-  }
-
- private:
-  const json::Object* object_;
-  std::string path_;
-  std::vector<std::string> allowed_;
-};
-
-template <typename Enum>
-Enum parse_enum(const std::string& path, const std::string& text,
-                std::initializer_list<std::pair<const char*, Enum>> mapping) {
-  std::string known;
-  for (const auto& [name, value] : mapping) {
-    if (text == name) return value;
-    known += std::string(" ") + name;
-  }
-  throw SuiteError(path, "unknown value \"" + text + "\"; known:" + known);
-}
-
 constexpr std::int64_t kMaxDelay = 1'000'000;
 constexpr std::int64_t kMaxPorts = 256;
 constexpr std::int64_t kMaxRacks = 4096;
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+// Stage index lists are checked against the topology later
+// (Engine::apply_mutation at run time -- the suite grid may span several
+// topologies); the parse-time cap only rejects nonsense.
+constexpr std::int64_t kMaxIndex = 100'000'000;
 
-// --- axis entry parsers -----------------------------------------------------
+// Names of the enums only suite files spell; the others sit beside their
+// to_string (run/scenario, workload/generator, traffic/source).
+constexpr EnumName<SuiteSpec::Mode> kModeNames[] = {
+    {SuiteSpec::Mode::Batch, "batch"},
+    {SuiteSpec::Mode::Stream, "stream"},
+};
+constexpr EnumName<CapacityModel> kCapacityModelNames[] = {
+    {CapacityModel::Ports, "ports"},
+    {CapacityModel::MaxMatching, "max_matching"},
+};
+constexpr EnumName<DeadPolicy> kDeadPolicyNames[] = {
+    {DeadPolicy::Drop, "drop"},
+    {DeadPolicy::Requeue, "requeue"},
+};
 
-TopologySpec parse_topology(Fields& fields) {
-  TopologySpec spec;
-  const std::string kind = fields.required_str("kind");
-  spec.kind = parse_enum<TopologySpec::Kind>(
-      fields.path_of("kind"), kind,
-      {{"two_tier", TopologySpec::Kind::TwoTier},
-       {"crossbar", TopologySpec::Kind::Crossbar},
-       {"oversubscribed", TopologySpec::Kind::Oversubscribed},
-       {"expander", TopologySpec::Kind::Expander},
-       {"rotor", TopologySpec::Kind::Rotor}});
-  spec.seed_salt = static_cast<std::uint64_t>(
-      fields.integer("seed_salt", 0, 0, std::numeric_limits<std::int64_t>::max()));
-  spec.fixed_wiring = fields.boolean("fixed_wiring", false);
-
-  switch (spec.kind) {
-    case TopologySpec::Kind::TwoTier: {
-      auto& net = spec.two_tier;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.lasers_per_rack =
-          static_cast<NodeIndex>(fields.integer("lasers", net.lasers_per_rack, 1, kMaxPorts));
-      net.photodetectors_per_rack = static_cast<NodeIndex>(
-          fields.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts));
-      net.density = fields.real("density", net.density, 0.0, 1.0);
-      net.max_edge_delay =
-          static_cast<Delay>(fields.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay));
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
-      net.allow_self_edges = fields.boolean("allow_self_edges", net.allow_self_edges);
-      break;
-    }
-    case TopologySpec::Kind::Crossbar:
-      spec.crossbar_ports =
-          static_cast<NodeIndex>(fields.integer("ports", spec.crossbar_ports, 2, kMaxRacks));
-      break;
-    case TopologySpec::Kind::Oversubscribed: {
-      auto& net = spec.oversubscribed;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.hot_racks =
-          static_cast<NodeIndex>(fields.integer("hot_racks", net.hot_racks, 0, kMaxRacks));
-      if (net.hot_racks > net.racks) {
-        throw SuiteError(fields.path_of("hot_racks"),
-                         std::to_string(net.hot_racks) + " exceeds racks (" +
-                             std::to_string(net.racks) + ")");
-      }
-      net.hot_lasers =
-          static_cast<NodeIndex>(fields.integer("hot_lasers", net.hot_lasers, 1, kMaxPorts));
-      net.hot_photodetectors = static_cast<NodeIndex>(
-          fields.integer("hot_photodetectors", net.hot_photodetectors, 1, kMaxPorts));
-      net.cold_lasers =
-          static_cast<NodeIndex>(fields.integer("cold_lasers", net.cold_lasers, 1, kMaxPorts));
-      net.cold_photodetectors = static_cast<NodeIndex>(
-          fields.integer("cold_photodetectors", net.cold_photodetectors, 1, kMaxPorts));
-      net.density = fields.real("density", net.density, 0.0, 1.0);
-      net.fast_delay =
-          static_cast<Delay>(fields.integer("fast_delay", net.fast_delay, 1, kMaxDelay));
-      net.slow_delay =
-          static_cast<Delay>(fields.integer("slow_delay", net.slow_delay, 1, kMaxDelay));
-      if (net.slow_delay < net.fast_delay) {
-        throw SuiteError(fields.path_of("slow_delay"),
-                         std::to_string(net.slow_delay) + " is below fast_delay (" +
-                             std::to_string(net.fast_delay) + ")");
-      }
-      net.slow_fraction = fields.real("slow_fraction", net.slow_fraction, 0.0, 1.0);
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_base_delay = static_cast<Delay>(
-          fields.integer("fixed_base_delay", net.fixed_base_delay, 0, kMaxDelay));
-      net.oversubscription = fields.real("oversubscription", net.oversubscription, 1.0, 64.0);
-      break;
-    }
-    case TopologySpec::Kind::Expander: {
-      auto& net = spec.expander;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.degree = static_cast<NodeIndex>(fields.integer("degree", net.degree, 1, kMaxRacks));
-      if (net.degree > net.racks - 1) {
-        throw SuiteError(fields.path_of("degree"),
-                         std::to_string(net.degree) + " exceeds racks - 1 (" +
-                             std::to_string(net.racks - 1) + ")");
-      }
-      net.lasers_per_rack =
-          static_cast<NodeIndex>(fields.integer("lasers", net.lasers_per_rack, 1, kMaxPorts));
-      net.photodetectors_per_rack = static_cast<NodeIndex>(
-          fields.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts));
-      net.min_edge_delay =
-          static_cast<Delay>(fields.integer("min_edge_delay", net.min_edge_delay, 1, kMaxDelay));
-      net.max_edge_delay =
-          static_cast<Delay>(fields.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay));
-      if (net.max_edge_delay < net.min_edge_delay) {
-        throw SuiteError(fields.path_of("max_edge_delay"),
-                         std::to_string(net.max_edge_delay) + " is below min_edge_delay (" +
-                             std::to_string(net.min_edge_delay) + ")");
-      }
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
-      break;
-    }
-    case TopologySpec::Kind::Rotor: {
-      auto& net = spec.rotor;
-      net.racks = static_cast<NodeIndex>(fields.integer("racks", net.racks, 2, kMaxRacks));
-      net.ports_per_rack =
-          static_cast<NodeIndex>(fields.integer("ports", net.ports_per_rack, 1, kMaxPorts));
-      net.num_matchings =
-          static_cast<NodeIndex>(fields.integer("matchings", net.num_matchings, 0, kMaxRacks));
-      if (net.num_matchings > net.racks - 1) {
-        throw SuiteError(fields.path_of("matchings"),
-                         std::to_string(net.num_matchings) + " exceeds racks - 1 (" +
-                             std::to_string(net.racks - 1) + "); 0 selects all offsets");
-      }
-      net.edge_delay =
-          static_cast<Delay>(fields.integer("edge_delay", net.edge_delay, 1, kMaxDelay));
-      net.attach_delay =
-          static_cast<Delay>(fields.integer("attach_delay", net.attach_delay, 0, kMaxDelay));
-      net.fixed_link_delay = static_cast<Delay>(
-          fields.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay));
-      break;
-    }
-  }
-  return spec;
+std::string slash_error(const std::string& label) {
+  return "label \"" + label + "\" may not contain '/' (labels compose cell names)";
 }
 
-/// Shape keys shared by batch workloads and stream traffic.
-void parse_shape(Fields& fields, WorkloadConfig& shape) {
-  const std::string skew = fields.str("skew", "uniform");
-  shape.skew = parse_enum<PairSkew>(fields.path_of("skew"), skew,
-                                    {{"uniform", PairSkew::Uniform},
-                                     {"zipf", PairSkew::Zipf},
-                                     {"hotspot", PairSkew::Hotspot},
-                                     {"permutation", PairSkew::Permutation},
-                                     {"incast", PairSkew::Incast}});
-  shape.zipf_exponent = fields.real("zipf_exponent", shape.zipf_exponent, 0.0, 8.0);
-  shape.hotspot_fraction = fields.real("hotspot_fraction", shape.hotspot_fraction, 0.0, 1.0);
-  const std::string weights = fields.str("weights", "uniform-int");
-  shape.weights = parse_enum<WeightDist>(fields.path_of("weights"), weights,
-                                         {{"unit", WeightDist::Unit},
-                                          {"uniform-int", WeightDist::UniformInt},
-                                          {"pareto", WeightDist::Pareto},
-                                          {"bimodal", WeightDist::Bimodal}});
-  shape.weight_max = fields.integer("weight_max", shape.weight_max, 1, 1'000'000'000);
-  shape.pareto_shape = fields.real("pareto_shape", shape.pareto_shape, 1.01, 16.0);
-  shape.elephant_fraction =
-      fields.real("elephant_fraction", shape.elephant_fraction, 0.0, 1.0);
+// Labels an axis entry gets when its "name" key is absent.
+std::string default_label(const SuiteTopology& entry) {
+  return to_string(entry.spec.kind);
 }
-
-WorkloadConfig parse_workload(Fields& fields) {
-  WorkloadConfig config;
-  config.num_packets = static_cast<std::size_t>(
-      fields.integer("packets", static_cast<std::int64_t>(config.num_packets), 1, 10'000'000));
-  config.arrival_rate = fields.real("rate", config.arrival_rate, 1e-6, 1e6);
-  parse_shape(fields, config);
-  config.bursty = fields.boolean("bursty", config.bursty);
-  config.burst_off_prob = fields.real("burst_off_prob", config.burst_off_prob, 0.0, 0.999);
-  return config;
+std::string default_label(const SuiteWorkload& entry) {
+  return to_string(entry.config.skew);
 }
-
-TrafficConfig parse_traffic(Fields& fields) {
-  TrafficConfig config;
-  const std::string process = fields.str("process", "poisson");
-  config.process = parse_enum<ArrivalProcess>(
-      fields.path_of("process"), process,
-      {{"poisson", ArrivalProcess::Poisson}, {"onoff", ArrivalProcess::OnOff}});
-  config.rho = fields.real("rho", config.rho, 1e-6, 8.0);
-  config.capacity_model = parse_enum<CapacityModel>(
-      fields.path_of("capacity_model"), fields.str("capacity_model", "ports"),
-      {{"ports", CapacityModel::Ports}, {"max_matching", CapacityModel::MaxMatching}});
-  parse_shape(fields, config.shape);
-  config.on_stay = fields.real("on_stay", config.on_stay, 0.0, 0.999);
-  config.off_stay = fields.real("off_stay", config.off_stay, 0.0, 0.999);
-  config.max_zero_demand_fraction =
-      fields.real("max_zero_demand_fraction", config.max_zero_demand_fraction, 0.0, 1.0);
-  return config;
+std::string default_label(const SuiteTraffic& entry) {
+  return to_string(entry.config.process);
 }
-
-/// An optional array of non-negative indices (edge or rack lists of a
-/// stage mutation); element errors name "path.key[j]".
-template <typename Index>
-std::vector<Index> parse_index_array(Fields& fields, const char* key, std::int64_t hi) {
-  std::vector<Index> indices;
-  const json::Value* value = fields.member(key);
-  if (!value) return indices;
-  if (!value->is_array()) {
-    throw SuiteError(fields.path_of(key),
-                     std::string("expected an array, found ") + value->type_name());
-  }
-  const json::Array& entries = value->as_array();
-  indices.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string path = fields.path_of(key) + "[" + std::to_string(i) + "]";
-    if (!entries[i].is_integer()) {
-      throw SuiteError(path,
-                       std::string("expected an integer, found ") + entries[i].type_name());
-    }
-    const std::int64_t parsed = entries[i].as_integer();
-    if (parsed < 0 || parsed > hi) {
-      throw SuiteError(path, std::to_string(parsed) + " is out of range [0, " +
-                                 std::to_string(hi) + "]");
-    }
-    indices.push_back(static_cast<Index>(parsed));
-  }
-  return indices;
-}
-
-/// "-1 inherits" traffic overrides: the range getter admits the sentinel,
-/// this rejects the dead zone in between.
-void check_override(const std::string& path, double value, const char* requirement) {
-  if (value != -1.0 && !(value > 0.0)) {
-    throw SuiteError(path, std::string(requirement) + ", or -1 to inherit the traffic axis");
-  }
-}
-
-StageSpec parse_stage(Fields& fields) {
-  StageSpec stage;
-  stage.duration =
-      static_cast<Time>(fields.integer("duration", 0, 0, 1'000'000'000'000));
-  stage.rho = fields.real("rho", -1.0, -1.0, 8.0);
-  check_override(fields.path_of("rho"), stage.rho, "must be positive");
-  stage.on_stay = fields.real("on_stay", -1.0, -1.0, 0.999);
-  check_override(fields.path_of("on_stay"), stage.on_stay, "must be in (0, 1)");
-  stage.off_stay = fields.real("off_stay", -1.0, -1.0, 0.999);
-  check_override(fields.path_of("off_stay"), stage.off_stay, "must be in (0, 1)");
-  // Index bounds against the topology come later (Engine::apply_mutation
-  // validates at run time -- the suite grid may span several topologies);
-  // the parse-time cap only rejects nonsense.
-  constexpr std::int64_t kMaxIndex = 100'000'000;
-  stage.mutation.kill_edges = parse_index_array<EdgeIndex>(fields, "kill_edges", kMaxIndex);
-  stage.mutation.restore_edges =
-      parse_index_array<EdgeIndex>(fields, "restore_edges", kMaxIndex);
-  stage.mutation.kill_racks = parse_index_array<NodeIndex>(fields, "kill_racks", kMaxRacks);
-  stage.mutation.restore_racks =
-      parse_index_array<NodeIndex>(fields, "restore_racks", kMaxRacks);
-  stage.mutation.speedup_rounds =
-      static_cast<int>(fields.integer("speedup", 0, 0, 16));
-  stage.mutation.endpoint_capacity =
-      static_cast<int>(fields.integer("capacity", 0, 0, 64));
-  stage.mutation.dead_policy = parse_enum<DeadPolicy>(
-      fields.path_of("dead"), fields.str("dead", "drop"),
-      {{"drop", DeadPolicy::Drop}, {"requeue", DeadPolicy::Requeue}});
-  return stage;
-}
-
-/// Shared by the suite "stages" key and the standalone schedule document.
-std::vector<StageSpec> parse_stage_entries(const json::Value& value,
-                                           const std::string& key) {
-  if (!value.is_array()) {
-    throw SuiteError(key, std::string("expected an array, found ") + value.type_name());
-  }
-  const json::Array& entries = value.as_array();
-  if (entries.empty()) throw SuiteError(key, "needs at least one stage");
-  std::vector<StageSpec> stages;
-  stages.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const std::string path = key + "[" + std::to_string(i) + "]";
-    Fields fields(entries[i], path);
-    StageSpec stage = parse_stage(fields);
-    fields.finish();
-    if (stage.duration == 0 && i + 1 != entries.size()) {
-      throw SuiteError(path + ".duration",
-                       "0 (run to the end) is legal for the last stage only");
-    }
-    stages.push_back(std::move(stage));
-  }
-  return stages;
-}
-
-EngineOptions parse_engine(Fields& fields) {
-  EngineOptions options;
-  options.speedup_rounds =
-      static_cast<int>(fields.integer("speedup", options.speedup_rounds, 1, 16));
-  options.endpoint_capacity =
-      static_cast<int>(fields.integer("capacity", options.endpoint_capacity, 1, 64));
-  options.reconfig_delay =
-      static_cast<Delay>(fields.integer("reconfig_delay", options.reconfig_delay, 0, kMaxDelay));
-  if (options.reconfig_delay > 0 && options.endpoint_capacity != 1) {
-    throw SuiteError(fields.path_of("reconfig_delay"),
-                     "requires capacity == 1 (the engine's reconfiguration-delay "
-                     "extension is defined on the matching model)");
-  }
-  options.audit = fields.boolean("audit", options.audit);
-  // Observability: cells run with the engine probe on and their rows grow
-  // phase_<name>_ns metrics. Aggregates only -- no raw-span ring; the
-  // rdcn_cli profile subcommand is the trace-export front end.
-  options.probe.enabled = fields.boolean("profile", options.probe.enabled);
-  return options;
-}
-
-std::string default_engine_label(const EngineOptions& options) {
+std::string default_label(const SuiteEngine& entry) {
+  const EngineOptions& options = entry.options;
   std::string label = "s" + std::to_string(options.speedup_rounds) + "c" +
                       std::to_string(options.endpoint_capacity) + "r" +
                       std::to_string(options.reconfig_delay);
@@ -438,90 +66,136 @@ std::string default_engine_label(const EngineOptions& options) {
   return label;
 }
 
-void check_label(const std::string& path, const std::string& label) {
-  if (label.empty()) throw SuiteError(path, "labels must be non-empty");
-  if (label.find('/') != std::string::npos) {
-    throw SuiteError(path, "label \"" + label + "\" may not contain '/'"
-                           " (labels compose cell names)");
-  }
-}
+/// Reads one record (see fields() below) from the JSON object at `path`.
+template <typename Record, typename... Context>
+Record read_record(const json::Value& value, const std::string& path,
+                   const Context&... context);
+/// The record's normalized JSON object.
+template <typename Record, typename... Context>
+json::Value write_record(const Record& record, const Context&... context);
+std::vector<StageSpec> read_stages(const json::Value& value, const std::string& path);
+json::Value write_stages(const std::vector<StageSpec>& stages);
 
-template <typename Entry>
-void check_unique_labels(const std::string& axis, const std::vector<Entry>& entries) {
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = i + 1; j < entries.size(); ++j) {
-      if (entries[i].label == entries[j].label) {
-        throw SuiteError(axis + "[" + std::to_string(j) + "].name",
-                         "duplicate label \"" + entries[j].label +
-                             "\"; give each axis entry a distinct \"name\"");
-      }
+// --- reader and writer ------------------------------------------------------
+//
+// Every record is declared once, by a fields(io, record) function further
+// down that names each key in normalized order with its type and range,
+// and states the record's cross-field rules right after the key they
+// reject. A Reader runs a declaration to parse, a Writer runs the same
+// declaration to emit, so parsing and the normalized form cannot drift.
+
+/// Parses one JSON object: typed getters with range checks, every error
+/// naming the full JSON path, absent keys leaving the record's default
+/// member values, and finish() rejecting every key no getter named.
+class Reader {
+ public:
+  static constexpr bool kWrites = false;
+
+  Reader(const json::Value& value, std::string path) : path_(std::move(path)) {
+    if (!value.is_object()) {
+      throw SuiteError(path_,
+                       std::string("expected an object, found ") + value.type_name());
+    }
+    object_ = &value.as_object();
+  }
+
+  /// A required string.
+  void text(const char* key, std::string& slot) {
+    const json::Value* value = member(key);
+    if (!value) reject("required key is missing");
+    slot = string_of(*value);
+  }
+
+  /// An axis entry's label; absent leaves `slot` empty for the default.
+  void label(const char* key, std::string& slot) {
+    const json::Value* value = member(key);
+    if (!value) return;
+    slot = string_of(*value);
+    if (slot.empty()) reject("labels must be non-empty");
+    if (slot.find('/') != std::string::npos) reject(slash_error(slot));
+  }
+
+  template <typename Int>
+  void integer(const char* key, Int& slot, std::int64_t lo, std::int64_t hi) {
+    const json::Value* value = member(key);
+    if (!value) return;
+    if (!value->is_integer()) type_error("an integer", *value);
+    const std::int64_t parsed = value->as_integer();
+    if (parsed < lo || parsed > hi) {
+      reject(std::to_string(parsed) + " is out of range [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]");
+    }
+    slot = static_cast<Int>(parsed);
+  }
+
+  void real(const char* key, double& slot, double lo, double hi) {
+    const json::Value* value = member(key);
+    if (!value) return;
+    if (!value->is_number()) type_error("a number", *value);
+    const double parsed = value->as_number();
+    if (!(parsed >= lo && parsed <= hi)) {
+      std::ostringstream what;
+      what << parsed << " is out of range [" << lo << ", " << hi << "]";
+      reject(what.str());
+    }
+    slot = parsed;
+  }
+
+  void boolean(const char* key, bool& slot) {
+    const json::Value* value = member(key);
+    if (!value) return;
+    if (!value->is_bool()) type_error("true or false", *value);
+    slot = value->as_bool();
+  }
+
+  /// An enum by its name in `names`.
+  template <typename Enum, typename Table>
+  void choice(const char* key, Enum& slot, const Table& names, bool required = false) {
+    const json::Value* value = member(key);
+    if (!value) {
+      if (required) reject("required key is missing");
+      return;
+    }
+    const std::string& text = string_of(*value);
+    if (!value_of(names, text, slot)) {
+      reject("unknown value \"" + text + "\"; known:" + known_names(names));
     }
   }
-}
 
-template <typename Fn>
-void parse_axis(Fields& doc, const char* key, bool required, Fn&& parse_entry) {
-  const json::Value* value = doc.member(key);
-  if (!value) {
-    if (required) throw SuiteError(key, "required key is missing");
-    return;
-  }
-  if (!value->is_array()) {
-    throw SuiteError(key, std::string("expected an array, found ") + value->type_name());
-  }
-  const json::Array& entries = value->as_array();
-  if (required && entries.empty()) {
-    throw SuiteError(key, "needs at least one entry");
-  }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    parse_entry(entries[i], std::string(key) + "[" + std::to_string(i) + "]");
-  }
-}
-
-}  // namespace
-
-SuiteSpec parse_suite(const std::string& json_text) {
-  json::Value document;
-  try {
-    document = json::parse(json_text);
-  } catch (const json::ParseError& error) {
-    throw SuiteError("", std::string("malformed JSON: ") + error.what());
-  }
-
-  Fields doc(document, "");
-  SuiteSpec suite;
-  suite.name = doc.required_str("suite");
-  if (suite.name.empty()) throw SuiteError("suite", "suite name must be non-empty");
-  check_label("suite", suite.name);  // the name prefixes every cell name
-
-  suite.mode = parse_enum<SuiteSpec::Mode>(
-      "mode", doc.str("mode", "batch"),
-      {{"batch", SuiteSpec::Mode::Batch}, {"stream", SuiteSpec::Mode::Stream}});
-
-  if (const json::Value* seeds = doc.member("seeds")) {
-    Fields fields(*seeds, "seeds");
-    suite.base_seed = static_cast<std::uint64_t>(
-        fields.integer("base", 1, 0, std::numeric_limits<std::int64_t>::max()));
-    suite.repetitions =
-        static_cast<std::size_t>(fields.integer("repetitions", 3, 1, 100'000));
-    fields.finish();
-  }
-
-  // Policies, validated against the registry so a typo fails at parse time.
-  {
-    const json::Value* value = doc.member("policies");
-    if (!value) throw SuiteError("policies", "required key is missing");
-    if (!value->is_array()) {
-      throw SuiteError("policies",
-                       std::string("expected an array, found ") + value->type_name());
-    }
-    const json::Array& entries = value->as_array();
-    if (entries.empty()) throw SuiteError("policies", "needs at least one policy");
+  /// An array of indices in [0, hi]; element errors name "key[j]".
+  template <typename Index>
+  void indices(const char* key, std::vector<Index>& slot, std::int64_t hi) {
+    const json::Value* value = member(key);
+    if (!value) return;
+    const json::Array& entries = array_of(*value);
+    slot.clear();
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      const std::string path = "policies[" + std::to_string(i) + "]";
+      const std::string path = element(i);
+      if (!entries[i].is_integer()) {
+        throw SuiteError(path, std::string("expected an integer, found ") +
+                                   entries[i].type_name());
+      }
+      const std::int64_t parsed = entries[i].as_integer();
+      if (parsed < 0 || parsed > hi) {
+        throw SuiteError(path, std::to_string(parsed) + " is out of range [0, " +
+                                   std::to_string(hi) + "]");
+      }
+      slot.push_back(static_cast<Index>(parsed));
+    }
+  }
+
+  /// Required, non-empty, duplicate-free policy names, checked against
+  /// the registry so a typo fails at parse time.
+  void policies(const char* key, std::vector<std::string>& slot) {
+    const json::Value* value = member(key);
+    if (!value) reject("required key is missing");
+    const json::Array& entries = array_of(*value);
+    if (entries.empty()) reject("needs at least one policy");
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const std::string path = element(i);
       if (!entries[i].is_string()) {
-        throw SuiteError(path,
-                         std::string("expected a string, found ") + entries[i].type_name());
+        throw SuiteError(path, std::string("expected a string, found ") +
+                                   entries[i].type_name());
       }
       const std::string& name = entries[i].as_string();
       try {
@@ -531,345 +205,573 @@ SuiteSpec parse_suite(const std::string& json_text) {
         for (const std::string& entry : policy_names()) known += " " + entry;
         throw SuiteError(path, "unknown policy \"" + name + "\"; registry:" + known);
       }
-      if (std::find(suite.policies.begin(), suite.policies.end(), name) !=
-          suite.policies.end()) {
+      if (std::find(slot.begin(), slot.end(), name) != slot.end()) {
         throw SuiteError(path, "duplicate policy \"" + name + "\"");
       }
-      suite.policies.push_back(name);
+      slot.push_back(name);
     }
   }
 
-  parse_axis(doc, "topologies", /*required=*/true,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteTopology topology;
-               topology.spec = parse_topology(fields);
-               topology.label = fields.str("name", to_string(topology.spec.kind));
-               check_label(fields.path_of("name"), topology.label);
-               fields.finish();
-               suite.topologies.push_back(std::move(topology));
-             });
-  check_unique_labels("topologies", suite.topologies);
-
-  parse_axis(doc, "workloads", /*required=*/suite.mode == SuiteSpec::Mode::Batch,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteWorkload workload;
-               workload.config = parse_workload(fields);
-               workload.label = fields.str("name", to_string(workload.config.skew));
-               check_label(fields.path_of("name"), workload.label);
-               fields.finish();
-               suite.workloads.push_back(std::move(workload));
-             });
-  check_unique_labels("workloads", suite.workloads);
-  if (suite.mode == SuiteSpec::Mode::Stream && !suite.workloads.empty()) {
-    throw SuiteError("workloads", "only valid when mode is \"batch\" (stream suites "
-                                  "describe arrivals under \"traffic\")");
-  }
-
-  parse_axis(doc, "traffic", /*required=*/suite.mode == SuiteSpec::Mode::Stream,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteTraffic traffic;
-               traffic.config = parse_traffic(fields);
-               traffic.label = fields.str(
-                   "name", traffic.config.process == ArrivalProcess::OnOff ? "onoff"
-                                                                           : "poisson");
-               check_label(fields.path_of("name"), traffic.label);
-               fields.finish();
-               suite.traffic.push_back(std::move(traffic));
-             });
-  check_unique_labels("traffic", suite.traffic);
-  if (suite.mode == SuiteSpec::Mode::Batch && !suite.traffic.empty()) {
-    throw SuiteError("traffic", "only valid when mode is \"stream\" (batch suites "
-                                "describe finite workloads under \"workloads\")");
-  }
-
-  parse_axis(doc, "engines", /*required=*/false,
-             [&suite](const json::Value& entry, const std::string& path) {
-               Fields fields(entry, path);
-               SuiteEngine engine;
-               engine.options = parse_engine(fields);
-               engine.label = fields.str("name", default_engine_label(engine.options));
-               check_label(fields.path_of("name"), engine.label);
-               fields.finish();
-               suite.engines.push_back(std::move(engine));
-             });
-  if (suite.engines.empty()) {
-    suite.engines.push_back({default_engine_label(EngineOptions{}), EngineOptions{}});
-  }
-  check_unique_labels("engines", suite.engines);
-
-  if (const json::Value* stream = doc.member("stream")) {
-    if (suite.mode != SuiteSpec::Mode::Stream) {
-      throw SuiteError("stream", "only valid when mode is \"stream\"");
+  /// A grid axis: an array of labelled records with distinct labels.
+  /// `excluded`, when set, is why the suite's mode rejects a non-empty one.
+  template <typename Entry>
+  void entries(const char* key, std::vector<Entry>& slot, bool required,
+               const char* excluded = nullptr) {
+    const json::Value* value = member(key);
+    if (!value) {
+      if (required) reject("required key is missing");
+      return;
     }
-    Fields fields(*stream, "stream");
-    suite.warmup_packets =
-        static_cast<std::size_t>(fields.integer("warmup", 1000, 0, 100'000'000));
-    suite.measure_packets =
-        static_cast<std::size_t>(fields.integer("measure", 10000, 1, 1'000'000'000));
-    suite.telemetry_window = static_cast<Time>(fields.integer("window", 256, 1, 1'000'000));
-    suite.max_steps = static_cast<Time>(
-        fields.integer("max_steps", 0, 0, std::numeric_limits<std::int64_t>::max()));
-    suite.step_cap_factor = fields.real("step_cap_factor", 8.0, 1.0, 1000.0);
-    fields.finish();
-  }
-
-  if (const json::Value* stages = doc.member("stages")) {
-    if (suite.mode != SuiteSpec::Mode::Stream) {
-      throw SuiteError("stages", "only valid when mode is \"stream\" (a stage "
-                                 "schedule drives the open-loop StreamRunner)");
+    const json::Array& elements = array_of(*value);
+    if (required && elements.empty()) reject("needs at least one entry");
+    for (std::size_t i = 0; i < elements.size(); ++i) {
+      Entry entry = read_record<Entry>(elements[i], element(i));
+      if (entry.label.empty()) entry.label = default_label(entry);
+      slot.push_back(std::move(entry));
     }
-    suite.stages = parse_stage_entries(*stages, "stages");
+    for (std::size_t i = 0; i < slot.size(); ++i) {
+      for (std::size_t j = i + 1; j < slot.size(); ++j) {
+        if (slot[i].label == slot[j].label) {
+          throw SuiteError(element(j) + ".name",
+                           "duplicate label \"" + slot[j].label +
+                               "\"; give each axis entry a distinct \"name\"");
+        }
+      }
+    }
+    if (excluded && !slot.empty()) reject(excluded);
   }
 
-  doc.finish();
-  return suite;
-}
-
-SuiteSpec load_suite_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open suite file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parse_suite(text.str());
-  } catch (const SuiteError& error) {
-    // Re-wrap so the message leads with the file; the JSON path survives
-    // inside what() (it prefixes the original message).
-    throw SuiteError("", path + ": " + error.what());
+  /// An optional nested record, declared by `read(reader)`; `excluded`,
+  /// when set, is why the suite's mode rejects it.
+  template <typename Declaration>
+  void object(const char* key, const char* excluded, Declaration&& read) {
+    if (const json::Value* value = optional(key, excluded)) {
+      Reader reader(*value, last_);
+      read(reader);
+      reader.finish();
+    }
   }
-}
 
-std::vector<StageSpec> parse_stages_json(const std::string& json_text) {
-  json::Value document;
-  try {
-    document = json::parse(json_text);
-  } catch (const json::ParseError& error) {
-    throw SuiteError("", std::string("malformed JSON: ") + error.what());
+  /// An optional stage schedule (see read_stages), like object().
+  void stages(const char* key, std::vector<StageSpec>& slot, const char* excluded) {
+    if (const json::Value* value = optional(key, excluded)) {
+      slot = read_stages(*value, last_);
+    }
   }
-  return parse_stage_entries(document, "stages");
-}
 
-std::vector<StageSpec> load_stages_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open stages file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parse_stages_json(text.str());
-  } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": " + error.what());
+  /// A format tag that must be present and equal `expected`.
+  void version(const char* key, std::int64_t expected) {
+    const json::Value* value = member(key);
+    if (!value || !value->is_integer() || value->as_integer() != expected) {
+      reject("missing or unsupported journal version");
+    }
   }
+
+  /// Rejects the value of the key declared last: a cross-field rule sits
+  /// right after the key it rejects.
+  [[noreturn]] void reject(const std::string& message) const {
+    throw SuiteError(last_, message);
+  }
+
+  /// Rejects the value at `path` below this object.
+  [[noreturn]] void reject_at(const std::string& path, const std::string& message) const {
+    throw SuiteError(path_of(path), message);
+  }
+
+  /// Rejects every key no getter named, listing what the object accepts.
+  void finish() const {
+    for (const json::Member& entry : *object_) {
+      if (std::find(allowed_.begin(), allowed_.end(), entry.first) != allowed_.end()) {
+        continue;
+      }
+      std::string known;
+      for (const std::string& key : allowed_) known += " " + key;
+      throw SuiteError(path_of(entry.first), "unknown key; this object accepts:" + known);
+    }
+  }
+
+ private:
+  std::string path_of(const std::string& key) const {
+    return path_.empty() ? key : path_ + "." + key;
+  }
+
+  std::string element(std::size_t i) const {
+    return last_ + "[" + std::to_string(i) + "]";
+  }
+
+  const json::Value* member(const char* key) {
+    allowed_.emplace_back(key);
+    last_ = path_of(key);
+    for (const json::Member& entry : *object_) {
+      if (entry.first == key) return &entry.second;
+    }
+    return nullptr;
+  }
+
+  const json::Value* optional(const char* key, const char* excluded) {
+    const json::Value* value = member(key);
+    if (value && excluded) reject(excluded);
+    return value;
+  }
+
+  [[noreturn]] void type_error(const char* expected, const json::Value& value) const {
+    reject(std::string("expected ") + expected + ", found " + value.type_name());
+  }
+
+  const std::string& string_of(const json::Value& value) const {
+    if (!value.is_string()) type_error("a string", value);
+    return value.as_string();
+  }
+
+  const json::Array& array_of(const json::Value& value) const {
+    if (!value.is_array()) type_error("an array", value);
+    return value.as_array();
+  }
+
+  const json::Object* object_;
+  std::string path_;
+  std::string last_;  ///< path of the key named last
+  std::vector<std::string> allowed_;
+};
+
+/// Emits a record's normalized form: every key in declaration order with
+/// its value, defaults included. Rules bind input only, so reject() is a
+/// no-op here.
+class Writer {
+ public:
+  static constexpr bool kWrites = true;
+
+  void text(const char* key, const std::string& value) {
+    object_.emplace_back(key, value);
+  }
+  void label(const char* key, const std::string& value) { text(key, value); }
+
+  template <typename Int>
+  void integer(const char* key, Int value, std::int64_t, std::int64_t) {
+    object_.emplace_back(key, static_cast<std::int64_t>(value));
+  }
+
+  void real(const char* key, double value, double, double) {
+    object_.emplace_back(key, value);
+  }
+
+  void boolean(const char* key, bool value) { object_.emplace_back(key, value); }
+
+  template <typename Enum, typename Table>
+  void choice(const char* key, Enum value, const Table& names, bool = false) {
+    object_.emplace_back(key, name_of(names, value));
+  }
+
+  template <typename Index>
+  void indices(const char* key, const std::vector<Index>& values, std::int64_t) {
+    json::Array array;
+    for (const Index index : values) array.emplace_back(static_cast<std::int64_t>(index));
+    object_.emplace_back(key, json::Value(std::move(array)));
+  }
+
+  void policies(const char* key, const std::vector<std::string>& names) {
+    object_.emplace_back(key, json::Value(json::Array(names.begin(), names.end())));
+  }
+
+  template <typename Entry>
+  void entries(const char* key, const std::vector<Entry>& values, bool,
+               const char* excluded = nullptr) {
+    if (excluded) return;
+    json::Array array;
+    for (const Entry& entry : values) array.push_back(write_record(entry));
+    object_.emplace_back(key, json::Value(std::move(array)));
+  }
+
+  template <typename Declaration>
+  void object(const char* key, const char* excluded, Declaration&& write) {
+    if (excluded) return;
+    Writer writer;
+    write(writer);
+    object_.emplace_back(key, std::move(writer).value());
+  }
+
+  void stages(const char* key, const std::vector<StageSpec>& values,
+              const char* excluded) {
+    if (excluded || values.empty()) return;
+    object_.emplace_back(key, write_stages(values));
+  }
+
+  void version(const char* key, std::int64_t value) { object_.emplace_back(key, value); }
+
+  void reject(const std::string&) const {}
+  void reject_at(const std::string&, const std::string&) const {}
+
+  json::Value value() && { return json::Value(std::move(object_)); }
+
+ private:
+  json::Object object_;
+};
+
+/// The record a declaration binds: mutable for the Reader, const for the
+/// Writer, so emitting cannot change what it emits.
+template <typename IO, typename T>
+using Record = std::conditional_t<IO::kWrites, const T, T>;
+
+// --- the schema: one declaration per record ---------------------------------
+
+template <typename IO>
+void fields(IO& io, Record<IO, TwoTierConfig>& net) {
+  io.integer("racks", net.racks, 2, kMaxRacks);
+  io.integer("lasers", net.lasers_per_rack, 1, kMaxPorts);
+  io.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  io.real("density", net.density, 0.0, 1.0);
+  io.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
+  io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+  io.boolean("allow_self_edges", net.allow_self_edges);
 }
 
-// --- normalized writer ------------------------------------------------------
+template <typename IO>
+void fields(IO& io, Record<IO, OversubscribedConfig>& net) {
+  io.integer("racks", net.racks, 2, kMaxRacks);
+  io.integer("hot_racks", net.hot_racks, 0, kMaxRacks);
+  if (net.hot_racks > net.racks) {
+    io.reject(std::to_string(net.hot_racks) + " exceeds racks (" +
+              std::to_string(net.racks) + ")");
+  }
+  io.integer("hot_lasers", net.hot_lasers, 1, kMaxPorts);
+  io.integer("hot_photodetectors", net.hot_photodetectors, 1, kMaxPorts);
+  io.integer("cold_lasers", net.cold_lasers, 1, kMaxPorts);
+  io.integer("cold_photodetectors", net.cold_photodetectors, 1, kMaxPorts);
+  io.real("density", net.density, 0.0, 1.0);
+  io.integer("fast_delay", net.fast_delay, 1, kMaxDelay);
+  io.integer("slow_delay", net.slow_delay, 1, kMaxDelay);
+  if (net.slow_delay < net.fast_delay) {
+    io.reject(std::to_string(net.slow_delay) + " is below fast_delay (" +
+              std::to_string(net.fast_delay) + ")");
+  }
+  io.real("slow_fraction", net.slow_fraction, 0.0, 1.0);
+  io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.integer("fixed_base_delay", net.fixed_base_delay, 0, kMaxDelay);
+  io.real("oversubscription", net.oversubscription, 1.0, 64.0);
+}
 
-namespace {
+template <typename IO>
+void fields(IO& io, Record<IO, ExpanderConfig>& net) {
+  io.integer("racks", net.racks, 2, kMaxRacks);
+  io.integer("degree", net.degree, 1, kMaxRacks);
+  if (net.degree > net.racks - 1) {
+    io.reject(std::to_string(net.degree) + " exceeds racks - 1 (" +
+              std::to_string(net.racks - 1) + ")");
+  }
+  io.integer("lasers", net.lasers_per_rack, 1, kMaxPorts);
+  io.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  io.integer("min_edge_delay", net.min_edge_delay, 1, kMaxDelay);
+  io.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
+  if (net.max_edge_delay < net.min_edge_delay) {
+    io.reject(std::to_string(net.max_edge_delay) + " is below min_edge_delay (" +
+              std::to_string(net.min_edge_delay) + ")");
+  }
+  io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+}
 
-json::Value topology_to_json(const SuiteTopology& topology) {
-  json::Object object;
-  object.emplace_back("name", topology.label);
-  object.emplace_back("kind", to_string(topology.spec.kind));
-  switch (topology.spec.kind) {
-    case TopologySpec::Kind::TwoTier: {
-      const auto& net = topology.spec.two_tier;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("lasers", static_cast<std::int64_t>(net.lasers_per_rack));
-      object.emplace_back("photodetectors",
-                          static_cast<std::int64_t>(net.photodetectors_per_rack));
-      object.emplace_back("density", net.density);
-      object.emplace_back("max_edge_delay", static_cast<std::int64_t>(net.max_edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
-      object.emplace_back("allow_self_edges", net.allow_self_edges);
+template <typename IO>
+void fields(IO& io, Record<IO, RotorConfig>& net) {
+  io.integer("racks", net.racks, 2, kMaxRacks);
+  io.integer("ports", net.ports_per_rack, 1, kMaxPorts);
+  io.integer("matchings", net.num_matchings, 0, kMaxRacks);
+  if (net.num_matchings > net.racks - 1) {
+    io.reject(std::to_string(net.num_matchings) + " exceeds racks - 1 (" +
+              std::to_string(net.racks - 1) + "); 0 selects all offsets");
+  }
+  io.integer("edge_delay", net.edge_delay, 1, kMaxDelay);
+  io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
+  io.integer("fixed_link_delay", net.fixed_link_delay, 0, kMaxDelay);
+}
+
+template <typename IO>
+void fields(IO& io, Record<IO, SuiteTopology>& topology) {
+  auto& spec = topology.spec;
+  io.label("name", topology.label);
+  io.choice("kind", spec.kind, kTopologyKindNames, /*required=*/true);
+  switch (spec.kind) {
+    case TopologySpec::Kind::TwoTier:
+      fields(io, spec.two_tier);
       break;
-    }
     case TopologySpec::Kind::Crossbar:
-      object.emplace_back("ports", static_cast<std::int64_t>(topology.spec.crossbar_ports));
+      io.integer("ports", spec.crossbar_ports, 2, kMaxRacks);
       break;
-    case TopologySpec::Kind::Oversubscribed: {
-      const auto& net = topology.spec.oversubscribed;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("hot_racks", static_cast<std::int64_t>(net.hot_racks));
-      object.emplace_back("hot_lasers", static_cast<std::int64_t>(net.hot_lasers));
-      object.emplace_back("hot_photodetectors",
-                          static_cast<std::int64_t>(net.hot_photodetectors));
-      object.emplace_back("cold_lasers", static_cast<std::int64_t>(net.cold_lasers));
-      object.emplace_back("cold_photodetectors",
-                          static_cast<std::int64_t>(net.cold_photodetectors));
-      object.emplace_back("density", net.density);
-      object.emplace_back("fast_delay", static_cast<std::int64_t>(net.fast_delay));
-      object.emplace_back("slow_delay", static_cast<std::int64_t>(net.slow_delay));
-      object.emplace_back("slow_fraction", net.slow_fraction);
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_base_delay",
-                          static_cast<std::int64_t>(net.fixed_base_delay));
-      object.emplace_back("oversubscription", net.oversubscription);
+    case TopologySpec::Kind::Oversubscribed:
+      fields(io, spec.oversubscribed);
       break;
-    }
-    case TopologySpec::Kind::Expander: {
-      const auto& net = topology.spec.expander;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("degree", static_cast<std::int64_t>(net.degree));
-      object.emplace_back("lasers", static_cast<std::int64_t>(net.lasers_per_rack));
-      object.emplace_back("photodetectors",
-                          static_cast<std::int64_t>(net.photodetectors_per_rack));
-      object.emplace_back("min_edge_delay", static_cast<std::int64_t>(net.min_edge_delay));
-      object.emplace_back("max_edge_delay", static_cast<std::int64_t>(net.max_edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
+    case TopologySpec::Kind::Expander:
+      fields(io, spec.expander);
       break;
-    }
-    case TopologySpec::Kind::Rotor: {
-      const auto& net = topology.spec.rotor;
-      object.emplace_back("racks", static_cast<std::int64_t>(net.racks));
-      object.emplace_back("ports", static_cast<std::int64_t>(net.ports_per_rack));
-      object.emplace_back("matchings", static_cast<std::int64_t>(net.num_matchings));
-      object.emplace_back("edge_delay", static_cast<std::int64_t>(net.edge_delay));
-      object.emplace_back("attach_delay", static_cast<std::int64_t>(net.attach_delay));
-      object.emplace_back("fixed_link_delay",
-                          static_cast<std::int64_t>(net.fixed_link_delay));
+    case TopologySpec::Kind::Rotor:
+      fields(io, spec.rotor);
       break;
+  }
+  io.integer("seed_salt", spec.seed_salt, 0, kMaxInt);
+  io.boolean("fixed_wiring", spec.fixed_wiring);
+}
+
+/// Shape keys shared by batch workloads and stream traffic.
+template <typename IO>
+void shape_fields(IO& io, Record<IO, WorkloadConfig>& shape) {
+  io.choice("skew", shape.skew, kPairSkewNames);
+  io.real("zipf_exponent", shape.zipf_exponent, 0.0, 8.0);
+  io.real("hotspot_fraction", shape.hotspot_fraction, 0.0, 1.0);
+  io.choice("weights", shape.weights, kWeightDistNames);
+  io.integer("weight_max", shape.weight_max, 1, 1'000'000'000);
+  io.real("pareto_shape", shape.pareto_shape, 1.01, 16.0);
+  io.real("elephant_fraction", shape.elephant_fraction, 0.0, 1.0);
+}
+
+template <typename IO>
+void fields(IO& io, Record<IO, SuiteWorkload>& workload) {
+  auto& config = workload.config;
+  io.label("name", workload.label);
+  io.integer("packets", config.num_packets, 1, 10'000'000);
+  io.real("rate", config.arrival_rate, 1e-6, 1e6);
+  shape_fields(io, config);
+  io.boolean("bursty", config.bursty);
+  io.real("burst_off_prob", config.burst_off_prob, 0.0, 0.999);
+}
+
+template <typename IO>
+void fields(IO& io, Record<IO, SuiteTraffic>& traffic) {
+  auto& config = traffic.config;
+  io.label("name", traffic.label);
+  io.choice("process", config.process, kArrivalProcessNames);
+  io.real("rho", config.rho, 1e-6, 8.0);
+  io.choice("capacity_model", config.capacity_model, kCapacityModelNames);
+  shape_fields(io, config.shape);
+  io.real("on_stay", config.on_stay, 0.0, 0.999);
+  io.real("off_stay", config.off_stay, 0.0, 0.999);
+  io.real("max_zero_demand_fraction", config.max_zero_demand_fraction, 0.0, 1.0);
+}
+
+template <typename IO>
+void fields(IO& io, Record<IO, SuiteEngine>& engine) {
+  auto& options = engine.options;
+  io.label("name", engine.label);
+  io.integer("speedup", options.speedup_rounds, 1, 16);
+  io.integer("capacity", options.endpoint_capacity, 1, 64);
+  io.integer("reconfig_delay", options.reconfig_delay, 0, kMaxDelay);
+  if (options.reconfig_delay > 0 && options.endpoint_capacity != 1) {
+    io.reject("requires capacity == 1 (the engine's reconfiguration-delay "
+              "extension is defined on the matching model)");
+  }
+  io.boolean("audit", options.audit);
+  // Observability: cells run with the engine probe on and their rows grow
+  // phase_<name>_ns metrics. Aggregates only -- no raw-span ring; the
+  // rdcn_cli profile subcommand is the trace-export front end.
+  io.boolean("profile", options.probe.enabled);
+}
+
+/// A stage traffic override is in range or -1, which inherits the traffic
+/// axis; the declared range admits -1, this rejects the gap above it.
+bool bad_override(double value) { return value != -1.0 && !(value > 0.0); }
+
+template <typename IO>
+void fields(IO& io, Record<IO, StageSpec>& stage) {
+  const std::string inherit = ", or -1 to inherit the traffic axis";
+  auto& mutation = stage.mutation;
+  io.integer("duration", stage.duration, 0, 1'000'000'000'000);
+  io.real("rho", stage.rho, -1.0, 8.0);
+  if (bad_override(stage.rho)) io.reject("must be positive" + inherit);
+  io.real("on_stay", stage.on_stay, -1.0, 0.999);
+  if (bad_override(stage.on_stay)) io.reject("must be in (0, 1)" + inherit);
+  io.real("off_stay", stage.off_stay, -1.0, 0.999);
+  if (bad_override(stage.off_stay)) io.reject("must be in (0, 1)" + inherit);
+  io.indices("kill_edges", mutation.kill_edges, kMaxIndex);
+  io.indices("restore_edges", mutation.restore_edges, kMaxIndex);
+  io.indices("kill_racks", mutation.kill_racks, kMaxRacks);
+  io.indices("restore_racks", mutation.restore_racks, kMaxRacks);
+  io.integer("speedup", mutation.speedup_rounds, 0, 16);
+  io.integer("capacity", mutation.endpoint_capacity, 0, 64);
+  io.choice("dead", mutation.dead_policy, kDeadPolicyNames);
+}
+
+template <typename IO>
+void seeds_fields(IO& io, Record<IO, SuiteSpec>& suite) {
+  io.integer("base", suite.base_seed, 0, kMaxInt);
+  io.integer("repetitions", suite.repetitions, 1, 100'000);
+}
+
+template <typename IO>
+void stream_fields(IO& io, Record<IO, SuiteSpec>& suite) {
+  io.integer("warmup", suite.warmup_packets, 0, 100'000'000);
+  io.integer("measure", suite.measure_packets, 1, 1'000'000'000);
+  io.integer("window", suite.telemetry_window, 1, 1'000'000);
+  io.integer("max_steps", suite.max_steps, 0, kMaxInt);
+  io.real("step_cap_factor", suite.step_cap_factor, 1.0, 1000.0);
+}
+
+/// The suite document. The mode decides which axes it needs.
+template <typename IO>
+void fields(IO& io, Record<IO, SuiteSpec>& suite) {
+  io.text("suite", suite.name);
+  if (suite.name.empty()) io.reject("suite name must be non-empty");
+  // The name prefixes every cell name, so it obeys the label rule.
+  if (suite.name.find('/') != std::string::npos) io.reject(slash_error(suite.name));
+  io.choice("mode", suite.mode, kModeNames);
+  // Each mode requires its own axis and rejects the other mode's keys,
+  // for the reason given beside each.
+  const bool batch = suite.mode == SuiteSpec::Mode::Batch;
+  const auto batch_only = [batch](const char* why) { return batch ? nullptr : why; };
+  const auto stream_only = [batch](const char* why) { return batch ? why : nullptr; };
+  io.object("seeds", nullptr, [&suite](auto& seeds) { seeds_fields(seeds, suite); });
+  io.policies("policies", suite.policies);
+  io.entries("engines", suite.engines, /*required=*/false);
+  io.entries("topologies", suite.topologies, /*required=*/true);
+  io.entries("workloads", suite.workloads, batch,
+             batch_only("only valid when mode is \"batch\" (stream suites describe "
+                        "arrivals under \"traffic\")"));
+  io.entries("traffic", suite.traffic, !batch,
+             stream_only("only valid when mode is \"stream\" (batch suites describe "
+                         "finite workloads under \"workloads\")"));
+  io.object("stream", stream_only("only valid when mode is \"stream\""),
+            [&suite](auto& knobs) { stream_fields(knobs, suite); });
+  io.stages("stages", suite.stages,
+            stream_only("only valid when mode is \"stream\" (a stage schedule drives "
+                        "the open-loop StreamRunner)"));
+  // The reconfiguration-delay extension is defined on the matching model,
+  // so no stage may raise endpoint capacity under an engine that uses it.
+  for (std::size_t i = 0; i < suite.stages.size(); ++i) {
+    const int capacity = suite.stages[i].mutation.endpoint_capacity;
+    for (const auto& engine : suite.engines) {
+      const Delay delay = engine.options.reconfig_delay;
+      if (capacity > 1 && delay > 0) {
+        io.reject_at("stages[" + std::to_string(i) + "].capacity",
+                     std::to_string(capacity) + " requires reconfig_delay == 0, but " +
+                         "engine \"" + engine.label + "\" has reconfig_delay " +
+                         std::to_string(delay));
+      }
     }
   }
-  object.emplace_back("seed_salt", static_cast<std::int64_t>(topology.spec.seed_salt));
-  object.emplace_back("fixed_wiring", topology.spec.fixed_wiring);
-  return json::Value(std::move(object));
 }
 
-void shape_to_json(const WorkloadConfig& shape, json::Object& object) {
-  object.emplace_back("skew", to_string(shape.skew));
-  object.emplace_back("zipf_exponent", shape.zipf_exponent);
-  object.emplace_back("hotspot_fraction", shape.hotspot_fraction);
-  object.emplace_back("weights", to_string(shape.weights));
-  object.emplace_back("weight_max", shape.weight_max);
-  object.emplace_back("pareto_shape", shape.pareto_shape);
-  object.emplace_back("elephant_fraction", shape.elephant_fraction);
+/// The journal's first line.
+struct JournalHeader {
+  std::string suite;
+  std::int64_t cells = -1;
+  std::string spec;  ///< normalized suite text
+};
+
+template <typename IO>
+void fields(IO& io, Record<IO, JournalHeader>& header) {
+  io.version("rdcn_suite_journal", 1);
+  io.text("suite", header.suite);  // informational; the spec text is authoritative
+  io.integer("cells", header.cells, -1, kMaxInt);
+  if (header.cells < 0) io.reject("required key is missing");
+  io.text("spec", header.spec);
 }
 
-json::Value workload_to_json(const SuiteWorkload& workload) {
-  json::Object object;
-  object.emplace_back("name", workload.label);
-  object.emplace_back("packets", static_cast<std::int64_t>(workload.config.num_packets));
-  object.emplace_back("rate", workload.config.arrival_rate);
-  shape_to_json(workload.config, object);
-  object.emplace_back("bursty", workload.config.bursty);
-  object.emplace_back("burst_off_prob", workload.config.burst_off_prob);
-  return json::Value(std::move(object));
+/// One recorded cell of the suite whose cells are named `names`.
+struct JournalCell {
+  std::int64_t cell = -1;
+  std::string name;
+  std::string row;  ///< the emitted JSON row, verbatim
+};
+
+template <typename IO>
+void fields(IO& io, Record<IO, JournalCell>& line,
+            const std::vector<std::string>& names) {
+  io.integer("cell", line.cell, -1, static_cast<std::int64_t>(names.size()) - 1);
+  if (line.cell < 0) io.reject("required key is missing or out of range");
+  io.text("name", line.name);
+  const std::string& expected = names[static_cast<std::size_t>(line.cell)];
+  if (line.name != expected) {
+    io.reject("cell " + std::to_string(line.cell) + " is named \"" + expected +
+              "\" in the spec, not \"" + line.name + "\"");
+  }
+  io.text("row", line.row);
 }
 
-json::Value traffic_to_json(const SuiteTraffic& traffic) {
-  json::Object object;
-  object.emplace_back("name", traffic.label);
-  object.emplace_back(
-      "process", traffic.config.process == ArrivalProcess::OnOff ? "onoff" : "poisson");
-  object.emplace_back("rho", traffic.config.rho);
-  object.emplace_back("capacity_model",
-                      traffic.config.capacity_model == CapacityModel::MaxMatching
-                          ? "max_matching"
-                          : "ports");
-  shape_to_json(traffic.config.shape, object);
-  object.emplace_back("on_stay", traffic.config.on_stay);
-  object.emplace_back("off_stay", traffic.config.off_stay);
-  object.emplace_back("max_zero_demand_fraction", traffic.config.max_zero_demand_fraction);
-  return json::Value(std::move(object));
+template <typename Record, typename... Context>
+Record read_record(const json::Value& value, const std::string& path,
+                   const Context&... context) {
+  Record record;
+  Reader reader(value, path);
+  fields(reader, record, context...);
+  reader.finish();
+  return record;
 }
 
-template <typename Index>
-json::Value indices_to_json(const std::vector<Index>& indices) {
+template <typename Record, typename... Context>
+json::Value write_record(const Record& record, const Context&... context) {
+  Writer writer;
+  fields(writer, record, context...);
+  return std::move(writer).value();
+}
+
+/// Shared by the suite "stages" key and the standalone schedule document.
+std::vector<StageSpec> read_stages(const json::Value& value, const std::string& path) {
+  if (!value.is_array()) {
+    throw SuiteError(path, std::string("expected an array, found ") + value.type_name());
+  }
+  const json::Array& entries = value.as_array();
+  if (entries.empty()) throw SuiteError(path, "needs at least one stage");
+  std::vector<StageSpec> stages(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::string stage_path = path + "[" + std::to_string(i) + "]";
+    stages[i] = read_record<StageSpec>(entries[i], stage_path);
+    if (stages[i].duration == 0 && i + 1 != entries.size()) {
+      throw SuiteError(stage_path + ".duration",
+                       "0 (run to the end) is legal for the last stage only");
+    }
+  }
+  return stages;
+}
+
+json::Value write_stages(const std::vector<StageSpec>& stages) {
   json::Array array;
-  for (const Index index : indices) array.emplace_back(static_cast<std::int64_t>(index));
+  for (const StageSpec& stage : stages) array.push_back(write_record(stage));
   return json::Value(std::move(array));
 }
 
-json::Value stage_to_json(const StageSpec& stage) {
-  json::Object object;
-  object.emplace_back("duration", static_cast<std::int64_t>(stage.duration));
-  object.emplace_back("rho", stage.rho);
-  object.emplace_back("on_stay", stage.on_stay);
-  object.emplace_back("off_stay", stage.off_stay);
-  object.emplace_back("kill_edges", indices_to_json(stage.mutation.kill_edges));
-  object.emplace_back("restore_edges", indices_to_json(stage.mutation.restore_edges));
-  object.emplace_back("kill_racks", indices_to_json(stage.mutation.kill_racks));
-  object.emplace_back("restore_racks", indices_to_json(stage.mutation.restore_racks));
-  object.emplace_back("speedup", static_cast<std::int64_t>(stage.mutation.speedup_rounds));
-  object.emplace_back("capacity",
-                      static_cast<std::int64_t>(stage.mutation.endpoint_capacity));
-  object.emplace_back(
-      "dead", stage.mutation.dead_policy == DeadPolicy::Requeue ? "requeue" : "drop");
-  return json::Value(std::move(object));
+json::Value parse_document(const std::string& json_text) {
+  try {
+    return json::parse(json_text);
+  } catch (const json::ParseError& error) {
+    throw SuiteError("", std::string("malformed JSON: ") + error.what());
+  }
 }
 
-json::Value engine_to_json(const SuiteEngine& engine) {
-  json::Object object;
-  object.emplace_back("name", engine.label);
-  object.emplace_back("speedup", static_cast<std::int64_t>(engine.options.speedup_rounds));
-  object.emplace_back("capacity",
-                      static_cast<std::int64_t>(engine.options.endpoint_capacity));
-  object.emplace_back("reconfig_delay",
-                      static_cast<std::int64_t>(engine.options.reconfig_delay));
-  object.emplace_back("audit", engine.options.audit);
-  object.emplace_back("profile", engine.options.probe.enabled);
-  return json::Value(std::move(object));
+/// Reads a file and parses it; errors lead with the file name (the JSON
+/// path survives inside what(), which it prefixes).
+template <typename Parse>
+auto load_file(const std::string& path, const char* kind, Parse parse) {
+  std::ifstream in(path);
+  if (!in) throw SuiteError("", std::string("cannot open ") + kind + " file " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return parse(text.str());
+  } catch (const SuiteError& error) {
+    throw SuiteError("", path + ": " + error.what());
+  }
 }
 
 }  // namespace
 
+SuiteSpec parse_suite(const std::string& json_text) {
+  SuiteSpec suite = read_record<SuiteSpec>(parse_document(json_text), "");
+  if (suite.engines.empty()) suite.engines.push_back({default_label(SuiteEngine{}), {}});
+  return suite;
+}
+
+SuiteSpec load_suite_file(const std::string& path) {
+  return load_file(path, "suite", parse_suite);
+}
+
+std::vector<StageSpec> parse_stages_json(const std::string& json_text) {
+  return read_stages(parse_document(json_text), "stages");
+}
+
+std::vector<StageSpec> load_stages_file(const std::string& path) {
+  return load_file(path, "stages", parse_stages_json);
+}
+
 std::string suite_to_json(const SuiteSpec& spec) {
-  json::Object document;
-  document.emplace_back("suite", spec.name);
-  document.emplace_back("mode", spec.mode == SuiteSpec::Mode::Stream ? "stream" : "batch");
-  {
-    json::Object seeds;
-    seeds.emplace_back("base", static_cast<std::int64_t>(spec.base_seed));
-    seeds.emplace_back("repetitions", static_cast<std::int64_t>(spec.repetitions));
-    document.emplace_back("seeds", json::Value(std::move(seeds)));
-  }
-  {
-    json::Array policies;
-    for (const std::string& policy : spec.policies) policies.emplace_back(policy);
-    document.emplace_back("policies", json::Value(std::move(policies)));
-  }
-  {
-    json::Array engines;
-    for (const SuiteEngine& engine : spec.engines) engines.push_back(engine_to_json(engine));
-    document.emplace_back("engines", json::Value(std::move(engines)));
-  }
-  {
-    json::Array topologies;
-    for (const SuiteTopology& topology : spec.topologies) {
-      topologies.push_back(topology_to_json(topology));
-    }
-    document.emplace_back("topologies", json::Value(std::move(topologies)));
-  }
-  if (spec.mode == SuiteSpec::Mode::Batch) {
-    json::Array workloads;
-    for (const SuiteWorkload& workload : spec.workloads) {
-      workloads.push_back(workload_to_json(workload));
-    }
-    document.emplace_back("workloads", json::Value(std::move(workloads)));
-  } else {
-    json::Array traffic;
-    for (const SuiteTraffic& entry : spec.traffic) traffic.push_back(traffic_to_json(entry));
-    document.emplace_back("traffic", json::Value(std::move(traffic)));
-    json::Object stream;
-    stream.emplace_back("warmup", static_cast<std::int64_t>(spec.warmup_packets));
-    stream.emplace_back("measure", static_cast<std::int64_t>(spec.measure_packets));
-    stream.emplace_back("window", static_cast<std::int64_t>(spec.telemetry_window));
-    stream.emplace_back("max_steps", static_cast<std::int64_t>(spec.max_steps));
-    stream.emplace_back("step_cap_factor", spec.step_cap_factor);
-    document.emplace_back("stream", json::Value(std::move(stream)));
-    if (!spec.stages.empty()) {
-      json::Array stages;
-      for (const StageSpec& stage : spec.stages) stages.push_back(stage_to_json(stage));
-      document.emplace_back("stages", json::Value(std::move(stages)));
-    }
-  }
-  return json::dump(json::Value(std::move(document)), 2) + "\n";
+  return json::dump(write_record(spec), 2) + "\n";
 }
 
 // --- grid expansion ---------------------------------------------------------
@@ -975,7 +877,7 @@ json::Object line_header(const SuiteSpec& spec, const CellAxes& axes,
   params.emplace_back(spec.mode == SuiteSpec::Mode::Batch ? "workload" : "traffic",
                       axes.variant);
   params.emplace_back("engine", axes.engine->label);
-  params.emplace_back("mode", spec.mode == SuiteSpec::Mode::Batch ? "batch" : "stream");
+  params.emplace_back("mode", name_of(kModeNames, spec.mode));
   params.emplace_back("base_seed", static_cast<std::int64_t>(spec.base_seed));
   params.emplace_back("reps", static_cast<std::int64_t>(spec.repetitions));
 
@@ -1139,57 +1041,37 @@ std::string render_stream_row(const SuiteSpec& spec, const CellAxes& axes,
   return json::dump(json::Value(std::move(line)));
 }
 
-}  // namespace
-
-SuiteJournal load_suite_journal(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw SuiteError("", "cannot open journal file " + path);
+/// A journal's text; load_suite_journal prefixes every error with the file.
+SuiteJournal parse_journal(const std::string& text) {
   std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
     if (!line.empty()) lines.push_back(line);
   }
-  if (lines.empty()) throw SuiteError("", path + ": empty journal");
+  if (lines.empty()) throw SuiteError("", "empty journal");
 
-  const auto parse_line = [&](const std::string& text, std::size_t index) {
+  const auto parse_line = [&lines](std::size_t index) {
     try {
-      return json::parse(text);
+      return json::parse(lines[index]);
     } catch (const json::ParseError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(index + 1) +
+      throw SuiteError("", "journal line " + std::to_string(index + 1) +
                                " is not valid JSON: " + error.what());
     }
   };
 
-  const json::Value header_doc = parse_line(lines.front(), 0);
-  SuiteJournal journal;
-  std::int64_t declared_cells = 0;
-  try {
-    Fields header(header_doc, "");
-    const json::Value* tag = header.member("rdcn_suite_journal");
-    if (tag == nullptr || !tag->is_integer() || tag->as_integer() != 1) {
-      throw SuiteError("rdcn_suite_journal", "missing or unsupported journal version");
-    }
-    header.required_str("suite");  // informational; the spec text is authoritative
-    declared_cells = header.integer("cells", -1, -1,
-                                    std::numeric_limits<std::int64_t>::max());
-    if (declared_cells < 0) {
-      throw SuiteError("cells", "required key is missing");
-    }
-    journal.spec_json = header.required_str("spec");
-    header.finish();
-  } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": " + error.what());
-  }
+  JournalHeader header = read_record<JournalHeader>(parse_line(0), "");
 
+  SuiteJournal journal;
+  journal.spec_json = std::move(header.spec);
   try {
     journal.spec = parse_suite(journal.spec_json);
   } catch (const SuiteError& error) {
-    throw SuiteError("", path + ": embedded spec is invalid: " + error.what());
+    throw SuiteError("", std::string("embedded spec is invalid: ") + error.what());
   }
   const SuiteRunner probe(journal.spec);
   const std::size_t total = probe.cells();
-  if (static_cast<std::size_t>(declared_cells) != total) {
-    throw SuiteError("", path + ": header declares " + std::to_string(declared_cells) +
+  if (static_cast<std::size_t>(header.cells) != total) {
+    throw SuiteError("", "header declares " + std::to_string(header.cells) +
                              " cells but the embedded spec expands to " +
                              std::to_string(total));
   }
@@ -1197,34 +1079,30 @@ SuiteJournal load_suite_journal(const std::string& path) {
 
   journal.rows.assign(total, std::string());
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const json::Value entry_doc = parse_line(lines[i], i);
+    const json::Value entry_doc = parse_line(i);
+    const std::string where = "journal line " + std::to_string(i + 1);
     try {
-      Fields entry(entry_doc, "");
-      const std::int64_t cell =
-          entry.integer("cell", -1, -1, static_cast<std::int64_t>(total) - 1);
-      if (cell < 0) throw SuiteError("cell", "required key is missing or out of range");
-      const std::string name = entry.required_str("name");
-      const std::string row = entry.required_str("row");
-      entry.finish();
-      const auto index = static_cast<std::size_t>(cell);
-      if (name != names[index]) {
-        throw SuiteError("name", "cell " + std::to_string(cell) + " is named \"" +
-                                     names[index] + "\" in the spec, not \"" + name + "\"");
-      }
+      JournalCell entry = read_record<JournalCell>(entry_doc, "", names);
+      const auto index = static_cast<std::size_t>(entry.cell);
       if (!journal.rows[index].empty()) {
-        throw SuiteError("cell", "cell " + std::to_string(cell) + " recorded twice");
+        throw SuiteError("cell",
+                         "cell " + std::to_string(entry.cell) + " recorded twice");
       }
-      json::parse(row);  // rows must themselves be strict JSON
-      journal.rows[index] = row;
+      json::parse(entry.row);  // rows must themselves be strict JSON
+      journal.rows[index] = std::move(entry.row);
     } catch (const json::ParseError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(i + 1) +
-                               " row is not valid JSON: " + error.what());
+      throw SuiteError("", where + " row is not valid JSON: " + error.what());
     } catch (const SuiteError& error) {
-      throw SuiteError("", path + ": journal line " + std::to_string(i + 1) + ": " +
-                               error.what());
+      throw SuiteError("", where + ": " + error.what());
     }
   }
   return journal;
+}
+
+}  // namespace
+
+SuiteJournal load_suite_journal(const std::string& path) {
+  return load_file(path, "journal", parse_journal);
 }
 
 std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
@@ -1255,20 +1133,13 @@ std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
   // resumed run's merged output bit-identical to an uninterrupted one.
   std::mutex journal_mutex;
   const auto write_journal = [&]() {
-    json::Object header;
-    header.emplace_back("rdcn_suite_journal", std::int64_t{1});
-    header.emplace_back("suite", spec_.name);
-    header.emplace_back("cells", static_cast<std::int64_t>(total));
-    header.emplace_back("spec", spec_json);
-    std::string text = json::dump(json::Value(std::move(header)));
+    const JournalHeader header{spec_.name, static_cast<std::int64_t>(total), spec_json};
+    std::string text = json::dump(write_record(header));
     text += '\n';
     for (std::size_t i = 0; i < total; ++i) {
       if (rows[i].empty()) continue;
-      json::Object entry;
-      entry.emplace_back("cell", static_cast<std::int64_t>(i));
-      entry.emplace_back("name", names[i]);
-      entry.emplace_back("row", rows[i]);
-      text += json::dump(json::Value(std::move(entry)));
+      const JournalCell entry{static_cast<std::int64_t>(i), names[i], rows[i]};
+      text += json::dump(write_record(entry, names));
       text += '\n';
     }
     atomic_write_file(options.journal, text);

@@ -15,6 +15,11 @@
 // normalized form (every default materialized), so spec -> JSON -> spec
 // round-trips bit-for-bit -- the golden test in tests/test_suite.cpp.
 //
+// Each record's keys, types, ranges and cross-field rules are declared
+// once, by the fields(io, record) functions in suite.cpp; parsing, the
+// normalized form and the journal lines all run those declarations, and
+// absent keys keep the structs' default member values.
+//
 // Schema (see README.md "Declarative suite files" for the annotated
 // version):
 //
@@ -23,7 +28,9 @@
 //     "mode": "batch",                    // batch (default) | stream
 //     "seeds": {"base": 1, "repetitions": 5},
 //     "policies": ["alg", "maxweight"],   // required, registry names
-//     "engines": [{"name": "unit"}],      // optional engine variants
+//     "engines": [{"name": "unit"}],      // optional engine variants:
+//                                         // speedup / capacity /
+//                                         // reconfig_delay / audit / profile
 //     "topologies": [{"kind": "two_tier", ...}, ...],   // required
 //     "workloads": [{...}, ...],          // batch mode: required
 //     "traffic": [{...}, ...],            // stream mode: required
@@ -36,6 +43,8 @@
 // off_stay, -1 inherits the traffic axis) plus an engine mutation
 // (kill_edges / restore_edges / kill_racks / restore_racks / speedup /
 // capacity / dead: drop|requeue) applied atomically at the stage edge.
+// While any engine has reconfig_delay > 0, no stage may set capacity > 1
+// (the delay extension is defined on the matching model).
 // The same schedule is copied into every grid cell, so edge indices must
 // be valid for every topology axis entry (rack indices are the portable
 // choice). A standalone schedule file (a bare JSON array of the same
@@ -100,7 +109,7 @@ struct SuiteSpec {
   std::vector<SuiteTopology> topologies;
   std::vector<SuiteWorkload> workloads;  ///< batch mode axis
   std::vector<SuiteTraffic> traffic;     ///< stream mode axis
-  std::vector<SuiteEngine> engines;      ///< always >= 1 (default "unit")
+  std::vector<SuiteEngine> engines;      ///< always >= 1 (default "s1c1r0")
   std::vector<std::string> policies;     ///< registry names, validated
 
   /// Stream-mode run knobs (ignored in batch mode).

@@ -196,6 +196,11 @@ double calibrate_rate(const Topology& topology, const TrafficConfig& config) {
   return config.rho * capacity / demand.mean_demand;
 }
 
+const char* to_string(ArrivalProcess process) {
+  if (process == ArrivalProcess::Trace) return "trace";
+  return name_of(kArrivalProcessNames, process);
+}
+
 std::unique_ptr<TrafficSource> make_source(const Topology& topology,
                                            const TrafficConfig& config) {
   switch (config.process) {

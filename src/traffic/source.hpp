@@ -30,6 +30,7 @@
 
 #include "net/packet.hpp"
 #include "net/topology.hpp"
+#include "util/enum_names.hpp"
 #include "workload/generator.hpp"
 
 namespace rdcn {
@@ -39,6 +40,16 @@ enum class ArrivalProcess {
   OnOff,    ///< MMPP-style 2-state Markov modulation of the Poisson rate
   Trace,    ///< replay of a recorded packet sequence
 };
+
+/// The processes a config names (suite "process", rdcn_cli --source).
+/// Trace is never named: replay sets it up from a recorded trace.
+inline constexpr EnumName<ArrivalProcess> kArrivalProcessNames[] = {
+    {ArrivalProcess::Poisson, "poisson"},
+    {ArrivalProcess::OnOff, "onoff"},
+};
+
+/// The table's name, or "trace" for Trace.
+const char* to_string(ArrivalProcess process);
 
 /// Which notion of "chunks per step the layer can move" calibration uses.
 enum class CapacityModel {

@@ -142,25 +142,8 @@ void append_flow(Instance& instance, Time arrival, double total_weight, std::int
   }
 }
 
-const char* to_string(PairSkew skew) {
-  switch (skew) {
-    case PairSkew::Uniform: return "uniform";
-    case PairSkew::Zipf: return "zipf";
-    case PairSkew::Hotspot: return "hotspot";
-    case PairSkew::Permutation: return "permutation";
-    case PairSkew::Incast: return "incast";
-  }
-  return "?";
-}
+const char* to_string(PairSkew skew) { return name_of(kPairSkewNames, skew); }
 
-const char* to_string(WeightDist weights) {
-  switch (weights) {
-    case WeightDist::Unit: return "unit";
-    case WeightDist::UniformInt: return "uniform-int";
-    case WeightDist::Pareto: return "pareto";
-    case WeightDist::Bimodal: return "bimodal";
-  }
-  return "?";
-}
+const char* to_string(WeightDist weights) { return name_of(kWeightDistNames, weights); }
 
 }  // namespace rdcn

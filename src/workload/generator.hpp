@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/instance.hpp"
+#include "util/enum_names.hpp"
 #include "util/rng.hpp"
 
 namespace rdcn {
@@ -89,7 +90,21 @@ Instance generate_workload(const Topology& topology, const WorkloadConfig& confi
 void append_flow(Instance& instance, Time arrival, double total_weight, std::int64_t size,
                  NodeIndex source, NodeIndex destination);
 
-/// Human-readable labels for the benchmark tables.
+/// The names suite files, rdcn_cli flags and benchmark tables use.
+inline constexpr EnumName<PairSkew> kPairSkewNames[] = {
+    {PairSkew::Uniform, "uniform"},
+    {PairSkew::Zipf, "zipf"},
+    {PairSkew::Hotspot, "hotspot"},
+    {PairSkew::Permutation, "permutation"},
+    {PairSkew::Incast, "incast"},
+};
+inline constexpr EnumName<WeightDist> kWeightDistNames[] = {
+    {WeightDist::Unit, "unit"},
+    {WeightDist::UniformInt, "uniform-int"},
+    {WeightDist::Pareto, "pareto"},
+    {WeightDist::Bimodal, "bimodal"},
+};
+
 const char* to_string(PairSkew skew);
 const char* to_string(WeightDist weights);
 

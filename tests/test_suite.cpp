@@ -1,15 +1,21 @@
 // Tests of the declarative suite subsystem (run/suite.hpp) and the
 // topology-zoo integration behind it: the strict JSON layer, parse-error
 // quality (distinct, path-qualified, actionable), the normalized-form
-// golden round-trip, grid expansion, runner output, and property tests of
-// make_topology across the full extended TopologySpec grid.
+// golden round-trip, pins of the normalized text and of an earlier
+// journal, a mutation property over every gallery suite, grid expansion,
+// runner output, and property tests of make_topology across the full
+// extended TopologySpec grid.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -18,6 +24,7 @@
 #include "run/random.hpp"
 #include "run/stream.hpp"
 #include "run/suite.hpp"
+#include "suite_mutations.hpp"
 #include "util/json.hpp"
 #include "workload/generator.hpp"
 
@@ -391,6 +398,15 @@ TEST(SuiteParse, CrossFieldConstraints) {
     "engines": [{"capacity": 2, "reconfig_delay": 1}],
     "topologies": [{"kind": "crossbar"}], "workloads": [{"packets": 10}]
   })", "engines[0].reconfig_delay", "requires capacity == 1");
+  // The same rule across records: a stage may not raise capacity under an
+  // engine with a reconfiguration delay (it would fail every cell at run
+  // time instead).
+  expect_suite_error(R"({
+    "suite": "x", "mode": "stream", "policies": ["alg"],
+    "engines": [{"name": "slow", "reconfig_delay": 2}],
+    "topologies": [{"kind": "crossbar"}], "traffic": [{"rho": 0.5}],
+    "stages": [{"duration": 5}, {"duration": 0, "capacity": 2}]
+  })", "stages[1].capacity", "engine \"slow\" has reconfig_delay 2");
   expect_suite_error(R"({
     "suite": "x", "policies": ["alg", "alg"],
     "topologies": [{"kind": "crossbar"}], "workloads": [{"packets": 10}]
@@ -652,6 +668,127 @@ TEST(SuiteFault, FailFastAbortsTheSuite) {
     }
   };
   EXPECT_THROW(runner.run(options), std::runtime_error);
+}
+
+// --- compatibility pins and the mutation property ----------------------------
+
+std::string source_path(const std::string& relative) {
+  return std::string(RDCN_SOURCE_DIR) + "/" + relative;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The example gallery plus two documents that set every key: every
+/// topology kind with all its keys (batch), and every traffic, stream and
+/// stage key (stream).
+std::vector<std::string> schema_documents() {
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(source_path("examples/suites"))) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  files.push_back(source_path("tests/suites/all_keys_batch.json"));
+  files.push_back(source_path("tests/suites/all_keys_stream.json"));
+  return files;
+}
+
+TEST(SuiteCompat, NormalizedTextMatchesThePinnedForm) {
+  // tests/suites/normalized/ holds the suite_to_json text of each document
+  // as emitted before the schema-driven codec; resume compares this text,
+  // so journals written by earlier builds only resume while it holds.
+  for (const std::string& file : schema_documents()) {
+    const std::string name = std::filesystem::path(file).filename().string();
+    EXPECT_EQ(suite_to_json(load_suite_file(file)),
+              read_file(source_path("tests/suites/normalized/" + name)))
+        << file;
+  }
+}
+
+TEST(SuiteCompat, EarlierJournalResumesWithoutRerunningACell) {
+  // Written by `rdcn_cli suite tests/suites/all_keys_stream.json --journal`
+  // before the schema-driven codec.
+  const SuiteJournal journal =
+      load_suite_journal(source_path("tests/suites/all_keys_stream.journal"));
+  ASSERT_EQ(journal.rows.size(), 8u);
+  EXPECT_EQ(std::count(journal.rows.begin(), journal.rows.end(), std::string()), 0);
+  std::atomic<int> attempts{0};
+  SuiteRunOptions options;
+  options.threads = 1;
+  options.policy.fault_hook = [&attempts](const std::string&, std::size_t,
+                                          const CancelToken*) { ++attempts; };
+  EXPECT_EQ(SuiteRunner(journal.spec).run(options, &journal), journal.rows);
+  EXPECT_EQ(attempts.load(), 0);
+}
+
+std::string parent_of(const std::string& path) {
+  const std::size_t cut = path.find_last_of(".[");
+  return cut == std::string::npos ? std::string() : path.substr(0, cut);
+}
+
+std::string key_of(const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  return dot == std::string::npos ? path : path.substr(dot + 1);
+}
+
+/// Whether an edit of `slot` may be rejected at `error`: the slot itself
+/// or a value inside it, or the key a cross-field rule names.
+bool explains(const std::string& slot, const std::string& error) {
+  if (error == slot || slot.empty() || error.rfind(slot + ".", 0) == 0 ||
+      error.rfind(slot + "[", 0) == 0) {
+    return true;
+  }
+  const std::string record = parent_of(slot);
+  // "kind" and "mode" decide which keys their object accepts and needs.
+  if (key_of(slot) == "kind" || key_of(slot) == "mode") return parent_of(error) == record;
+  // Record rules reject the later of the two keys they relate.
+  static const std::set<std::string> rule_keys = {
+      "hot_racks",
+      "slow_delay",
+      "degree",
+      "max_edge_delay",
+      "matchings",
+      "reconfig_delay",
+  };
+  if (parent_of(error) == record && rule_keys.count(key_of(error)) > 0) return true;
+  // Axis labels are distinct, so a label edit can collide with another.
+  const std::string axis = slot.substr(0, slot.find('['));
+  if (key_of(error) == "name" && error.rfind(axis + "[", 0) == 0) return true;
+  // No stage may raise capacity under an engine with a reconfig delay.
+  return slot.rfind("engines", 0) == 0 && error.rfind("stages[", 0) == 0 &&
+         key_of(error) == "capacity";
+}
+
+TEST(SuiteMutation, EveryEditIsAcceptedStablyOrRejectedAtItsSlot) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::string& file : schema_documents()) {
+    for_each_mutation(read_file(file), [&](const Mutation& mutation) {
+      const auto where = [&] {
+        return file + " kind " + std::to_string(static_cast<int>(mutation.kind)) +
+               " slot \"" + mutation.slot + "\"\n" + mutation.text;
+      };
+      try {
+        const std::string normalized = suite_to_json(parse_suite(mutation.text));
+        EXPECT_EQ(suite_to_json(parse_suite(normalized)), normalized) << where();
+        ++accepted;
+      } catch (const SuiteError& error) {
+        EXPECT_TRUE(explains(mutation.slot, error.path()))
+            << error.what() << "\n" << where();
+        ++rejected;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "not a SuiteError: " << error.what() << "\n" << where();
+      }
+    });
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- make_topology across the extended TopologySpec grid --------------------

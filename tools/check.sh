@@ -215,8 +215,11 @@ grep -q "stage 2" "$build/smoke_staged.out"
 test -s "$build/profile_trace.json"
 
 echo "== smoke suites =="
+# Every gallery file must parse and expand; two of them also run.
+for suite in "$repo"/examples/suites/*.json; do
+  "$build/rdcn_cli" suite "$suite" --list >/dev/null
+done
 "$build/rdcn_cli" suite "$repo/examples/suites/paper_baseline.json" >/dev/null
-"$build/rdcn_cli" suite "$repo/examples/suites/skew_sweep.json" --list >/dev/null
 "$build/rdcn_cli" suite "$repo/examples/suites/failure_sweep.json" >/dev/null
 if "$build/rdcn_cli" suite "$repo/tests/suites/unknown_key.json" >/dev/null 2>&1; then
   echo "check.sh: bad suite file was not rejected" >&2

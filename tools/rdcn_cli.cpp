@@ -99,6 +99,7 @@
 #include "run/suite.hpp"
 #include "sim/gantt.hpp"
 #include "sim/metrics.hpp"
+#include "util/enum_names.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -182,31 +183,32 @@ void fill_two_tier(const Args& args, TwoTierConfig& net) {
   net.fixed_link_delay = static_cast<Delay>(args.number("--fixed-dl", 0));
 }
 
+/// Resolves an enum-valued flag through its name table; unknown names
+/// print the known ones and exit nonzero.
+template <typename Table, typename Enum>
+Enum enum_flag(const Args& args, const std::string& flag, const Table& names,
+               Enum fallback) {
+  const std::string name = args.value(flag, name_of(names, fallback));
+  Enum value = fallback;
+  if (!value_of(names, name, value)) {
+    std::fprintf(stderr, "unknown %s '%s'; known:%s\n", flag.c_str(), name.c_str(),
+                 known_names(names).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 void fill_shape(const Args& args, WorkloadConfig& shape) {
-  const std::string skew = args.value("--skew", "zipf");
-  shape.skew = skew == "uniform"       ? PairSkew::Uniform
-               : skew == "hotspot"     ? PairSkew::Hotspot
-               : skew == "permutation" ? PairSkew::Permutation
-               : skew == "incast"      ? PairSkew::Incast
-                                       : PairSkew::Zipf;
+  shape.skew = enum_flag(args, "--skew", kPairSkewNames, PairSkew::Zipf);
   shape.zipf_exponent = args.number("--zipf", 1.2);
-  const std::string weights = args.value("--weights", "uniform-int");
-  shape.weights = weights == "unit"      ? WeightDist::Unit
-                  : weights == "pareto"  ? WeightDist::Pareto
-                  : weights == "bimodal" ? WeightDist::Bimodal
-                                         : WeightDist::UniformInt;
+  shape.weights = enum_flag(args, "--weights", kWeightDistNames, WeightDist::UniformInt);
   shape.weight_max = static_cast<std::int64_t>(args.number("--wmax", 10));
 }
 
 TrafficConfig traffic_from(const Args& args) {
   TrafficConfig traffic;
-  const std::string source = args.value("--source", "poisson");
-  if (source == "onoff") {
-    traffic.process = ArrivalProcess::OnOff;
-  } else if (source != "poisson") {
-    std::fprintf(stderr, "unknown --source '%s'; known: poisson onoff\n", source.c_str());
-    std::exit(2);
-  }
+  traffic.process =
+      enum_flag(args, "--source", kArrivalProcessNames, ArrivalProcess::Poisson);
   traffic.rho = args.number("--rho", 0.8);
   fill_shape(args, traffic.shape);
   traffic.on_stay = args.number("--on-stay", 0.9);
@@ -438,9 +440,7 @@ int cmd_stream(const Args& args) {
 
   Table table({"metric", "value"});
   table.add_row({"policy", policy.name});
-  table.add_row({"source", !trace.empty()                                  ? "trace"
-                           : spec.traffic.process == ArrivalProcess::OnOff ? "onoff"
-                                                                           : "poisson"});
+  table.add_row({"source", trace.empty() ? to_string(spec.traffic.process) : "trace"});
   if (trace.empty()) {
     table.add_row({"target rho / lambda", Table::fmt(spec.traffic.rho, 2) + " / " +
                                               Table::fmt(out.target_rate, 3) + " pkt/step"});
