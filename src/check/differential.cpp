@@ -44,134 +44,15 @@ EngineOptions streamable(const Instance& instance, EngineOptions options) {
   return options;
 }
 
-/// Drives a streaming engine over the instance's recorded arrivals and
-/// compares every aggregate and per-packet outcome against the batch run.
+/// Drives a streaming engine over the instance's recorded arrivals,
+/// applying `schedule`'s mutations at the step boundaries
+/// Engine::run(schedule) applies them at (empty = a plain replay), and
+/// compares every aggregate, the drop/requeue counters and every
+/// per-packet outcome (dropped flag included) against the batch run.
 /// Returns human-readable mismatch descriptions (empty = bit-for-bit);
 /// a throw from the streamed replay (audit, engine guard) is itself a
 /// mismatch, never an escape.
-std::vector<std::string> compare_batch_vs_stream(const Instance& instance,
-                                                 const PolicyFactory& policy,
-                                                 const EngineOptions& options,
-                                                 const RunResult& batch) {
-  std::vector<std::string> mismatches;
-  auto dispatcher = policy.dispatcher();
-  auto scheduler = policy.scheduler(instance.topology());
-  std::vector<RetiredPacket> retired(instance.num_packets());
-  std::vector<bool> seen(instance.num_packets(), false);
-  Engine engine(instance.topology(), *dispatcher, *scheduler,
-                streamable(instance, options),
-                [&](RetiredPacket&& packet) {
-                  const auto index = static_cast<std::size_t>(packet.id);
-                  if (index >= seen.size() || seen[index]) {
-                    mismatches.push_back("stream retired unexpected packet " +
-                                         std::to_string(packet.id));
-                    return;
-                  }
-                  seen[index] = true;
-                  retired[index] = std::move(packet);
-                });
-  const auto& packets = instance.packets();
-  std::size_t next = 0;
-  try {
-    while (next < packets.size() || engine.busy()) {
-      const Time* upcoming = next < packets.size() ? &packets[next].arrival : nullptr;
-      engine.begin_step(upcoming);
-      while (next < packets.size() && packets[next].arrival == engine.now()) {
-        engine.inject(packets[next]);
-        ++next;
-      }
-      engine.finish_step();
-    }
-  } catch (const std::exception& error) {
-    mismatches.push_back(std::string("streamed replay threw: ") + error.what());
-    return mismatches;
-  }
-
-  const RunResult& aggregates = engine.aggregates();
-  if (aggregates.total_cost != batch.total_cost ||
-      aggregates.reconfig_cost != batch.reconfig_cost ||
-      aggregates.fixed_cost != batch.fixed_cost || aggregates.makespan != batch.makespan ||
-      aggregates.steps_simulated != batch.steps_simulated) {
-    mismatches.push_back("stream aggregates diverge from batch (cost " +
-                         std::to_string(aggregates.total_cost) + " vs " +
-                         std::to_string(batch.total_cost) + ")");
-  }
-  for (std::size_t i = 0; i < instance.num_packets(); ++i) {
-    if (!seen[i]) {
-      mismatches.push_back("packet " + std::to_string(i) + " never retired streaming");
-      continue;
-    }
-    const PacketOutcome& want = batch.outcomes[i];
-    const PacketOutcome& got = retired[i].outcome;
-    if (got.route.use_fixed != want.route.use_fixed || got.route.edge != want.route.edge ||
-        got.completion != want.completion ||
-        got.weighted_latency != want.weighted_latency ||
-        got.chunk_transmit_steps != want.chunk_transmit_steps) {
-      mismatches.push_back("packet " + std::to_string(i) +
-                           " outcome diverges between batch and stream (completion " +
-                           std::to_string(want.completion) + " vs " +
-                           std::to_string(got.completion) + ")");
-    }
-  }
-  return mismatches;
-}
-
-/// A staged spec's arrival prefix and mutation schedule, reconstructed
-/// exactly as StreamRunner's staged drive derives them: one source per
-/// stage (seed mixed per stage index, traffic overrides applied, speedup
-/// tracking the engine's post-mutation options), arrivals rebased to the
-/// stage clock, draws past the stage end discarded, ids renumbered
-/// globally. The prefix is finite, so batch and stream replays of it
-/// share a horizon.
-struct StagedReplay {
-  std::vector<Packet> arrivals;
-  std::vector<TimedMutation> schedule;
-};
-
-StagedReplay build_staged_replay(const StreamSpec& spec, const Topology& topology,
-                                 std::uint64_t rep_seed, std::size_t max_packets) {
-  StagedReplay replay;
-  std::vector<Time> start(spec.stages.size());
-  Time t = 1;
-  for (std::size_t k = 0; k < spec.stages.size(); ++k) {
-    start[k] = t;
-    t += spec.stages[k].duration;
-  }
-  int speedup = spec.engine.speedup_rounds;
-  PacketIndex next_id = 0;
-  for (std::size_t k = 0; k < spec.stages.size(); ++k) {
-    const StageSpec& stage = spec.stages[k];
-    if (stage.mutation.speedup_rounds > 0) speedup = stage.mutation.speedup_rounds;
-    replay.schedule.push_back({start[k], stage.mutation});
-    TrafficConfig traffic = spec.traffic;
-    traffic.shape.seed =
-        rep_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
-    traffic.speedup_rounds = speedup;
-    if (stage.rho > 0.0) traffic.rho = stage.rho;
-    if (stage.on_stay > 0.0) traffic.on_stay = stage.on_stay;
-    if (stage.off_stay > 0.0) traffic.off_stay = stage.off_stay;
-    const auto source = make_source(topology, traffic);
-    const bool bounded = k + 1 < spec.stages.size();
-    while (replay.arrivals.size() < max_packets) {
-      std::optional<Packet> packet = source->next();
-      if (!packet) break;
-      packet->arrival += start[k] - 1;
-      // Arrivals are non-decreasing, so the first draw past the stage end
-      // ends the stage (the streamed drive discards it at stage entry).
-      if (bounded && packet->arrival > start[k + 1] - 1) break;
-      packet->id = next_id++;
-      replay.arrivals.push_back(*packet);
-    }
-    if (replay.arrivals.size() >= max_packets) break;
-  }
-  return replay;
-}
-
-/// Batch-vs-stream equivalence of a staged replay: Engine::run(schedule)
-/// against a streaming drive that applies the same mutations at the same
-/// step boundaries. Every aggregate, drop/requeue counter, and per-packet
-/// outcome (dropped flag included) must agree bit for bit.
-std::vector<std::string> compare_staged_batch_vs_stream(
+std::vector<std::string> compare_batch_vs_stream(
     const Instance& instance, const std::vector<TimedMutation>& schedule,
     const PolicyFactory& policy, const EngineOptions& options, const RunResult& batch,
     std::uint64_t batch_dropped, std::uint64_t batch_requeued) {
@@ -219,21 +100,23 @@ std::vector<std::string> compare_staged_batch_vs_stream(
       engine.finish_step();
     }
   } catch (const std::exception& error) {
-    mismatches.push_back(std::string("staged streamed replay threw: ") + error.what());
+    mismatches.push_back(std::string("streamed replay threw: ") + error.what());
     return mismatches;
   }
 
   const RunResult& aggregates = engine.aggregates();
-  if (aggregates.total_cost != batch.total_cost || aggregates.makespan != batch.makespan ||
+  if (aggregates.total_cost != batch.total_cost ||
+      aggregates.reconfig_cost != batch.reconfig_cost ||
+      aggregates.fixed_cost != batch.fixed_cost || aggregates.makespan != batch.makespan ||
       aggregates.steps_simulated != batch.steps_simulated) {
-    mismatches.push_back("staged stream aggregates diverge from batch (cost " +
+    mismatches.push_back("stream aggregates diverge from batch (cost " +
                          std::to_string(aggregates.total_cost) + " vs " +
                          std::to_string(batch.total_cost) + ")");
   }
   if (engine.packets_dropped() != batch_dropped ||
       engine.packets_requeued() != batch_requeued) {
     mismatches.push_back(
-        "staged stream drop/requeue counters diverge from batch (" +
+        "stream drop/requeue counters diverge from batch (" +
         std::to_string(engine.packets_dropped()) + "/" +
         std::to_string(engine.packets_requeued()) + " vs " +
         std::to_string(batch_dropped) + "/" + std::to_string(batch_requeued) + ")");
@@ -251,12 +134,51 @@ std::vector<std::string> compare_staged_batch_vs_stream(
         got.weighted_latency != want.weighted_latency ||
         got.chunk_transmit_steps != want.chunk_transmit_steps) {
       mismatches.push_back("packet " + std::to_string(i) +
-                           " outcome diverges between staged batch and stream "
-                           "(completion " + std::to_string(want.completion) + " vs " +
+                           " outcome diverges between batch and stream (completion " +
+                           std::to_string(want.completion) + " vs " +
                            std::to_string(got.completion) + ")");
     }
   }
   return mismatches;
+}
+
+/// A staged spec's arrival prefix and mutation schedule, reconstructed
+/// exactly as StreamRunner's staged drive derives them: stage clocks from
+/// stage_starts, one source per stage from stage_traffic (speedup
+/// tracking the engine's post-mutation options), arrivals rebased to the
+/// stage clock, draws past the stage end discarded, ids renumbered
+/// globally. The prefix is finite, so batch and stream replays of it
+/// share a horizon.
+struct StagedReplay {
+  std::vector<Packet> arrivals;
+  std::vector<TimedMutation> schedule;
+};
+
+StagedReplay build_staged_replay(const StreamSpec& spec, const Topology& topology,
+                                 std::uint64_t rep_seed, std::size_t max_packets) {
+  StagedReplay replay;
+  const std::vector<Time> start = stage_starts(spec.stages);
+  int speedup = spec.engine.speedup_rounds;
+  PacketIndex next_id = 0;
+  for (std::size_t k = 0; k < spec.stages.size(); ++k) {
+    const StageSpec& stage = spec.stages[k];
+    if (stage.mutation.speedup_rounds > 0) speedup = stage.mutation.speedup_rounds;
+    replay.schedule.push_back({start[k], stage.mutation});
+    const auto source = make_source(topology, stage_traffic(spec, k, rep_seed, speedup));
+    const bool bounded = k + 1 < spec.stages.size();
+    while (replay.arrivals.size() < max_packets) {
+      std::optional<Packet> packet = source->next();
+      if (!packet) break;
+      packet->arrival += start[k] - 1;
+      // Arrivals are non-decreasing, so the first draw past the stage end
+      // ends the stage (the streamed drive discards it at stage entry).
+      if (bounded && packet->arrival > start[k + 1] - 1) break;
+      packet->id = next_id++;
+      replay.arrivals.push_back(*packet);
+    }
+    if (replay.arrivals.size() >= max_packets) break;
+  }
+  return replay;
 }
 
 /// One policy's audited batch run plus the self-consistency and stream
@@ -296,8 +218,9 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
   }
   if (options.check_stream_equivalence && !engine_options.redispatch_queued) {
     ++report.checks;
+    // No mutations: nothing drops or requeues.
     for (std::string& mismatch :
-         compare_batch_vs_stream(instance, policy, engine_options, run)) {
+         compare_batch_vs_stream(instance, {}, policy, engine_options, run, 0, 0)) {
       report.violations.push_back(std::string(label) + name + ": " + std::move(mismatch));
     }
   }
@@ -739,96 +662,76 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
     }
   }
 
-  // Staged specs: reconstruct the staged arrival prefix plus mutation
-  // schedule and compare Engine::run(schedule) against a streaming drive
-  // applying the identical mutations -- per-packet outcomes, drop/requeue
-  // counters and aggregates must agree bit-for-bit.
-  if (calibrated && options.check_stream_equivalence && !spec.make_trace &&
-      !spec.stages.empty()) {
-    try {
-      const Topology topology = make_topology(spec.topology, rep_seed);
-      const StagedReplay replay = build_staged_replay(
-          spec, topology, rep_seed,
-          std::min(spec.warmup_packets + spec.measure_packets,
-                   options.stream_replay_packets));
-      if (!replay.arrivals.empty()) {
-        Instance recorded(topology, std::vector<Packet>(replay.arrivals));
-        EngineOptions engine_options = audited.engine;
-        std::vector<std::string> replay_policies = policy_list(options);
-        if (spec.engine.reconfig_delay > 0) {
-          std::erase_if(replay_policies, [&](const std::string& name) {
-            return std::find(options.variant_policies.begin(),
-                             options.variant_policies.end(),
-                             name) == options.variant_policies.end();
-          });
-        }
-        for (const std::string& name : replay_policies) {
-          const PolicyFactory policy = named_policy(name);
-          RunResult batch;
-          std::uint64_t batch_dropped = 0, batch_requeued = 0;
-          try {
-            auto dispatcher = policy.dispatcher();
-            auto scheduler = policy.scheduler(topology);
-            Engine engine(recorded, *dispatcher, *scheduler, engine_options);
-            batch = engine.run(replay.schedule);
-            batch_dropped = engine.packets_dropped();
-            batch_requeued = engine.packets_requeued();
-          } catch (const std::exception& error) {
-            report.violations.push_back("staged replay, " + name +
-                                        ": engine threw: " + error.what());
-            continue;
-          }
-          ++report.checks;
-          for (std::string& mismatch : compare_staged_batch_vs_stream(
-                   recorded, replay.schedule, policy, engine_options, batch,
-                   batch_dropped, batch_requeued)) {
-            report.violations.push_back("staged replay, " + name + ": " +
-                                        std::move(mismatch));
-          }
-        }
-      }
-    } catch (const std::invalid_argument& error) {
-      report.skipped.push_back(std::string("staged replay rejected: ") + error.what());
-    }
-  }
-
   // Batch-vs-stream differential on a recorded arrival prefix from the
-  // identical source: per-packet completions must agree bit-for-bit.
-  if (calibrated && options.check_stream_equivalence && !spec.make_trace &&
-      spec.stages.empty()) {
-    try {
-      const Topology topology = make_topology(spec.topology, rep_seed);
+  // identical source(s): per-packet outcomes must agree bit-for-bit. A
+  // staged spec replays its staged prefix plus mutation schedule through
+  // Engine::run(schedule) against a streaming drive applying the same
+  // mutations; drop/requeue counters must agree too.
+  if (!calibrated || !options.check_stream_equivalence || spec.make_trace) return report;
+  const bool staged = !spec.stages.empty();
+  // Under a reconfiguration delay the demand-oblivious / randomized
+  // baselines can legitimately starve a finite batch replay (the streamed
+  // run merely truncates); replay only the robust policies -- intersected
+  // with the caller's selection so a restricted sweep never reports a
+  // policy it excluded.
+  std::vector<std::string> replay_policies = policy_list(options);
+  if (spec.engine.reconfig_delay > 0) {
+    std::erase_if(replay_policies, [&](const std::string& name) {
+      return std::find(options.variant_policies.begin(), options.variant_policies.end(),
+                       name) == options.variant_policies.end();
+    });
+  }
+  try {
+    const Topology topology = make_topology(spec.topology, rep_seed);
+    const std::size_t prefix = std::min(spec.warmup_packets + spec.measure_packets,
+                                        options.stream_replay_packets);
+    if (!staged) {
       TrafficConfig traffic = spec.traffic;
       traffic.shape.seed = rep_seed;
       traffic.speedup_rounds = spec.engine.speedup_rounds;
       const auto source = make_source(topology, traffic);
-      const std::size_t prefix = std::min(spec.warmup_packets + spec.measure_packets,
-                                          options.stream_replay_packets);
       const Instance recorded(topology, record_arrivals(*source, prefix));
-      const EngineOptions engine_options = audited.engine;
-      // Under a reconfiguration delay the demand-oblivious / randomized
-      // baselines can legitimately starve a finite batch replay (the
-      // streamed run merely truncates); replay only the robust policies --
-      // intersected with the caller's selection so a restricted sweep
-      // never reports a policy it excluded.
-      std::vector<std::string> replay_policies = policy_list(options);
-      if (spec.engine.reconfig_delay > 0) {
-        std::erase_if(replay_policies, [&](const std::string& name) {
-          return std::find(options.variant_policies.begin(),
-                           options.variant_policies.end(),
-                           name) == options.variant_policies.end();
-        });
-      }
       for (const std::string& name : replay_policies) {
-        run_and_check(recorded, name, engine_options, options, "recorded prefix, ", report);
+        run_and_check(recorded, name, audited.engine, options, "recorded prefix, ",
+                      report);
       }
       if (std::find(replay_policies.begin(), replay_policies.end(), "alg") !=
           replay_policies.end()) {
         check_impact_index(recorded, report);
       }
-    } catch (const std::invalid_argument& error) {
-      report.skipped.push_back(std::string("stream spec rejected: ") + error.what());
+      return report;
     }
+    const StagedReplay replay = build_staged_replay(spec, topology, rep_seed, prefix);
+    if (replay.arrivals.empty()) return report;
+    const Instance recorded(topology, std::vector<Packet>(replay.arrivals));
+    for (const std::string& name : replay_policies) {
+      const PolicyFactory policy = named_policy(name);
+      RunResult batch;
+      std::uint64_t batch_dropped = 0, batch_requeued = 0;
+      try {
+        auto dispatcher = policy.dispatcher();
+        auto scheduler = policy.scheduler(topology);
+        Engine engine(recorded, *dispatcher, *scheduler, audited.engine);
+        batch = engine.run(replay.schedule);
+        batch_dropped = engine.packets_dropped();
+        batch_requeued = engine.packets_requeued();
+      } catch (const std::exception& error) {
+        report.violations.push_back("staged replay, " + name + ": engine threw: " +
+                                    error.what());
+        continue;
+      }
+      ++report.checks;
+      for (std::string& mismatch :
+           compare_batch_vs_stream(recorded, replay.schedule, policy, audited.engine,
+                                   batch, batch_dropped, batch_requeued)) {
+        report.violations.push_back("staged replay, " + name + ": " +
+                                    std::move(mismatch));
+      }
+    }
+  } catch (const std::invalid_argument& error) {
+    report.skipped.push_back(std::string(staged ? "staged replay rejected: "
+                                                : "stream spec rejected: ") +
+                             error.what());
   }
   return report;
 }

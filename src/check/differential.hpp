@@ -75,7 +75,8 @@ struct DiffReport {
 DiffReport check_instance(const Instance& instance, const DiffOptions& options = {});
 
 /// Cross-checks one streamed repetition of the spec per policy, plus the
-/// batch-vs-stream replay of a recorded arrival prefix. A spec whose rho
+/// batch-vs-stream replay of a recorded arrival prefix (for a staged spec,
+/// the staged prefix under its mutation schedule). A spec whose rho
 /// calibration is rejected (e.g. too many zero-demand pairs) lands in
 /// `skipped`, not in `violations`.
 DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,

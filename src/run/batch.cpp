@@ -68,10 +68,10 @@ class FailureLedger {
 
 /// One repetition attempt loop: arm the deadline, run the fault hook and
 /// the repetition, classify on throw, back off and re-run the same seed
-/// while the failure is transient and budget remains. Returns true on
-/// success; definitive failures land in the ledger.
+/// while the failure is transient and budget remains. Definitive failures
+/// land in the ledger.
 template <typename RunFn>
-bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
+void run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
                       const std::string& cell_name, std::size_t cell,
                       std::size_t rep, FailureLedger& ledger, const RunFn& run_rep) {
   int attempt = 0;
@@ -87,7 +87,7 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
       }
       if (policy.fault_hook) policy.fault_hook(cell_name, rep, cancel);
       run_rep(cancel);
-      return true;
+      return;
     } catch (...) {
       const std::exception_ptr failure = std::current_exception();
       if (is_transient_failure(failure) && attempt < policy.max_attempts) {
@@ -96,7 +96,7 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
         continue;  // same seed: a successful retry is bit-identical
       }
       ledger.record(cell, rep, failure, attempt);
-      return false;
+      return;
     }
   }
 }
@@ -104,15 +104,15 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
 /// fail_fast post-drain reporting: logs every suppressed failure, then
 /// rethrows the primary (lowest cell, lowest repetition) -- unwrapped
 /// when it is the only one, wrapped in BatchError with the suppressed
-/// count otherwise. `labels` is parallel to `failed`, materialized by the
-/// caller before it clears the cell queue.
-[[noreturn]] inline void throw_fail_fast(const FailureLedger& ledger,
-                                         const std::vector<std::size_t>& failed,
-                                         const std::vector<std::string>& labels) {
+/// count otherwise.
+template <typename Label>
+[[noreturn]] void throw_fail_fast(const FailureLedger& ledger,
+                                  const std::vector<std::size_t>& failed,
+                                  const Label& label) {
   for (std::size_t i = 1; i < failed.size(); ++i) {
     const CellError error = ledger.error(failed[i]);
     std::fprintf(stderr, "batch: suppressed failure in cell %s (rep %zu, %s): %s\n",
-                 labels[i].c_str(), error.repetition, error.type.c_str(),
+                 label(failed[i]).c_str(), error.repetition, error.type.c_str(),
                  error.message.c_str());
   }
   if (failed.size() == 1) std::rethrow_exception(ledger.exception(failed.front()));
@@ -123,6 +123,83 @@ bool run_with_retries(const RunPolicy& policy, DeadlineWatchdog* watchdog,
 }
 
 }  // namespace
+
+template <typename QueuedCell, typename Result>
+std::vector<Result> BatchRunner::fan_out(
+    std::vector<QueuedCell>& queue,
+    const std::function<void(std::size_t, const Result&)>& on_cell_done) {
+  // Preassign every repetition a slot, then fan the (cell, repetition)
+  // tasks out; tasks only write their own slot, so outcome writes need no
+  // locking. The last repetition of a cell (acq_rel countdown) folds the
+  // cell's aggregate in seed order -- deterministic regardless of worker
+  // scheduling -- and fires the completion callback.
+  const std::vector<QueuedCell> cells = std::exchange(queue, {});
+  const std::size_t num_cells = cells.size();
+  using Outcome = decltype(cells.front().run(0, nullptr));
+  std::vector<std::vector<Outcome>> outcomes(num_cells);
+  std::vector<Result> results(num_cells);
+  FailureLedger ledger(num_cells);
+  const auto remaining = std::make_unique<std::atomic<std::size_t>[]>(num_cells);
+  const bool isolate = policy_.failure == FailurePolicy::Isolate;
+  if (policy_.deadline_ms > 0 && !watchdog_) {
+    watchdog_ = std::make_unique<DeadlineWatchdog>();
+  }
+
+  const auto cell_label = [&cells](std::size_t c) {
+    return cells[c].runner.spec().name + " x " + cells[c].policy.name;
+  };
+  const auto finalize_cell = [&](std::size_t c) {
+    Result& result = results[c];
+    if (ledger.failed(c)) {
+      result.scenario = cells[c].runner.spec().name;
+      result.policy = cells[c].policy.name;
+      result.error = ledger.error(c);
+    } else {
+      result = cells[c].runner.aggregate(cells[c].policy, std::move(outcomes[c]));
+    }
+    if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
+  };
+
+  struct Task {
+    std::size_t cell;
+    std::size_t rep;
+    std::uint64_t seed;
+  };
+  std::vector<Task> tasks;
+  for (std::size_t c = 0; c < num_cells; ++c) {
+    // Never empty (the runners reject 0 repetitions), so every cell's last
+    // task finalizes it.
+    const std::vector<std::uint64_t> seeds = cells[c].runner.seeds();
+    outcomes[c].resize(seeds.size());
+    remaining[c].store(seeds.size(), std::memory_order_relaxed);
+    for (std::size_t r = 0; r < seeds.size(); ++r) tasks.push_back(Task{c, r, seeds[r]});
+  }
+
+  // Engines throw on documented paths (starvation guard, scheduler
+  // contract violations, deadline cancellation): every definitive failure
+  // lands in the ledger and the failure policy decides after the drain.
+  // Only a throwing completion callback escapes its task; the pool
+  // rethrows it from wait_idle() once every task has finished.
+  for (const Task& task : tasks) {
+    pool_.submit([this, task, &cells, &outcomes, &ledger, &remaining, &finalize_cell,
+                  &cell_label] {
+      const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
+      run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
+                       [&](const CancelToken* cancel) {
+                         outcomes[task.cell][task.rep] =
+                             cells[task.cell].run(task.seed, cancel);
+                       });
+      if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        finalize_cell(task.cell);
+      }
+    });
+  }
+  pool_.wait_idle();
+
+  const std::vector<std::size_t> failed = ledger.failed_cells();
+  if (!failed.empty() && !isolate) throw_fail_fast(ledger, failed, cell_label);
+  return results;
+}
 
 std::size_t BatchRunner::add(ScenarioSpec spec, PolicyFactory policy, RepMetric metric) {
   cells_.push_back(Cell{ScenarioRunner(std::move(spec)), std::move(policy),
@@ -136,89 +213,7 @@ void BatchRunner::add_grid(const ScenarioSpec& spec,
 }
 
 std::vector<ScenarioResult> BatchRunner::run(const CellDone& on_cell_done) {
-  // Preassign every repetition a slot, then fan the (cell, repetition)
-  // tasks out; tasks only write their own slot, so outcome writes need no
-  // locking. The last repetition of a cell (acq_rel countdown) folds the
-  // cell's aggregate in seed order -- deterministic regardless of worker
-  // scheduling -- and fires the completion callback.
-  const std::size_t num_cells = cells_.size();
-  std::vector<std::vector<RepetitionOutcome>> outcomes(num_cells);
-  std::vector<ScenarioResult> results(num_cells);
-  FailureLedger ledger(num_cells);
-  const auto remaining = std::make_unique<std::atomic<std::size_t>[]>(num_cells);
-  const bool isolate = policy_.failure == FailurePolicy::Isolate;
-  if (policy_.deadline_ms > 0 && !watchdog_) {
-    watchdog_ = std::make_unique<DeadlineWatchdog>();
-  }
-
-  const auto cell_label = [this](std::size_t c) {
-    return cells_[c].runner.spec().name + " x " + cells_[c].policy.name;
-  };
-  const auto finalize_cell = [&](std::size_t c) {
-    ScenarioResult& result = results[c];
-    result.scenario = cells_[c].runner.spec().name;
-    result.policy = cells_[c].policy.name;
-    if (ledger.failed(c)) {
-      result.error = ledger.error(c);
-    } else {
-      result.repetitions = std::move(outcomes[c]);
-      for (const RepetitionOutcome& rep : result.repetitions) {
-        result.cost.add(rep.total_cost);
-        result.metric.add(rep.metric);
-        result.wall_ms.add(rep.wall_ms);
-        merge_report(result.probe, rep.probe);
-      }
-    }
-    if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
-  };
-
-  struct Task {
-    std::size_t cell;
-    std::size_t rep;
-    std::uint64_t seed;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    const auto seeds = cells_[c].runner.seeds();
-    outcomes[c].resize(seeds.size());
-    remaining[c].store(seeds.size(), std::memory_order_relaxed);
-    for (std::size_t r = 0; r < seeds.size(); ++r) {
-      tasks.push_back(Task{c, r, seeds[r]});
-    }
-    if (seeds.empty()) finalize_cell(c);
-  }
-
-  // Pool tasks must not throw (std::terminate otherwise), but engines do
-  // on documented paths (starvation guard, scheduler contract violations,
-  // deadline cancellation): every definitive failure lands in the ledger
-  // and the failure policy decides after the drain.
-  for (const Task& task : tasks) {
-    pool_.submit([this, task, &outcomes, &ledger, &remaining, &finalize_cell,
-                  &cell_label] {
-      const Cell& cell = cells_[task.cell];
-      const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
-      run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
-                       [&](const CancelToken* cancel) {
-                         outcomes[task.cell][task.rep] = cell.runner.run_repetition(
-                             cell.policy, task.seed, cell.metric, cancel);
-                       });
-      if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize_cell(task.cell);
-      }
-    });
-  }
-  pool_.wait_idle();
-
-  const std::vector<std::size_t> failed = ledger.failed_cells();
-  if (!failed.empty() && !isolate) {
-    std::vector<std::string> labels;
-    labels.reserve(failed.size());
-    for (const std::size_t c : failed) labels.push_back(cell_label(c));
-    cells_.clear();
-    throw_fail_fast(ledger, failed, labels);
-  }
-  cells_.clear();
-  return results;
+  return fan_out(cells_, on_cell_done);
 }
 
 std::size_t BatchRunner::add_stream(StreamSpec spec, PolicyFactory policy) {
@@ -232,75 +227,7 @@ void BatchRunner::add_stream_grid(const StreamSpec& spec,
 }
 
 std::vector<StreamResult> BatchRunner::run_streams(const StreamCellDone& on_cell_done) {
-  const std::size_t num_cells = stream_cells_.size();
-  std::vector<std::vector<StreamRepOutcome>> outcomes(num_cells);
-  std::vector<StreamResult> results(num_cells);
-  FailureLedger ledger(num_cells);
-  const auto remaining = std::make_unique<std::atomic<std::size_t>[]>(num_cells);
-  const bool isolate = policy_.failure == FailurePolicy::Isolate;
-  if (policy_.deadline_ms > 0 && !watchdog_) {
-    watchdog_ = std::make_unique<DeadlineWatchdog>();
-  }
-
-  const auto cell_label = [this](std::size_t c) {
-    return stream_cells_[c].runner.spec().name + " x " + stream_cells_[c].policy.name;
-  };
-  const auto finalize_cell = [&](std::size_t c) {
-    StreamResult& result = results[c];
-    if (ledger.failed(c)) {
-      result.scenario = stream_cells_[c].runner.spec().name;
-      result.policy = stream_cells_[c].policy.name;
-      result.error = ledger.error(c);
-    } else {
-      result = stream_cells_[c].runner.aggregate(stream_cells_[c].policy,
-                                                 std::move(outcomes[c]));
-    }
-    if (on_cell_done && (!result.error.failed || isolate)) on_cell_done(c, result);
-  };
-
-  struct Task {
-    std::size_t cell;
-    std::size_t rep;
-    std::uint64_t seed;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t c = 0; c < num_cells; ++c) {
-    const auto seeds = stream_cells_[c].runner.seeds();
-    outcomes[c].resize(seeds.size());
-    remaining[c].store(seeds.size(), std::memory_order_relaxed);
-    for (std::size_t r = 0; r < seeds.size(); ++r) {
-      tasks.push_back(Task{c, r, seeds[r]});
-    }
-    if (seeds.empty()) finalize_cell(c);
-  }
-
-  for (const Task& task : tasks) {
-    pool_.submit([this, task, &outcomes, &ledger, &remaining, &finalize_cell,
-                  &cell_label] {
-      const StreamCell& cell = stream_cells_[task.cell];
-      const std::string name = policy_.fault_hook ? cell_label(task.cell) : std::string();
-      run_with_retries(policy_, watchdog_.get(), name, task.cell, task.rep, ledger,
-                       [&](const CancelToken* cancel) {
-                         outcomes[task.cell][task.rep] =
-                             cell.runner.run_repetition(cell.policy, task.seed, cancel);
-                       });
-      if (remaining[task.cell].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize_cell(task.cell);
-      }
-    });
-  }
-  pool_.wait_idle();
-
-  const std::vector<std::size_t> failed = ledger.failed_cells();
-  if (!failed.empty() && !isolate) {
-    std::vector<std::string> labels;
-    labels.reserve(failed.size());
-    for (const std::size_t c : failed) labels.push_back(cell_label(c));
-    stream_cells_.clear();
-    throw_fail_fast(ledger, failed, labels);
-  }
-  stream_cells_.clear();
-  return results;
+  return fan_out(stream_cells_, on_cell_done);
 }
 
 }  // namespace rdcn

@@ -4,8 +4,11 @@
 // shared thread pool, one task per repetition. Results are deterministic
 // and independent of worker scheduling: every repetition's outcome lands
 // in its preassigned slot, and aggregates are folded in seed order.
-// Streamed (open-loop) cells ride the same pool via add_stream /
-// run_streams, so latency-vs-load sweeps parallelize like batch grids.
+// Streamed (open-loop) cells queue via add_stream / run_streams, so
+// latency-vs-load sweeps parallelize like batch grids. Both queues drain
+// through one fan-out (slot preassignment, retries, the countdown that
+// finalizes a cell, the fail_fast drain), and a cell folds its outcomes
+// through its runner's aggregate(), exactly as the sequential run() does.
 //
 // Fault tolerance (run/failure.hpp): set_policy configures what a
 // throwing cell does to its siblings (fail_fast rethrows the first
@@ -63,12 +66,15 @@ class BatchRunner {
   /// lands, with its aggregated result -- the journaling hook. Calls for
   /// different cells may race; guard shared state. Failed cells are
   /// reported through it under isolate only (fail_fast is about to throw,
-  /// and a journaled error row would wrongly survive a resume).
+  /// and a journaled error row would wrongly survive a resume). A callback
+  /// that throws ends the run: the exception leaves run() once every task
+  /// has finished.
   using CellDone = std::function<void(std::size_t cell, const ScenarioResult&)>;
   using StreamCellDone = std::function<void(std::size_t cell, const StreamResult&)>;
 
   /// Runs every repetition of every queued cell on the pool and clears
-  /// the queue. Results are in add() order.
+  /// the queue, also when it throws. Results are in add() order and are
+  /// aggregated exactly like ScenarioRunner::run.
   std::vector<ScenarioResult> run(const CellDone& on_cell_done = nullptr);
 
   // --- streamed cells ----------------------------------------------------
@@ -82,8 +88,7 @@ class BatchRunner {
 
   std::size_t stream_cells() const noexcept { return stream_cells_.size(); }
 
-  /// Runs every repetition of every queued streamed cell on the pool and
-  /// clears the stream queue. Results are in add_stream() order and are
+  /// run() for the stream queue: results in add_stream() order,
   /// aggregated exactly like StreamRunner::run.
   std::vector<StreamResult> run_streams(const StreamCellDone& on_cell_done = nullptr);
 
@@ -92,11 +97,25 @@ class BatchRunner {
     ScenarioRunner runner;
     PolicyFactory policy;
     RepMetric metric;
+    RepetitionOutcome run(std::uint64_t seed, const CancelToken* cancel) const {
+      return runner.run_repetition(policy, seed, metric, cancel);
+    }
   };
   struct StreamCell {
     StreamRunner runner;
     PolicyFactory policy;
+    StreamRepOutcome run(std::uint64_t seed, const CancelToken* cancel) const {
+      return runner.run_repetition(policy, seed, cancel);
+    }
   };
+
+  /// The one fan-out behind run() and run_streams(). It takes the queue
+  /// first, so the queue is empty however the run ends (a failed cell
+  /// under fail_fast, a throwing completion callback).
+  template <typename QueuedCell, typename Result>
+  std::vector<Result> fan_out(
+      std::vector<QueuedCell>& queue,
+      const std::function<void(std::size_t, const Result&)>& on_cell_done);
 
   ThreadPool pool_;
   RunPolicy policy_;

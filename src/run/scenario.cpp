@@ -67,11 +67,12 @@ RunResult ScenarioRunner::run_once(const PolicyFactory& policy,
   return simulate(instance, *dispatcher, *scheduler, spec_.engine);
 }
 
-std::vector<std::uint64_t> ScenarioRunner::seeds() const {
+std::vector<std::uint64_t> repetition_seeds(std::uint64_t base_seed,
+                                            std::size_t repetitions) {
   std::vector<std::uint64_t> seeds;
-  seeds.reserve(spec_.repetitions);
-  for (std::size_t i = 0; i < spec_.repetitions; ++i) {
-    seeds.push_back(spec_.base_seed + static_cast<std::uint64_t>(i));
+  seeds.reserve(repetitions);
+  for (std::size_t i = 0; i < repetitions; ++i) {
+    seeds.push_back(base_seed + static_cast<std::uint64_t>(i));
   }
   return seeds;
 }
@@ -108,19 +109,27 @@ RepetitionOutcome ScenarioRunner::run_repetition(const PolicyFactory& policy,
   return outcome;
 }
 
-ScenarioResult ScenarioRunner::run(const PolicyFactory& policy, RepMetric metric) const {
+ScenarioResult ScenarioRunner::aggregate(const PolicyFactory& policy,
+                                         std::vector<RepetitionOutcome> outcomes) const {
   ScenarioResult result;
   result.scenario = spec_.name;
   result.policy = policy.name;
-  for (const std::uint64_t seed : seeds()) {
-    result.repetitions.push_back(run_repetition(policy, seed, metric));
-    const RepetitionOutcome& rep = result.repetitions.back();
+  result.repetitions = std::move(outcomes);
+  for (const RepetitionOutcome& rep : result.repetitions) {
     result.cost.add(rep.total_cost);
     result.metric.add(rep.metric);
     result.wall_ms.add(rep.wall_ms);
     merge_report(result.probe, rep.probe);
   }
   return result;
+}
+
+ScenarioResult ScenarioRunner::run(const PolicyFactory& policy, RepMetric metric) const {
+  std::vector<RepetitionOutcome> outcomes;
+  for (const std::uint64_t seed : seeds()) {
+    outcomes.push_back(run_repetition(policy, seed, metric));
+  }
+  return aggregate(policy, std::move(outcomes));
 }
 
 }  // namespace rdcn

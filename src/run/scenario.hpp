@@ -104,6 +104,11 @@ struct ScenarioResult {
   CellError error;
 };
 
+/// The repetition seeds of a ScenarioSpec or StreamSpec: base_seed,
+/// base_seed + 1, ..., one per repetition.
+std::vector<std::uint64_t> repetition_seeds(std::uint64_t base_seed,
+                                            std::size_t repetitions);
+
 /// Optional per-repetition metric (e.g. ratio to a bound computed from the
 /// instance); default records total_cost.
 using RepMetric = std::function<double(const Instance&, const RunResult&)>;
@@ -133,7 +138,14 @@ class ScenarioRunner {
   ScenarioResult run(const PolicyFactory& policy, RepMetric metric) const;
 
   /// Repetition seeds of this spec, in order.
-  std::vector<std::uint64_t> seeds() const;
+  std::vector<std::uint64_t> seeds() const {
+    return repetition_seeds(spec_.base_seed, spec_.repetitions);
+  }
+
+  /// Folds repetition outcomes (in seed order) into a ScenarioResult; run()
+  /// and BatchRunner's pooled fan-out both aggregate through it.
+  ScenarioResult aggregate(const PolicyFactory& policy,
+                           std::vector<RepetitionOutcome> outcomes) const;
 
   /// Calls fn(seed, instance) for every repetition, instances built by the
   /// runner -- the hook for benches computing bespoke audits per instance.

@@ -56,13 +56,27 @@ StreamRunner::StreamRunner(StreamSpec spec) : spec_(std::move(spec)) {
   }
 }
 
-std::vector<std::uint64_t> StreamRunner::seeds() const {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(spec_.repetitions);
-  for (std::size_t i = 0; i < spec_.repetitions; ++i) {
-    seeds.push_back(spec_.base_seed + static_cast<std::uint64_t>(i));
+std::vector<Time> stage_starts(const std::vector<StageSpec>& stages) {
+  std::vector<Time> starts;
+  starts.reserve(stages.size());
+  Time t = 1;
+  for (const StageSpec& stage : stages) {
+    starts.push_back(t);
+    t += stage.duration;
   }
-  return seeds;
+  return starts;
+}
+
+TrafficConfig stage_traffic(const StreamSpec& spec, std::size_t k, std::uint64_t rep_seed,
+                            int speedup_rounds) {
+  const StageSpec& stage = spec.stages[k];
+  TrafficConfig traffic = spec.traffic;
+  traffic.shape.seed = rep_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
+  traffic.speedup_rounds = speedup_rounds;
+  if (stage.rho > 0.0) traffic.rho = stage.rho;
+  if (stage.on_stay > 0.0) traffic.on_stay = stage.on_stay;
+  if (stage.off_stay > 0.0) traffic.off_stay = stage.off_stay;
+  return traffic;
 }
 
 StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
@@ -122,17 +136,9 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
   // Stage bookkeeping (all inert when the spec declares no stages).
   std::size_t cur_stage = 0;
   std::size_t next_stage = 0;
-  std::vector<Time> stage_start;
+  const std::vector<Time> stage_start = stage_starts(spec_.stages);
   std::uint64_t stage_departed_base = 0;
-  if (staged) {
-    out.stages.resize(spec_.stages.size());
-    stage_start.reserve(spec_.stages.size());
-    Time t = 1;
-    for (const StageSpec& s : spec_.stages) {
-      stage_start.push_back(t);
-      t += s.duration;
-    }
-  }
+  if (staged) out.stages.resize(spec_.stages.size());
   PacketIndex next_id = 0;  ///< staged runs renumber per-stage source ids
 
   double latency_sum = 0.0;
@@ -195,21 +201,13 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
     cur_stage = k;
     StageOutcome& stage = out.stages[k];
     stage.start = stage_start[k];
-    const StageSpec& sspec = spec_.stages[k];
-    const MutationStats stats = engine.apply_mutation(sspec.mutation);
+    const MutationStats stats = engine.apply_mutation(spec_.stages[k].mutation);
     stage.edges_killed = stats.edges_killed;
     stage.edges_restored = stats.edges_restored;
     stage.requeued = stats.packets_requeued;
     out.requeued += stats.packets_requeued;
-    TrafficConfig traffic = spec_.traffic;
-    // Per-stage seed: stage 0 keeps the repetition seed (an override-free
-    // stage 0 is bit-identical to the unstaged run); later stages fork.
-    traffic.shape.seed =
-        rep_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
-    traffic.speedup_rounds = engine.options().speedup_rounds;
-    if (sspec.rho > 0.0) traffic.rho = sspec.rho;
-    if (sspec.on_stay > 0.0) traffic.on_stay = sspec.on_stay;
-    if (sspec.off_stay > 0.0) traffic.off_stay = sspec.off_stay;
+    const TrafficConfig traffic =
+        stage_traffic(spec_, k, rep_seed, engine.options().speedup_rounds);
     // Calibration runs against the full topology: rho is nominal load on
     // the healthy fabric, failures are headwind the metrics expose.
     stage.target_rate = calibrate_rate(topology, traffic);
@@ -348,7 +346,6 @@ StreamResult StreamRunner::aggregate(const PolicyFactory& policy,
 
 StreamResult StreamRunner::run(const PolicyFactory& policy) const {
   std::vector<StreamRepOutcome> outcomes;
-  outcomes.reserve(spec_.repetitions);
   for (const std::uint64_t seed : seeds()) {
     outcomes.push_back(run_repetition(policy, seed));
   }

@@ -101,6 +101,18 @@ struct StreamSpec {
   std::vector<StageSpec> stages;
 };
 
+/// Stage k's first step clock T_k (1 + the durations before it), for every
+/// stage of the schedule; empty for an unstaged spec.
+std::vector<Time> stage_starts(const std::vector<StageSpec>& stages);
+
+/// Stage k's traffic regime in one repetition: the spec-level traffic with
+/// stage k's overrides, a per-stage seed (stage 0 keeps the repetition
+/// seed, so an override-free stage 0 draws the unstaged sequence; later
+/// stages fork) and the speedup in force at stage entry. StreamRunner and
+/// the staged batch-vs-stream differential both derive stages from these.
+TrafficConfig stage_traffic(const StreamSpec& spec, std::size_t k, std::uint64_t rep_seed,
+                            int speedup_rounds);
+
 /// One streamed repetition's folded outcome.
 struct StreamRepOutcome {
   std::uint64_t seed = 0;
@@ -172,7 +184,9 @@ class StreamRunner {
   const StreamSpec& spec() const noexcept { return spec_; }
 
   /// Repetition seeds of this spec, in order.
-  std::vector<std::uint64_t> seeds() const;
+  std::vector<std::uint64_t> seeds() const {
+    return repetition_seeds(spec_.base_seed, spec_.repetitions);
+  }
 
   /// Runs one repetition (deterministic in rep_seed). `cancel` (nullable)
   /// is handed to the engine and honored at step boundaries and stage
@@ -183,8 +197,8 @@ class StreamRunner {
   /// Runs every repetition under the policy and merges the statistics.
   StreamResult run(const PolicyFactory& policy) const;
 
-  /// Folds repetition outcomes into a StreamResult (used by BatchRunner's
-  /// fan-out so pooled and sequential runs aggregate identically).
+  /// Folds repetition outcomes (in seed order) into a StreamResult; run()
+  /// and BatchRunner's pooled fan-out both aggregate through it.
   StreamResult aggregate(const PolicyFactory& policy,
                          std::vector<StreamRepOutcome> outcomes) const;
 

@@ -776,26 +776,55 @@ std::string suite_to_json(const SuiteSpec& spec) {
 
 // --- grid expansion ---------------------------------------------------------
 
+namespace {
+
+/// One cell of the expanded grid, before the policy fan-out.
+struct GridCell {
+  std::string name;  ///< "<suite>/<topology>/<workload or traffic>/<engine>"
+  const SuiteTopology* topology;
+  std::size_t variant;  ///< index into workloads (batch) or traffic (stream)
+  const std::string* variant_label;
+  const SuiteEngine* engine;
+};
+
+/// The grid in run order: topology-major, then workload (batch) or
+/// traffic (stream), then engine. This is the one place the order is
+/// written; both grids, cell_names(), the row headers and the journal
+/// read it.
+std::vector<GridCell> walk_grid(const SuiteSpec& spec) {
+  const bool batch = spec.mode == SuiteSpec::Mode::Batch;
+  const std::size_t variants = batch ? spec.workloads.size() : spec.traffic.size();
+  std::vector<GridCell> cells;
+  cells.reserve(spec.topologies.size() * variants * spec.engines.size());
+  for (const SuiteTopology& topology : spec.topologies) {
+    for (std::size_t v = 0; v < variants; ++v) {
+      const std::string& variant =
+          batch ? spec.workloads[v].label : spec.traffic[v].label;
+      for (const SuiteEngine& engine : spec.engines) {
+        std::string name =
+            spec.name + "/" + topology.label + "/" + variant + "/" + engine.label;
+        cells.push_back({std::move(name), &topology, v, &variant, &engine});
+      }
+    }
+  }
+  return cells;
+}
+
+}  // namespace
+
 std::vector<ScenarioSpec> suite_batch_grid(const SuiteSpec& spec) {
   if (spec.mode != SuiteSpec::Mode::Batch) {
     throw SuiteError("mode", "suite_batch_grid needs a batch suite");
   }
   std::vector<ScenarioSpec> grid;
-  grid.reserve(spec.topologies.size() * spec.workloads.size() * spec.engines.size());
-  for (const SuiteTopology& topology : spec.topologies) {
-    for (const SuiteWorkload& workload : spec.workloads) {
-      for (const SuiteEngine& engine : spec.engines) {
-        ScenarioSpec cell;
-        cell.name =
-            spec.name + "/" + topology.label + "/" + workload.label + "/" + engine.label;
-        cell.topology = topology.spec;
-        cell.workload = workload.config;
-        cell.engine = engine.options;
-        cell.base_seed = spec.base_seed;
-        cell.repetitions = spec.repetitions;
-        grid.push_back(std::move(cell));
-      }
-    }
+  for (const GridCell& cell : walk_grid(spec)) {
+    ScenarioSpec& scenario = grid.emplace_back();
+    scenario.name = cell.name;
+    scenario.topology = cell.topology->spec;
+    scenario.workload = spec.workloads[cell.variant].config;
+    scenario.engine = cell.engine->options;
+    scenario.base_seed = spec.base_seed;
+    scenario.repetitions = spec.repetitions;
   }
   return grid;
 }
@@ -805,28 +834,21 @@ std::vector<StreamSpec> suite_stream_grid(const SuiteSpec& spec) {
     throw SuiteError("mode", "suite_stream_grid needs a stream suite");
   }
   std::vector<StreamSpec> grid;
-  grid.reserve(spec.topologies.size() * spec.traffic.size() * spec.engines.size());
-  for (const SuiteTopology& topology : spec.topologies) {
-    for (const SuiteTraffic& traffic : spec.traffic) {
-      for (const SuiteEngine& engine : spec.engines) {
-        StreamSpec cell;
-        cell.name =
-            spec.name + "/" + topology.label + "/" + traffic.label + "/" + engine.label;
-        cell.topology = topology.spec;
-        cell.traffic = traffic.config;
-        cell.traffic.speedup_rounds = engine.options.speedup_rounds;
-        cell.engine = engine.options;
-        cell.base_seed = spec.base_seed;
-        cell.repetitions = spec.repetitions;
-        cell.warmup_packets = spec.warmup_packets;
-        cell.measure_packets = spec.measure_packets;
-        cell.telemetry_window = spec.telemetry_window;
-        cell.max_steps = spec.max_steps;
-        cell.step_cap_factor = spec.step_cap_factor;
-        cell.stages = spec.stages;
-        grid.push_back(std::move(cell));
-      }
-    }
+  for (const GridCell& cell : walk_grid(spec)) {
+    StreamSpec& stream = grid.emplace_back();
+    stream.name = cell.name;
+    stream.topology = cell.topology->spec;
+    stream.traffic = spec.traffic[cell.variant].config;
+    stream.traffic.speedup_rounds = cell.engine->options.speedup_rounds;
+    stream.engine = cell.engine->options;
+    stream.base_seed = spec.base_seed;
+    stream.repetitions = spec.repetitions;
+    stream.warmup_packets = spec.warmup_packets;
+    stream.measure_packets = spec.measure_packets;
+    stream.telemetry_window = spec.telemetry_window;
+    stream.max_steps = spec.max_steps;
+    stream.step_cap_factor = spec.step_cap_factor;
+    stream.stages = spec.stages;
   }
   return grid;
 }
@@ -841,42 +863,29 @@ std::size_t SuiteRunner::grid_cells() const noexcept {
   return spec_.topologies.size() * axis * spec_.engines.size();
 }
 
-namespace {
-
-/// Axis labels of a cell, recovered from run order (topology-major, then
-/// workload/traffic, then engine -- matching the grid expansion loops).
-struct CellAxes {
-  const SuiteTopology* topology;
-  std::string variant;  ///< workload or traffic label
-  const SuiteEngine* engine;
-};
-
-std::vector<CellAxes> cell_axes(const SuiteSpec& spec) {
-  std::vector<CellAxes> axes;
-  const std::size_t variants = spec.mode == SuiteSpec::Mode::Batch ? spec.workloads.size()
-                                                                   : spec.traffic.size();
-  for (const SuiteTopology& topology : spec.topologies) {
-    for (std::size_t v = 0; v < variants; ++v) {
-      const std::string& variant = spec.mode == SuiteSpec::Mode::Batch
-                                       ? spec.workloads[v].label
-                                       : spec.traffic[v].label;
-      for (const SuiteEngine& engine : spec.engines) {
-        axes.push_back({&topology, variant, &engine});
-      }
+std::vector<std::string> SuiteRunner::cell_names() const {
+  std::vector<std::string> names;
+  names.reserve(cells());
+  for (const GridCell& cell : walk_grid(spec_)) {
+    for (const std::string& policy : spec_.policies) {
+      names.push_back(cell.name + " x " + policy);
     }
   }
-  return axes;
+  return names;
 }
 
-json::Object line_header(const SuiteSpec& spec, const CellAxes& axes,
-                         const std::string& policy, const std::string& scenario) {
+namespace {
+
+/// A row's leading keys: the suite, the policy and the cell's axis labels.
+json::Object line_header(const SuiteSpec& spec, const GridCell& cell,
+                         const std::string& policy) {
   json::Object params;
-  params.emplace_back("scenario", scenario);
-  params.emplace_back("topology", axes.topology->label);
-  params.emplace_back("kind", to_string(axes.topology->spec.kind));
+  params.emplace_back("scenario", cell.name);
+  params.emplace_back("topology", cell.topology->label);
+  params.emplace_back("kind", to_string(cell.topology->spec.kind));
   params.emplace_back(spec.mode == SuiteSpec::Mode::Batch ? "workload" : "traffic",
-                      axes.variant);
-  params.emplace_back("engine", axes.engine->label);
+                      *cell.variant_label);
+  params.emplace_back("engine", cell.engine->label);
   params.emplace_back("mode", name_of(kModeNames, spec.mode));
   params.emplace_back("base_seed", static_cast<std::int64_t>(spec.base_seed));
   params.emplace_back("reps", static_cast<std::int64_t>(spec.repetitions));
@@ -887,23 +896,6 @@ json::Object line_header(const SuiteSpec& spec, const CellAxes& axes,
   line.emplace_back("params", json::Value(std::move(params)));
   return line;
 }
-
-}  // namespace
-
-std::vector<std::string> SuiteRunner::cell_names() const {
-  const std::vector<CellAxes> axes = cell_axes(spec_);
-  std::vector<std::string> names;
-  names.reserve(axes.size() * spec_.policies.size());
-  for (const CellAxes& cell : axes) {
-    for (const std::string& policy : spec_.policies) {
-      names.push_back(spec_.name + "/" + cell.topology->label + "/" + cell.variant + "/" +
-                      cell.engine->label + " x " + policy);
-    }
-  }
-  return names;
-}
-
-namespace {
 
 /// "profile" cells: per-phase self time (summed across repetitions) as
 /// phase_<name>_ns metrics, so suite diffs can track where time went.
@@ -973,10 +965,7 @@ void append_stage_metrics(json::Object& line, const StreamResult& result) {
 /// and how many attempts it got). Healthy rows carry no "status" key, so
 /// downstream strict parsers (perf_diff) reject mixed streams loudly
 /// instead of averaging error rows into metrics.
-std::string render_error_row(const SuiteSpec& spec, const CellAxes& axes,
-                             const std::string& policy, const std::string& scenario,
-                             const CellError& error) {
-  json::Object line = line_header(spec, axes, policy, scenario);
+std::string render_error_row(json::Object line, const CellError& error) {
   line.emplace_back("status", "failed");
   line.emplace_back("error_type", error.type);
   line.emplace_back("error_message", error.message);
@@ -985,12 +974,10 @@ std::string render_error_row(const SuiteSpec& spec, const CellAxes& axes,
   return json::dump(json::Value(std::move(line)));
 }
 
-std::string render_batch_row(const SuiteSpec& spec, const CellAxes& axes,
-                             const ScenarioResult& result) {
-  if (result.error.failed) {
-    return render_error_row(spec, axes, result.policy, result.scenario, result.error);
-  }
-  json::Object line = line_header(spec, axes, result.policy, result.scenario);
+std::string render_row(const SuiteSpec& spec, const GridCell& cell,
+                       const ScenarioResult& result) {
+  json::Object line = line_header(spec, cell, result.policy);
+  if (result.error.failed) return render_error_row(std::move(line), result.error);
   line.emplace_back("total_cost", result.cost.mean());
   line.emplace_back("wall_ms", result.wall_ms.mean());
   line.emplace_back("cost_stddev", result.cost.stddev());
@@ -1000,12 +987,10 @@ std::string render_batch_row(const SuiteSpec& spec, const CellAxes& axes,
   return json::dump(json::Value(std::move(line)));
 }
 
-std::string render_stream_row(const SuiteSpec& spec, const CellAxes& axes,
-                              const StreamResult& result) {
-  if (result.error.failed) {
-    return render_error_row(spec, axes, result.policy, result.scenario, result.error);
-  }
-  json::Object line = line_header(spec, axes, result.policy, result.scenario);
+std::string render_row(const SuiteSpec& spec, const GridCell& cell,
+                       const StreamResult& result) {
+  json::Object line = line_header(spec, cell, result.policy);
+  if (result.error.failed) return render_error_row(std::move(line), result.error);
   double total_cost = 0.0;
   for (const StreamRepOutcome& rep : result.repetitions) total_cost += rep.total_cost;
   if (!result.repetitions.empty()) {
@@ -1107,7 +1092,7 @@ SuiteJournal load_suite_journal(const std::string& path) {
 
 std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
                                           const SuiteJournal* resume) const {
-  const std::vector<CellAxes> axes = cell_axes(spec_);
+  const std::vector<GridCell> grid = walk_grid(spec_);
   const std::vector<std::string> names = cell_names();
   const std::size_t policies = spec_.policies.size();
   const std::size_t total = names.size();
@@ -1156,40 +1141,33 @@ std::vector<std::string> SuiteRunner::run(const SuiteRunOptions& options,
     if (!options.journal.empty()) write_journal();
   };
 
+  // One enqueue/record path for both modes. Only cells the journal does
+  // not already record are enqueued; global_of maps the runner's dense
+  // cell index back to the suite index.
   BatchRunner runner(options.threads);
   runner.set_policy(options.policy);
-  // Only cells the journal does not already record are enqueued;
-  // global_of maps the runner's dense cell index back to the suite index.
   std::vector<std::size_t> global_of;
-
+  const auto enqueue = [&](const auto& specs, const auto& add) {
+    for (std::size_t global = 0; global < total; ++global) {
+      if (!rows[global].empty()) continue;
+      add(specs[global / policies], named_policy(spec_.policies[global % policies]));
+      global_of.push_back(global);
+    }
+  };
+  const auto on_cell_done = [&](std::size_t cell, const auto& result) {
+    const std::size_t global = global_of[cell];
+    record(global, render_row(spec_, grid[global / policies], result));
+  };
   if (spec_.mode == SuiteSpec::Mode::Batch) {
-    const std::vector<ScenarioSpec> grid = suite_batch_grid(spec_);
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      for (std::size_t p = 0; p < policies; ++p) {
-        const std::size_t global = g * policies + p;
-        if (!rows[global].empty()) continue;
-        runner.add(grid[g], named_policy(spec_.policies[p]));
-        global_of.push_back(global);
-      }
-    }
-    runner.run([&](std::size_t cell, const ScenarioResult& result) {
-      const std::size_t global = global_of[cell];
-      record(global, render_batch_row(spec_, axes[global / policies], result));
+    enqueue(suite_batch_grid(spec_), [&](const ScenarioSpec& cell, PolicyFactory policy) {
+      runner.add(cell, std::move(policy));
     });
+    runner.run(on_cell_done);
   } else {
-    const std::vector<StreamSpec> grid = suite_stream_grid(spec_);
-    for (std::size_t g = 0; g < grid.size(); ++g) {
-      for (std::size_t p = 0; p < policies; ++p) {
-        const std::size_t global = g * policies + p;
-        if (!rows[global].empty()) continue;
-        runner.add_stream(grid[g], named_policy(spec_.policies[p]));
-        global_of.push_back(global);
-      }
-    }
-    runner.run_streams([&](std::size_t cell, const StreamResult& result) {
-      const std::size_t global = global_of[cell];
-      record(global, render_stream_row(spec_, axes[global / policies], result));
+    enqueue(suite_stream_grid(spec_), [&](const StreamSpec& cell, PolicyFactory policy) {
+      runner.add_stream(cell, std::move(policy));
     });
+    runner.run_streams(on_cell_done);
   }
 
   for (std::size_t i = 0; i < total; ++i) {

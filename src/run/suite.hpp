@@ -15,6 +15,11 @@
 // normalized form (every default materialized), so spec -> JSON -> spec
 // round-trips bit-for-bit -- the golden test in tests/test_suite.cpp.
 //
+// One grid walk fixes the cell order (topology, then workload or traffic,
+// then engine; policies innermost): suite_batch_grid, suite_stream_grid,
+// SuiteRunner::cell_names, the row headers and the journal all read it,
+// and SuiteRunner::run enqueues and records both modes through one path.
+//
 // Each record's keys, types, ranges and cross-field rules are declared
 // once, by the fields(io, record) functions in suite.cpp; parsing, the
 // normalized form and the journal lines all run those declarations, and

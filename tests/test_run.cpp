@@ -251,6 +251,36 @@ TEST(BatchRunner, CellsAreClearedAfterAThrowAndTheRunnerStaysUsable) {
   EXPECT_DOUBLE_EQ(results.front().cost.mean(), expected.cost.mean());
 }
 
+TEST(BatchRunner, CellsAreClearedWhenTheCompletionCallbackThrows) {
+  // SuiteRunner's callback writes the journal, which throws on I/O errors.
+  BatchRunner batch(2);
+  batch.add(small_spec(), alg_policy());
+  EXPECT_THROW(batch.run([](std::size_t, const ScenarioResult&) {
+                 throw std::runtime_error("journal write failed");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(batch.cells(), 0u);
+  EXPECT_TRUE(batch.run().empty());
+}
+
+TEST(BatchRunner, StreamCellsAreClearedWhenTheCompletionCallbackThrows) {
+  StreamSpec spec;
+  spec.name = "replayed";
+  spec.warmup_packets = 0;
+  spec.measure_packets = 10;
+  spec.make_trace = [](std::uint64_t seed) {
+    return ScenarioRunner(small_spec()).instance(seed);
+  };
+  BatchRunner batch(2);
+  batch.add_stream(spec, alg_policy());
+  EXPECT_THROW(batch.run_streams([](std::size_t, const StreamResult&) {
+                 throw std::runtime_error("journal write failed");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(batch.stream_cells(), 0u);
+  EXPECT_TRUE(batch.run_streams().empty());
+}
+
 TEST(BatchRunner, FailingCellDoesNotCorruptSiblingOutcomes) {
   // A failing cell aborts the whole run() (all-or-nothing by contract);
   // re-running the surviving cells afterwards must match a fresh

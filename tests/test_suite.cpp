@@ -462,6 +462,30 @@ TEST(SuiteParse, LoadFileReportsMissingFiles) {
 
 // --- grid expansion and runner ----------------------------------------------
 
+std::string journal_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+/// Wall-clock fields are measurements, not results: two runs of the same
+/// cell agree on every metric but never on wall_ms, so cross-run row
+/// comparisons strip it first (same convention as the check.sh smokes).
+std::string strip_wall(std::string row) {
+  const std::string key = "\"wall_ms\":";
+  const std::size_t at = row.find(key);
+  if (at == std::string::npos) return row;
+  std::size_t end = row.find_first_of(",}", at + key.size());
+  if (end != std::string::npos && row[end] == ',') ++end;
+  row.erase(at, end - at);
+  return row;
+}
+
+std::vector<std::string> strip_wall(std::vector<std::string> rows) {
+  for (std::string& row : rows) row = strip_wall(std::move(row));
+  return rows;
+}
+
 TEST(SuiteRun, BatchLinesAreValidBenchReportJson) {
   SuiteSpec suite = parse_suite(R"({
     "suite": "smoke",
@@ -512,6 +536,94 @@ TEST(SuiteRun, StreamLinesCarryLatencyPercentiles) {
   EXPECT_EQ(parsed.find("truncated_reps")->as_integer(), 0);
 }
 
+/// Two entries on every axis (topologies, workloads or traffic, engines,
+/// policies), in each mode.
+const char* kFullBatchGrid = R"({
+  "suite": "grid-batch",
+  "seeds": {"base": 1, "repetitions": 1},
+  "policies": ["alg", "fifo"],
+  "engines": [{"name": "e1"}, {"name": "e2", "speedup": 2}],
+  "topologies": [
+    {"name": "xb", "kind": "crossbar", "ports": 4},
+    {"name": "rot", "kind": "rotor", "racks": 4}
+  ],
+  "workloads": [
+    {"name": "w1", "packets": 8, "rate": 2.0},
+    {"name": "w2", "packets": 8, "rate": 2.0, "skew": "zipf"}
+  ]
+})";
+
+const char* kFullStreamGrid = R"({
+  "suite": "grid-stream",
+  "mode": "stream",
+  "seeds": {"base": 1, "repetitions": 1},
+  "policies": ["alg", "fifo"],
+  "engines": [{"name": "e1"}, {"name": "e2", "speedup": 2}],
+  "topologies": [
+    {"name": "rot", "kind": "rotor", "racks": 5, "ports": 2},
+    {"name": "exp", "kind": "expander", "racks": 6, "degree": 2,
+     "fixed_link_delay": 0}
+  ],
+  "traffic": [{"name": "t1", "rho": 0.4}, {"name": "t2", "rho": 0.6}],
+  "stream": {"warmup": 10, "measure": 60, "window": 32}
+})";
+
+/// Row i names the cell cell_names()[i] and grid[i / policies] name, and
+/// its labels follow topology-major, then workload or traffic, then
+/// engine, then policy order; a resume from a journal that records every
+/// other cell returns the rows in the same order.
+template <typename Grid>
+void expect_rows_follow_the_grid(const SuiteSpec& suite, const Grid& grid) {
+  const bool batch = suite.mode == SuiteSpec::Mode::Batch;
+  std::vector<std::string> variants;
+  if (batch) {
+    for (const SuiteWorkload& workload : suite.workloads) {
+      variants.push_back(workload.label);
+    }
+  } else {
+    for (const SuiteTraffic& traffic : suite.traffic) variants.push_back(traffic.label);
+  }
+  const SuiteRunner runner(suite);
+  const std::vector<std::string> names = runner.cell_names();
+  const std::size_t policies = suite.policies.size();
+  ASSERT_EQ(names.size(), 16u);
+  ASSERT_EQ(grid.size() * policies, names.size());
+  const std::vector<std::string> rows = runner.run(2);
+  ASSERT_EQ(rows.size(), names.size());
+  std::size_t i = 0;
+  for (const SuiteTopology& topology : suite.topologies) {
+    for (const std::string& variant : variants) {
+      for (const SuiteEngine& engine : suite.engines) {
+        for (const std::string& policy : suite.policies) {
+          const std::string scenario =
+              suite.name + "/" + topology.label + "/" + variant + "/" + engine.label;
+          const json::Value row = json::parse(rows[i]);
+          const json::Value& params = *row.find("params");
+          EXPECT_EQ(row.find("name")->as_string(), policy) << i;
+          EXPECT_EQ(params.find("scenario")->as_string(), scenario) << i;
+          EXPECT_EQ(params.find("topology")->as_string(), topology.label) << i;
+          EXPECT_EQ(params.find(batch ? "workload" : "traffic")->as_string(), variant)
+              << i;
+          EXPECT_EQ(params.find("engine")->as_string(), engine.label) << i;
+          EXPECT_EQ(names[i], scenario + " x " + policy);
+          EXPECT_EQ(grid[i / policies].name, scenario);
+          ++i;
+        }
+      }
+    }
+  }
+
+  SuiteRunOptions options;
+  options.threads = 2;
+  options.journal = journal_path(suite.name + ".journal");
+  runner.run(options);
+  SuiteJournal partial = load_suite_journal(options.journal);
+  for (std::size_t cell = 1; cell < partial.rows.size(); cell += 2) {
+    partial.rows[cell].clear();
+  }
+  EXPECT_EQ(strip_wall(runner.run(options, &partial)), strip_wall(rows));
+}
+
 TEST(SuiteRun, GridOrderIsDeterministic) {
   const SuiteSpec suite = parse_suite(kZooStream);
   const auto names_a = SuiteRunner(suite).cell_names();
@@ -519,6 +631,11 @@ TEST(SuiteRun, GridOrderIsDeterministic) {
   EXPECT_EQ(names_a, names_b);
   const std::vector<StreamSpec> grid = suite_stream_grid(suite);
   ASSERT_EQ(names_a.size(), grid.size() * suite.policies.size());
+
+  const SuiteSpec batch = parse_suite(kFullBatchGrid);
+  expect_rows_follow_the_grid(batch, suite_batch_grid(batch));
+  const SuiteSpec stream = parse_suite(kFullStreamGrid);
+  expect_rows_follow_the_grid(stream, suite_stream_grid(stream));
 }
 
 // --- fault tolerance, journal, resume ---------------------------------------
@@ -533,30 +650,6 @@ const char* kJournalSuite = R"({
     {"name": "b", "packets": 12, "rate": 3.0, "skew": "zipf"}
   ]
 })";
-
-std::string journal_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
-}
-
-/// Wall-clock fields are measurements, not results: two runs of the same
-/// cell agree on every metric but never on wall_ms, so cross-run row
-/// comparisons strip it first (same convention as the check.sh smokes).
-std::string strip_wall(std::string row) {
-  const std::string key = "\"wall_ms\":";
-  const std::size_t at = row.find(key);
-  if (at == std::string::npos) return row;
-  std::size_t end = row.find_first_of(",}", at + key.size());
-  if (end != std::string::npos && row[end] == ',') ++end;
-  row.erase(at, end - at);
-  return row;
-}
-
-std::vector<std::string> strip_wall(std::vector<std::string> rows) {
-  for (std::string& row : rows) row = strip_wall(std::move(row));
-  return rows;
-}
 
 TEST(SuiteFault, JournalRecordsEveryCellAndLoadsBack) {
   const SuiteSpec suite = parse_suite(kJournalSuite);

@@ -20,9 +20,48 @@ configure() {
   cmake -B "$1" -S "$repo" -DRDCN_WERROR="${RDCN_WERROR:-OFF}" "${@:2}"
 }
 
-# Kill-and-resume smoke of the fault-tolerant suite runner, plus its
-# isolate / fail_fast / transient-retry variants. Needs only rdcn_cli in
-# the build directory; the full run and CI's perf-smoke job both call it.
+# wall_ms is a wall-clock measurement -- the one field two runs of the
+# same cell never agree on -- so cross-run comparisons strip it; every
+# actual metric must then be byte-identical.
+strip_wall() { sed -E 's/"wall_ms":[0-9.eE+-]+,?//g' "$1"; }
+
+# Kill-and-resume and isolate checks of the suite $build/$name.json, whose
+# fault hook targets the cells matching $target: two cells (both policies
+# of one axis entry) that run last. Leaves the uninterrupted reference
+# run in $build/${name}_ref.out.
+crash_resume_isolate() {
+  local build="$1" name="$2" target="$3"
+  local suite="$build/$name.json"
+  # Reference: the uninterrupted run every fault-tolerant variant must match.
+  "$build/rdcn_cli" suite "$suite" --threads 1 > "$build/${name}_ref.out" 2>/dev/null
+  # Kill-and-resume: the injected crash SIGKILLs the process at the first
+  # target cell (cells run in order under --threads 1, so the earlier cells
+  # are already journaled); the resume must produce bit-identical output.
+  rm -f "$build/$name.journal"
+  local kill_status=0
+  RDCN_SUITE_FAULT="crash@$target" "$build/rdcn_cli" suite "$suite" \
+      --threads 1 --journal "$build/$name.journal" >/dev/null 2>&1 || kill_status=$?
+  if [ "$kill_status" -ne 137 ]; then
+    echo "check.sh: crash injection did not SIGKILL suite $name (exit $kill_status)" >&2
+    exit 1
+  fi
+  grep -q '"rdcn_suite_journal":1' "$build/$name.journal"
+  "$build/rdcn_cli" suite --resume "$build/$name.journal" \
+      > "$build/${name}_merged.out" 2>/dev/null
+  cmp <(strip_wall "$build/${name}_ref.out") <(strip_wall "$build/${name}_merged.out")
+  # Isolate: the failing target cells become structured error rows; the
+  # healthy rows stay bit-identical to the reference.
+  RDCN_SUITE_FAULT="throw@$target" "$build/rdcn_cli" suite "$suite" \
+      --threads 1 --isolate > "$build/${name}_isolate.out" 2>/dev/null
+  test "$(grep -c '"status":"failed"' "$build/${name}_isolate.out")" -eq 2
+  cmp <(strip_wall "$build/${name}_ref.out" | head -n 2) \
+      <(strip_wall "$build/${name}_isolate.out" | head -n 2)
+}
+
+# Kill-and-resume smoke of the fault-tolerant suite runner over a batch
+# and a stream suite, plus the batch suite's fail_fast and transient-retry
+# variants. Needs only rdcn_cli in the build directory; the full run and
+# CI's perf-smoke job both call it.
 resume_smoke() {
   local build="$1"
   # A small two-workload suite; the fault hook targets the zipf cells.
@@ -43,36 +82,7 @@ resume_smoke() {
   ]
 }
 EOF
-  # Reference: the uninterrupted run every fault-tolerant variant must match.
-  # wall_ms is a wall-clock measurement -- the one field two runs of the
-  # same cell never agree on -- so cross-run comparisons strip it; every
-  # actual metric must then be byte-identical.
-  strip_wall() { sed -E 's/"wall_ms":[0-9.eE+-]+,?//g' "$1"; }
-  "$build/rdcn_cli" suite "$build/resume_smoke.json" --threads 1 \
-      > "$build/resume_ref.out" 2>/dev/null
-  # Kill-and-resume: the injected crash SIGKILLs the process at the first
-  # zipf cell (cells run in order under --threads 1, so the uniform cells
-  # are already journaled); the resume must produce bit-identical output.
-  rm -f "$build/resume_smoke.journal"
-  local kill_status=0
-  RDCN_SUITE_FAULT="crash@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-      --threads 1 --journal "$build/resume_smoke.journal" \
-      >/dev/null 2>&1 || kill_status=$?
-  if [ "$kill_status" -ne 137 ]; then
-    echo "check.sh: crash injection did not SIGKILL the suite (exit $kill_status)" >&2
-    exit 1
-  fi
-  grep -q '"rdcn_suite_journal":1' "$build/resume_smoke.journal"
-  "$build/rdcn_cli" suite --resume "$build/resume_smoke.journal" \
-      > "$build/resume_merged.out" 2>/dev/null
-  cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_merged.out")
-  # Isolate: the failing zipf cells become structured error rows; the
-  # healthy uniform rows stay bit-identical to the reference.
-  RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
-      --threads 1 --isolate > "$build/resume_isolate.out" 2>/dev/null
-  test "$(grep -c '"status":"failed"' "$build/resume_isolate.out")" -eq 2
-  cmp <(strip_wall "$build/resume_ref.out" | head -n 2) \
-      <(strip_wall "$build/resume_isolate.out" | head -n 2)
+  crash_resume_isolate "$build" resume_smoke zipf
   # fail_fast: same injection without --isolate aborts nonzero and reports
   # the suppressed sibling ("and 1 more cell failed").
   if RDCN_SUITE_FAULT="throw@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
@@ -85,7 +95,26 @@ EOF
   # budget of 2 recovers and the output is bit-identical to the reference.
   RDCN_SUITE_FAULT="transient@zipf" "$build/rdcn_cli" suite "$build/resume_smoke.json" \
       --threads 1 --attempts 2 --backoff-ms 1 > "$build/resume_retry.out" 2>/dev/null
-  cmp <(strip_wall "$build/resume_ref.out") <(strip_wall "$build/resume_retry.out")
+  cmp <(strip_wall "$build/resume_smoke_ref.out") <(strip_wall "$build/resume_retry.out")
+  # Stream mode: one pod at two loads; the fault hook targets the busy cells.
+  cat > "$build/resume_stream.json" <<'EOF'
+{
+  "suite": "resume-stream",
+  "mode": "stream",
+  "seeds": {"base": 1, "repetitions": 2},
+  "policies": ["alg", "fifo"],
+  "topologies": [
+    {"name": "pod", "kind": "two_tier", "racks": 6, "lasers": 2,
+     "photodetectors": 2, "density": 0.6, "max_edge_delay": 2}
+  ],
+  "traffic": [
+    {"name": "calm", "rho": 0.4},
+    {"name": "busy", "rho": 0.7}
+  ],
+  "stream": {"warmup": 100, "measure": 600}
+}
+EOF
+  crash_resume_isolate "$build" resume_stream busy
 }
 
 if [ "${1:-}" = "resume" ]; then
