@@ -13,6 +13,7 @@
 #include "opt/lower_bounds.hpp"
 #include "run/policies.hpp"
 #include "run/scenario.hpp"
+#include "sim/drive.hpp"
 #include "sim/metrics.hpp"
 #include "traffic/source.hpp"
 
@@ -44,11 +45,11 @@ EngineOptions streamable(const Instance& instance, EngineOptions options) {
   return options;
 }
 
-/// Drives a streaming engine over the instance's recorded arrivals,
-/// applying `schedule`'s mutations at the step boundaries
-/// Engine::run(schedule) applies them at (empty = a plain replay), and
-/// compares every aggregate, the drop/requeue counters and every
-/// per-packet outcome (dropped flag included) against the batch run.
+/// Drives a streaming engine over the instance's recorded arrivals
+/// through the stage clock Engine::run(schedule) uses, applying
+/// `schedule`'s mutations (empty = a plain replay), and compares every
+/// aggregate, the drop/requeue counters and every per-packet outcome
+/// (dropped flag included) against the batch run.
 /// Returns human-readable mismatch descriptions (empty = bit-for-bit);
 /// a throw from the streamed replay (audit, engine guard) is itself a
 /// mismatch, never an escape.
@@ -73,32 +74,8 @@ std::vector<std::string> compare_batch_vs_stream(
                   seen[index] = true;
                   retired[index] = std::move(packet);
                 });
-  const auto& packets = instance.packets();
-  std::size_t next = 0;
-  std::size_t next_mutation = 0;
   try {
-    while (next < packets.size() || engine.busy()) {
-      while (next_mutation < schedule.size() &&
-             schedule[next_mutation].at <= engine.now() + 1) {
-        engine.apply_mutation(schedule[next_mutation].mutation);
-        ++next_mutation;
-      }
-      // A mutation can drain the last in-flight packet (drop); mirror
-      // Engine::run(schedule), which re-checks for work before stepping.
-      if (next >= packets.size() && !engine.busy()) break;
-      const Time* upcoming = next < packets.size() ? &packets[next].arrival : nullptr;
-      Time stage_bound = 0;
-      if (next_mutation < schedule.size()) {
-        stage_bound = schedule[next_mutation].at - 1;
-        if (upcoming == nullptr || stage_bound < *upcoming) upcoming = &stage_bound;
-      }
-      engine.begin_step(upcoming);
-      while (next < packets.size() && packets[next].arrival == engine.now()) {
-        engine.inject(packets[next]);
-        ++next;
-      }
-      engine.finish_step();
-    }
+    drive_recorded(engine, instance.packets(), schedule);
   } catch (const std::exception& error) {
     mismatches.push_back(std::string("streamed replay threw: ") + error.what());
     return mismatches;

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/drive.hpp"
+
 namespace rdcn {
 
 StreamRunner::StreamRunner(StreamSpec spec) : spec_(std::move(spec)) {
@@ -85,20 +87,19 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
   StreamRepOutcome out;
   out.seed = rep_seed;
 
-  const bool replay = static_cast<bool>(spec_.make_trace);
   const bool staged = !spec_.stages.empty();
   Topology topology;
   std::unique_ptr<TrafficSource> source;
   Time max_steps = spec_.max_steps;
 
-  if (replay) {
+  if (spec_.make_trace) {
     Instance instance = spec_.make_trace(rep_seed);
     const std::string error = instance.validate();
     if (!error.empty()) throw std::invalid_argument("invalid trace: " + error);
-    // Trace replay: out.target_rate stays 0 by design, so the derived cap
-    // below (a division by the rate) must never be taken on this path --
-    // the cap is the batch engine's starvation bound instead, and the run
-    // drains the trace to completion.
+    // Trace replay: a trace source's rate is 0 by design, so the derived
+    // cap below (a division by the rate) must never be taken on this path
+    // -- the cap is the batch engine's starvation bound instead, and the
+    // run drains the trace to completion.
     if (max_steps == 0) {
       max_steps = default_max_steps(instance, spec_.engine.reconfig_delay);
     }
@@ -109,22 +110,21 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
     TrafficConfig traffic = spec_.traffic;
     traffic.shape.seed = rep_seed;
     traffic.speedup_rounds = spec_.engine.speedup_rounds;
-    out.target_rate = calibrate_rate(topology, traffic);
-    // Staged runs build their source at each stage entry (stage 0 included)
-    // so per-stage overrides re-calibrate; an override-free stage 0 draws
-    // the identical sequence as this unstaged construction would.
-    if (!staged) source = make_source(topology, traffic);
+    // The spec-level regime. A staged run replaces this source at stage
+    // 0's entry (an override-free stage 0 draws the identical sequence);
+    // its calibrated rate stays the run's nominal rate and sizes the cap.
+    source = make_source(topology, traffic);
     if (max_steps == 0) {
-      // calibrate_rate() > 0 by contract (it throws on zero-demand
-      // shapes), so the max() below is a pure division guard -- the
-      // target_rate == 0 trace path never reaches this branch.
+      // A generative source's rate is > 0 (calibration throws on
+      // zero-demand shapes), so the max() below is a pure division guard.
       const auto total =
           static_cast<double>(spec_.warmup_packets + spec_.measure_packets);
       max_steps = static_cast<Time>(spec_.step_cap_factor * total /
-                                    std::max(out.target_rate, 1e-9)) +
+                                    std::max(source->rate(), 1e-9)) +
                   1024;
     }
   }
+  out.target_rate = source->rate();
 
   auto dispatcher = policy.dispatcher();
   auto scheduler = policy.scheduler(topology);
@@ -135,11 +135,9 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
 
   // Stage bookkeeping (all inert when the spec declares no stages).
   std::size_t cur_stage = 0;
-  std::size_t next_stage = 0;
   const std::vector<Time> stage_start = stage_starts(spec_.stages);
   std::uint64_t stage_departed_base = 0;
   if (staged) out.stages.resize(spec_.stages.size());
-  PacketIndex next_id = 0;  ///< staged runs renumber per-stage source ids
 
   double latency_sum = 0.0;
   std::uint64_t served_this_step = 0;
@@ -177,22 +175,43 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
   double offered_demand = 0.0;
   Time first_arrival = 0;
   Time last_arrival = 0;
+  std::uint64_t arrivals_this_step = 0;
 
+  // The arrival cursor: the current source's next packet, rebased onto the
+  // run clock (stage k's 1-based arrival a lands at T_k - 1 + a) and
+  // numbered in injection order, one id sequence across stage sources.
   std::optional<Packet> pending;
-  /// Pulls the next packet, rebasing a stage source's 1-based arrivals
-  /// onto the run clock (stage k's arrival a lands at T_k - 1 + a).
-  const auto pull = [&]() {
+  Time rebase = 0;
+  PacketIndex next_id = 0;
+  const auto pull = [&] {
     pending = source->next();
-    if (staged && pending) pending->arrival += stage_start[cur_stage] - 1;
+    if (pending) {
+      pending->arrival += rebase;
+      pending->id = next_id;
+    }
+  };
+  const auto peek = [&]() -> const Packet* { return pending ? &*pending : nullptr; };
+  const auto pop = [&] {
+    if (out.offered == 0) first_arrival = pending->arrival;
+    last_arrival = pending->arrival;
+    const std::int64_t demand =
+        cheapest_demand(topology, pending->source, pending->destination);
+    if (demand == 0) ++out.zero_demand;  // fixed-layer only: invisible to rho
+    offered_demand += static_cast<double>(demand);
+    ++out.offered;
+    ++arrivals_this_step;
+    if (staged) ++out.stages[cur_stage].offered;
+    ++next_id;
+    pull();
   };
 
   /// Enters stage k at its edge: applies the mutation (drops flow through
-  /// the sink into this stage's counters), re-derives the traffic regime
-  /// with the stage's overrides, re-calibrates, and swaps the source. The
-  /// previous source's peeked packet is discarded -- the old regime ends
-  /// at the stage edge.
+  /// the sink into this stage's counters), derives the traffic regime with
+  /// the stage's overrides and swaps in its source, which calibrates it.
+  /// The previous source's peeked packet is discarded -- the old regime
+  /// ends at the stage edge.
   const auto enter_stage = [&](std::size_t k) {
-    // Stage entry does runner-side work (mutation, re-calibration, source
+    // Stage entry does runner-side work (mutation, calibration, source
     // rebuild) outside any engine step, so it honors the cancel token at
     // the same boundary contract the engine does inside begin_step.
     if (cancel != nullptr && cancel->cancelled()) {
@@ -206,72 +225,40 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
     stage.edges_restored = stats.edges_restored;
     stage.requeued = stats.packets_requeued;
     out.requeued += stats.packets_requeued;
-    const TrafficConfig traffic =
-        stage_traffic(spec_, k, rep_seed, engine.options().speedup_rounds);
     // Calibration runs against the full topology: rho is nominal load on
     // the healthy fabric, failures are headwind the metrics expose.
-    stage.target_rate = calibrate_rate(topology, traffic);
+    const TrafficConfig traffic =
+        stage_traffic(spec_, k, rep_seed, engine.options().speedup_rounds);
     source = make_source(topology, traffic);
+    stage.target_rate = source->rate();
+    rebase = stage.start - 1;
     pull();
     stage.entry_backlog = engine.in_flight();
     stage_departed_base = out.served + out.dropped;
     if (stage.entry_backlog == 0) stage.drain_steps = 0;
   };
 
-  const auto start = std::chrono::steady_clock::now();
-  if (source) pull();  // staged runs build their source at stage entry
-  while (true) {
-    while (staged && next_stage < spec_.stages.size() &&
-           stage_start[next_stage] <= engine.now() + 1) {
-      enter_stage(next_stage);
-      ++next_stage;
+  /// A generative run stops once its measure range has retired (served or
+  /// dropped); a trace drains. Either way the step cap truncates.
+  const auto finished = [&] {
+    if (!spec_.make_trace &&
+        out.measured + out.dropped_measured >= spec_.measure_packets) {
+      return true;
     }
-    if (replay ? (!pending && !engine.busy())
-               : out.measured + out.dropped_measured >= spec_.measure_packets) {
-      break;
-    }
-    if (!pending && !engine.busy()) break;  // generative source dried up
-    if (out.steps >= max_steps) {
-      out.truncated = true;
-      break;
-    }
-    const Time* upcoming = pending ? &pending->arrival : nullptr;
-    Time stage_bound = 0;
-    if (staged && next_stage < spec_.stages.size()) {
-      // Clamp the idle jump to the step before the next stage edge so the
-      // loop head above applies its mutation and step T_k runs
-      // post-mutation (mirrors Engine::run(schedule)).
-      stage_bound = stage_start[next_stage] - 1;
-      if (upcoming == nullptr || stage_bound < *upcoming) upcoming = &stage_bound;
-    }
-    engine.begin_step(upcoming);
+    out.truncated = out.steps >= max_steps;
+    return out.truncated;
+  };
+
+  const auto on_step = [&] {
     ++out.steps;
-    std::uint64_t arrivals_this_step = 0;
-    while (pending && pending->arrival == engine.now()) {
-      if (out.offered == 0) first_arrival = pending->arrival;
-      last_arrival = pending->arrival;
-      const std::int64_t demand =
-          cheapest_demand(topology, pending->source, pending->destination);
-      if (demand == 0) ++out.zero_demand;  // fixed-layer only: invisible to rho
-      offered_demand += static_cast<double>(demand);
-      ++out.offered;
-      ++arrivals_this_step;
-      if (staged) {
-        ++out.stages[cur_stage].offered;
-        pending->id = next_id;  // global sequence across stage sources
-      }
-      ++next_id;
-      engine.inject(*pending);
-      pull();
-    }
-    engine.finish_step();
     telemetry.on_step(engine.now(), arrivals_this_step, served_this_step,
                       engine.in_flight(), engine.probe());
-    // Reset here, not after begin_step: a stage mutation at the next loop
-    // head can retire packets (requeue onto the fixed layer completes them
-    // inside apply_mutation), and those serves belong to the step the
-    // mutation governs -- resetting post-begin_step would wipe them and
-    // telemetry would under-count served.
+    arrivals_this_step = 0;
+    // Reset here, not at the step's start: a stage mutation at the next
+    // boundary can retire packets (requeue onto the fixed layer completes
+    // them inside apply_mutation), and those serves belong to the step the
+    // mutation governs -- resetting at the step's start would wipe them
+    // and telemetry would under-count served.
     served_this_step = 0;
     if (staged) {
       StageOutcome& stage = out.stages[cur_stage];
@@ -281,7 +268,11 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
         stage.drain_steps = engine.now() - stage.start + 1;
       }
     }
-  }
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  pull();
+  drive(engine, peek, pop, stage_start, enter_stage, finished, on_step);
   const auto stop = std::chrono::steady_clock::now();
   out.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
 

@@ -29,15 +29,18 @@ namespace rdcn {
 /// pattern): traffic overrides held for `duration` steps plus an engine
 /// mutation applied atomically at the stage edge. Stage k begins at clock
 /// T_k = 1 + sum of the previous durations (stage 0 starts the run); its
-/// mutation and traffic regime govern every step with now() >= T_k.
+/// mutation and traffic regime govern every step with now() >= T_k --
+/// the stage clock of drive() (sim/drive.hpp), with stage entry as its
+/// edge hook.
 struct StageSpec {
   /// Steps this stage holds; 0 = "to end of run", legal for the last stage
   /// only. When every duration is finite and the run outlives the schedule,
   /// the final stage's regime persists.
   Time duration = 0;
   /// Traffic overrides; negative = inherit the spec-level TrafficConfig.
-  /// Overrides re-calibrate the arrival rate at stage entry (against the
-  /// full healthy topology: rho is nominal load, failures are headwind).
+  /// Stage entry builds the stage's source, which calibrates the arrival
+  /// rate once (against the full healthy topology: rho is nominal load,
+  /// failures are headwind).
   double rho = -1.0;
   double on_stay = -1.0;
   double off_stay = -1.0;
@@ -61,7 +64,7 @@ struct StageOutcome {
   /// entry >= entry_backlog): the time-to-drain recovery metric. -1 when
   /// the stage (or run) ended first; 0 when the stage opened empty.
   Time drain_steps = -1;
-  double target_rate = 0.0;   ///< stage's re-calibrated lambda; 0 in replay
+  double target_rate = 0.0;   ///< the stage source's calibrated lambda
   LatencyHistogram latency;   ///< completions during the stage (warmup included)
 };
 
@@ -97,7 +100,9 @@ struct StreamSpec {
   /// `stages` (staged replay goes through Engine::run(schedule)).
   std::function<Instance(std::uint64_t rep_seed)> make_trace;
   /// Time-staged dynamic scenario; empty = the classic single-regime run
-  /// (and the stage machinery costs nothing). See StageSpec.
+  /// (and the stage machinery costs nothing). Staged, unstaged and trace
+  /// repetitions all run through one drive() call (sim/drive.hpp); stages
+  /// only add edge hooks. See StageSpec.
   std::vector<StageSpec> stages;
 };
 
@@ -127,7 +132,9 @@ struct StreamRepOutcome {
   bool truncated = false;      ///< hit the step cap before the target
   Time steps = 0;
   Time makespan = 0;
-  double target_rate = 0.0;    ///< calibrated lambda (packets/step); 0 for traces
+  /// The spec-level source's calibrated lambda (packets/step); 0 for
+  /// traces. Staged runs keep it as the nominal rate behind the step cap.
+  double target_rate = 0.0;
   double offered_rate = 0.0;   ///< injected packets / arrival span
   double measured_rho = 0.0;   ///< offered chunk demand / (span * capacity)
   double throughput = 0.0;     ///< served packets / step
@@ -176,7 +183,8 @@ struct StreamResult {
 };
 
 /// Executes a StreamSpec: topology + source construction, the open-loop
-/// engine drive, warmup cutoff, and histogram/window folding.
+/// engine drive (drive() in sim/drive.hpp, stage entries as its edge
+/// hooks), warmup cutoff, and histogram/window folding.
 class StreamRunner {
  public:
   explicit StreamRunner(StreamSpec spec);

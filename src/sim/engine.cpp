@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/drive.hpp"
+
 namespace rdcn {
 
 namespace {
@@ -851,30 +853,7 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
       throw std::invalid_argument("stage schedule must be sorted by time");
     }
   }
-  const auto& packets = instance_->packets();
-  std::size_t next = 0;
-  std::size_t next_stage = 0;
-  while (true) {
-    // A mutation at time T governs every step with now() >= T, so it is
-    // applied once the next step's clock (now()+1, barring idle jumps --
-    // which the clamp below caps at T-1) reaches it.
-    while (next_stage < schedule.size() && schedule[next_stage].at <= now_ + 1) {
-      apply_mutation(schedule[next_stage].mutation);
-      ++next_stage;
-    }
-    if (next == packets.size() && !busy()) break;
-    const Time* upcoming = next < packets.size() ? &packets[next].arrival : nullptr;
-    Time stage_bound = 0;
-    if (next_stage < schedule.size()) {
-      // Clamp the idle jump to the step before the stage edge: the loop
-      // head then applies the mutation and step T runs post-mutation.
-      stage_bound = schedule[next_stage].at - 1;
-      if (upcoming == nullptr || stage_bound < *upcoming) upcoming = &stage_bound;
-    }
-    begin_step(upcoming);
-    while (next < packets.size() && packets[next].arrival == now_) inject(packets[next++]);
-    finish_step();
-  }
+  drive_recorded(*this, instance_->packets(), schedule);
   if (probe_) result_.probe = probe_->report();
   return std::move(result_);
 }

@@ -194,8 +194,9 @@ struct MutationStats {
 };
 
 /// A mutation pinned to a clock time: it takes effect for every step with
-/// now() >= at (drive loops apply it before the first such step begins,
-/// clamping idle jumps so no stage edge is skipped).
+/// now() >= at (the stage clock, drive() in sim/drive.hpp, applies it
+/// before the first such step begins, clamping idle jumps so no stage edge
+/// is skipped).
 struct TimedMutation {
   Time at = 0;
   StageMutation mutation;
@@ -286,12 +287,12 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Batch mode only: injects the instance's packets step by step and runs
-  /// to completion. Mutations of `schedule`, sorted by `at`
-  /// (nondecreasing), are applied at step boundaries so that every step
-  /// with now() >= at executes post-mutation; the idle jump is clamped to
-  /// the next stage edge, so schedules are honored even across arrival
-  /// gaps. A nonempty schedule is incompatible with record_trace and
-  /// redispatch_queued.
+  /// to completion through the stage clock (drive_recorded, sim/drive.hpp).
+  /// Mutations of `schedule`, sorted by `at` (nondecreasing), are applied
+  /// at step boundaries so that every step with now() >= at executes
+  /// post-mutation; the idle jump is clamped to the next stage edge, so
+  /// schedules are honored even across arrival gaps. A nonempty schedule
+  /// is incompatible with record_trace and redispatch_queued.
   RunResult run(const std::vector<TimedMutation>& schedule = {});
 
   // --- stage mutations ----------------------------------------------------
@@ -325,7 +326,8 @@ class Engine {
 
   // --- streaming interface ------------------------------------------------
   //
-  // One engine step is exactly run()'s loop body:
+  // One engine step; drive() in sim/drive.hpp is the loop that runs them
+  // for run() and for every staged driver, stage edges included:
   //   begin_step(next_arrival);              // clock advance + step guard
   //   while (arrival == now()) inject(p);    // dispatch this step's packets
   //   finish_step();                         // scheduling rounds, retirement

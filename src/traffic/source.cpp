@@ -25,6 +25,8 @@ class GenerativeSource : public TrafficSource {
         shape_(config.shape),
         rate_(calibrate_rate(topology, config)) {}
 
+  double rate() const noexcept final { return rate_; }
+
   std::optional<Packet> next() final {
     while (left_in_step_ == 0) {
       ++step_;
@@ -43,8 +45,6 @@ class GenerativeSource : public TrafficSource {
 
  protected:
   virtual std::uint64_t draw_count(Rng& rng) = 0;
-
-  double rate() const noexcept { return rate_; }
 
  private:
   Rng rng_;

@@ -94,6 +94,11 @@ class TrafficSource {
  public:
   virtual ~TrafficSource() = default;
   virtual std::optional<Packet> next() = 0;
+  /// The arrival rate (packets/step) the source calibrated from its
+  /// TrafficConfig when it was built -- calibrate_rate's value, so callers
+  /// read it here instead of calibrating the regime again. 0 for sources
+  /// without one (trace replay).
+  virtual double rate() const noexcept { return 0.0; }
 };
 
 /// Chunks per step the reconfigurable layer can move at most:
@@ -136,7 +141,8 @@ DemandEstimate estimate_service_demand(const Topology& topology,
 /// reconfigurable route.
 double calibrate_rate(const Topology& topology, const TrafficConfig& config);
 
-/// Builds a generative source (Poisson or OnOff) over the topology.
+/// Builds a generative source (Poisson or OnOff) over the topology; it
+/// calibrates its rate once, here, and reports it through rate().
 /// config.process == Trace is invalid here; use make_trace_source.
 std::unique_ptr<TrafficSource> make_source(const Topology& topology,
                                            const TrafficConfig& config);

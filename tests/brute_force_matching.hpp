@@ -1,10 +1,16 @@
-#include "match/brute_force.hpp"
+#pragma once
+
+// Exponential-time matching oracles for the tests: they verify the
+// polynomial algorithms on small random graphs.
 
 #include <algorithm>
+#include <vector>
+
+#include "match/hungarian.hpp"
 
 namespace rdcn {
 
-namespace {
+namespace brute_force_detail {
 
 struct SearchState {
   const std::vector<WeightedBipartiteEdge>* edges = nullptr;
@@ -12,7 +18,7 @@ struct SearchState {
   std::vector<bool> right_busy;
 };
 
-double search_weight(SearchState& state, std::size_t index) {
+inline double search_weight(SearchState& state, std::size_t index) {
   const auto& edges = *state.edges;
   if (index == edges.size()) return 0.0;
   // Skip this edge.
@@ -29,7 +35,7 @@ double search_weight(SearchState& state, std::size_t index) {
   return best;
 }
 
-std::size_t search_cardinality(SearchState& state, std::size_t index) {
+inline std::size_t search_cardinality(SearchState& state, std::size_t index) {
   const auto& edges = *state.edges;
   if (index == edges.size()) return 0;
   std::size_t best = search_cardinality(state, index + 1);
@@ -45,24 +51,32 @@ std::size_t search_cardinality(SearchState& state, std::size_t index) {
   return best;
 }
 
-}  // namespace
-
-double brute_force_max_weight_matching(const std::vector<WeightedBipartiteEdge>& edges,
-                                       std::size_t num_left, std::size_t num_right) {
+inline SearchState start_search(const std::vector<WeightedBipartiteEdge>& edges,
+                                std::size_t num_left, std::size_t num_right) {
   SearchState state;
   state.edges = &edges;
   state.left_busy.assign(num_left, false);
   state.right_busy.assign(num_right, false);
-  return search_weight(state, 0);
+  return state;
 }
 
-std::size_t brute_force_max_cardinality(const std::vector<WeightedBipartiteEdge>& edges,
-                                        std::size_t num_left, std::size_t num_right) {
-  SearchState state;
-  state.edges = &edges;
-  state.left_busy.assign(num_left, false);
-  state.right_busy.assign(num_right, false);
-  return search_cardinality(state, 0);
+}  // namespace brute_force_detail
+
+/// Exact maximum-weight matching by branching on each edge (include /
+/// exclude). Intended for <= ~24 edges.
+inline double brute_force_max_weight_matching(
+    const std::vector<WeightedBipartiteEdge>& edges, std::size_t num_left,
+    std::size_t num_right) {
+  auto state = brute_force_detail::start_search(edges, num_left, num_right);
+  return brute_force_detail::search_weight(state, 0);
+}
+
+/// Exact maximum-cardinality matching size by the same branching.
+inline std::size_t brute_force_max_cardinality(
+    const std::vector<WeightedBipartiteEdge>& edges, std::size_t num_left,
+    std::size_t num_right) {
+  auto state = brute_force_detail::start_search(edges, num_left, num_right);
+  return brute_force_detail::search_cardinality(state, 0);
 }
 
 }  // namespace rdcn

@@ -1,16 +1,39 @@
-#include "core/exact_certificate.hpp"
+#pragma once
+
+// Exact-rational form of the Section IV-B dual witness, for the tests:
+// with integer packet weights, alpha_p (recomputed from the run), the beta
+// ledgers (= twice the reconfigurable cost) and the dual objective
+//   D(eps) = sum alpha - 1/(2+eps) * (sum beta_t + sum beta_r)
+// are all exact rationals. Together with exact_paper_lp.hpp this makes
+// the whole Theorem-1 certificate chain float-free:
+//   ALG = sum charges <= sum alpha,  D/2 <= LP-OPT(eps) <= OPT(eps).
 
 #include "core/charging.hpp"
+#include "exact_paper_lp.hpp"
+#include "net/instance.hpp"
+#include "sim/engine.hpp"
+#include "util/rational.hpp"
 
 namespace rdcn {
 
-bool ExactCertificate::lemma3_holds(ExactEps eps) const {
-  // ALG * eps/(2+eps) <= D  <=>  ALG * num/(2*den+num) <= D  (den > 0).
-  return alg_cost * Rational(eps.num, 2 * eps.den + eps.num) <= dual_objective;
-}
+struct ExactCertificate {
+  Rational alg_cost;        ///< ALG's total weighted fractional latency
+  Rational sum_alpha;       ///< sum of exact alpha_p
+  Rational reconfig_cost;   ///< = sum_t,tau beta = sum_r,tau beta (Lemma 1)
+  Rational dual_objective;  ///< D(eps)
+  Rational lower_bound;     ///< D(eps)/2, a certified bound on OPT(1/(2+eps))
 
-ExactCertificate build_exact_certificate(const Instance& instance, const RunResult& result,
-                                         ExactEps eps) {
+  /// Lemma 3 (exact): ALG * eps/(2+eps) <= D.
+  bool lemma3_holds(ExactEps eps) const {
+    // ALG * eps/(2+eps) <= D  <=>  ALG * num/(2*den+num) <= D  (den > 0).
+    return alg_cost * Rational(eps.num, 2 * eps.den + eps.num) <= dual_objective;
+  }
+};
+
+/// Builds the exact certificate from an ALG run (ImpactDispatcher alphas
+/// are recomputed exactly; requires integer weights).
+inline ExactCertificate build_exact_certificate(const Instance& instance,
+                                                const RunResult& result, ExactEps eps) {
   const Topology& topology = instance.topology();
   ExactCertificate certificate;
 

@@ -1,15 +1,34 @@
-#include "lp/exact_paper_lp.hpp"
+#pragma once
+
+// Exact-rational builder for the paper's primal LP (Figure 3): with
+// integer packet weights and rational eps = num/den, every coefficient of
+// P is rational (the capacity budget is den/(2*den + num)), so its optimum
+// is an exact rational lower bound on OPT. Combined with the exact dual
+// witness (exact_certificate.hpp) this lets the tests verify the
+// inequality chain of Lemmas 3-5 with zero floating-point slack.
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "exact_simplex.hpp"
 #include "lp/paper_lps.hpp"
+#include "net/instance.hpp"
 
 namespace rdcn {
 
-namespace {
+struct ExactEps {
+  std::int64_t num = 1;
+  std::int64_t den = 1;
 
-std::int64_t integer_weight(const Packet& packet) {
+  Rational value() const { return Rational(num, den); }
+  /// 1 / (2 + eps) as an exact rational.
+  Rational budget() const { return Rational(den, 2 * den + num); }
+};
+
+namespace exact_detail {
+
+inline std::int64_t integer_weight(const Packet& packet) {
   const double rounded = std::floor(packet.weight);
   if (rounded != packet.weight || std::abs(packet.weight) > 1e15) {
     throw std::invalid_argument("exact LP requires integer packet weights");
@@ -17,9 +36,12 @@ std::int64_t integer_weight(const Packet& packet) {
   return static_cast<std::int64_t>(rounded);
 }
 
-}  // namespace
+}  // namespace exact_detail
 
-lp::ExactModel build_primal_lp_exact(const Instance& instance, ExactEps eps, Time horizon) {
+/// Builds Figure 3's program P with exact coefficients. Requires integer
+/// packet weights. horizon = 0 derives the feasibility horizon.
+inline lp::ExactModel build_primal_lp_exact(const Instance& instance, ExactEps eps,
+                                            Time horizon = 0) {
   if (eps.num <= 0 || eps.den <= 0) throw std::invalid_argument("eps must be positive");
   const Topology& topology = instance.topology();
   if (horizon <= 0) {
@@ -43,7 +65,7 @@ lp::ExactModel build_primal_lp_exact(const Instance& instance, ExactEps eps, Tim
 
   for (std::size_t i = 0; i < instance.num_packets(); ++i) {
     const Packet& packet = instance.packets()[i];
-    const Rational weight(integer_weight(packet));
+    const Rational weight(exact_detail::integer_weight(packet));
     std::vector<lp::ExactTerm> completeness;
 
     for (EdgeIndex e : topology.candidate_edges(packet.source, packet.destination)) {
@@ -77,7 +99,9 @@ lp::ExactModel build_primal_lp_exact(const Instance& instance, ExactEps eps, Tim
   return model;
 }
 
-Rational exact_lp_opt(const Instance& instance, ExactEps eps, Time horizon) {
+/// Solves P exactly; throws std::runtime_error unless the solver reaches
+/// optimality (including on rational overflow).
+inline Rational exact_lp_opt(const Instance& instance, ExactEps eps, Time horizon = 0) {
   const lp::ExactModel model = build_primal_lp_exact(instance, eps, horizon);
   const lp::ExactSolution solution = lp::solve_exact(model);
   if (solution.status != lp::ExactStatus::Optimal) {

@@ -1,16 +1,76 @@
-#include "lp/exact_simplex.hpp"
+#pragma once
 
+// Exact LP solving over rational arithmetic: a two-phase tableau simplex
+// with Bland's rule (guaranteed termination) and zero tolerances. Used to
+// produce CERTIFICATE-GRADE values of the paper's LPs on small instances:
+// with integer packet weights and rational eps, the optimum of Figure 3's
+// program P -- and hence the lower bound on OPT -- is an exact rational,
+// and the dual-witness inequality D/2 <= OPT can be checked with no
+// floating-point slack at all.
+//
+// Rationals can overflow on long pivot chains; the solver reports
+// ExactStatus::Overflow in that case (callers fall back to the double
+// solver). A reference for the tests; the library solves with lp/simplex.
+
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
+
+#include "util/rational.hpp"
 
 namespace rdcn::lp {
 
-std::size_t ExactModel::add_variable(Rational objective_coefficient) {
+enum class ExactRelation { LessEq, GreaterEq, Equal };
+
+struct ExactTerm {
+  std::size_t variable = 0;
+  Rational coefficient;
+};
+
+class ExactModel {
+ public:
+  std::size_t add_variable(Rational objective_coefficient);
+  void add_constraint(std::vector<ExactTerm> terms, ExactRelation relation, Rational rhs);
+  void set_maximize(bool maximize) noexcept { maximize_ = maximize; }
+  bool maximize() const noexcept { return maximize_; }
+
+  std::size_t num_variables() const noexcept { return objective_.size(); }
+  std::size_t num_constraints() const noexcept { return constraints_.size(); }
+  const std::vector<Rational>& objective() const noexcept { return objective_; }
+
+  struct Constraint {
+    std::vector<ExactTerm> terms;
+    ExactRelation relation;
+    Rational rhs;
+  };
+  const std::vector<Constraint>& constraints() const noexcept { return constraints_; }
+
+  /// Exact feasibility check of an assignment.
+  bool is_feasible(const std::vector<Rational>& values) const;
+  Rational objective_value(const std::vector<Rational>& values) const;
+
+ private:
+  std::vector<Rational> objective_;
+  std::vector<Constraint> constraints_;
+  bool maximize_ = false;
+};
+
+enum class ExactStatus { Optimal, Infeasible, Unbounded, IterationLimit, Overflow };
+
+struct ExactSolution {
+  ExactStatus status = ExactStatus::IterationLimit;
+  Rational objective;
+  std::vector<Rational> values;
+  std::size_t iterations = 0;
+};
+
+inline std::size_t ExactModel::add_variable(Rational objective_coefficient) {
   objective_.push_back(objective_coefficient);
   return objective_.size() - 1;
 }
 
-void ExactModel::add_constraint(std::vector<ExactTerm> terms, ExactRelation relation,
-                                Rational rhs) {
+inline void ExactModel::add_constraint(std::vector<ExactTerm> terms,
+                                       ExactRelation relation, Rational rhs) {
   for (const ExactTerm& term : terms) {
     if (term.variable >= objective_.size()) {
       throw std::out_of_range("constraint references unknown variable");
@@ -19,7 +79,7 @@ void ExactModel::add_constraint(std::vector<ExactTerm> terms, ExactRelation rela
   constraints_.push_back(Constraint{std::move(terms), relation, rhs});
 }
 
-bool ExactModel::is_feasible(const std::vector<Rational>& values) const {
+inline bool ExactModel::is_feasible(const std::vector<Rational>& values) const {
   for (const Rational& v : values) {
     if (v.is_negative()) return false;
   }
@@ -43,7 +103,7 @@ bool ExactModel::is_feasible(const std::vector<Rational>& values) const {
   return true;
 }
 
-Rational ExactModel::objective_value(const std::vector<Rational>& values) const {
+inline Rational ExactModel::objective_value(const std::vector<Rational>& values) const {
   Rational total(0);
   for (std::size_t v = 0; v < objective_.size(); ++v) {
     total += objective_[v] * values.at(v);
@@ -51,7 +111,7 @@ Rational ExactModel::objective_value(const std::vector<Rational>& values) const 
   return total;
 }
 
-namespace {
+namespace exact_detail {
 
 /// Dense rational tableau, Bland's rule only (termination certain, no
 /// tolerances). Mirrors the double solver's structure.
@@ -253,9 +313,10 @@ class ExactTableau {
   Rational objective_value_;
 };
 
-}  // namespace
+}  // namespace exact_detail
 
-ExactSolution solve_exact(const ExactModel& model, std::size_t max_iterations) {
+inline ExactSolution solve_exact(const ExactModel& model,
+                                 std::size_t max_iterations = 100000) {
   ExactSolution solution;
   if (model.num_constraints() == 0) {
     solution.values.assign(model.num_variables(), Rational(0));
@@ -271,7 +332,7 @@ ExactSolution solve_exact(const ExactModel& model, std::size_t max_iterations) {
     return solution;
   }
   try {
-    ExactTableau tableau(model);
+    exact_detail::ExactTableau tableau(model);
     solution.status = tableau.run(solution, model.maximize(), max_iterations);
   } catch (const RationalOverflow&) {
     solution.status = ExactStatus::Overflow;

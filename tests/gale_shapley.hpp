@@ -4,7 +4,7 @@
 // acceptance (the paper's reference [23]) on preference lists, the
 // classical substrate the paper's symmetric-priority greedy specializes:
 // with symmetric edge weights the proposer-optimal and receiver-optimal
-// stable matchings coincide and the greedy of match/stable.hpp computes
+// stable matchings coincide and the greedy of stable_matching.hpp computes
 // them directly.
 
 #include <cstdint>

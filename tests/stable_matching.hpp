@@ -1,13 +1,36 @@
-#include "match/stable.hpp"
+#pragma once
 
+// Reference implementation for the tests: greedy stable matching on
+// bipartite conflict graphs (Section III-A).
+//
+// A matching M is stable w.r.t. symmetric priorities if every request not
+// in M is blocked by some request in M that shares an endpoint and has
+// priority at least as high. With symmetric (edge-weight) priorities the
+// greedy algorithm -- scan requests from highest to lowest priority, accept
+// whenever both endpoints are free -- produces a stable matching; this is
+// the rule StableMatchingScheduler runs in place each scheduling round.
+
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 namespace rdcn {
 
-std::vector<std::size_t> greedy_stable_matching(std::span<const MatchRequest> requests,
-                                                std::size_t num_left,
-                                                std::size_t num_right) {
+/// One unit of work wanting to occupy (left, right) for the step.
+struct MatchRequest {
+  std::int32_t left = 0;   ///< e.g. transmitter index
+  std::int32_t right = 0;  ///< e.g. receiver index
+};
+
+/// Greedily accepts requests in the given order (the caller sorts by
+/// priority, highest first, with its own tie-breaking); a request is
+/// accepted iff neither endpoint is taken by an earlier accepted request.
+/// Returns the indices (into `requests`) of accepted requests, in order.
+inline std::vector<std::size_t> greedy_stable_matching(
+    std::span<const MatchRequest> requests, std::size_t num_left, std::size_t num_right) {
   std::vector<bool> left_busy(num_left, false);
   std::vector<bool> right_busy(num_right, false);
   std::vector<std::size_t> accepted;
@@ -23,9 +46,14 @@ std::vector<std::size_t> greedy_stable_matching(std::span<const MatchRequest> re
   return accepted;
 }
 
-std::vector<std::size_t> blocking_witness(std::span<const MatchRequest> requests,
-                                          std::span<const std::size_t> accepted,
-                                          std::size_t num_left, std::size_t num_right) {
+/// For every rejected request, finds the accepted request that blocks it:
+/// the earliest accepted request (in priority order) sharing an endpoint.
+/// result[i] == accepted index for rejected i, or SIZE_MAX for accepted
+/// requests (they block themselves).
+inline std::vector<std::size_t> blocking_witness(std::span<const MatchRequest> requests,
+                                                 std::span<const std::size_t> accepted,
+                                                 std::size_t num_left,
+                                                 std::size_t num_right) {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   // owner_of_left/right[x] = accepted request index occupying endpoint x.
   std::vector<std::size_t> owner_left(num_left, kNone);
@@ -48,9 +76,12 @@ std::vector<std::size_t> blocking_witness(std::span<const MatchRequest> requests
   return witness;
 }
 
-bool is_stable_selection(std::span<const MatchRequest> requests,
-                         std::span<const std::size_t> accepted, std::size_t num_left,
-                         std::size_t num_right) {
+/// Validates the defining property: `accepted` is a matching and every
+/// rejected request conflicts with an accepted request of lower index
+/// (i.e. priority at least as high under the caller's order).
+inline bool is_stable_selection(std::span<const MatchRequest> requests,
+                                std::span<const std::size_t> accepted,
+                                std::size_t num_left, std::size_t num_right) {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> owner_left(num_left, kNone);
   std::vector<std::size_t> owner_right(num_right, kNone);

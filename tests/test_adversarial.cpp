@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/alg.hpp"
-#include "core/exact_certificate.hpp"
+#include "exact_certificate.hpp"
 #include "sim/metrics.hpp"
 #include "workload/adversarial.hpp"
 

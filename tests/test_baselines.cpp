@@ -9,9 +9,9 @@
 
 #include "baseline/dispatchers.hpp"
 #include "baseline/schedulers.hpp"
+#include "brute_force_matching.hpp"
 #include "core/alg.hpp"
 #include "helpers.hpp"
-#include "match/brute_force.hpp"
 #include "net/builders.hpp"
 #include "sim/metrics.hpp"
 

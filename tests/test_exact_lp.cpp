@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "core/alg.hpp"
-#include "core/exact_certificate.hpp"
+#include "exact_certificate.hpp"
+#include "exact_paper_lp.hpp"
+#include "exact_simplex.hpp"
 #include "helpers.hpp"
-#include "lp/exact_paper_lp.hpp"
-#include "lp/exact_simplex.hpp"
 #include "lp/paper_lps.hpp"
 #include "lp/simplex.hpp"
 #include "net/builders.hpp"

@@ -11,9 +11,9 @@
 #include "core/randomized.hpp"
 #include "flow/flows.hpp"
 #include "helpers.hpp"
-#include "match/stable.hpp"
 #include "net/builders.hpp"
 #include "sim/metrics.hpp"
+#include "stable_matching.hpp"
 
 namespace rdcn {
 namespace {

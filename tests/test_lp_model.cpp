@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "core/alg.hpp"
+#include "exact_simplex.hpp"
 #include "helpers.hpp"
-#include "net/builders.hpp"
-#include "lp/exact_simplex.hpp"
 #include "lp/model.hpp"
+#include "net/builders.hpp"
 #include "sim/metrics.hpp"
 
 namespace rdcn {

@@ -6,12 +6,12 @@
 
 #include <numeric>
 
+#include "brute_force_matching.hpp"
 #include "gale_shapley.hpp"
-#include "match/brute_force.hpp"
 #include "match/edge_coloring.hpp"
 #include "match/hopcroft_karp.hpp"
 #include "match/hungarian.hpp"
-#include "match/stable.hpp"
+#include "stable_matching.hpp"
 #include "util/rng.hpp"
 
 namespace rdcn {

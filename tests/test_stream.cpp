@@ -616,6 +616,340 @@ TEST(StreamRunner, StagedRunsAreDeterministicPerSeed) {
   }
 }
 
+/// failure_recovery_stream on a hybrid pod whose stages also rescale the
+/// engine, like tests/suites/all_keys_stream.json: two rounds per step at
+/// capacity 2, then three rounds at capacity 1 while a rack is down
+/// (requeues reach the fixed layer), then one round at capacity 2.
+StreamSpec rescaling_stream() {
+  StreamSpec spec = failure_recovery_stream();
+  spec.topology.two_tier.fixed_link_delay = 9;
+  spec.engine.speedup_rounds = 2;
+  spec.engine.endpoint_capacity = 2;
+  spec.stages[1].mutation.kill_racks = {1};
+  spec.stages[1].mutation.speedup_rounds = 3;
+  spec.stages[1].mutation.endpoint_capacity = 1;
+  spec.stages[2].mutation.speedup_rounds = 1;
+  spec.stages[2].mutation.endpoint_capacity = 2;
+  spec.stages[2].rho = 0.7;
+  return spec;
+}
+
+struct StageGolden {
+  Time start;
+  std::uint64_t offered, served, dropped, requeued;
+  std::size_t entry_backlog;
+  Time drain_steps;
+  double target_rate;
+};
+
+struct StagedStreamGolden {
+  bool rescaling;  ///< rescaling_stream(), else failure_recovery_stream()
+  const char* policy;
+  std::uint64_t seed;
+  std::uint64_t offered, served, dropped, requeued;
+  Time steps;
+  bool truncated;
+  double total_cost;
+  double target_rate;
+  StageGolden stages[3];
+};
+
+// StreamRunner's staged output, captured before its drive loop moved into
+// the shared stage clock (sim/drive.hpp).
+constexpr StagedStreamGolden kStagedStreamGoldens[] = {
+    {false, "alg", 3ULL, 1883, 1856, 15, 0, 364, false, 19823, 5.1990691770679076,
+     {{1, 334, 324, 0, 0, 0, 0, 5.1990691770679076},
+      {61, 203, 197, 15, 0, 9, 2, 3.4660461180452717},
+      {121, 1346, 1335, 0, 0, 1, 1, 5.2389682370496695}}},
+    {false, "alg", 8ULL, 1769, 1764, 0, 0, 416, false, 19235, 4.5159867695700111,
+     {{1, 285, 273, 0, 0, 0, 0, 4.5159867695700111},
+      {61, 179, 189, 0, 0, 12, 3, 2.9547339945897204},
+      {121, 1305, 1302, 0, 0, 2, 1, 4.4137931034482758}}},
+    {false, "jsq", 3ULL, 19030, 16839, 18, 0, 3639, true, 2013185, 5.1990691770679076,
+     {{1, 334, 283, 0, 0, 0, 0, 5.1990691770679076},
+      {61, 203, 234, 18, 0, 47, 9, 3.4660461180452717},
+      {121, 18493, 16322, 0, 0, 2, 1, 5.2389682370496695}}},
+    {false, "jsq", 8ULL, 1860, 1847, 0, 0, 439, false, 31639, 4.5159867695700111,
+     {{1, 285, 263, 0, 0, 0, 0, 4.5159867695700111},
+      {61, 179, 199, 0, 0, 22, 7, 2.9547339945897204},
+      {121, 1396, 1385, 0, 0, 2, 1, 4.4137931034482758}}},
+    {false, "fifo", 3ULL, 1866, 1739, 15, 0, 361, false, 109190.5, 5.1990691770679076,
+     {{1, 334, 291, 0, 0, 0, 0, 5.1990691770679076},
+      {61, 203, 229, 15, 0, 42, 9, 3.4660461180452717},
+      {121, 1329, 1219, 0, 0, 2, 1, 5.2389682370496695}}},
+    {false, "fifo", 8ULL, 1721, 1712, 0, 0, 404, false, 46612, 4.5159867695700111,
+     {{1, 285, 265, 0, 0, 0, 0, 4.5159867695700111},
+      {61, 179, 197, 0, 0, 20, 6, 2.9547339945897204},
+      {121, 1257, 1250, 0, 0, 2, 1, 4.4137931034482758}}},
+    {false, "maxweight", 3ULL, 5883, 5586, 17, 0, 1118, false, 198208, 5.1990691770679076,
+     {{1, 334, 282, 0, 0, 0, 0, 5.1990691770679076},
+      {61, 203, 236, 17, 0, 49, 10, 3.4660461180452717},
+      {121, 5346, 5068, 0, 0, 2, 1, 5.2389682370496695}}},
+    {false, "maxweight", 8ULL, 1843, 1835, 0, 0, 435, false, 30696.5, 4.5159867695700111,
+     {{1, 285, 269, 0, 0, 0, 0, 4.5159867695700111},
+      {61, 179, 193, 0, 0, 16, 5, 2.9547339945897204},
+      {121, 1379, 1373, 0, 0, 2, 1, 4.4137931034482758}}},
+    {true, "alg", 3ULL, 1714, 1710, 0, 0, 193, false, 27998.5, 10.398138354135815,
+     {{1, 648, 648, 0, 0, 0, 0, 10.398138354135815},
+      {61, 604, 604, 0, 0, 0, 0, 10.398138354135815},
+      {121, 462, 458, 0, 0, 0, 0, 6.112129609891281}}},
+    {true, "alg", 8ULL, 1706, 1703, 0, 0, 233, false, 28973.5, 9.0319735391400222,
+     {{1, 567, 566, 0, 0, 0, 0, 9.0319735391400222},
+      {61, 553, 554, 0, 0, 1, 1, 8.8642019837691617},
+      {121, 586, 583, 0, 0, 0, 0, 5.1494252873563218}}},
+    {true, "jsq", 3ULL, 1727, 1721, 0, 0, 195, false, 29313.5, 10.398138354135815,
+     {{1, 648, 647, 0, 0, 0, 0, 10.398138354135815},
+      {61, 604, 605, 0, 0, 1, 1, 10.398138354135815},
+      {121, 475, 469, 0, 0, 0, 0, 6.112129609891281}}},
+    {true, "jsq", 8ULL, 1706, 1702, 0, 0, 233, false, 29553, 9.0319735391400222,
+     {{1, 567, 566, 0, 0, 0, 0, 9.0319735391400222},
+      {61, 553, 554, 0, 0, 1, 1, 8.8642019837691617},
+      {121, 586, 582, 0, 0, 0, 0, 5.1494252873563218}}},
+    {true, "fifo", 3ULL, 1798, 1767, 2, 30, 207, false, 57719, 10.398138354135815,
+     {{1, 648, 564, 0, 0, 0, 0, 10.398138354135815},
+      {61, 604, 686, 2, 30, 52, 4, 10.398138354135815},
+      {121, 546, 517, 0, 0, 0, 0, 6.112129609891281}}},
+    {true, "fifo", 8ULL, 1710, 1701, 4, 7, 234, false, 40200, 9.0319735391400222,
+     {{1, 567, 543, 0, 0, 0, 0, 9.0319735391400222},
+      {61, 553, 573, 4, 7, 13, 2, 8.8642019837691617},
+      {121, 590, 585, 0, 0, 0, 0, 5.1494252873563218}}},
+    {true, "maxweight", 3ULL, 2991, 2911, 5, 19, 396, false, 77334.5, 10.398138354135815,
+     {{1, 648, 595, 0, 0, 0, 0, 10.398138354135815},
+      {61, 604, 652, 5, 19, 29, 2, 10.398138354135815},
+      {121, 1739, 1664, 0, 0, 0, 0, 6.112129609891281}}},
+    {true, "maxweight", 8ULL, 1717, 1709, 2, 7, 236, false, 33627.5, 9.0319735391400222,
+     {{1, 567, 542, 0, 0, 0, 0, 9.0319735391400222},
+      {61, 553, 576, 2, 7, 16, 2, 8.8642019837691617},
+      {121, 597, 591, 0, 0, 0, 0, 5.1494252873563218}}},
+};
+
+TEST(StreamRunner, StagedRunsMatchGoldens) {
+  const StreamRunner recovery(failure_recovery_stream());
+  const StreamRunner rescaling(rescaling_stream());
+  for (const StagedStreamGolden& golden : kStagedStreamGoldens) {
+    const StreamRunner& runner = golden.rescaling ? rescaling : recovery;
+    const PolicyFactory policy = named_policy(golden.policy);
+    const StreamRepOutcome out = runner.run_repetition(policy, golden.seed);
+    const std::string label = std::string(golden.rescaling ? "rescaling " : "recovery ") +
+                              golden.policy + " seed " + std::to_string(golden.seed);
+    EXPECT_EQ(out.offered, golden.offered) << label;
+    EXPECT_EQ(out.served, golden.served) << label;
+    EXPECT_EQ(out.dropped, golden.dropped) << label;
+    EXPECT_EQ(out.requeued, golden.requeued) << label;
+    EXPECT_EQ(out.steps, golden.steps) << label;
+    EXPECT_EQ(out.truncated, golden.truncated) << label;
+    EXPECT_EQ(out.total_cost, golden.total_cost) << label;
+    EXPECT_EQ(out.target_rate, golden.target_rate) << label;
+    ASSERT_EQ(out.stages.size(), 3u) << label;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const StageOutcome& stage = out.stages[k];
+      const StageGolden& want = golden.stages[k];
+      const std::string where = label + " stage " + std::to_string(k);
+      EXPECT_EQ(stage.start, want.start) << where;
+      EXPECT_EQ(stage.offered, want.offered) << where;
+      EXPECT_EQ(stage.served, want.served) << where;
+      EXPECT_EQ(stage.dropped, want.dropped) << where;
+      EXPECT_EQ(stage.requeued, want.requeued) << where;
+      EXPECT_EQ(stage.entry_backlog, want.entry_backlog) << where;
+      EXPECT_EQ(stage.drain_steps, want.drain_steps) << where;
+      EXPECT_EQ(stage.target_rate, want.target_rate) << where;
+    }
+  }
+}
+
+// ------------------------------------------------------------ stage clock --
+//
+// The clock rule every staged drive follows: a mutation at T governs every
+// step with now() >= T, so it is applied before step T begins, and an idle
+// jump never carries the clock past T - 1. A recording dispatcher sees
+// which edges the engine reports alive at every injection; each injection
+// at now() >= T must see the state after every mutation at or before T,
+// and each earlier one the state before it.
+
+/// What the dispatcher saw at one injection.
+struct AliveRecord {
+  Time now = 0;
+  Time arrival = 0;
+  std::vector<char> alive;  ///< Engine::edge_alive per edge
+};
+
+class AliveRecordingDispatcher final : public DispatchPolicy {
+ public:
+  AliveRecordingDispatcher(std::unique_ptr<DispatchPolicy> inner,
+                           std::vector<AliveRecord>& log)
+      : inner_(std::move(inner)), log_(&log) {}
+
+  RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
+    AliveRecord record{engine.now(), packet.arrival, {}};
+    for (EdgeIndex e = 0; e < engine.topology().num_edges(); ++e) {
+      record.alive.push_back(engine.edge_alive(e) ? 1 : 0);
+    }
+    log_->push_back(std::move(record));
+    return inner_->dispatch(engine, packet);
+  }
+
+ private:
+  std::unique_ptr<DispatchPolicy> inner_;
+  std::vector<AliveRecord>* log_;
+};
+
+/// ALG with its dispatcher wrapped in an AliveRecordingDispatcher.
+PolicyFactory alive_recording_policy(std::vector<AliveRecord>& log) {
+  PolicyFactory policy = alg_policy();
+  policy.dispatcher = [make = policy.dispatcher, &log] {
+    return std::make_unique<AliveRecordingDispatcher>(make(), log);
+  };
+  return policy;
+}
+
+/// Edge liveness at clock t: every mutation with at <= t applied in order
+/// (restores before kills within one mutation, as Engine::apply_mutation).
+std::vector<char> alive_at(std::size_t num_edges,
+                           const std::vector<TimedMutation>& schedule, Time t) {
+  std::vector<char> alive(num_edges, 1);
+  for (const TimedMutation& entry : schedule) {
+    if (entry.at > t) break;
+    for (EdgeIndex e : entry.mutation.restore_edges) {
+      alive[static_cast<std::size_t>(e)] = 1;
+    }
+    for (EdgeIndex e : entry.mutation.kill_edges) alive[static_cast<std::size_t>(e)] = 0;
+  }
+  return alive;
+}
+
+/// Checks every record against the schedule, and that every mutation after
+/// the first step has injections on both sides of its edge (so the check
+/// is not vacuous).
+void expect_clock_rule(const std::vector<AliveRecord>& log, std::size_t num_edges,
+                       const std::vector<TimedMutation>& schedule,
+                       const std::string& label) {
+  ASSERT_FALSE(log.empty()) << label;
+  for (const AliveRecord& record : log) {
+    EXPECT_EQ(record.arrival, record.now) << label;
+    EXPECT_EQ(record.alive, alive_at(num_edges, schedule, record.now))
+        << label << ": injection at step " << record.now;
+  }
+  for (const TimedMutation& entry : schedule) {
+    if (entry.at <= 1) continue;
+    const auto before = std::count_if(log.begin(), log.end(), [&](const AliveRecord& r) {
+      return r.now < entry.at;
+    });
+    EXPECT_GT(before, 0) << label << ": no injection before T = " << entry.at;
+    EXPECT_LT(static_cast<std::size_t>(before), log.size())
+        << label << ": no injection at or after T = " << entry.at;
+  }
+}
+
+/// Kills and restores edges. Stranded packets drop: a requeue would
+/// re-dispatch them, and every dispatch the recorder sees must be an
+/// injection.
+StageMutation edge_mutation(std::vector<EdgeIndex> kill, std::vector<EdgeIndex> restore) {
+  StageMutation mutation;
+  mutation.kill_edges = std::move(kill);
+  mutation.restore_edges = std::move(restore);
+  mutation.dead_policy = DeadPolicy::Drop;
+  return mutation;
+}
+
+TimedMutation timed(Time at, std::vector<EdgeIndex> kill,
+                    std::vector<EdgeIndex> restore) {
+  return {at, edge_mutation(std::move(kill), std::move(restore))};
+}
+
+/// The sparse trace of SlowTraceDrainsToCompletionDespiteZeroTargetRate:
+/// about 20 idle steps between arrivals.
+Instance sparse_instance() {
+  TwoTierConfig net;
+  net.racks = 4;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 0.9;
+  net.max_edge_delay = 2;
+  Rng rng(11);
+  const Topology topology = build_two_tier(net, rng);
+  WorkloadConfig workload;
+  workload.num_packets = 60;
+  workload.arrival_rate = 0.05;
+  workload.seed = 11;
+  return generate_workload(topology, workload);
+}
+
+TEST(StageClock, BatchRunAppliesEachMutationBeforeItsStep) {
+  const Instance instance = sparse_instance();
+  const auto& packets = instance.packets();
+  const auto num_edges = static_cast<std::size_t>(instance.topology().num_edges());
+  ASSERT_GE(num_edges, 3u);
+  // Distinct arrival times with at least two idle steps after them: a
+  // mutation strictly inside such a gap is only reached through the clamp.
+  std::vector<std::pair<Time, Time>> gaps;  // (arrival, next arrival)
+  for (std::size_t i = 1; i < packets.size(); ++i) {
+    if (packets[i].arrival - packets[i - 1].arrival >= 3) {
+      gaps.emplace_back(packets[i - 1].arrival, packets[i].arrival);
+    }
+  }
+  ASSERT_GE(gaps.size(), 4u);
+  const auto check = [&](const char* label, const std::vector<TimedMutation>& schedule) {
+    std::vector<AliveRecord> log;
+    const PolicyFactory policy = alive_recording_policy(log);
+    auto dispatcher = policy.dispatcher();
+    auto scheduler = policy.scheduler(instance.topology());
+    EngineOptions options;
+    options.audit = true;
+    Engine engine(instance, *dispatcher, *scheduler, options);
+    engine.run(schedule);
+    expect_clock_rule(log, num_edges, schedule, label);
+  };
+  const Time gap0 = (gaps[0].first + gaps[0].second) / 2;
+  const Time gap1 = (gaps[1].first + gaps[1].second) / 2;
+  const Time gap2 = (gaps[2].first + gaps[2].second) / 2;
+  // A kill before the first step, a restore exactly at an arrival.
+  check("at T = 1", {timed(1, {0, 1}, {}), timed(gaps[1].second, {}, {0, 1})});
+  // Both strictly inside idle gaps.
+  check("in idle gaps", {timed(gap0, {0, 1}, {}), timed(gap2, {}, {0, 1})});
+  // Two mutations at one T apply in order; the last restore lands one
+  // step after an arrival.
+  std::vector<TimedMutation> same_t = {timed(gap1, {0, 1}, {}), timed(gap1, {2}, {0})};
+  same_t.push_back(timed(gaps[3].first + 1, {}, {1, 2}));
+  check("two at one T", same_t);
+}
+
+TEST(StageClock, StagedStreamAppliesEachStageBeforeItsStep) {
+  // The same rule through StreamRunner: a sparse generative stream whose
+  // stage edges fall between arrivals.
+  StreamSpec spec;
+  spec.name = "sparse-staged";
+  auto& net = spec.topology.two_tier;
+  net.racks = 4;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 0.9;
+  net.max_edge_delay = 2;
+  spec.traffic.rho = 0.01;
+  spec.warmup_packets = 0;
+  spec.measure_packets = 60;
+  spec.engine.audit = true;
+  spec.stages.resize(3);
+  spec.stages[0].duration = 300;
+  spec.stages[0].mutation = edge_mutation({0, 1}, {});
+  spec.stages[1].duration = 300;
+  spec.stages[1].mutation = edge_mutation({2}, {0});
+  spec.stages[2].mutation = edge_mutation({}, {1, 2});
+  const StreamRunner runner(spec);
+  std::vector<TimedMutation> schedule;
+  const std::vector<Time> starts = stage_starts(spec.stages);
+  for (std::size_t k = 0; k < spec.stages.size(); ++k) {
+    schedule.push_back({starts[k], spec.stages[k].mutation});
+  }
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    std::vector<AliveRecord> log;
+    const StreamRepOutcome out = runner.run_repetition(alive_recording_policy(log), seed);
+    EXPECT_FALSE(out.truncated);
+    const auto num_edges = static_cast<std::size_t>(
+        make_topology(spec.topology, seed).num_edges());
+    expect_clock_rule(log, num_edges, schedule, "seed " + std::to_string(seed));
+  }
+}
+
 TEST(StreamRunner, StagedSpecsRejectIllFormedSchedules) {
   StreamSpec spec = small_stream();
   spec.stages.emplace_back();

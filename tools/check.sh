@@ -9,6 +9,9 @@
 #                                       #   changed files when installed
 #   $ tools/check.sh resume [build-dir] # suite kill-and-resume smoke over
 #                                       #   an existing build's rdcn_cli
+#   $ tools/check.sh rows parent-build [build-dir]
+#                                       # suite rows of two existing builds
+#                                       #   must match byte for byte
 #
 # RDCN_WERROR=ON in the environment turns warnings into errors (CI does).
 # Exit code is nonzero if any stage fails.
@@ -24,6 +27,29 @@ configure() {
 # same cell never agree on -- so cross-run comparisons strip it; every
 # actual metric must then be byte-identical.
 strip_wall() { sed -E 's/"wall_ms":[0-9.eE+-]+,?//g' "$1"; }
+
+# Suite rows with every timing stripped: wall_ms and the probe's
+# phase_*_ns times are the only fields two runs of one build disagree on.
+strip_timing() {
+  sed -E 's/"wall_ms":[0-9.eE+-]+,?//g; s/"phase_[a-z_]+_ns":[0-9]+,?//g' "$1"
+}
+
+# Runs every gallery suite and both all-keys documents through the
+# rdcn_cli of two builds and requires identical rows; stops at the first
+# suite whose rows differ.
+rows_match() {
+  local parent="$1" build="$2" suite name
+  for suite in "$repo"/examples/suites/*.json "$repo"/tests/suites/all_keys_*.json; do
+    name="$(basename "$suite" .json)"
+    "$parent/rdcn_cli" suite "$suite" > "$build/rows_parent_$name.out"
+    "$build/rdcn_cli" suite "$suite" > "$build/rows_$name.out"
+    if ! cmp <(strip_timing "$build/rows_parent_$name.out") \
+             <(strip_timing "$build/rows_$name.out"); then
+      echo "check.sh: rows of $suite differ between $parent and $build" >&2
+      exit 1
+    fi
+  done
+}
 
 # Kill-and-resume and isolate checks of the suite $build/$name.json, whose
 # fault hook targets the cells matching $target: two cells (both policies
@@ -120,6 +146,16 @@ EOF
 if [ "${1:-}" = "resume" ]; then
   resume_smoke "${2:-$repo/build}"
   echo "check.sh: resume passed"
+  exit 0
+fi
+
+if [ "${1:-}" = "rows" ]; then
+  if [ -z "${2:-}" ]; then
+    echo "usage: tools/check.sh rows parent-build [build-dir]" >&2
+    exit 2
+  fi
+  rows_match "$2" "${3:-$repo/build}"
+  echo "check.sh: rows passed"
   exit 0
 fi
 

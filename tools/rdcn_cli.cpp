@@ -24,7 +24,9 @@
 //   record <out.inst> [--rho F] [--source poisson|onoff] [--packets N]
 //          [--seed S] [topology/shape flags as gen]
 //       Captures the first N packets of an open-loop traffic source into an
-//       instance file -- a replayable arrival trace (see `stream --trace`).
+//       instance file -- a replayable arrival trace (see `stream --trace`);
+//       the summary line reports the rate the source calibrated when it
+//       was built.
 //   stream [--policy <name>] [--rho F] [--source poisson|onoff]
 //          [--trace in.inst] [--warmup N] [--packets N] [--window N]
 //          [--capacity B] [--speedup K] [--reconfig D] [--seed S]
@@ -39,7 +41,10 @@
 //       rewiring, the suite "stages" schema); the summary then adds
 //       per-stage served/dropped/requeued and time-to-drain recovery rows.
 //       --audit runs the invariant auditor alongside (throws on violation).
-//       --stages is incompatible with --trace.
+//       --stages is incompatible with --trace: every stage draws its own
+//       arrivals (a recorded trace replays under a mutation schedule
+//       through the library's Engine::run(schedule), on the same stage
+//       clock).
 //   suite [suite.json] [--threads N] [--list] [--journal out.journal]
 //         [--resume in.journal] [--isolate] [--deadline-ms F]
 //         [--attempts N] [--backoff-ms F]
@@ -374,10 +379,8 @@ int cmd_record(const Args& args) {
   TrafficConfig traffic = traffic_from(args);
   traffic.shape.seed = seed;
   const auto count = static_cast<std::size_t>(args.number("--packets", 10000));
-  // Deterministic in (topology, traffic), so this matches the rate the
-  // source below calibrates internally; the 4096-draw estimate is cheap.
-  const double rate = calibrate_rate(topology, traffic);
-
+  // The source calibrates its rate once, when it is built; the summary
+  // line reports that rate.
   const auto source = make_source(topology, traffic);
   Instance instance(topology, record_arrivals(*source, count));
   std::ofstream out(args.file);
@@ -389,7 +392,7 @@ int cmd_record(const Args& args) {
   const Time span = instance.num_packets() ? instance.packets().back().arrival : 0;
   std::printf(
       "recorded %zu packets over %lld steps (target rho %.2f, lambda %.3f/step) to %s\n",
-      instance.num_packets(), static_cast<long long>(span), traffic.rho, rate,
+      instance.num_packets(), static_cast<long long>(span), traffic.rho, source->rate(),
       args.file.c_str());
   return 0;
 }
@@ -413,8 +416,9 @@ int cmd_stream(const Args& args) {
   const std::string trace = args.value("--trace", "");
   const std::string stages = args.value("--stages", "");
   if (!stages.empty() && !trace.empty()) {
-    std::fprintf(stderr, "--stages is incompatible with --trace (staged replay goes "
-                         "through the batch Engine::run(schedule))\n");
+    std::fprintf(stderr, "--stages is incompatible with --trace (every stage draws its "
+                         "own arrivals; replay a trace under stage mutations through "
+                         "Engine::run(schedule))\n");
     return 2;
   }
   if (!trace.empty()) {
