@@ -103,7 +103,8 @@ int main() {
   std::printf(
       "\nExpected shape: percentiles diverge as rho -> 1 (queueing-delay knee);\n"
       "ALG sustains lower tails deeper into the load range than weight-blind\n"
-      "baselines. peak resident slots stay O(in-flight), far below served.\n");
+      "baselines. peak resident records track the peak queued backlog, far\n"
+      "below served: a starved packet pins only its own record.\n");
   report.print();
   return 0;
 }

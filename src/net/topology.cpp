@@ -69,6 +69,7 @@ void Topology::add_fixed_link(NodeIndex source, NodeIndex destination, Delay del
     throw std::out_of_range("bad destination index");
   }
   if (delay < 1) throw std::invalid_argument("fixed link delay must be >= 1");
+  pair_cache_ready_ = false;
   for (auto& link : fixed_links_) {
     if (link.source == source && link.destination == destination) {
       link.delay = std::min(link.delay, delay);
@@ -86,69 +87,76 @@ Delay Topology::total_edge_delay(EdgeIndex e) const {
 
 std::vector<EdgeIndex> Topology::candidate_edges(NodeIndex source,
                                                  NodeIndex destination) const {
-  std::vector<EdgeIndex> result;
-  candidate_edges_into(source, destination, result);
-  return result;
+  const std::span<const EdgeIndex> edges = pair_edges(source, destination);
+  return {edges.begin(), edges.end()};
+}
+
+void Topology::candidate_edges_into(NodeIndex source, NodeIndex destination,
+                                    std::vector<EdgeIndex>& out) const {
+  const std::span<const EdgeIndex> edges = pair_edges(source, destination);
+  out.assign(edges.begin(), edges.end());
 }
 
 void Topology::build_pair_cache() const {
-  const auto sources = static_cast<std::size_t>(num_sources_);
-  const auto destinations = static_cast<std::size_t>(num_destinations_);
-  pair_offsets_.assign(sources * destinations + 1, 0);
-  const auto pair_index = [destinations](std::size_t s, std::size_t d) {
-    return s * destinations + d;
+  const auto pairs = static_cast<std::size_t>(num_sources_) *
+                     static_cast<std::size_t>(num_destinations_);
+  pair_offsets_.assign(pairs + 1, 0);
+  const auto pair_of = [this](NodeIndex s, EdgeIndex e) {
+    const auto r = static_cast<std::size_t>(edges_[static_cast<std::size_t>(e)].receiver);
+    return pair_index(s, receiver_destination_[r]);
   };
-  for (std::size_t s = 0; s < sources; ++s) {
-    for (NodeIndex t : transmitters_of_source_[s]) {
+  for (NodeIndex s = 0; s < num_sources_; ++s) {
+    for (NodeIndex t : transmitters_of_source_[static_cast<std::size_t>(s)]) {
       for (EdgeIndex e : edges_of_transmitter_[static_cast<std::size_t>(t)]) {
-        const auto r = static_cast<std::size_t>(edges_[static_cast<std::size_t>(e)].receiver);
-        const auto d = static_cast<std::size_t>(receiver_destination_[r]);
-        ++pair_offsets_[pair_index(s, d) + 1];
+        ++pair_offsets_[pair_of(s, e) + 1];
       }
     }
   }
   for (std::size_t p = 1; p < pair_offsets_.size(); ++p) pair_offsets_[p] += pair_offsets_[p - 1];
   pair_edges_.resize(edges_.size());
   std::vector<std::int32_t> cursor(pair_offsets_.begin(), pair_offsets_.end() - 1);
-  for (std::size_t s = 0; s < sources; ++s) {
-    for (NodeIndex t : transmitters_of_source_[s]) {
+  for (NodeIndex s = 0; s < num_sources_; ++s) {
+    for (NodeIndex t : transmitters_of_source_[static_cast<std::size_t>(s)]) {
       for (EdgeIndex e : edges_of_transmitter_[static_cast<std::size_t>(t)]) {
-        const auto r = static_cast<std::size_t>(edges_[static_cast<std::size_t>(e)].receiver);
-        const auto d = static_cast<std::size_t>(receiver_destination_[r]);
-        pair_edges_[static_cast<std::size_t>(cursor[pair_index(s, d)]++)] = e;
+        pair_edges_[static_cast<std::size_t>(cursor[pair_of(s, e)]++)] = e;
       }
     }
+  }
+  pair_fixed_delay_.assign(pairs, 0);
+  for (const FixedLink& link : fixed_links_) {
+    pair_fixed_delay_[pair_index(link.source, link.destination)] = link.delay;
   }
   pair_cache_ready_ = true;
 }
 
-void Topology::candidate_edges_into(NodeIndex source, NodeIndex destination,
-                                    std::vector<EdgeIndex>& out) const {
+std::span<const EdgeIndex> Topology::pair_edges(NodeIndex source,
+                                                NodeIndex destination) const {
   if (source < 0 || source >= num_sources_) {
-    throw std::out_of_range("candidate_edges_into: bad source index");
+    throw std::out_of_range("pair_edges: bad source index");
   }
-  out.clear();
-  if (destination < 0 || destination >= num_destinations_) return;  // no receiver maps there
+  // No receiver maps to a destination out of range.
+  if (destination < 0 || destination >= num_destinations_) return {};
   if (!pair_cache_ready_) build_pair_cache();
-  const auto p = static_cast<std::size_t>(source) * static_cast<std::size_t>(num_destinations_) +
-                 static_cast<std::size_t>(destination);
-  const auto begin = static_cast<std::size_t>(pair_offsets_[p]);
-  const auto end = static_cast<std::size_t>(pair_offsets_[p + 1]);
-  out.insert(out.end(), pair_edges_.begin() + static_cast<std::ptrdiff_t>(begin),
-             pair_edges_.begin() + static_cast<std::ptrdiff_t>(end));
+  const std::size_t p = pair_index(source, destination);
+  const EdgeIndex* base = pair_edges_.data();
+  return {base + pair_offsets_[p], base + pair_offsets_[p + 1]};
 }
 
 std::optional<Delay> Topology::fixed_link_delay(NodeIndex source,
                                                 NodeIndex destination) const {
-  for (const auto& link : fixed_links_) {
-    if (link.source == source && link.destination == destination) return link.delay;
+  if (source < 0 || source >= num_sources_ || destination < 0 ||
+      destination >= num_destinations_) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (!pair_cache_ready_) build_pair_cache();
+  const Delay delay = pair_fixed_delay_[pair_index(source, destination)];
+  if (delay == 0) return std::nullopt;
+  return delay;
 }
 
 bool Topology::routable(NodeIndex source, NodeIndex destination) const {
-  if (fixed_link_delay(source, destination).has_value()) return true;
-  return !candidate_edges(source, destination).empty();
+  return fixed_link_delay(source, destination).has_value() ||
+         !pair_edges(source, destination).empty();
 }
 
 std::string Topology::validate() const {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,14 +102,21 @@ class Topology {
   }
 
   /// E_p for a (source, destination) pair: all reconfigurable edges (t, r)
-  /// with src(t) = s and dest(r) = d, in increasing edge-index order.
+  /// with src(t) = s and dest(r) = d, per source transmitter in order,
+  /// then per transmitter edge in order (the order dispatch tie-breaks
+  /// follow), as a view into the pair cache -- no allocation, no scan.
+  /// Valid until the next mutation. Throws std::out_of_range for a bad
+  /// source; empty for a destination out of range.
+  std::span<const EdgeIndex> pair_edges(NodeIndex source, NodeIndex destination) const;
+  /// pair_edges copied into a fresh vector.
   std::vector<EdgeIndex> candidate_edges(NodeIndex source, NodeIndex destination) const;
-  /// Allocation-free variant: clears and refills `out` (dispatchers keep a
-  /// member scratch so the per-packet dispatch path stays off the heap).
+  /// pair_edges copied into `out` (cleared first), for callers that keep
+  /// a filtered copy in member scratch.
   void candidate_edges_into(NodeIndex source, NodeIndex destination,
                             std::vector<EdgeIndex>& out) const;
 
-  /// dℓ for the pair, if a fixed direct link exists.
+  /// dℓ for the pair, if a fixed direct link exists (nullopt for pairs out
+  /// of range). One table read from the pair cache.
   std::optional<Delay> fixed_link_delay(NodeIndex source, NodeIndex destination) const;
   const std::vector<FixedLink>& fixed_links() const noexcept { return fixed_links_; }
 
@@ -120,11 +128,16 @@ class Topology {
 
  private:
   /// Builds the lazy (source, destination) -> edges CSR that backs
-  /// candidate_edges_into. Buckets are filled in the same order the
-  /// uncached scan visited edges (per-source transmitter order, then
-  /// per-transmitter edge order), so dispatch argmin tie-breaks -- and
-  /// therefore schedules -- are unchanged.
+  /// pair_edges, and the per-pair fixed-link delays. Buckets are filled in
+  /// the same order the uncached scan visited edges (per-source
+  /// transmitter order, then per-transmitter edge order), so dispatch
+  /// argmin tie-breaks -- and therefore schedules -- are unchanged.
   void build_pair_cache() const;
+  std::size_t pair_index(NodeIndex source, NodeIndex destination) const {
+    return static_cast<std::size_t>(source) *
+               static_cast<std::size_t>(num_destinations_) +
+           static_cast<std::size_t>(destination);
+  }
   NodeIndex num_sources_ = 0;
   NodeIndex num_destinations_ = 0;
 
@@ -141,12 +154,14 @@ class Topology {
 
   std::vector<FixedLink> fixed_links_;
 
-  // candidate_edges_into is the per-dispatch inner loop; the uncached scan
-  // over every edge of the source's transmitters dominated end-to-end
-  // profiles. CSR over (source, destination) pairs, built on first query
-  // and invalidated by any mutation.
+  // Pair lookups are the per-dispatch inner loop; the uncached scans (over
+  // every edge of the source's transmitters, and over every fixed link)
+  // dominated end-to-end profiles. CSR over (source, destination) pairs
+  // plus each pair's fixed-link delay, built on first query and
+  // invalidated by any mutation.
   mutable std::vector<EdgeIndex> pair_edges_;
   mutable std::vector<std::int32_t> pair_offsets_;  ///< num_sources*num_destinations + 1
+  mutable std::vector<Delay> pair_fixed_delay_;     ///< per pair; 0 = no fixed link
   mutable bool pair_cache_ready_ = false;
 };
 

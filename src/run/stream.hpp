@@ -142,7 +142,7 @@ struct StreamRepOutcome {
   double mean_latency = 0.0;   ///< mean over measured packets
   double mean_backlog = 0.0;
   std::uint64_t peak_backlog = 0;
-  std::size_t peak_resident = 0;  ///< engine window peak: the memory bound
+  std::size_t peak_resident = 0;  ///< memory bound: peak records = queued packets
   double wall_ms = 0.0;
   std::uint64_t dropped = 0;           ///< failure-injection drops, whole run
   std::uint64_t dropped_measured = 0;  ///< drops inside the measure id range

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -93,11 +94,7 @@ Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
   if (options_.max_steps == 0) {
     options_.max_steps = default_max_steps(instance, options_.reconfig_delay);
   }
-  // Batch mode knows the full packet count up front: size the window and
-  // outcome arrays once so dispatch never grows them incrementally.
   const std::size_t n = instance.num_packets();
-  state_.reserve(n);
-  outcomes_.reserve(n);
   impact_index_.reserve_pending(n);
   result_.outcomes.resize(n);
 }
@@ -183,73 +180,31 @@ void Engine::init(EngineOptions options) {
 }
 
 // rdcn-lint: hot
-void Engine::append_slot(const Packet& packet) {
-  if (packet.id != window_base_ + static_cast<PacketIndex>(state_.size())) {
-    throw std::logic_error("packets must be dispatched in sequence-id order");
-  }
-  PacketState ps;
-  ps.arrival = packet.arrival;
-  ps.weight = packet.weight;
-  ps.source = packet.source;
-  ps.destination = packet.destination;
-  state_.push_back(ps);
-  outcomes_.emplace_back();
-  peak_resident_ = std::max(peak_resident_, state_.size());
-  ++in_flight_;
-  ++dispatched_count_;
-  if (probe_) probe_->count(Counter::PacketsDispatched);
-}
-
-// rdcn-lint: hot
-void Engine::retire_packet(PacketIndex packet, bool dropped) {
-  const std::size_t s = slot(packet);
-  PacketOutcome& outcome = outcomes_[s];
+void Engine::retire_packet(const Packet& packet, PacketOutcome& outcome, bool dropped) {
   outcome.dropped = dropped;
   for (const auto& observer : observers_) {
     if (dropped) {
-      observer->on_drop(*this, packet, outcome);
+      observer->on_drop(*this, packet.id, outcome);
     } else {
-      observer->on_retire(*this, packet, outcome);
+      observer->on_retire(*this, packet.id, outcome);
     }
   }
-  state_[s].retired = true;
-  --in_flight_;
   ++(dropped ? dropped_count_ : retired_count_);
   if (probe_) probe_->count(dropped ? Counter::PacketsDropped : Counter::PacketsRetired);
-  sink_(RetiredPacket{packet, state_[s].arrival, state_[s].weight, std::move(outcome)});
-  compact_window();
-}
-
-// rdcn-lint: hot
-void Engine::compact_window() {
-  while (front_retired_ < state_.size() && state_[front_retired_].retired) {
-    ++front_retired_;
-  }
-  // Amortized O(1) per packet: the prefix erase costs O(window) and only
-  // fires once the retired prefix covers half the (>= 128 slot) window.
-  if (front_retired_ < 64 || front_retired_ * 2 < state_.size()) return;
-  const auto n = static_cast<std::ptrdiff_t>(front_retired_);
-  state_.erase(state_.begin(), state_.begin() + n);
-  outcomes_.erase(outcomes_.begin(), outcomes_.begin() + n);
-  window_base_ += static_cast<PacketIndex>(front_retired_);
-  front_retired_ = 0;
+  sink_(RetiredPacket{packet.id, packet.arrival, packet.weight, std::move(outcome)});
 }
 
 // rdcn-lint: hot
 void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
   for (const auto& observer : observers_) observer->on_dispatch(*this, packet, route);
-  const std::size_t s = slot(packet.id);
-  auto& ps = state_[s];
-  auto& outcome = outcomes_[s];
-  ps.route = route;
-  outcome.route = route;
-
   if (route.use_fixed) {
     const auto delay = topology_->fixed_link_delay(packet.source, packet.destination);
     if (!delay) throw std::logic_error("dispatcher chose a non-existent fixed link");
     // Fixed links are uncapacitated: transmission starts at the decision
     // time (== arrival for the normal dispatch path; later when a queued
     // packet migrates to the fixed layer).
+    PacketOutcome outcome;
+    outcome.route = route;
     const Time start = std::max(now_, packet.arrival);
     outcome.completion = start + *delay;
     outcome.weighted_latency =
@@ -257,37 +212,38 @@ void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
     result_.fixed_cost += outcome.weighted_latency;
     result_.total_cost += outcome.weighted_latency;
     result_.makespan = std::max(result_.makespan, outcome.completion);
-    retire_packet(packet.id);
-  } else {
-    if (route.edge < 0 || route.edge >= topology_->num_edges()) {
-      throw std::logic_error("dispatcher chose an invalid edge");
-    }
-    if (!edge_alive(route.edge)) {
-      throw std::logic_error("dispatcher chose an edge killed by a stage mutation");
-    }
-    const ReconfigEdge& edge = topology_->edge(route.edge);
-    if (topology_->source_of(edge.transmitter) != packet.source ||
-        topology_->destination_of(edge.receiver) != packet.destination) {
-      throw std::logic_error("dispatcher chose an edge outside E_p");
-    }
-    Candidate candidate;
-    candidate.packet = packet.id;
-    candidate.edge = route.edge;
-    candidate.transmitter = edge.transmitter;
-    candidate.receiver = edge.receiver;
-    candidate.chunk_weight = packet.weight / static_cast<double>(edge.delay);
-    candidate.arrival = packet.arrival;
-    candidate.remaining = edge.delay;
-    impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge,
-                             candidate.chunk_weight, edge.delay);
-    enqueue(candidate);
-
-    outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
+    retire_packet(packet, outcome);
+    return;
   }
+  if (route.edge < 0 || route.edge >= topology_->num_edges()) {
+    throw std::logic_error("dispatcher chose an invalid edge");
+  }
+  if (!edge_alive(route.edge)) {
+    throw std::logic_error("dispatcher chose an edge killed by a stage mutation");
+  }
+  const ReconfigEdge& edge = topology_->edge(route.edge);
+  if (topology_->source_of(edge.transmitter) != packet.source ||
+      topology_->destination_of(edge.receiver) != packet.destination) {
+    throw std::logic_error("dispatcher chose an edge outside E_p");
+  }
+  Candidate candidate;
+  candidate.packet = packet.id;
+  candidate.edge = route.edge;
+  candidate.transmitter = edge.transmitter;
+  candidate.receiver = edge.receiver;
+  candidate.chunk_weight = packet.weight / static_cast<double>(edge.delay);
+  candidate.arrival = packet.arrival;
+  candidate.remaining = edge.delay;
+  impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge,
+                           candidate.chunk_weight, edge.delay);
+  PacketRecord& record = records_[static_cast<std::size_t>(enqueue(candidate))];
+  record = PacketRecord{packet.weight, packet.source, packet.destination, {}};
+  record.outcome.route = route;
+  record.outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
 }
 
 // rdcn-lint: hot
-void Engine::enqueue(const Candidate& candidate) {
+std::int32_t Engine::enqueue(const Candidate& candidate) {
   EdgeQueue& q = queues_[static_cast<std::size_t>(candidate.edge)];
   // Priority order: walk in from both ends at once and stop at whichever
   // meets the insertion point first, so the cost is twice the distance to
@@ -321,6 +277,7 @@ void Engine::enqueue(const Candidate& candidate) {
   } else {
     n = static_cast<std::int32_t>(nodes_.size());
     nodes_.emplace_back();  // rdcn-lint: allow(hot-alloc) -- the pool grows to the high-water backlog once
+    records_.emplace_back();  // rdcn-lint: allow(hot-alloc) -- grows with nodes_
   }
   QueueNode& node = nodes_[static_cast<std::size_t>(n)];
   node.candidate = candidate;
@@ -333,6 +290,7 @@ void Engine::enqueue(const Candidate& candidate) {
   (older >= 0 ? nodes_[static_cast<std::size_t>(older)].newer : q.oldest) = n;
   (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) = n;
   ++pending_count_;
+  return n;
 }
 
 // rdcn-lint: hot
@@ -464,54 +422,57 @@ void Engine::inject(const Packet& packet) {
   if (packet.arrival != now_) {
     throw std::logic_error("inject: packet.arrival must equal the current step");
   }
+  if (packet.id != static_cast<PacketIndex>(dispatched_count_)) {
+    throw std::logic_error("packets must be dispatched in sequence-id order");
+  }
   Probe::Span span(probe_, Phase::Dispatch);
-  append_slot(packet);
+  ++dispatched_count_;
+  if (probe_) probe_->count(Counter::PacketsDispatched);
   if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
-    retire_packet(packet.id, /*dropped=*/true);  // pair severed; nothing to route over
+    PacketOutcome outcome;  // pair severed; nothing to route over
+    retire_packet(packet, outcome, /*dropped=*/true);
   } else {
     apply_route(packet, dispatcher_->dispatch(*this, packet));
   }
 }
 
-// rdcn-lint: hot
-std::int64_t Engine::unlist_pending(PacketIndex packet) {
-  // Cold path (requeues): walk the packet's edge queue to its node.
-  const PacketState& ps = state_[slot(packet)];
-  std::int32_t n =
-      ps.route.use_fixed ? -1 : queues_[static_cast<std::size_t>(ps.route.edge)].first;
-  while (n >= 0 && nodes_[static_cast<std::size_t>(n)].candidate.packet != packet) {
-    n = nodes_[static_cast<std::size_t>(n)].next;
-  }
-  if (n < 0) throw std::logic_error("unlist_pending: packet is not pending");
-  const Candidate c = nodes_[static_cast<std::size_t>(n)].candidate;
-  dequeue(n);
-  impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -c.remaining);
-  return c.remaining;
-}
-
 template <typename Pick>
 void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats) {
   requeue_scratch_.clear();
-  for_each_pending([&](const Candidate& c) {
-    if (pick(c)) requeue_scratch_.push_back(c.packet);
-  });
+  for (const EdgeQueue& q : queues_) {
+    for (std::int32_t n = q.first; n >= 0; n = nodes_[static_cast<std::size_t>(n)].next) {
+      if (pick(nodes_[static_cast<std::size_t>(n)].candidate)) {
+        requeue_scratch_.push_back(n);
+      }
+    }
+  }
   // Ids are injected in arrival order, so id order is (arrival, id) order.
-  std::sort(requeue_scratch_.begin(), requeue_scratch_.end());
-  for (PacketIndex p : requeue_scratch_) {
-    const std::int64_t remaining = unlist_pending(p);
-    const PacketState& ps = state_[slot(p)];
-    const Packet packet{p, ps.arrival, ps.weight, ps.source, ps.destination};
-    if (policy == DeadPolicy::Requeue && remaining == topology_->edge(ps.route.edge).delay &&
+  // A pending packet keeps its node until it leaves, so the indices stay
+  // valid while earlier packets are re-dispatched.
+  std::sort(requeue_scratch_.begin(), requeue_scratch_.end(),
+            [this](std::int32_t a, std::int32_t b) {
+              return nodes_[static_cast<std::size_t>(a)].candidate.packet <
+                     nodes_[static_cast<std::size_t>(b)].candidate.packet;
+            });
+  for (std::int32_t n : requeue_scratch_) {
+    // Copy the packet out first: re-dispatch may reuse its node.
+    const Candidate c = nodes_[static_cast<std::size_t>(n)].candidate;
+    const Packet packet = packet_at(n);
+    PacketOutcome outcome = std::move(records_[static_cast<std::size_t>(n)].outcome);
+    dequeue(n);
+    impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight,
+                             -c.remaining);
+    if (policy == DeadPolicy::Requeue && c.remaining == topology_->edge(c.edge).delay &&
         has_viable_route(packet.source, packet.destination)) {
       if (stats != nullptr) {
-        for (const auto& observer : observers_) observer->on_requeue(*this, p);
+        for (const auto& observer : observers_) observer->on_requeue(*this, packet.id);
         ++requeued_count_;
         ++stats->packets_requeued;
         if (probe_) probe_->count(Counter::PacketsRequeued);
       }
       apply_route(packet, dispatcher_->dispatch(*this, packet));
     } else {
-      retire_packet(p, /*dropped=*/true);
+      retire_packet(packet, outcome, /*dropped=*/true);
       if (stats != nullptr) ++stats->packets_dropped;
     }
   }
@@ -531,12 +492,11 @@ void Engine::viable_edges_into(NodeIndex source, NodeIndex destination,
 
 bool Engine::has_viable_route(NodeIndex source, NodeIndex destination) const {
   if (topology_->fixed_link_delay(source, destination)) return true;
-  topology_->candidate_edges_into(source, destination, route_scratch_);
-  if (dead_edges_ == 0) return !route_scratch_.empty();
-  for (EdgeIndex e : route_scratch_) {
-    if (edge_alive_[static_cast<std::size_t>(e)]) return true;
-  }
-  return false;
+  const std::span<const EdgeIndex> edges = topology_->pair_edges(source, destination);
+  if (dead_edges_ == 0) return !edges.empty();
+  return std::any_of(edges.begin(), edges.end(), [this](EdgeIndex e) {
+    return edge_alive_[static_cast<std::size_t>(e)] != 0;
+  });
 }
 
 MutationStats Engine::apply_mutation(const StageMutation& mutation) {
@@ -666,7 +626,7 @@ std::size_t Engine::schedule_round() {
   if (probe_) {
     probe_->count(Counter::Rounds);
     probe_->gauge(Gauge::PendingCandidates, pending_count_);
-    probe_->gauge(Gauge::InFlight, in_flight_);
+    probe_->gauge(Gauge::InFlight, in_flight());
     probe_->gauge(Gauge::TreapNodes, impact_index_.live_weight_nodes());
     probe_->set(Counter::IndexRebuilds, impact_index_.rebuilds());
   }
@@ -762,16 +722,15 @@ std::size_t Engine::schedule_round() {
   for (const auto& observer : observers_) observer->on_round(*this, heads_, selected);
 
   // Transmit the selected chunks and account their latency; `remaining`
-  // counts down on both the head entry and its queue node, and a finished
-  // packet leaves its queue at once (its edge's heads refresh next round).
+  // counts down on both the head entry and its queue node.
   std::vector<std::size_t>& finished = finished_scratch_;
   finished.clear();
   Probe::Span service_span(probe_, Phase::Service);
   if (probe_) probe_->count(Counter::ChunksTransmitted, selected.size());
   for (std::size_t index : selected) {
     Candidate& c = heads_[index];
-    const std::size_t s = slot(c.packet);
-    auto& outcome = outcomes_[s];
+    const std::int32_t n = head_node(c);
+    PacketOutcome& outcome = records_[static_cast<std::size_t>(n)].outcome;
     const Time completion =
         now_ + 1 + edge_meta_[static_cast<std::size_t>(c.edge)].attach_tail;
     outcome.chunk_transmit_steps.push_back(now_);
@@ -781,22 +740,23 @@ std::size_t Engine::schedule_round() {
     result_.total_cost += latency;
     --c.remaining;
     impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -1);
-    // A head entry's node is its edge's priority head or arrival head.
-    const EdgeQueue& q = queues_[static_cast<std::size_t>(c.edge)];
-    const std::int32_t n =
-        nodes_[static_cast<std::size_t>(q.first)].candidate.packet == c.packet ? q.first
-                                                                                : q.oldest;
     nodes_[static_cast<std::size_t>(n)].candidate.remaining = c.remaining;
     if (c.remaining == 0) {
       outcome.completion = completion;
       result_.makespan = std::max(result_.makespan, completion);
-      dequeue(n);
       finished.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
     }
   }
-  // Retire in head-list (priority) order.
+  // Retire in head-list (priority) order, each packet before its node is
+  // freed (its edge's heads refresh next round). Each selected head is on
+  // its own edge, so freeing one node leaves the others where head_node
+  // finds them.
   std::sort(finished.begin(), finished.end());
-  for (std::size_t index : finished) retire_packet(heads_[index].packet);
+  for (std::size_t index : finished) {
+    const std::int32_t n = head_node(heads_[index]);
+    retire_packet(packet_at(n), records_[static_cast<std::size_t>(n)].outcome);
+    dequeue(n);
+  }
   return selected.size();
 }
 

@@ -63,10 +63,13 @@
 //    weight structures are enabled lazily by the first impact_split() call
 //    and decay during long non-impact drains, so non-impact policies pay
 //    only the O(1) counters;
-//  * per-packet state lives in a sliding window of dense arrays indexed by
-//    (id - window base); retired prefixes are compacted away amortized
-//    O(1), which is what bounds streaming memory; batch mode preallocates
-//    the window and outcome arrays from the instance size;
+//  * per-packet state lives only with a packet's queue node: one record
+//    (weight, endpoints, the PacketOutcome its service accumulates) at the
+//    node's index in an array parallel to the node pool, so a packet holds
+//    per-packet memory exactly while it waits in an edge queue, however
+//    long one light packet starves behind heavier ones. Fixed-route
+//    packets and arrival-time drops never get a record; they retire from a
+//    local outcome at dispatch;
 //  * matching validation uses round-stamped scratch arrays instead of
 //    per-round allocations sized by the topology;
 //  * time advances event-driven: when no chunk is pending the clock jumps
@@ -353,11 +356,15 @@ class Engine {
   const RunResult& aggregates() const noexcept { return result_; }
 
   /// Packets dispatched but not yet retired.
-  std::size_t in_flight() const noexcept { return in_flight_; }
-  /// Current / peak number of resident per-packet window slots -- the
-  /// memory-bounding quantity: O(in-flight span), not O(total served).
-  std::size_t resident_slots() const noexcept { return state_.size(); }
-  std::size_t peak_resident_slots() const noexcept { return peak_resident_; }
+  std::size_t in_flight() const noexcept {
+    return static_cast<std::size_t>(dispatched_count_ - retired_count_ - dropped_count_);
+  }
+  /// Current / peak number of resident per-packet records -- the
+  /// memory-bounding quantity. A record lives exactly while its packet is
+  /// pending in an edge queue, so this is the backlog: O(in-flight), not
+  /// O(total served). The peak is the record array's high-water size.
+  std::size_t resident_slots() const noexcept { return pending_count_; }
+  std::size_t peak_resident_slots() const noexcept { return records_.size(); }
   std::uint64_t packets_dispatched() const noexcept { return dispatched_count_; }
   std::uint64_t packets_retired() const noexcept { return retired_count_; }
 
@@ -446,16 +453,16 @@ class Engine {
   }
 
  private:
-  struct PacketState {
-    RouteDecision route;
-    Time arrival = 0;
+  /// What a pending packet carries beyond its Candidate (which already
+  /// holds its id, arrival, edge and untransmitted chunks): the weight and
+  /// endpoints that rebuild its Packet for re-dispatch and retirement --
+  /// streaming mode has no packet sequence to look them up in -- and the
+  /// outcome its service accumulates. Lives at the packet's node index.
+  struct PacketRecord {
     Weight weight = 0.0;
-    /// Endpoints kept per packet so stage mutations can re-dispatch or
-    /// route-check in-flight packets without an Instance (streaming mode
-    /// has no packet sequence to look them up in).
     NodeIndex source = 0;
     NodeIndex destination = 0;
-    bool retired = false;
+    PacketOutcome outcome;
   };
 
   /// One pending packet: its Candidate, linked into its edge's priority
@@ -477,31 +484,37 @@ class Engine {
   };
 
   void init(EngineOptions options);
-  std::size_t slot(PacketIndex p) const {
-    return static_cast<std::size_t>(p - window_base_);
-  }
-  /// Creates the window slot for the next sequential packet id.
-  void append_slot(const Packet& packet);
-  /// Moves a finished packet's outcome out of the window through the sink
-  /// and compacts the window's retired prefix. `dropped` retires it
-  /// without completion (outcome.dropped; partial latency kept).
-  void retire_packet(PacketIndex packet, bool dropped = false);
-  void compact_window();
-  /// Applies a dispatch decision to a packet (enqueue on edge or fixed).
+  /// Hands a finished packet's outcome to the observers and moves it out
+  /// through the sink. `dropped` retires it without completion
+  /// (outcome.dropped; partial latency kept).
+  void retire_packet(const Packet& packet, PacketOutcome& outcome, bool dropped = false);
+  /// Applies a dispatch decision to a packet: enqueue it on its edge with a
+  /// fresh record, or retire it at once over its fixed link.
   void apply_route(const Packet& packet, const RouteDecision& route);
-  /// Links a fresh node for `candidate` into its edge's two orders.
-  void enqueue(const Candidate& candidate);
-  /// Unlinks node `n` from its edge's orders and frees it.
+  /// Links a fresh node for `candidate` into its edge's two orders and
+  /// returns its index (the index of the packet's record as well).
+  std::int32_t enqueue(const Candidate& candidate);
+  /// Unlinks node `n` from its edge's orders and frees it; its record
+  /// stays intact until the node is reused.
   void dequeue(std::int32_t n);
+  /// The node of head-list entry `c`: its edge's priority or arrival head.
+  std::int32_t head_node(const Candidate& c) const {
+    const EdgeQueue& q = queues_[static_cast<std::size_t>(c.edge)];
+    const Candidate& first = nodes_[static_cast<std::size_t>(q.first)].candidate;
+    return first.packet == c.packet ? q.first : q.oldest;
+  }
+  /// The Packet pending at node `n`, rebuilt from its Candidate and record.
+  Packet packet_at(std::int32_t n) const {
+    const Candidate& c = nodes_[static_cast<std::size_t>(n)].candidate;
+    const PacketRecord& record = records_[static_cast<std::size_t>(n)];
+    return Packet{c.packet, c.arrival, record.weight, record.source, record.destination};
+  }
   /// Flags edge `e` for the next head refresh; called before each change
   /// to its heads, so the first call counts the entries the list drops.
   void mark_dirty(EdgeIndex e);
   /// Re-reads the heads of the dirty edges and merges them into the
   /// sorted head list.
   void refresh_heads();
-  /// Removes a packet from its edge queue and the impact index; returns
-  /// its untransmitted chunk count.
-  std::int64_t unlist_pending(PacketIndex packet);
   /// Unlists every pending packet `pick` selects and hands it back to the
   /// dispatcher in (arrival, id) order, so re-dispatch is deterministic
   /// and arrival-fair. A packet that already transmitted a chunk, has no
@@ -543,15 +556,8 @@ class Engine {
 
   Time now_ = 0;
 
-  /// Sliding per-packet window: slot i holds packet window_base_ + i.
-  /// Slots are appended in id order at dispatch and compacted away once a
-  /// retired prefix accumulates.
-  PacketIndex window_base_ = 0;
-  std::size_t front_retired_ = 0;  ///< length of the window's retired prefix
-  std::vector<PacketState> state_;
-  std::vector<PacketOutcome> outcomes_;
-  std::size_t in_flight_ = 0;
-  std::size_t peak_resident_ = 0;
+  /// Packet counters. Ids run 0, 1, 2, ... in dispatch order, so the next
+  /// expected id is dispatched_count_.
   std::uint64_t dispatched_count_ = 0;
   std::uint64_t retired_count_ = 0;
   std::uint64_t dropped_count_ = 0;
@@ -564,18 +570,19 @@ class Engine {
   std::vector<char> edge_alive_;
   std::size_t dead_edges_ = 0;
   bool step_open_ = false;
-  /// Requeue-path scratch (cold): the packets requeue_pending handles, and
-  /// the route-check buffer behind has_viable_route.
-  std::vector<PacketIndex> requeue_scratch_;
-  mutable std::vector<EdgeIndex> route_scratch_;
+  /// Requeue-path scratch (cold): the nodes requeue_pending handles.
+  std::vector<std::int32_t> requeue_scratch_;
 
   /// The pending work: one queue per edge over a pooled node arena (free
-  /// list threaded through QueueNode::next), the sorted head list handed
-  /// to the scheduler (and the buffer its refresh merges into), the edges
-  /// whose heads it has yet to re-read, and how many list entries those
-  /// edges held when they changed.
+  /// list threaded through QueueNode::next) with each node's packet record
+  /// beside it, the sorted head list handed to the scheduler (and the
+  /// buffer its refresh merges into), the edges whose heads it has yet to
+  /// re-read, and how many list entries those edges held when they
+  /// changed. nodes_ and records_ grow together, once, to the high-water
+  /// backlog.
   std::vector<EdgeQueue> queues_;
   std::vector<QueueNode> nodes_;
+  std::vector<PacketRecord> records_;
   std::int32_t free_node_ = -1;
   std::size_t pending_count_ = 0;
   std::vector<Candidate> heads_, spare_heads_;

@@ -135,7 +135,7 @@ double matching_capacity(const Topology& topology, int speedup_rounds) {
 std::int64_t cheapest_demand(const Topology& topology, NodeIndex source,
                              NodeIndex destination) {
   std::int64_t best = 0;
-  for (EdgeIndex e : topology.candidate_edges(source, destination)) {
+  for (EdgeIndex e : topology.pair_edges(source, destination)) {
     const Delay delay = topology.edge(e).delay;
     if (best == 0 || delay < best) best = delay;
   }

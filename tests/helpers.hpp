@@ -2,12 +2,14 @@
 
 // Shared fixtures for the test-suite: deterministic random instance
 // families spanning topology shapes (crossbar, sparse two-tier, hybrid,
-// heterogeneous delays) and workload mixes.
+// heterogeneous delays) and workload mixes, and the starvation stream that
+// pins the engine's per-packet memory bound.
 
 #include <cstdint>
 
 #include "net/builders.hpp"
 #include "net/instance.hpp"
+#include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -83,6 +85,46 @@ inline Instance make_varied_instance(std::uint64_t seed) {
   spec.skew = static_cast<PairSkew>(seed % 5);
   spec.weights = static_cast<WeightDist>(seed % 3 == 0 ? 0 : 1);  // unit / uniform-int
   return make_random_instance(spec);
+}
+
+/// A two-port crossbar whose four edges all have delay `delay`.
+inline Topology delay_crossbar(Delay delay) {
+  Topology g;
+  g.add_sources(2);
+  g.add_destinations(2);
+  for (NodeIndex i = 0; i < 2; ++i) g.add_transmitter(i);
+  for (NodeIndex i = 0; i < 2; ++i) g.add_receiver(i);
+  for (NodeIndex t = 0; t < 2; ++t) {
+    for (NodeIndex r = 0; r < 2; ++r) g.add_edge(t, r, delay);
+  }
+  return g;
+}
+
+/// Streams the starvation pattern into `engine` (built on
+/// delay_crossbar(delay)): a weight-1 packet arrives at step 1 on pair
+/// (0, 1), and a weight-10 packet follows on the same pair -- so the same
+/// edge -- at step 1 and every `delay` steps after, through step `steps`.
+/// A priority scheduler serves each heavy packet's chunks as it arrives,
+/// so the light packet waits out the whole stream and is served in the
+/// drain. `at_boundary(engine)` runs after every finish_step.
+template <typename AtBoundary>
+void run_starved_stream(Engine& engine, Delay delay, Time steps,
+                        AtBoundary&& at_boundary) {
+  PacketIndex id = 0;
+  const auto inject = [&](Weight weight) {
+    engine.inject(Packet{id++, engine.now(), weight, 0, 1});
+  };
+  for (Time next = 1; next <= steps || engine.busy();) {
+    const bool arrivals = next <= steps;
+    engine.begin_step(arrivals ? &next : nullptr);
+    if (arrivals && engine.now() == next) {
+      if (next == 1) inject(1.0);
+      inject(10.0);
+      next += delay;
+    }
+    engine.finish_step();
+    at_boundary(engine);
+  }
 }
 
 }  // namespace rdcn::testing

@@ -23,6 +23,7 @@
 #include "baseline/dispatchers.hpp"
 #include "core/alg.hpp"
 #include "core/randomized.hpp"
+#include "helpers.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
 #include "sim/engine.hpp"
@@ -180,6 +181,26 @@ TEST(HotPathAllocations, RandomizedSchedulersDrainWithoutAllocating) {
     EXPECT_GT(steps, 5);
     EXPECT_EQ(allocations, 0u) << "RandomSerialDictatorScheduler";
   }
+}
+
+/// A packet that starves behind heavier ones must not make the engine grow
+/// per-packet state with every packet served after it: once the first 1000
+/// steps have sized the scratch and the record pool, the rest of the
+/// 5000-step stream and its drain -- a dispatch, a round and a retirement
+/// per step -- allocate nothing.
+TEST(HotPathAllocations, StarvedPacketStreamAllocatesNothingAfterWarmup) {
+  const Topology topology = testing::delay_crossbar(1);
+  ImpactDispatcher dispatcher;
+  StableMatchingScheduler scheduler;
+  Engine engine(topology, dispatcher, scheduler, {}, [](RetiredPacket&&) {});
+  std::uint64_t before = 0;
+  testing::run_starved_stream(engine, 1, 5000, [&](const Engine& e) {
+    if (e.now() == 1000) before = g_allocation_count.load();
+  });
+  ASSERT_NE(before, 0u) << "the warm-up never reached step 1000";
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "the starvation stream hit the heap after warm-up";
+  EXPECT_EQ(engine.packets_retired(), 5001u);
 }
 
 // ----------------------------------------------------- dispatch phase --

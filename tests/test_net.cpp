@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "net/builders.hpp"
 #include "net/instance.hpp"
+#include "run/random.hpp"
 #include "util/rng.hpp"
 
 namespace rdcn {
@@ -57,6 +61,123 @@ TEST(Topology, FixedLinkKeepsMinimumDelay) {
   g.add_fixed_link(0, 0, 7);
   EXPECT_EQ(g.fixed_link_delay(0, 0), std::optional<Delay>(4));
   EXPECT_EQ(g.fixed_links().size(), 1u);
+}
+
+/// Every builder's shape, hybrid variants included, plus the fuzz
+/// generator's random topologies.
+std::vector<std::pair<std::string, Topology>> topology_zoo() {
+  std::vector<std::pair<std::string, Topology>> zoo;
+  zoo.emplace_back("crossbar5", build_crossbar(5));
+  zoo.emplace_back("figure1", figure1_instance().topology());
+  zoo.emplace_back("figure2", figure2_topology());
+  Rng rng(17);
+  TwoTierConfig two_tier;
+  two_tier.racks = 7;
+  two_tier.density = 0.5;
+  two_tier.max_edge_delay = 3;
+  zoo.emplace_back("two_tier", build_two_tier(two_tier, rng));
+  two_tier.fixed_link_delay = 6;
+  zoo.emplace_back("two_tier_hybrid", build_two_tier(two_tier, rng));
+  OversubscribedConfig oversubscribed;
+  zoo.emplace_back("oversubscribed", build_oversubscribed(oversubscribed, rng));
+  ExpanderConfig expander;
+  expander.racks = 9;
+  zoo.emplace_back("expander", build_expander(expander, rng));
+  RotorConfig rotor;
+  rotor.racks = 6;
+  zoo.emplace_back("rotor", build_rotor(rotor));
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const ScenarioSpec spec = random_scenario_spec(seed);
+    zoo.emplace_back("random" + std::to_string(seed),
+                     make_topology(spec.topology, spec.base_seed));
+  }
+  return zoo;
+}
+
+/// The scans the pair cache replaces: E_p in the order dispatch visits it
+/// (per-source transmitter order, then per-transmitter edge order), and
+/// the fixed-link list.
+std::vector<EdgeIndex> scanned_pair_edges(const Topology& g, NodeIndex s, NodeIndex d) {
+  std::vector<EdgeIndex> edges;
+  for (NodeIndex t : g.transmitters_of_source(s)) {
+    for (EdgeIndex e : g.edges_of_transmitter(t)) {
+      if (g.destination_of(g.edge(e).receiver) == d) edges.push_back(e);
+    }
+  }
+  return edges;
+}
+std::optional<Delay> scanned_fixed_delay(const Topology& g, NodeIndex s, NodeIndex d) {
+  for (const FixedLink& link : g.fixed_links()) {
+    if (link.source == s && link.destination == d) return link.delay;
+  }
+  return std::nullopt;
+}
+
+TEST(Topology, PairCacheMatchesScansOverTheZoo) {
+  std::size_t fixed_pairs = 0;
+  for (const auto& [name, g] : topology_zoo()) {
+    // One index past each end: out-of-range pairs answer as they always
+    // have (no fixed link; a bad source throws, a bad destination is empty).
+    for (NodeIndex s = -1; s <= g.num_sources(); ++s) {
+      for (NodeIndex d = -1; d <= g.num_destinations(); ++d) {
+        const std::string where =
+            name + " (" + std::to_string(s) + ", " + std::to_string(d) + ")";
+        const std::optional<Delay> fixed = g.fixed_link_delay(s, d);
+        EXPECT_EQ(fixed, scanned_fixed_delay(g, s, d)) << where;
+        if (fixed) ++fixed_pairs;
+        if (s < 0 || s >= g.num_sources()) {
+          EXPECT_THROW(g.pair_edges(s, d), std::out_of_range) << where;
+          EXPECT_THROW(g.candidate_edges(s, d), std::out_of_range) << where;
+          EXPECT_THROW(g.routable(s, d), std::out_of_range) << where;
+          continue;
+        }
+        const std::span<const EdgeIndex> view = g.pair_edges(s, d);
+        const std::vector<EdgeIndex> edges(view.begin(), view.end());
+        EXPECT_EQ(edges, g.candidate_edges(s, d)) << where;
+        const std::vector<EdgeIndex> scanned =
+            d < 0 || d >= g.num_destinations() ? std::vector<EdgeIndex>{}
+                                               : scanned_pair_edges(g, s, d);
+        EXPECT_EQ(edges, scanned) << where;
+        EXPECT_EQ(g.routable(s, d), fixed.has_value() || !edges.empty()) << where;
+      }
+    }
+  }
+  EXPECT_GT(fixed_pairs, 0u) << "the zoo must include hybrid topologies";
+}
+
+TEST(Topology, PairCacheSeesMutationsMadeAfterAQuery) {
+  Topology g;
+  g.add_sources(2);
+  g.add_destinations(2);
+  const NodeIndex t = g.add_transmitter(0);
+  const NodeIndex r = g.add_receiver(1);
+  // Each query below builds (or reads) the cache; each mutation after it
+  // must show in the next query.
+  EXPECT_TRUE(g.pair_edges(0, 1).empty());
+  EXPECT_FALSE(g.fixed_link_delay(0, 1));
+  EXPECT_FALSE(g.routable(0, 1));
+  const EdgeIndex e = g.add_edge(t, r, 2);
+  EXPECT_EQ(g.candidate_edges(0, 1), std::vector<EdgeIndex>{e});
+  EXPECT_TRUE(g.routable(0, 1));
+  EXPECT_FALSE(g.routable(1, 0));
+  g.add_fixed_link(1, 0, 9);
+  EXPECT_EQ(g.fixed_link_delay(1, 0), std::optional<Delay>(9));
+  EXPECT_TRUE(g.routable(1, 0));
+  // A duplicate keeps the smaller delay, whichever order they come in.
+  g.add_fixed_link(1, 0, 4);
+  EXPECT_EQ(g.fixed_link_delay(1, 0), std::optional<Delay>(4));
+  g.add_fixed_link(1, 0, 7);
+  EXPECT_EQ(g.fixed_link_delay(1, 0), std::optional<Delay>(4));
+  EXPECT_EQ(g.fixed_links().size(), 1u);
+  // Growing a node layer re-indexes the pairs; old answers must hold.
+  g.add_destinations(1);
+  g.add_sources(1);
+  EXPECT_EQ(g.fixed_link_delay(1, 0), std::optional<Delay>(4));
+  EXPECT_EQ(g.candidate_edges(0, 1), std::vector<EdgeIndex>{e});
+  EXPECT_FALSE(g.fixed_link_delay(2, 2));
+  EXPECT_TRUE(g.pair_edges(2, 2).empty());
+  g.add_fixed_link(2, 2, 3);
+  EXPECT_EQ(g.fixed_link_delay(2, 2), std::optional<Delay>(3));
 }
 
 TEST(Topology, RejectsInvalidArguments) {

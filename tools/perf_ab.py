@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Same-machine A/B of the repository benchmark: BASE against this checkout.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/perf_ab.py BASE [--workloads a,b] [--pairs N]
+                             [--first-seed S] [--seconds T]
+
+BASE is any commit-ish. Its committed files are exported (git archive)
+into a temporary directory, removed on exit; the change side is this
+checkout's working tree, uncommitted edits included. Each side builds its
+own perfbench through perfbench/run.py under its own CARGO_TARGET_DIR in
+that temporary directory.
+
+For each seed S, S+1, ..., S+N-1 (one pair each) and each workload, both
+sides run `perfbench/run.py --workload W --seed SEED --seconds T --trace 0`
+back to back; the side that goes first alternates from pair to pair, so a
+drift in host speed does not favour either side.
+
+The report lists, per workload and per end-to-end metric of BENCHMARK.json,
+each side's median and quartiles over the pairs, the median ratio
+(change / base), how many pairs the change won by the metric's `better`
+direction, and whether the medians differ by more than the base side's
+interquartile range.
+
+Exit status: 1 when a run fails (nonzero exit, `correct` false or a failed
+unit) or when a sim_* metric differs between the two sides at the same
+seed -- simulated-time metrics must not move under a change that only
+speeds the simulator up; 2 on a usage error; 0 otherwise.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class RunFailed(Exception):
+    pass
+
+
+def export_commit(commit, dest):
+    """Writes the committed tree of `commit` into `dest`."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", commit],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError("git archive %s failed" % commit)
+
+
+def run_side(root, target_dir, workload, seed, seconds):
+    """One perfbench run; returns {metric: value} or raises RunFailed."""
+    cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    proc = subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if proc.returncode != 0 or result is None or not result.get("correct") or \
+            result.get("failed", 0) != 0:
+        raise RunFailed("%s (exit %d):\n%s" % (" ".join(cmd), proc.returncode,
+                                                proc.stdout[-4000:]))
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(workload, metrics, base, change):
+    """Prints one workload's table; returns the names of sim_* metrics that
+    differ between the sides at some seed."""
+    seeds = sorted(base)
+    print("\n%s: %d pair(s), seeds %s" % (workload, len(seeds), ", ".join(map(str, seeds))))
+    print("  %-24s %-36s %-36s %7s %6s %s" % ("metric", "base median [q1, q3]",
+                                              "change median [q1, q3]", "ratio", "wins",
+                                              "|d median| > base IQR"))
+    moved = []
+    for metric in metrics:
+        name = metric["name"]
+        a = [base[s][name] for s in seeds]
+        b = [change[s][name] for s in seeds]
+        a1, am, a3 = quartiles(a)
+        b1, bm, b3 = quartiles(b)
+        higher = metric["better"] == "higher"
+        wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
+        ratio = bm / am if am else float("nan")
+        beyond = "yes" if abs(bm - am) > a3 - a1 else "no"
+        if name.startswith("sim_"):
+            beyond = "identical" if a == b else "DIFFERS"
+            if a != b:
+                moved.append(name)
+        print("  %-24s %-36s %-36s %7.3f %3d/%-2d %s" % (
+            name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
+            ratio, wins, len(seeds), beyond))
+    return moved
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="commit-ish to compare this checkout against")
+    parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
+    parser.add_argument("--pairs", type=int, default=5, help="seeds, one pair each (default 5)")
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=8.0, help="per run (default 8)")
+    args = parser.parse_args()
+    if args.pairs < 1 or args.first_seed < 0 or args.seconds <= 0:
+        parser.error("--pairs must be >= 1, --first-seed >= 0 and --seconds > 0")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error("unknown workload(s) %s; known: %s" % (", ".join(unknown), ", ".join(known)))
+    rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", args.base + "^{commit}"],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    if rev.returncode != 0:
+        parser.error("not a commit: %s" % args.base)
+    commit = rev.stdout.strip()
+
+    # SIGTERM unwinds like Ctrl-C, so the temporary directory goes either way.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    tmp = tempfile.mkdtemp(prefix="perf_ab-")
+    try:
+        export_commit(commit, os.path.join(tmp, "base"))
+        sides = {"base": (os.path.join(tmp, "base"), os.path.join(tmp, "base-build")),
+                 "change": (ROOT, os.path.join(tmp, "change-build"))}
+        results = {w: {"base": {}, "change": {}} for w in workloads}
+        seeds = range(args.first_seed, args.first_seed + args.pairs)
+        for i, seed in enumerate(seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for workload in workloads:
+                for side in order:
+                    root, target = sides[side]
+                    try:
+                        values = run_side(root, target, workload, seed, args.seconds)
+                    except RunFailed as failure:
+                        print("perf_ab: %s run failed: %s" % (side, failure), file=sys.stderr)
+                        return 1
+                    results[workload][side][seed] = values
+                print("perf_ab: pair %d/%d seed %d %s: pkts_per_cpu_s base %.4g, change %.4g" % (
+                    i + 1, args.pairs, seed, workload,
+                    results[workload]["base"][seed]["pkts_per_cpu_s"],
+                    results[workload]["change"][seed]["pkts_per_cpu_s"]), file=sys.stderr)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print("perf_ab: base %s vs this checkout, %g s per run" % (commit[:12], args.seconds))
+    moved = []
+    for workload in workloads:
+        moved += ["%s %s" % (workload, name) for name in report(
+            workload, spec["end_to_end"], results[workload]["base"],
+            results[workload]["change"])]
+    if moved:
+        print("perf_ab: simulated metrics differ: %s" % ", ".join(moved), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
