@@ -17,11 +17,10 @@ int main() {
   using namespace rdcn::bench;
 
   // The figure's fixed instance, routed through the scenario layer like
-  // every other bench (record_trace mirrors run_alg's analysis default).
+  // every other bench.
   ScenarioSpec spec;
   spec.name = "figure1";
   spec.make_instance = [](std::uint64_t) { return figure1_instance(); };
-  spec.engine.record_trace = true;
   ScenarioRunner runner(spec);
   const Instance instance = runner.instance(1);
   std::printf("EXP-F1: Figure 1 worked example\n");

@@ -22,7 +22,6 @@ int main() {
   spec.make_instance = [](std::uint64_t seed) {
     return seed == 1 ? figure2_instance_pi() : figure2_instance_pi_prime();
   };
-  spec.engine.record_trace = true;
   spec.base_seed = 1;
   spec.repetitions = 2;
   ScenarioRunner runner(spec);

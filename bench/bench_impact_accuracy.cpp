@@ -29,7 +29,6 @@ int main() {
     spec.workload.skew = PairSkew::Zipf;
     spec.workload.weights = WeightDist::UniformInt;
     spec.workload.weight_max = 8;
-    spec.engine.record_trace = true;  // the charging auditor needs the trace
     spec.repetitions = 12;
     const ScenarioRunner runner(spec);
 

@@ -28,7 +28,6 @@ int main() {
     spec.workload.skew = PairSkew::Zipf;
     spec.workload.weights = WeightDist::UniformInt;
     spec.workload.weight_max = 9;
-    spec.engine.record_trace = true;
     spec.repetitions = 12;
     const ScenarioRunner runner(spec);
 

@@ -31,7 +31,6 @@ int main() {
   base.workload.arrival_rate = 2.0;
   base.workload.weights = WeightDist::UniformInt;
   base.workload.weight_max = 4;
-  base.engine.record_trace = true;
   base.repetitions = 6;
   const ScenarioRunner runner(base);
 

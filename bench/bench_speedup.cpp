@@ -38,14 +38,10 @@ int main() {
     costs_k[static_cast<std::size_t>(k)] = result.cost.mean();
 
     if (k == 1) {
-      // Certify the unit-speed run with the dual witness (needs a trace).
-      ScenarioSpec traced = spec;
-      traced.engine.speedup_rounds = 1;
-      traced.engine.record_trace = true;
-      const ScenarioRunner traced_runner(traced);
-      for (const std::uint64_t seed : traced_runner.seeds()) {
-        const Instance instance = traced_runner.instance(seed);
-        const RunResult run = traced_runner.run_once(alg_policy(), seed);
+      // Certify the unit-speed runs with the dual witness.
+      for (const std::uint64_t seed : runner.seeds()) {
+        const Instance instance = runner.instance(seed);
+        const RunResult run = runner.run_once(alg_policy(), instance);
         const DualWitness witness = build_dual_witness(instance, run);
         const double lb = witness.lower_bound(1.0);
         if (lb > 0) certified.add(run.total_cost / lb);

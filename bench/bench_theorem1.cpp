@@ -40,7 +40,6 @@ ScenarioRunner family_runner(const Family& family, bool deep) {
   spec.workload.weights = family.weights;
   spec.workload.weight_max = 6;
   spec.workload.bursty = family.bursty;
-  spec.engine.record_trace = true;  // the dual-witness certificate needs it
   spec.repetitions = 24;
   return ScenarioRunner(std::move(spec));
 }

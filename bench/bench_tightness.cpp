@@ -32,7 +32,6 @@ ScenarioRunner fixed_scenario(const char* name, Instance instance) {
   spec.name = name;
   auto shared = std::make_shared<Instance>(std::move(instance));
   spec.make_instance = [shared](std::uint64_t) { return *shared; };
-  spec.engine.record_trace = true;
   return ScenarioRunner(std::move(spec));
 }
 
@@ -74,7 +73,6 @@ int main() {
   // all derive from the seed inside one scenario family.
   ScenarioSpec search_spec;
   search_spec.name = "hotspot-search";
-  search_spec.engine.record_trace = true;
   search_spec.repetitions = 400;
   search_spec.make_instance = [](std::uint64_t seed) {
     Rng rng(seed * 9176);

@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   spec.workload.skew = PairSkew::Zipf;
   spec.workload.weights = WeightDist::UniformInt;
   spec.workload.weight_max = 9;
-  spec.engine.record_trace = true;  // the audits below need the step trace
   spec.base_seed = seed;
   const ScenarioRunner runner(spec);
 

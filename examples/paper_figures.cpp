@@ -22,7 +22,6 @@ ScenarioRunner figure_runner(Instance (*make)()) {
   ScenarioSpec spec;
   spec.name = "paper-figure";
   spec.make_instance = [make](std::uint64_t) { return make(); };
-  spec.engine.record_trace = true;
   return ScenarioRunner(std::move(spec));
 }
 

@@ -46,12 +46,10 @@ int main() {
   using namespace rdcn;
 
   // --- 2. Wrap it in a scenario and run ALG -------------------------------
-  // Bespoke instances plug into the same runner the benches use; the
-  // trace enables the dual-fitting certificate below.
+  // Bespoke instances plug into the same runner the benches use.
   ScenarioSpec spec;
   spec.name = "quickstart";
   spec.make_instance = [](std::uint64_t) { return make_quickstart_instance(); };
-  spec.engine.record_trace = true;
   const ScenarioRunner runner(spec);
 
   const Instance instance = runner.instance(1);

@@ -36,8 +36,6 @@ std::vector<std::string> policy_list(const DiffOptions& options) {
 }
 
 EngineOptions streamable(const Instance& instance, EngineOptions options) {
-  options.record_trace = false;
-  options.redispatch_queued = false;
   // Keep the batch run's starvation guard: a streaming-mode engine bug
   // that strands a candidate must surface as a thrown violation, not hang
   // the drive loop (with 0 the guard is disabled).
@@ -193,7 +191,7 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
     report.violations.push_back(std::string(label) + name +
                                 ": reconfig + fixed cost shares do not sum to the total");
   }
-  if (options.check_stream_equivalence && !engine_options.redispatch_queued) {
+  if (options.check_stream_equivalence) {
     ++report.checks;
     // No mutations: nothing drops or requeues.
     for (std::string& mismatch :
@@ -407,7 +405,8 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
     audited.audit = options.audit;
     const std::string label = "variant(speedup " + std::to_string(variant.speedup_rounds) +
                               ", capacity " + std::to_string(variant.endpoint_capacity) +
-                              ", reconfig " + std::to_string(variant.reconfig_delay) + ") ";
+                              ", reconfig " + std::to_string(variant.reconfig_delay) +
+                              (variant.redispatch_queued ? ", migratory" : "") + ") ";
     for (const std::string& name : options.variant_policies) {
       run_and_check(instance, name, audited, options, label.c_str(), report);
     }
@@ -448,13 +447,9 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
   if (std::find(names.begin(), names.end(), "alg") != names.end()) {
     check_impact_index(instance, report);
     try {
-      EngineOptions traced;
-      traced.record_trace = true;
-      traced.audit = options.audit;
-      const PolicyFactory alg = alg_policy();
-      auto dispatcher = alg.dispatcher();
-      auto scheduler = alg.scheduler(instance.topology());
-      const RunResult run = simulate(instance, *dispatcher, *scheduler, traced);
+      EngineOptions audited;
+      audited.audit = options.audit;
+      const RunResult run = run_alg(instance, audited);
 
       ++report.checks;
       const ChargingAudit charging = audit_charging(instance, run);

@@ -45,9 +45,10 @@ struct DiffOptions {
   /// Registry names to run; empty = every registered policy.
   std::vector<std::string> policies;
   /// Extra engine-option variants (speedup / capacity / reconfiguration
-  /// delay) run under `variant_policies` with the audit and the
-  /// batch-vs-stream replay, but without the bound cross-checks (the
-  /// brute-force/trivial bounds assume the unit-speed analysis model).
+  /// delay / restricted migration) run under `variant_policies` with the
+  /// audit and the batch-vs-stream replay, but without the bound
+  /// cross-checks (the brute-force/trivial bounds assume the unit-speed
+  /// analysis model).
   std::vector<EngineOptions> variants;
   /// Deterministic, starvation-free under every variant above; the
   /// demand-oblivious and randomized baselines can legitimately starve

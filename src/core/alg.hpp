@@ -48,10 +48,8 @@ class StableMatchingScheduler final : public SchedulePolicy {
   std::vector<std::int32_t> t_load_, r_load_;
 };
 
-/// Runs ALG on the instance. Trace recording is on by default so that the
-/// dual-fitting witness and charging audit can be built from the result.
-RunResult run_alg(const Instance& instance, EngineOptions options = {.speedup_rounds = 1,
-                                                                     .record_trace = true,
-                                                                     .max_steps = 0});
+/// Runs ALG on the instance in batch mode. The dual-fitting witness and
+/// the charging audit read everything they need from the outcomes.
+RunResult run_alg(const Instance& instance, EngineOptions options = {});
 
 }  // namespace rdcn

@@ -2,38 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 namespace rdcn {
 
 namespace {
 
-/// time -> (packet -> StepPacketRecord) lookup over the recorded trace.
-class TraceIndex {
+/// The blocking relation of the charging scheme, read off the schedule:
+/// which packet transmits through each endpoint at each step. In the
+/// analysis model (one round per step, capacity 1) an endpoint carries at
+/// most one chunk per step, so a second one rejects the run.
+class BlockerIndex {
  public:
-  explicit TraceIndex(const RunResult& result) {
-    for (const StepRecord& step : result.trace) {
-      auto& by_packet = steps_[step.time];
-      for (const StepPacketRecord& rec : step.packets) by_packet.emplace(rec.packet, rec);
+  BlockerIndex(const Instance& instance, const RunResult& result) {
+    if (result.outcomes.size() != instance.num_packets()) {
+      throw std::invalid_argument("charging audit needs a batch run of the instance");
+    }
+    const Topology& topology = instance.topology();
+    keys_.resize(instance.num_packets());
+    for (std::size_t i = 0; i < instance.num_packets(); ++i) {
+      const PacketOutcome& outcome = result.outcomes[i];
+      if (outcome.route.use_fixed) continue;
+      const Packet& packet = instance.packets()[i];
+      const ReconfigEdge& edge = topology.edge(outcome.route.edge);
+      Candidate& key = keys_[i];
+      key.packet = packet.id;
+      key.transmitter = edge.transmitter;
+      key.receiver = edge.receiver;
+      key.chunk_weight = packet.weight / static_cast<double>(edge.delay);
+      key.arrival = packet.arrival;
+      for (Time step : outcome.chunk_transmit_steps) {
+        claim(by_transmitter_, step, edge.transmitter, packet.id);
+        claim(by_receiver_, step, edge.receiver, packet.id);
+      }
     }
   }
 
-  const StepPacketRecord& at(Time time, PacketIndex packet) const {
-    const auto step_it = steps_.find(time);
-    if (step_it == steps_.end()) {
-      throw std::logic_error("charging audit: no trace record for step " +
-                             std::to_string(time));
-    }
-    const auto rec_it = step_it->second.find(packet);
-    if (rec_it == step_it->second.end()) {
-      throw std::logic_error("charging audit: packet missing from step record");
-    }
-    return rec_it->second;
+  /// The packet whose chunk holds `packet`'s transmitter or receiver at
+  /// `step` -- `packet` itself if it transmits then; of two holders, the
+  /// one ranking higher by chunk_higher_priority. -1 if neither is held.
+  PacketIndex blocker(Time step, PacketIndex packet) const {
+    const Candidate& key = keys_[static_cast<std::size_t>(packet)];
+    const PacketIndex at_t = holder(by_transmitter_, step, key.transmitter);
+    const PacketIndex at_r = holder(by_receiver_, step, key.receiver);
+    if (at_t < 0 || at_r < 0) return std::max(at_t, at_r);
+    return chunk_higher_priority(keys_[static_cast<std::size_t>(at_r)],
+                                 keys_[static_cast<std::size_t>(at_t)])
+               ? at_r
+               : at_t;
   }
 
  private:
-  std::unordered_map<Time, std::unordered_map<PacketIndex, StepPacketRecord>> steps_;
+  struct StepEndpointHash {
+    std::size_t operator()(const std::pair<Time, NodeIndex>& key) const noexcept {
+      return std::hash<Time>{}(key.first) * 31 + static_cast<std::size_t>(key.second);
+    }
+  };
+  using Holders = std::unordered_map<std::pair<Time, NodeIndex>, PacketIndex, StepEndpointHash>;
+
+  static void claim(Holders& holders, Time step, NodeIndex endpoint, PacketIndex packet) {
+    if (!holders.emplace(std::pair{step, endpoint}, packet).second) {
+      throw std::invalid_argument(
+          "charging audit: an endpoint transmits twice in step " + std::to_string(step) +
+          "; the scheme needs one round per step at capacity 1");
+    }
+  }
+
+  static PacketIndex holder(const Holders& holders, Time step, NodeIndex endpoint) {
+    const auto it = holders.find({step, endpoint});
+    return it == holders.end() ? -1 : it->second;
+  }
+
+  std::vector<Candidate> keys_;  ///< each packet's chunk-priority key
+  Holders by_transmitter_, by_receiver_;
 };
 
 std::int64_t integer_weight(const Packet& packet) {
@@ -47,7 +91,7 @@ std::int64_t integer_weight(const Packet& packet) {
 /// Shared charging walk; Number is double or Rational.
 template <typename Number, typename MakeChunkWeight>
 void distribute_charges(const Instance& instance, const RunResult& result,
-                        const TraceIndex& trace, MakeChunkWeight make_chunk_weight,
+                        const BlockerIndex& blockers, MakeChunkWeight make_chunk_weight,
                         std::vector<Number>& charge) {
   const Topology& topology = instance.topology();
   charge.assign(instance.num_packets(), Number(0));
@@ -72,12 +116,11 @@ void distribute_charges(const Instance& instance, const RunResult& result,
       charge[i] += chunk_weight * Number(static_cast<std::int64_t>(1 + tail));
       // Waiting rounds [a_p, transmit): someone blocked the chunk.
       for (Time tau = packet.arrival; tau < transmit; ++tau) {
-        const StepPacketRecord& rec = trace.at(tau, packet.id);
-        if (rec.transmitted) {
+        const PacketIndex blocker = blockers.blocker(tau, packet.id);
+        if (blocker == packet.id) {
           charge[i] += chunk_weight;  // blocked by the packet's own chunk
           continue;
         }
-        const PacketIndex blocker = rec.blocker;
         if (blocker < 0) {
           throw std::logic_error("charging audit: blocked chunk without blocker");
         }
@@ -96,13 +139,10 @@ void distribute_charges(const Instance& instance, const RunResult& result,
 }  // namespace
 
 ChargingAudit audit_charging(const Instance& instance, const RunResult& result) {
-  if (result.trace.empty() && !instance.packets().empty()) {
-    throw std::invalid_argument("charging audit needs a run with record_trace=true");
-  }
-  const TraceIndex trace(result);
+  const BlockerIndex blockers(instance, result);
   ChargingAudit audit;
   distribute_charges<double>(
-      instance, result, trace,
+      instance, result, blockers,
       [](const Packet& packet, Delay delay) {
         return packet.weight / static_cast<double>(delay);
       },
@@ -177,15 +217,12 @@ ExactChargingAudit audit_charging_exact(const Instance& instance, const RunResul
   if (!instance.has_integer_weights()) {
     throw std::invalid_argument("exact audit requires integer weights");
   }
-  if (result.trace.empty() && !instance.packets().empty()) {
-    throw std::invalid_argument("charging audit needs a run with record_trace=true");
-  }
-  const TraceIndex trace(result);
+  const BlockerIndex blockers(instance, result);
   const Topology& topology = instance.topology();
 
   ExactChargingAudit audit;
   distribute_charges<Rational>(
-      instance, result, trace,
+      instance, result, blockers,
       [](const Packet& packet, Delay delay) {
         return Rational(integer_weight(packet), static_cast<std::int64_t>(delay));
       },

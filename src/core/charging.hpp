@@ -1,7 +1,7 @@
 #pragma once
 
 // The cost-charging scheme of Section IV-C ("ALG-to-alpha's charging
-// scheme"), implemented as an auditor over a traced ALG run:
+// scheme"), implemented as an auditor over a batch ALG run:
 //
 //  * a packet on the fixed network is charged its own latency w_p dl(p);
 //  * a chunk's in-flight rounds and rounds blocked by the packet's own
@@ -15,6 +15,12 @@
 // Lemma 2 states charge(p) <= alpha_p; summing, ALG <= sum alpha. The
 // auditor verifies both, exactly (in rational arithmetic) when the
 // instance has integer weights.
+//
+// The blocking relation is a function of the schedule: the auditor reads
+// who transmits through each endpoint at each step off the outcomes'
+// chunk_transmit_steps, and a waiting chunk's blocker is the higher-
+// priority (chunk_higher_priority) of the packets holding its transmitter
+// and its receiver.
 
 #include <vector>
 
@@ -33,8 +39,18 @@ struct ChargingAudit {
   double cover_gap = 0.0;
 };
 
-/// Floating-point audit; requires a run with record_trace = true and
-/// speedup_rounds == 1 under ALG's policies.
+/// Floating-point audit of a batch run of `instance` under ALG's policies.
+///
+/// Precondition: the run is in the analysis model -- one scheduling round
+/// per step, endpoint capacity 1, no reconfiguration delay and no
+/// migration. Throws std::invalid_argument when `result` has no outcome
+/// per packet (a streamed run) or when an endpoint transmits twice in one
+/// step, which runs with speedup or capacity above 1 usually do. A
+/// reconfiguration delay or restricted migration keeps every endpoint at
+/// one chunk per step, so the audit cannot detect them: it charges each
+/// packet as if it had waited on its final edge with free retuning, and
+/// throws std::logic_error only where a waiting chunk finds neither of
+/// its endpoints held.
 ChargingAudit audit_charging(const Instance& instance, const RunResult& result);
 
 struct ExactChargingAudit {
@@ -45,7 +61,8 @@ struct ExactChargingAudit {
   bool within_alpha = false;        ///< charge[p] <= alpha[p] for all p, exactly
 };
 
-/// Exact audit; requires Instance::has_integer_weights().
+/// Exact audit; requires Instance::has_integer_weights() and the same
+/// analysis-model run as audit_charging.
 ExactChargingAudit audit_charging_exact(const Instance& instance, const RunResult& result);
 
 /// Recomputes alpha_p for every packet exactly from the run's outcomes

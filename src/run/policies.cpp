@@ -10,108 +10,85 @@ namespace rdcn {
 
 namespace {
 
-PolicyFactory jsq_with(const std::string& name,
-                       std::function<std::unique_ptr<SchedulePolicy>(const Topology&)> make) {
-  return PolicyFactory{name, [] { return std::make_unique<JsqDispatcher>(); },
-                       std::move(make)};
+template <typename Dispatcher, auto... args>
+std::unique_ptr<DispatchPolicy> make_dispatcher() {
+  return std::make_unique<Dispatcher>(args...);
 }
 
-PolicyFactory stable_with(const std::string& name,
-                          std::function<std::unique_ptr<DispatchPolicy>()> make) {
-  return PolicyFactory{name, std::move(make), [](const Topology&) {
-                         return std::make_unique<StableMatchingScheduler>();
-                       }};
+template <typename Scheduler, auto... args>
+std::unique_ptr<SchedulePolicy> make_scheduler(const Topology&) {
+  return std::make_unique<Scheduler>(args...);
+}
+
+/// For schedulers that size their state by the topology (iSLIP, rotor).
+template <typename Scheduler>
+std::unique_ptr<SchedulePolicy> make_topology_scheduler(const Topology& topology) {
+  return std::make_unique<Scheduler>(topology);
+}
+
+enum class Grid {
+  SchedulerBaselines,   ///< EXP-B1: scheduler alternatives under JSQ dispatch
+  DispatcherAblations,  ///< EXP-B2: dispatcher alternatives under stable matching
+};
+
+/// One registry entry: its registry name, its label in its grid's tables,
+/// the grid, and its (dispatcher, scheduler) pair.
+struct PolicyRow {
+  const char* name;
+  const char* label;
+  Grid grid;
+  std::unique_ptr<DispatchPolicy> (*dispatcher)();
+  std::unique_ptr<SchedulePolicy> (*scheduler)(const Topology&);
+};
+
+constexpr auto kJsq = make_dispatcher<JsqDispatcher>;
+constexpr auto kStable = make_scheduler<StableMatchingScheduler>;
+constexpr Grid kB1 = Grid::SchedulerBaselines;
+constexpr Grid kB2 = Grid::DispatcherAblations;
+
+/// The registry, in presentation order; each grid keeps the table's order.
+constexpr PolicyRow kPolicies[] = {
+    {"alg", "ALG", kB1, make_dispatcher<ImpactDispatcher>, kStable},
+    {"maxweight", "MaxWeight", kB1, kJsq, make_scheduler<MaxWeightScheduler>},
+    {"islip", "iSLIP", kB1, kJsq, make_topology_scheduler<IslipScheduler>},
+    {"rotor", "Rotor", kB1, kJsq, make_topology_scheduler<RotorScheduler>},
+    {"random", "RandomMaximal", kB1, kJsq, make_scheduler<RandomMaximalScheduler, 99ULL>},
+    {"fifo", "FIFO", kB1, kJsq, make_scheduler<FifoScheduler>},
+    {"impact", "Impact (ALG)", kB2, make_dispatcher<ImpactDispatcher>, kStable},
+    {"random-dispatch", "Random", kB2, make_dispatcher<RandomDispatcher, 5ULL>, kStable},
+    {"round-robin", "RoundRobin", kB2, make_dispatcher<RoundRobinDispatcher>, kStable},
+    {"jsq", "JSQ", kB2, make_dispatcher<JsqDispatcher>, kStable},
+    {"min-delay", "MinDelay", kB2, make_dispatcher<MinDelayDispatcher>, kStable},
+    {"direct-only", "DirectOnly", kB2, make_dispatcher<DirectOnlyDispatcher>, kStable},
+};
+
+std::vector<PolicyFactory> grid(Grid which) {
+  std::vector<PolicyFactory> policies;
+  for (const PolicyRow& row : kPolicies) {
+    if (row.grid == which) policies.push_back({row.label, row.dispatcher, row.scheduler});
+  }
+  return policies;
 }
 
 }  // namespace
 
-PolicyFactory alg_policy() {
-  return PolicyFactory{
-      "alg",
-      [] { return std::make_unique<ImpactDispatcher>(); },
-      [](const Topology&) { return std::make_unique<StableMatchingScheduler>(); },
-  };
-}
+PolicyFactory alg_policy() { return named_policy("alg"); }
 
 PolicyFactory named_policy(const std::string& name) {
-  if (name == "alg") return alg_policy();
-  // Baseline schedulers, all under JSQ dispatch (EXP-B1's pairing).
-  if (name == "maxweight") {
-    return jsq_with(name,
-                    [](const Topology&) { return std::make_unique<MaxWeightScheduler>(); });
-  }
-  if (name == "islip") {
-    return jsq_with(name,
-                    [](const Topology& t) { return std::make_unique<IslipScheduler>(t); });
-  }
-  if (name == "rotor") {
-    return jsq_with(name,
-                    [](const Topology& t) { return std::make_unique<RotorScheduler>(t); });
-  }
-  if (name == "random") {
-    return jsq_with(name, [](const Topology&) {
-      return std::make_unique<RandomMaximalScheduler>(99);
-    });
-  }
-  if (name == "fifo") {
-    return jsq_with(name, [](const Topology&) { return std::make_unique<FifoScheduler>(); });
-  }
-  // Dispatcher ablations, all under stable matching (EXP-B2's pairing).
-  if (name == "impact") {
-    return stable_with(name, [] { return std::make_unique<ImpactDispatcher>(); });
-  }
-  if (name == "random-dispatch") {
-    return stable_with(name, [] { return std::make_unique<RandomDispatcher>(5); });
-  }
-  if (name == "round-robin") {
-    return stable_with(name, [] { return std::make_unique<RoundRobinDispatcher>(); });
-  }
-  if (name == "jsq") {
-    return stable_with(name, [] { return std::make_unique<JsqDispatcher>(); });
-  }
-  if (name == "min-delay") {
-    return stable_with(name, [] { return std::make_unique<MinDelayDispatcher>(); });
-  }
-  if (name == "direct-only") {
-    return stable_with(name, [] { return std::make_unique<DirectOnlyDispatcher>(); });
+  for (const PolicyRow& row : kPolicies) {
+    if (name == row.name) return {row.name, row.dispatcher, row.scheduler};
   }
   throw std::invalid_argument("unknown policy '" + name + "'");
 }
 
 std::vector<std::string> policy_names() {
-  return {"alg",    "maxweight", "islip",          "rotor",       "random",
-          "fifo",   "impact",    "random-dispatch", "round-robin", "jsq",
-          "min-delay", "direct-only"};
+  std::vector<std::string> names;
+  for (const PolicyRow& row : kPolicies) names.emplace_back(row.name);
+  return names;
 }
 
-std::vector<PolicyFactory> scheduler_baselines() {
-  std::vector<PolicyFactory> policies;
-  policies.push_back(alg_policy());
-  policies.back().name = "ALG";
-  for (const char* name : {"maxweight", "islip", "rotor", "random", "fifo"}) {
-    policies.push_back(named_policy(name));
-  }
-  policies[1].name = "MaxWeight";
-  policies[2].name = "iSLIP";
-  policies[3].name = "Rotor";
-  policies[4].name = "RandomMaximal";
-  policies[5].name = "FIFO";
-  return policies;
-}
+std::vector<PolicyFactory> scheduler_baselines() { return grid(Grid::SchedulerBaselines); }
 
-std::vector<PolicyFactory> dispatcher_ablations() {
-  std::vector<PolicyFactory> policies;
-  for (const char* name :
-       {"impact", "random-dispatch", "round-robin", "jsq", "min-delay", "direct-only"}) {
-    policies.push_back(named_policy(name));
-  }
-  policies[0].name = "Impact (ALG)";
-  policies[1].name = "Random";
-  policies[2].name = "RoundRobin";
-  policies[3].name = "JSQ";
-  policies[4].name = "MinDelay";
-  policies[5].name = "DirectOnly";
-  return policies;
-}
+std::vector<PolicyFactory> dispatcher_ablations() { return grid(Grid::DispatcherAblations); }
 
 }  // namespace rdcn

@@ -22,9 +22,8 @@ StreamRunner::StreamRunner(StreamSpec spec) : spec_(std::move(spec)) {
   if (spec_.step_cap_factor <= 0.0) {
     throw std::invalid_argument("step_cap_factor must be > 0");
   }
-  if (spec_.engine.record_trace || spec_.engine.redispatch_queued) {
-    throw std::invalid_argument(
-        "record_trace / redispatch_queued are unavailable when streaming");
+  if (spec_.engine.redispatch_queued) {
+    throw std::invalid_argument("redispatch_queued is unavailable to StreamRunner");
   }
   if (spec_.engine.max_steps != 0) {
     throw std::invalid_argument(

@@ -72,8 +72,8 @@ struct StreamSpec {
   std::string name;
   TopologySpec topology{};
   TrafficConfig traffic{};
-  /// record_trace and redispatch_queued are unavailable when streaming;
-  /// max_steps == 0 lets the runner derive a generous starvation cap.
+  /// redispatch_queued is unavailable to the runner; max_steps == 0 lets
+  /// the runner derive a generous starvation cap.
   EngineOptions engine{};
   /// Repetition seeds are base_seed, base_seed + 1, ... (each reseeds the
   /// wiring and the traffic draws, mirroring ScenarioSpec).

@@ -10,75 +10,6 @@
 
 namespace rdcn {
 
-namespace {
-
-/// Records RunResult::trace: one StepRecord per step, listing every pending
-/// packet with whether it transmitted and, if not, its blocker -- the
-/// transmitting packet that holds its transmitter or receiver. The round
-/// only sees the head list, so the recorder rebuilds the full pending list
-/// from the edge queues in priority order; of two blockers the higher-
-/// priority one has the lower index. Relies on the analysis model (one
-/// round per step, capacity 1, no reconfiguration delay) that record_trace
-/// enforces.
-class TraceRecorder final : public EngineObserver {
- public:
-  TraceRecorder(std::vector<StepRecord>& trace, const Topology& topology)
-      : trace_(&trace),
-        owner_t_(static_cast<std::size_t>(topology.num_transmitters()), kNone),
-        owner_r_(static_cast<std::size_t>(topology.num_receivers()), kNone) {}
-
-  void on_step_begin(const Engine& engine, Time /*previous_now*/) override {
-    trace_->push_back(StepRecord{engine.now(), {}, 0});
-  }
-
-  void on_round(const Engine& engine, const std::vector<Candidate>& heads,
-                const std::vector<std::size_t>& transmitted) override {
-    pending_.clear();
-    engine.for_each_pending([this](const Candidate& c) { pending_.push_back(c); });
-    std::sort(pending_.begin(), pending_.end(), chunk_higher_priority);
-    StepRecord& step = trace_->back();
-    step.matching_size = transmitted.size();
-    for (std::size_t index : transmitted) {
-      // Priority keys are unique per packet, so this finds the head itself.
-      const Candidate& head = heads[index];
-      const auto position = static_cast<std::size_t>(
-          std::lower_bound(pending_.begin(), pending_.end(), head, chunk_higher_priority) -
-          pending_.begin());
-      owner_t_[static_cast<std::size_t>(head.transmitter)] = position;
-      owner_r_[static_cast<std::size_t>(head.receiver)] = position;
-    }
-    step.packets.reserve(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const Candidate& c = pending_[i];
-      const std::size_t owner = std::min(owner_t_[static_cast<std::size_t>(c.transmitter)],
-                                         owner_r_[static_cast<std::size_t>(c.receiver)]);
-      StepPacketRecord record;
-      record.packet = c.packet;
-      record.transmitted = owner == i;
-      if (owner != i && owner != kNone) record.blocker = pending_[owner].packet;
-      step.packets.push_back(record);
-    }
-    for (std::size_t index : transmitted) {
-      owner_t_[static_cast<std::size_t>(heads[index].transmitter)] = kNone;
-      owner_r_[static_cast<std::size_t>(heads[index].receiver)] = kNone;
-    }
-  }
-
-  void on_dispatch(const Engine&, const Packet&, const RouteDecision&) override {}
-  void on_selection(const Engine&, const std::vector<Candidate>&,
-                    const std::vector<std::size_t>&) override {}
-  void on_retire(const Engine&, PacketIndex, const PacketOutcome&) override {}
-  void on_step_end(const Engine&) override {}
-
- private:
-  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<StepRecord>* trace_;
-  std::vector<Candidate> pending_;  ///< this round's full pending list
-  std::vector<std::size_t> owner_t_, owner_r_;  ///< endpoint -> transmitting index
-};
-
-}  // namespace
-
 Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
                SchedulePolicy& scheduler, EngineOptions options)
     : instance_(&instance),
@@ -108,12 +39,6 @@ Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
   const std::string error = topology.validate();
   if (!error.empty()) throw std::invalid_argument("invalid topology: " + error);
   if (!sink_) throw std::invalid_argument("streaming engine needs a retirement sink");
-  if (options.record_trace) {
-    throw std::invalid_argument("trace recording requires batch mode");
-  }
-  if (options.redispatch_queued) {
-    throw std::invalid_argument("queued redispatch requires batch mode");
-  }
   init(options);
 }
 
@@ -126,13 +51,6 @@ void Engine::init(EngineOptions options) {
   if (options_.reconfig_delay < 0) throw std::invalid_argument("reconfig_delay must be >= 0");
   if (options_.reconfig_delay > 0 && options_.endpoint_capacity != 1) {
     throw std::invalid_argument("reconfig_delay requires endpoint_capacity == 1");
-  }
-  if (options_.record_trace &&
-      (options_.speedup_rounds != 1 || options_.endpoint_capacity != 1 ||
-       options_.reconfig_delay != 0 || options_.redispatch_queued)) {
-    throw std::invalid_argument(
-        "trace recording requires the analysis model (speedup 1, capacity 1, no "
-        "reconfiguration delay, non-migratory)");
   }
   const auto num_t = static_cast<std::size_t>(topology_->num_transmitters());
   const auto num_r = static_cast<std::size_t>(topology_->num_receivers());
@@ -169,10 +87,7 @@ void Engine::init(EngineOptions options) {
       std::min(num_t, num_r) * static_cast<std::size_t>(options_.endpoint_capacity);
   selection_.mutable_indices().reserve(matching_bound);
   finished_scratch_.reserve(matching_bound);
-  if (options_.audit) observers_.push_back(make_invariant_auditor());
-  if (options_.record_trace) {
-    observers_.push_back(std::make_unique<TraceRecorder>(result_.trace, *topology_));
-  }
+  if (options_.audit) auditor_ = make_invariant_auditor();
   if (options_.probe.enabled) {
     probe_store_ = std::make_unique<Probe>(options_.probe);
     probe_ = probe_store_.get();
@@ -182,11 +97,11 @@ void Engine::init(EngineOptions options) {
 // rdcn-lint: hot
 void Engine::retire_packet(const Packet& packet, PacketOutcome& outcome, bool dropped) {
   outcome.dropped = dropped;
-  for (const auto& observer : observers_) {
+  if (auditor_) {
     if (dropped) {
-      observer->on_drop(*this, packet.id, outcome);
+      auditor_->on_drop(*this, packet.id, outcome);
     } else {
-      observer->on_retire(*this, packet.id, outcome);
+      auditor_->on_retire(*this, packet.id, outcome);
     }
   }
   ++(dropped ? dropped_count_ : retired_count_);
@@ -196,7 +111,7 @@ void Engine::retire_packet(const Packet& packet, PacketOutcome& outcome, bool dr
 
 // rdcn-lint: hot
 void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
-  for (const auto& observer : observers_) observer->on_dispatch(*this, packet, route);
+  if (auditor_) auditor_->on_dispatch(*this, packet, route);
   if (route.use_fixed) {
     const auto delay = topology_->fixed_link_delay(packet.source, packet.destination);
     if (!delay) throw std::logic_error("dispatcher chose a non-existent fixed link");
@@ -465,7 +380,7 @@ void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats)
     if (policy == DeadPolicy::Requeue && c.remaining == topology_->edge(c.edge).delay &&
         has_viable_route(packet.source, packet.destination)) {
       if (stats != nullptr) {
-        for (const auto& observer : observers_) observer->on_requeue(*this, packet.id);
+        if (auditor_) auditor_->on_requeue(*this, packet.id);
         ++requeued_count_;
         ++stats->packets_requeued;
         if (probe_) probe_->count(Counter::PacketsRequeued);
@@ -503,9 +418,8 @@ MutationStats Engine::apply_mutation(const StageMutation& mutation) {
   if (step_open_) {
     throw std::logic_error("apply_mutation: only valid at a step boundary");
   }
-  if (options_.record_trace || options_.redispatch_queued) {
-    throw std::invalid_argument(
-        "stage mutations are incompatible with record_trace / redispatch_queued");
+  if (options_.redispatch_queued) {
+    throw std::invalid_argument("stage mutations are incompatible with redispatch_queued");
   }
   // Validate every index and scalar before changing any state, so a
   // rejected mutation leaves the engine exactly as it was.
@@ -646,7 +560,7 @@ std::size_t Engine::schedule_round() {
 
   // The auditor validates first (independently), so a contract violation
   // under audit surfaces as AuditFailure, not as the engine's logic_error.
-  for (const auto& observer : observers_) observer->on_selection(*this, heads_, selected);
+  if (auditor_) auditor_->on_selection(*this, heads_, selected);
 
   // Validate the selection is a (b-)matching: per-endpoint load within
   // capacity, each edge used at most once. Scratch arrays are stamped with
@@ -719,7 +633,7 @@ std::size_t Engine::schedule_round() {
 
   if (probe_) probe_->gauge(Gauge::SelectedPerRound, selected.size());
 
-  for (const auto& observer : observers_) observer->on_round(*this, heads_, selected);
+  if (auditor_) auditor_->on_round(*this, heads_, selected);
 
   // Transmit the selected chunks and account their latency; `remaining`
   // counts down on both the head entry and its queue node.
@@ -779,7 +693,7 @@ void Engine::begin_step(const Time* next_arrival) {
     throw std::runtime_error("engine exceeded max_steps; scheduler may be starving packets");
   }
   step_open_ = true;
-  for (const auto& observer : observers_) observer->on_step_begin(*this, previous);
+  if (auditor_) auditor_->on_step_begin(*this, previous);
 }
 
 // rdcn-lint: hot
@@ -796,7 +710,7 @@ void Engine::finish_step() {
     if (!busy() && round > 0) break;
     schedule_round();
   }
-  for (const auto& observer : observers_) observer->on_step_end(*this);
+  if (auditor_) auditor_->on_step_end(*this);
   step_open_ = false;
 }
 
@@ -804,9 +718,8 @@ RunResult Engine::run(const std::vector<TimedMutation>& schedule) {
   if (instance_ == nullptr) {
     throw std::logic_error("run() requires batch mode; streaming engines are step-driven");
   }
-  if (!schedule.empty() && (options_.record_trace || options_.redispatch_queued)) {
-    throw std::invalid_argument(
-        "staged runs are incompatible with record_trace / redispatch_queued");
+  if (!schedule.empty() && options_.redispatch_queued) {
+    throw std::invalid_argument("staged runs are incompatible with redispatch_queued");
   }
   for (std::size_t i = 1; i < schedule.size(); ++i) {
     if (schedule[i].at < schedule[i - 1].at) {

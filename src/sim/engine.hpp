@@ -74,9 +74,9 @@
 //    per-round allocations sized by the topology;
 //  * time advances event-driven: when no chunk is pending the clock jumps
 //    to the next arrival instead of simulating empty steps;
-//  * special cases stay out of the round loop: the invariant audit and
-//    trace recording are EngineObservers, and restricted migration and
-//    stage-mutation requeues share one requeue routine.
+//  * special cases stay out of the round loop: the invariant audit is an
+//    EngineObserver, and restricted migration and stage-mutation requeues
+//    share one requeue routine.
 
 #include <functional>
 #include <memory>
@@ -94,12 +94,6 @@ namespace rdcn {
 
 struct EngineOptions {
   int speedup_rounds = 1;
-  /// Record per-step blocking information into RunResult::trace (needed by
-  /// the charging auditor and the figure benches; an EngineObserver beside
-  /// the invariant auditor). Only meaningful with speedup_rounds == 1,
-  /// endpoint_capacity == 1 and reconfig_delay == 0 (the analysis model).
-  /// Batch mode only.
-  bool record_trace = false;
   /// Hard stop; exceeding it throws, catching schedulers that starve
   /// packets. Batch mode: 0 derives a bound from Instance::horizon_bound().
   /// Streaming mode: 0 disables the guard (the driver owns termination).
@@ -116,8 +110,8 @@ struct EngineOptions {
   /// transmitted ANY chunk are handed back to the dispatcher (in their
   /// original order) and may change route. The paper's ALG is
   /// non-migratory (false); OPT in the analysis is fully migratory -- this
-  /// probes the gap for queued packets. Incompatible with record_trace.
-  /// Batch mode only.
+  /// probes the gap for queued packets. Both modes; incompatible with
+  /// stage mutations, and StreamRunner refuses it.
   bool redispatch_queued = false;
   /// Per-step invariant audit (check/): the engine carries an
   /// InvariantAuditor that independently re-derives matching feasibility,
@@ -246,21 +240,6 @@ struct ActiveEndpoints {
   std::vector<std::int32_t> receiver_rank_;
 };
 
-/// Per-step record used by the charging auditor: for every packet pending
-/// at the step, whether one of its chunks was transmitted, and if not,
-/// which packet's transmitted chunk blocked it.
-struct StepPacketRecord {
-  PacketIndex packet = 0;
-  bool transmitted = false;
-  PacketIndex blocker = -1;  ///< valid iff !transmitted
-};
-
-struct StepRecord {
-  Time time = 0;
-  std::vector<StepPacketRecord> packets;
-  std::size_t matching_size = 0;
-};
-
 struct RunResult {
   std::vector<PacketOutcome> outcomes;  ///< batch mode only; empty streamed
   double total_cost = 0.0;     ///< total weighted fractional latency
@@ -268,7 +247,6 @@ struct RunResult {
   double fixed_cost = 0.0;     ///< share routed over fixed direct links
   Time makespan = 0;           ///< last completion time
   Time steps_simulated = 0;
-  std::vector<StepRecord> trace;  ///< nonempty iff record_trace
   ProbeReport probe;  ///< filled (enabled = true) iff EngineOptions::probe
 };
 
@@ -281,7 +259,7 @@ class Engine {
 
   /// Streaming mode: packets are injected online in id order (ids
   /// sequential from 0, arrivals nondecreasing); completed packets leave
-  /// through `sink`. record_trace and redispatch_queued are unavailable.
+  /// through `sink`.
   Engine(const Topology& topology, DispatchPolicy& dispatcher, SchedulePolicy& scheduler,
          EngineOptions options, RetireSink sink);
 
@@ -295,7 +273,7 @@ class Engine {
   /// at step boundaries so that every step with now() >= at executes
   /// post-mutation; the idle jump is clamped to the next stage edge, so
   /// schedules are honored even across arrival gaps. A nonempty schedule
-  /// is incompatible with record_trace and redispatch_queued.
+  /// is incompatible with redispatch_queued.
   RunResult run(const std::vector<TimedMutation>& schedule = {});
 
   // --- stage mutations ----------------------------------------------------
@@ -484,7 +462,7 @@ class Engine {
   };
 
   void init(EngineOptions options);
-  /// Hands a finished packet's outcome to the observers and moves it out
+  /// Hands a finished packet's outcome to the auditor and moves it out
   /// through the sink. `dropped` retires it without completion
   /// (outcome.dropped; partial latency kept).
   void retire_packet(const Packet& packet, PacketOutcome& outcome, bool dropped = false);
@@ -520,7 +498,7 @@ class Engine {
   /// and arrival-fair. A packet that already transmitted a chunk, has no
   /// surviving route, or meets DeadPolicy::Drop is dropped instead. With
   /// `stats` (the stage-mutation path) requeues and drops are counted and
-  /// requeues reported to observers; restricted migration passes null.
+  /// requeues reported to the auditor; restricted migration passes null.
   template <typename Pick>
   void requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats);
   /// One scheduling round; returns number of chunks transmitted.
@@ -537,9 +515,7 @@ class Engine {
   SchedulePolicy* scheduler_;
   EngineOptions options_;
   RetireSink sink_;  ///< the caller's, or batch mode's outcome collector
-  /// The invariant auditor (options_.audit) and the trace recorder
-  /// (options_.record_trace), in that order; empty by default.
-  std::vector<std::unique_ptr<EngineObserver>> observers_;
+  std::unique_ptr<EngineObserver> auditor_;  ///< set iff options_.audit
   std::unique_ptr<Probe> probe_store_;  ///< set iff options_.probe.enabled
   /// Raw mirror of probe_store_: the hot-path sites branch on one pointer;
   /// const views (impact_split) still time themselves through it.

@@ -12,10 +12,8 @@
 // incremental accounting cannot hide itself. Violations throw AuditFailure.
 //
 // The interface lives in sim/ (below check/) so the engine can hold an
-// observer without an include cycle; the auditor ships in
-// src/check/audit.cpp and is linked through the factory below. The engine
-// records RunResult::trace (EngineOptions::record_trace) through a second,
-// engine-private observer.
+// observer without an include cycle; the auditor, its one implementation,
+// ships in src/check/audit.cpp and is linked through the factory below.
 
 #include <memory>
 #include <stdexcept>
@@ -74,18 +72,13 @@ class EngineObserver {
   /// arrived for a pair with no surviving route) and `outcome` -- with
   /// outcome.dropped set and completion 0 -- is about to leave the engine.
   /// For an arrival-time drop the packet was never seen by on_dispatch.
-  /// Default no-op so observers predating stage mutations stay valid.
   virtual void on_drop(const Engine& engine, PacketIndex packet,
-                       const PacketOutcome& outcome) {
-    (void)engine, (void)packet, (void)outcome;
-  }
+                       const PacketOutcome& outcome) = 0;
 
   /// A stage mutation killed `packet`'s edge before any chunk transmitted
   /// and the packet is about to be re-dispatched (an on_dispatch for the
   /// same packet follows within the same apply_mutation call).
-  virtual void on_requeue(const Engine& engine, PacketIndex packet) {
-    (void)engine, (void)packet;
-  }
+  virtual void on_requeue(const Engine& engine, PacketIndex packet) = 0;
 
   /// All scheduling rounds of the step ran and retirements are applied.
   virtual void on_step_end(const Engine& engine) = 0;

@@ -48,9 +48,7 @@ TEST_P(PolicyGrid, DeliversEverythingWithConsistentAccounting) {
     const Instance instance = testing::make_varied_instance(seed);
     auto dispatcher = make_dispatcher(dispatcher_kind);
     auto scheduler = make_scheduler(scheduler_kind, instance.topology());
-    EngineOptions options;
-    options.record_trace = false;
-    const RunResult run = simulate(instance, *dispatcher, *scheduler, options);
+    const RunResult run = simulate(instance, *dispatcher, *scheduler, {});
     EXPECT_TRUE(all_delivered(instance, run))
         << "dispatcher " << dispatcher_kind << " scheduler " << scheduler_kind
         << " seed " << seed;

@@ -165,6 +165,26 @@ TEST(DifferentialChecker, CleanOnGoldenInstanceFamilies) {
   }
 }
 
+TEST(DifferentialChecker, ReplaysMigratoryVariantsOnTheStreamingEngine) {
+  // Restricted migration runs on either engine constructor, so a
+  // redispatch_queued variant gets the batch-vs-stream replay too: one
+  // replay check per base policy and one per variant policy.
+  for (const std::uint64_t seed : {101ULL, 103ULL}) {  // kMigrationGoldens' seeds
+    const Instance instance = testing::make_varied_instance(seed);
+    check::DiffOptions options;
+    options.policies = {"jsq"};
+    options.variants = {EngineOptions{.redispatch_queued = true}};
+    options.check_stream_equivalence = false;
+    const std::size_t unreplayed = check::check_instance(instance, options).checks;
+    options.check_stream_equivalence = true;
+    const check::DiffReport report = check::check_instance(instance, options);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.to_string();
+    EXPECT_EQ(report.checks - unreplayed,
+              options.policies.size() + options.variant_policies.size())
+        << "seed " << seed;
+  }
+}
+
 TEST(DifferentialChecker, BruteForceAnchorsTheFigure1Instance) {
   // Tiny enough for the exhaustive optimum: every oracle engages.
   const check::DiffReport report = check::check_instance(figure1_instance());

@@ -150,16 +150,6 @@ TEST(Engine, SpeedupRoundsAcceleratesDraining) {
   EXPECT_DOUBLE_EQ(run_fast.total_cost, 9.0);
 }
 
-TEST(Engine, TraceRequiresUnitSpeed) {
-  const Instance instance = figure2_instance_pi();
-  ImpactDispatcher dispatcher;
-  StableMatchingScheduler scheduler;
-  EngineOptions options;
-  options.speedup_rounds = 2;
-  options.record_trace = true;
-  EXPECT_THROW(Engine(instance, dispatcher, scheduler, options), std::invalid_argument);
-}
-
 TEST(Engine, CostIdentitiesOnRandomInstances) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const Instance instance = testing::make_varied_instance(seed);

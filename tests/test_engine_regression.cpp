@@ -7,14 +7,17 @@
 //    at every round with consistent remaining counts, and the impact index
 //    agrees with the queues;
 //  * EngineOptions edge interactions (reconfig_delay x endpoint_capacity,
-//    redispatch_queued / record_trace rejection matrix).
+//    reconfig_delay x redispatch_queued), and the charging audit's refusal
+//    of runs outside the analysis model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "core/alg.hpp"
+#include "core/charging.hpp"
 #include "helpers.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
@@ -46,51 +49,77 @@ std::uint64_t schedule_hash(const std::vector<PacketOutcome>& outcomes) {
   return h;
 }
 
-/// FNV-1a over a recorded trace: each step's time and matching size, then
-/// every pending packet's id, transmitted flag and blocker, in list order.
-std::uint64_t trace_hash(const std::vector<StepRecord>& trace) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const StepRecord& step : trace) {
-    h = mix64(h, static_cast<std::uint64_t>(step.time));
-    h = mix64(h, step.matching_size);
-    for (const StepPacketRecord& record : step.packets) {
-      h = mix64(h, static_cast<std::uint64_t>(record.packet));
-      h = mix64(h, record.transmitted ? 1u : 0u);
-      h = mix64(h, static_cast<std::uint64_t>(record.blocker));
-    }
-  }
-  return h;
-}
-
 struct Golden {
   std::uint64_t seed;
   double total_cost;
   Time makespan;
-  std::uint64_t trace_hash;
 };
 
 // Costs captured from the seed engine (pre-refactor) at commit b07bcdf,
-// %.17g; trace hashes captured before trace recording moved into an
-// engine observer.
+// %.17g.
 constexpr Golden kSeedEngineGoldens[] = {
-    {1ULL, 136, 12, 0x3b15ab9dd7b71c36ULL},
-    {2ULL, 146.5, 17, 0x0824b7d914a462aaULL},
-    {3ULL, 16, 6, 0x410e6c5eebf9bae5ULL},
-    {4ULL, 263, 20, 0xa89e8ba233df7fcbULL},
-    {5ULL, 297.49999999999994, 12, 0xb8f58f92348ad693ULL},
-    {7ULL, 152.5, 8, 0x05135c44dda81889ULL},
-    {11ULL, 163.5, 11, 0xc50391a7bdd6f273ULL},
-    {101ULL, 2940.5, 32, 0x8d256f0bfb719b4cULL},
-    {103ULL, 5376.333333333333, 56, 0x0960d15ef9787a52ULL},
-    {117ULL, 5024, 42, 0xe34dc80a9c8bc82fULL},
+    {1ULL, 136, 12},
+    {2ULL, 146.5, 17},
+    {3ULL, 16, 6},
+    {4ULL, 263, 20},
+    {5ULL, 297.49999999999994, 12},
+    {7ULL, 152.5, 8},
+    {11ULL, 163.5, 11},
+    {101ULL, 2940.5, 32},
+    {103ULL, 5376.333333333333, 56},
+    {117ULL, 5024, 42},
+};
+
+/// FNV-1a over the bit patterns of the floating-point charges, in packet
+/// order.
+std::uint64_t charge_hash(const std::vector<double>& charges) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (double charge : charges) h = mix64(h, std::bit_cast<std::uint64_t>(charge));
+  return h;
+}
+
+/// FNV-1a over each exact charge's numerator and denominator, in packet
+/// order.
+std::uint64_t exact_charge_hash(const std::vector<Rational>& charges) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Rational& charge : charges) {
+    h = mix64(h, static_cast<std::uint64_t>(charge.numerator()));
+    h = mix64(h, static_cast<std::uint64_t>(charge.denominator()));
+  }
+  return h;
+}
+
+struct ChargingGolden {
+  std::uint64_t seed;
+  std::uint64_t charge_hash;
+  double total_charge;
+  double max_overcharge;
+  double cover_gap;
+  std::uint64_t exact_charge_hash;  ///< every kSeedEngineGoldens seed has integer weights
+};
+
+// audit_charging / audit_charging_exact on run_alg's schedule for every
+// kSeedEngineGoldens seed, captured (%.17g) while the audit still read an
+// engine-recorded per-step trace; reading the blockers off the schedule
+// reproduces them bit for bit.
+constexpr ChargingGolden kChargingGoldens[] = {
+    {1ULL, 0xc44be156b151c3e8ULL, 136, 0, 0, 0xfa08843e4ebe0036ULL},
+    {2ULL, 0x3255a132d3ec45dfULL, 146.5, 0, 0, 0xbcafc769335b038aULL},
+    {3ULL, 0xcea6329bdcba6763ULL, 16, 0, 0, 0x085ddd38fb9756e0ULL},
+    {4ULL, 0xe7e21e3553c414dfULL, 263, 0, 0, 0xb50d5988f2ed4b94ULL},
+    {5ULL, 0xbb5b0ca6c2515c9aULL, 297.5, 0, 5.6843418860808015e-14, 0x9cfd8a8859714be7ULL},
+    {7ULL, 0xfffcfc1673e4511fULL, 152.5, 0, 0, 0xe29f1104d9fed946ULL},
+    {11ULL, 0x6559d3537a69ddfdULL, 163.5, 0, 0, 0xb57d5b196a2ea67eULL},
+    {101ULL, 0xe4daa1833270130dULL, 2940.5, 0, 0, 0x39dc17ef7e5a6d5fULL},
+    {103ULL, 0x3532893899490e50ULL, 5376.3333333333339, 8.5265128291212022e-14,
+     9.0949470177292824e-13, 0x487f2f536bb5f5fdULL},
+    {117ULL, 0x00b7b3ddde65d3d1ULL, 5024, 0, 0, 0x2eb4fa77ec2c7a86ULL},
 };
 
 TEST(EngineRegression, ReproducesSeedEngineCosts) {
   for (const Golden& golden : kSeedEngineGoldens) {
     const Instance instance = testing::make_varied_instance(golden.seed);
-    EngineOptions options;
-    options.record_trace = false;
-    const RunResult run = run_alg(instance, options);
+    const RunResult run = run_alg(instance);
     EXPECT_NEAR(run.total_cost, golden.total_cost, 1e-9 * (1.0 + golden.total_cost))
         << "seed " << golden.seed;
     EXPECT_EQ(run.makespan, golden.makespan) << "seed " << golden.seed;
@@ -105,7 +134,6 @@ TEST(EngineRegression, GoldensPassThePerStepAudit) {
   for (const Golden& golden : kSeedEngineGoldens) {
     const Instance instance = testing::make_varied_instance(golden.seed);
     EngineOptions options;
-    options.record_trace = false;
     options.audit = true;
     const RunResult run = run_alg(instance, options);
     EXPECT_NEAR(run.total_cost, golden.total_cost, 1e-9 * (1.0 + golden.total_cost))
@@ -114,15 +142,24 @@ TEST(EngineRegression, GoldensPassThePerStepAudit) {
   }
 }
 
-TEST(EngineRegression, RecordedTracesMatchGoldens) {
-  // Pins the charging auditor's input: one record per simulated step, with
-  // every pending packet's transmitted flag and blocker.
-  for (const Golden& golden : kSeedEngineGoldens) {
+TEST(EngineRegression, ChargingAuditsMatchGoldens) {
+  // Pins the charging auditor's output: every packet's charge (bit for
+  // bit, and exactly in rational arithmetic) and the audit's summaries.
+  ASSERT_EQ(std::size(kChargingGoldens), std::size(kSeedEngineGoldens));
+  for (const ChargingGolden& golden : kChargingGoldens) {
     const Instance instance = testing::make_varied_instance(golden.seed);
-    const RunResult run = run_alg(instance);  // records the trace by default
-    EXPECT_EQ(run.trace.size(), static_cast<std::size_t>(run.steps_simulated))
+    const RunResult run = run_alg(instance);
+    const ChargingAudit audit = audit_charging(instance, run);
+    EXPECT_EQ(charge_hash(audit.charge), golden.charge_hash) << "seed " << golden.seed;
+    EXPECT_EQ(audit.total_charge, golden.total_charge) << "seed " << golden.seed;
+    EXPECT_EQ(audit.max_overcharge, golden.max_overcharge) << "seed " << golden.seed;
+    EXPECT_EQ(audit.cover_gap, golden.cover_gap) << "seed " << golden.seed;
+    ASSERT_TRUE(instance.has_integer_weights()) << "seed " << golden.seed;
+    const ExactChargingAudit exact = audit_charging_exact(instance, run);
+    EXPECT_EQ(exact_charge_hash(exact.charge), golden.exact_charge_hash)
         << "seed " << golden.seed;
-    EXPECT_EQ(trace_hash(run.trace), golden.trace_hash) << "seed " << golden.seed;
+    EXPECT_TRUE(exact.charges_cover_cost) << "seed " << golden.seed;
+    EXPECT_TRUE(exact.within_alpha) << "seed " << golden.seed;
   }
 }
 
@@ -449,22 +486,42 @@ TEST(EngineOptionsMatrix, ReconfigDelayRequiresUnitCapacity) {
   EXPECT_NO_THROW(Engine(instance, dispatcher, scheduler, options));
 }
 
-TEST(EngineOptionsMatrix, TraceRejectsEveryNonAnalysisExtension) {
-  const Instance instance = figure2_instance_pi();
-  ImpactDispatcher dispatcher;
-  StableMatchingScheduler scheduler;
-  const auto rejected = [&](EngineOptions options) {
-    options.record_trace = true;
-    EXPECT_THROW(Engine(instance, dispatcher, scheduler, options), std::invalid_argument);
-  };
-  rejected({.redispatch_queued = true});
-  rejected({.reconfig_delay = 1});
-  rejected({.endpoint_capacity = 2});
-  rejected({.speedup_rounds = 2});
-  // The analysis model itself records fine.
-  EngineOptions analysis;
-  analysis.record_trace = true;
-  EXPECT_NO_THROW(Engine(instance, dispatcher, scheduler, analysis));
+TEST(ChargingAudit, RefusesRunsWhereAnEndpointTransmitsTwiceInAStep) {
+  // Speedup 2: the lone packet's two chunks cross its one edge in step 1,
+  // so its transmitter carries two chunks in one step.
+  {
+    Topology g;
+    g.add_sources(1);
+    g.add_destinations(1);
+    g.add_edge(g.add_transmitter(0), g.add_receiver(0), 2);
+    Instance instance(std::move(g), {});
+    instance.add_packet(1, 1.0, 0, 0);
+    const RunResult run = run_alg(instance, {.speedup_rounds = 2});
+    ASSERT_EQ(run.outcomes[0].chunk_transmit_steps, (ChunkSteps{1, 1}));
+    EXPECT_THROW(audit_charging(instance, run), std::invalid_argument);
+    EXPECT_THROW(audit_charging_exact(instance, run), std::invalid_argument);
+    // The same instance at unit speed is in the analysis model.
+    EXPECT_NO_THROW(audit_charging(instance, run_alg(instance)));
+  }
+  // Capacity 2: one transmitter reaches two racks, and two packets arrive
+  // together for them; the transmitter carries both in step 1.
+  {
+    Topology g;
+    g.add_sources(1);
+    g.add_destinations(2);
+    const NodeIndex t = g.add_transmitter(0);
+    g.add_edge(t, g.add_receiver(0), 1);
+    g.add_edge(t, g.add_receiver(1), 1);
+    Instance instance(std::move(g), {});
+    instance.add_packet(1, 1.0, 0, 0);
+    instance.add_packet(1, 1.0, 0, 1);
+    const RunResult run = run_alg(instance, {.endpoint_capacity = 2});
+    ASSERT_EQ(run.outcomes[0].chunk_transmit_steps, (ChunkSteps{1}));
+    ASSERT_EQ(run.outcomes[1].chunk_transmit_steps, (ChunkSteps{1}));
+    EXPECT_THROW(audit_charging(instance, run), std::invalid_argument);
+    EXPECT_THROW(audit_charging_exact(instance, run), std::invalid_argument);
+    EXPECT_NO_THROW(audit_charging(instance, run_alg(instance)));
+  }
 }
 
 TEST(EngineOptionsMatrix, ReconfigDelayAndMigrationCompose) {
@@ -490,7 +547,6 @@ TEST(EngineOptionsMatrix, ReconfigDelayNeverBeatsFreeRetuning) {
     ImpactDispatcher d0, d1;
     StableMatchingScheduler s0, s1;
     EngineOptions free_retune;
-    free_retune.record_trace = false;
     EngineOptions delayed = free_retune;
     delayed.reconfig_delay = 3;
     const double base = simulate(instance, d0, s0, free_retune).total_cost;

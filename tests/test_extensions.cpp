@@ -120,9 +120,6 @@ TEST(BMatchingEngine, RejectsBadOptions) {
   EngineOptions options;
   options.endpoint_capacity = 0;
   EXPECT_THROW(Engine(instance, dispatcher, scheduler, options), std::invalid_argument);
-  options.endpoint_capacity = 2;
-  options.record_trace = true;
-  EXPECT_THROW(Engine(instance, dispatcher, scheduler, options), std::invalid_argument);
 }
 
 // ----------------------------------------------- engine: reconfig delays --
@@ -133,7 +130,6 @@ TEST(ReconfigDelay, ZeroDelayMatchesBaseModel) {
     ImpactDispatcher d1, d2;
     StableMatchingScheduler s1, s2;
     EngineOptions base;
-    base.record_trace = false;
     EngineOptions zero = base;
     zero.reconfig_delay = 0;
     EXPECT_DOUBLE_EQ(simulate(instance, d1, s1, base).total_cost,
@@ -274,16 +270,6 @@ TEST(RedispatchQueued, EscapesABadCommitment) {
   // RoundRobin re-offers p1 each step and (cursor advancing) it reaches
   // the drained delay-1 edge. Migration must not be worse here.
   EXPECT_LE(migrated.total_cost, committed.total_cost);
-}
-
-TEST(RedispatchQueued, IncompatibleWithTraceRecording) {
-  const Instance instance = figure2_instance_pi();
-  ImpactDispatcher dispatcher;
-  StableMatchingScheduler scheduler;
-  EngineOptions options;
-  options.redispatch_queued = true;
-  options.record_trace = true;
-  EXPECT_THROW(Engine(instance, dispatcher, scheduler, options), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- flows --

@@ -225,17 +225,7 @@ TEST(StreamEngine, StreamingModeRejectsBatchOnlyFeatures) {
   const PolicyFactory policy = named_policy("alg");
   auto dispatcher = policy.dispatcher();
   auto scheduler = policy.scheduler(topology);
-  EngineOptions options;
-  options.record_trace = true;
-  EXPECT_THROW(Engine(topology, *dispatcher, *scheduler, options,
-                      [](RetiredPacket&&) {}),
-               std::invalid_argument);
-  options = {};
-  options.redispatch_queued = true;
-  EXPECT_THROW(Engine(topology, *dispatcher, *scheduler, options,
-                      [](RetiredPacket&&) {}),
-               std::invalid_argument);
-  options = {};
+  const EngineOptions options;
   EXPECT_THROW(Engine(topology, *dispatcher, *scheduler, options, nullptr),
                std::invalid_argument);
   Engine engine(topology, *dispatcher, *scheduler, options, [](RetiredPacket&&) {});
@@ -388,7 +378,7 @@ TEST(StreamRunner, RejectsInvalidSpecs) {
   spec.measure_packets = 0;
   EXPECT_THROW(StreamRunner{spec}, std::invalid_argument);
   spec = small_stream();
-  spec.engine.record_trace = true;
+  spec.engine.redispatch_queued = true;
   EXPECT_THROW(StreamRunner{spec}, std::invalid_argument);
   spec = small_stream();
   spec.engine.max_steps = 100;  // the spec-level cap is the supported knob

@@ -263,6 +263,14 @@ echo "== smoke fuzz =="
 
 echo "== smoke cli =="
 "$build/rdcn_cli" policies >/dev/null
+# The instance-file subcommands on one generated pod; certify exits 1 if
+# any certificate row reads FAIL.
+"$build/rdcn_cli" gen "$build/smoke_gen.inst" --racks 5 --packets 60 --skew hotspot \
+    --fixed-dl 7 --seed 9 >/dev/null
+"$build/rdcn_cli" run "$build/smoke_gen.inst" --policy alg >/dev/null
+"$build/rdcn_cli" certify "$build/smoke_gen.inst" >/dev/null
+"$build/rdcn_cli" show "$build/smoke_gen.inst" --width 90 >/dev/null
+"$build/rdcn_cli" info "$build/smoke_gen.inst" >/dev/null
 "$build/rdcn_cli" record "$build/smoke_trace.inst" --packets 500 --rho 0.6 --seed 3 >/dev/null
 "$build/rdcn_cli" stream --trace "$build/smoke_trace.inst" --warmup 0 --packets 500 >/dev/null
 "$build/rdcn_cli" stream --rho 0.6 --warmup 200 --packets 2000 --seed 3 >/dev/null

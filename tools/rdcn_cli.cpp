@@ -14,7 +14,7 @@
 //       run to aggregate wall-clock time.
 //   certify <in.inst> [--eps F]
 //       Runs ALG, builds the dual witness, verifies Lemmas 1-5 and prints
-//       the certified OPT lower bound and ratio.
+//       the certified OPT lower bound and ratio; exits 1 if a row fails.
 //   show  <in.inst> [--receivers] [--width N]
 //       Runs ALG and renders the schedule as an ASCII Gantt chart.
 //   info  <in.inst>
@@ -284,9 +284,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_certify(const Args& args) {
-  ScenarioSpec spec = replay_scenario(args.file);
-  spec.engine.record_trace = true;
-  const ScenarioRunner runner(spec);
+  const ScenarioRunner runner(replay_scenario(args.file));
   const Instance instance = runner.instance(1);
   const double eps = args.number("--eps", 1.0);
   const RunResult run = runner.run_once(alg_policy(), instance);
@@ -294,32 +292,34 @@ int cmd_certify(const Args& args) {
   const ChargingAudit audit = audit_charging(instance, run);
   const DualFeasibilityReport feasibility = check_dual_feasibility(instance, witness);
 
+  bool failed = false;
+  const auto status = [&failed](bool pass) {
+    failed = failed || !pass;
+    return pass ? "PASS" : "FAIL";
+  };
   Table table({"certificate", "value", "requirement", "status"});
   table.add_row({"ALG cost", Table::fmt(run.total_cost, 3), "", ""});
   table.add_row({"Lemma 1 ledger gap", Table::fmt(lemma1_gap(witness, run), 9), "= 0",
-                 lemma1_gap(witness, run) < 1e-6 ? "PASS" : "FAIL"});
+                 status(lemma1_gap(witness, run) < 1e-6)});
   table.add_row({"Lemma 2 max overcharge", Table::fmt(audit.max_overcharge, 9), "<= 0",
-                 audit.max_overcharge <= 1e-7 ? "PASS" : "FAIL"});
+                 status(audit.max_overcharge <= 1e-7)});
   table.add_row({"Lemma 4 violation factor", Table::fmt(feasibility.max_violation_ratio, 4),
-                 "< 2", feasibility.max_violation_ratio < 2.0 ? "PASS" : "FAIL"});
+                 "< 2", status(feasibility.max_violation_ratio < 2.0)});
   table.add_row({"Lemma 5 halved feasible", feasibility.halved_feasible ? "yes" : "no",
-                 "yes", feasibility.halved_feasible ? "PASS" : "FAIL"});
+                 "yes", status(feasibility.halved_feasible)});
   const double lower = witness.lower_bound(eps);
   table.add_row({"certified OPT(1/(2+eps)) >=", Table::fmt(lower, 3), "", ""});
   table.add_row({"Theorem 1 bound", Table::fmt(2.0 * (2.0 / eps + 1.0), 2) + "x", "", ""});
   if (lower > 0) {
     table.add_row({"measured ratio", Table::fmt(run.total_cost / lower, 3) + "x",
-                   "<= bound",
-                   run.total_cost / lower <= 2.0 * (2.0 / eps + 1.0) ? "PASS" : "FAIL"});
+                   "<= bound", status(run.total_cost / lower <= 2.0 * (2.0 / eps + 1.0))});
   }
   table.print("dual-fitting certificate (eps = " + Table::fmt(eps, 2) + ")");
-  return 0;
+  return failed ? 1 : 0;
 }
 
 int cmd_show(const Args& args) {
-  ScenarioSpec spec = replay_scenario(args.file);
-  spec.engine.record_trace = true;
-  const ScenarioRunner runner(spec);
+  const ScenarioRunner runner(replay_scenario(args.file));
   const Instance instance = runner.instance(1);
   const RunResult run = runner.run_once(alg_policy(), instance);
   GanttOptions options;
