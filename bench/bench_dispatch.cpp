@@ -7,21 +7,16 @@
 // impact and JSQ rules at 256-endpoint shapes with deep pending queues,
 // comparing the engine's incremental impact index (O(log n) per edge;
 // O(1) for JSQ's load) against the naive scans kept in core/impact.hpp as
-// oracles. Emits BenchReport JSON (ns_per_dispatch rows; committed
-// baseline in BENCH_dispatch.json) and prints the indexed-vs-scan speedup
-// per shape.
+// oracles. Emits BenchReport JSON (ns_per_dispatch rows) and prints the
+// indexed-vs-scan speedup per shape.
 //
 // The scan rows read the edge queues incident to the candidate edge's
 // endpoints (Engine::for_each_pending_at), so they cost O(pending at those
-// endpoints) per edge, like the per-endpoint scans behind the scan rows
-// committed in BENCH_dispatch.json.
-//
-//   bench_dispatch [--json]
+// endpoints) per edge, like the per-endpoint scans the index replaced.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -185,10 +180,8 @@ double probe_ns_per_dispatch(DispatchPolicy& dispatcher, const Engine& engine,
   return samples[samples.size() / 2];
 }
 
-void run_probe_bench(BenchReport& report, bool json_only) {
-  if (!json_only) {
-    std::printf("\nper-dispatch latency at 256-endpoint shapes (deep pending state)\n");
-  }
+void run_probe_bench(BenchReport& report) {
+  std::printf("\nper-dispatch latency at 256-endpoint shapes (deep pending state)\n");
   Table table({"shape", "probe", "ns/dispatch", "speedup vs scan"});
   for (const ProbeShape& shape : probe_shapes()) {
     // Freeze one contended engine state: a deep burst dispatched by the
@@ -232,31 +225,14 @@ void run_probe_bench(BenchReport& report, bool json_only) {
     table.add_row({shape.name, "jsq", Table::fmt(rows[2].ns, 1),
                    Table::fmt(jsq_speedup, 1) + "x"});
   }
-  if (!json_only) {
-    table.print("dispatch microbench (median per decision; speedup = scan / indexed)");
-  }
+  table.print("dispatch microbench (median per decision; speedup = scan / indexed)");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool json_only = false;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_only = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_dispatch [--json] [--out PATH]\n");
-      return 2;
-    }
-  }
-
-  if (!json_only) {
-    std::printf("EXP-B2: dispatcher ablation under stable-matching scheduling\n");
-    std::printf("(weighted latency normalized to Impact = 1.00; 12 seeds per cell)\n");
-  }
+int main() {
+  std::printf("EXP-B2: dispatcher ablation under stable-matching scheduling\n");
+  std::printf("(weighted latency normalized to Impact = 1.00; 12 seeds per cell)\n");
 
   const auto policies = dispatcher_ablations();
 
@@ -301,22 +277,13 @@ int main(int argc, char** argv) {
     }
     table.add_row(row);
   }
-  if (!json_only) {
-    table.print("dispatch policy ablation (columns = scenarios)");
-    std::printf(
-        "\nExpected shape: the impact rule wins or ties everywhere; the gap is largest\n"
-        "with parallel links under skew (where greedy-queue-blind dispatch collides)\n"
-        "and in hybrid pods (where the Delta-vs-w*dl comparison offloads correctly).\n");
-  }
+  table.print("dispatch policy ablation (columns = scenarios)");
+  std::printf(
+      "\nExpected shape: the impact rule wins or ties everywhere; the gap is largest\n"
+      "with parallel links under skew (where greedy-queue-blind dispatch collides)\n"
+      "and in hybrid pods (where the Delta-vs-w*dl comparison offloads correctly).\n");
 
-  run_probe_bench(report, json_only);
-
-  if (json_only) {
-    for (const std::string& line : report.json_lines()) std::printf("%s\n", line.c_str());
-  } else {
-    report.print();
-  }
-  // Atomic baseline write: no truncated BENCH_dispatch.json on a kill.
-  if (!out_path.empty()) report.write_json(out_path);
+  run_probe_bench(report);
+  report.print();
   return 0;
 }

@@ -4,12 +4,12 @@
 // measured step is exactly one scheduling round plus retirement -- the
 // steady-state inner loop the Selection API and active-endpoint
 // compression target. Each row is the MEDIAN of N timed repetitions
-// (quick 3, full 5) -- medians keep CI's hard perf gate stable against
-// scheduler-noise outliers where best-of rewards them -- and the
-// repetitions must agree on total_cost/rounds bit-for-bit (determinism
-// cross-check; a mismatch aborts). Emits BenchReport JSON lines
-// (ns_per_round, rounds, total_cost); the committed baseline lives in
-// BENCH_hotpath.json and tools/perf_diff gates CI against it.
+// (quick 3, full 5) -- medians resist scheduler-noise outliers where
+// best-of rewards them -- and the repetitions must agree on
+// total_cost/rounds bit-for-bit (determinism cross-check; a mismatch
+// exits 3). Emits BenchReport JSON lines (ns_per_round, rounds,
+// total_cost). Compare two commits' rows on one machine: absolute
+// ns/round depends on the host.
 //
 // Outside --quick, deep-queue rows follow: a 20k-packet burst on
 // bench_steady_state's 8-rack pod (2x2 ports, density 0.8, delays 1-2)
@@ -18,21 +18,17 @@
 // never reach. They report ns_per_round and pkts_per_cpu_s (burst size
 // over the drain's process CPU time) under shape "deep_two_tier8x2".
 //
-//   bench_hotpath [--json] [--quick] [--phases] [--no-meta]
+//   bench_hotpath [--quick] [--phases]
 //
-//   --json     print only the JSON lines (what BENCH_hotpath.json stores)
 //   --quick    fewer repetitions, crossbar shape only, no deep-queue rows
-//              (the CI perf-smoke subset; same burst size so row keys
-//              match the baseline)
+//              (tools/check.sh's smoke subset; same burst size, so its
+//              rows carry the same keys as the full run's)
 //   --phases   additionally run probe-enabled drains and emit one row per
 //              round phase (params gain "phase"; metric phase_ns_per_round
-//              = phase self-time / rounds). The gated rows above stay
-//              probe-OFF; phase rows are diffed warn-only against
-//              BENCH_hotpath_phases.json. The probed drain must reproduce
-//              the probe-off total_cost/rounds bit-for-bit (the
-//              observability layer may not perturb the schedule).
-//   --no-meta  suppress the BenchReport run-metadata line (regenerating a
-//              committed baseline needs deterministic bytes)
+//              = phase self-time / rounds). The rows above stay probe-OFF.
+//              The probed drain must reproduce the probe-off
+//              total_cost/rounds bit-for-bit (the observability layer may
+//              not perturb the schedule); a divergence exits 3.
 
 #include <chrono>
 #include <cstdio>
@@ -187,39 +183,26 @@ std::optional<DrainResult> median_drain(const Topology& topology, const PolicyFa
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json_only = false;
   bool quick = false;
   bool phases = false;
-  bool meta = true;
-  std::string out_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_only = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--phases") == 0) {
       phases = true;
-    } else if (std::strcmp(argv[i], "--no-meta") == 0) {
-      meta = false;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_hotpath [--json] [--quick] [--phases] [--no-meta] "
-                   "[--out PATH]\n");
+      std::fprintf(stderr, "usage: bench_hotpath [--quick] [--phases]\n");
       return 2;
     }
   }
   // --quick trims shapes and repetitions but keeps the burst size, so its
-  // rows carry the same (bench, name, params) keys as the committed
-  // BENCH_hotpath.json baseline and perf_diff can match them.
+  // rows carry the same (bench, name, params) keys as the full run's.
   const std::size_t packets = 400;
   const int repetitions = quick ? 3 : 5;  // median-of-N; N >= 3 even in CI
   const std::vector<const char*> policies = {"alg",   "maxweight", "islip",
                                              "rotor", "random",    "fifo"};
 
   BenchReport report("hotpath");
-  if (meta) stamp_meta(report);
   Table table({"shape", "policy", "rounds", "ns/round", "total cost"});
   Table phase_table({"shape", "policy", "phase", "ns/round", "share"});
   for (const Shape& shape : zoo_shapes(quick)) {
@@ -243,7 +226,7 @@ int main(int argc, char** argv) {
                      Table::fmt(median.ns_per_round, 1), Table::fmt(median.total_cost, 1)});
 
       if (!phases) continue;
-      // Separate probe-ON drains: the gated rows above stay probe-OFF, and
+      // Separate probe-ON drains: the timed rows above stay probe-OFF, and
       // the probed run doubles as a schedule-invariance check (identical
       // total_cost/rounds, or the probe perturbed the engine).
       std::vector<DrainResult> probed;
@@ -308,20 +291,13 @@ int main(int argc, char** argv) {
                           Table::fmt(pkts_per_cpu_s, 0), Table::fmt(median.total_cost, 1)});
     }
   }
-  if (json_only) {
-    for (const std::string& line : report.json_lines()) std::printf("%s\n", line.c_str());
-  } else {
-    table.print("EXP-P2: scheduling-round drain cost (median of repetitions)");
-    if (!quick) {
-      deep_table.print("EXP-P2: deep-queue drain, 20k-packet burst on the 8-rack pod");
-    }
-    if (phases) {
-      phase_table.print("EXP-P2: per-phase self time (probe-on drains, median rep)");
-    }
-    report.print();
+  table.print("EXP-P2: scheduling-round drain cost (median of repetitions)");
+  if (!quick) {
+    deep_table.print("EXP-P2: deep-queue drain, 20k-packet burst on the 8-rack pod");
   }
-  // Baselines are written atomically (write-temp-fsync-rename): a CI
-  // runner killed mid-bench can never corrupt BENCH_hotpath.json.
-  if (!out_path.empty()) report.write_json(out_path);
+  if (phases) {
+    phase_table.print("EXP-P2: per-phase self time (probe-on drains, median rep)");
+  }
+  report.print();
   return 0;
 }

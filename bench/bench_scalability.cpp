@@ -23,7 +23,7 @@ using namespace rdcn::bench;
 
 ScenarioRunner scaled_runner(NodeIndex racks, std::size_t packets) {
   // Bespoke instance hook reproducing the historical generation exactly,
-  // so throughput numbers stay comparable across the BENCH_*.json trail.
+  // so throughput numbers stay comparable with earlier commits' runs.
   ScenarioSpec spec;
   spec.name = "scalability";
   spec.base_seed = 5;

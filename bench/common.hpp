@@ -4,14 +4,13 @@
 // policy wiring, repetition and aggregation all live in the library's
 // run/ subsystem (ScenarioSpec / ScenarioRunner / BatchRunner and the
 // policy registry); this header only adds presentation: the paper-style
-// ASCII tables of util/table.hpp plus a machine-readable JSON report so
-// every bench's rows land in the BENCH_*.json perf trajectory. Rows in
-// EXPERIMENTS.md can be regenerated with `for b in build/bench/*; do $b; done`.
+// ASCII tables of util/table.hpp plus a machine-readable JSON report, one
+// line per row. Every bench's output regenerates with
+// `for b in build/bench/*; do $b; done`.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <ctime>
 #include <deque>
 #include <string>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "run/scenario.hpp"
-#include "util/atomic_file.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -117,19 +115,6 @@ class BenchReport {
 
   explicit BenchReport(std::string bench) : bench_(std::move(bench)) {}
 
-  /// Attaches a run-metadata line emitted before the rows:
-  ///   {"bench":"hotpath","meta":{"git":...,"build":...,"generated":...}}
-  /// perf_diff skips lines carrying a "meta" key, so metadata never
-  /// perturbs row matching; goldens that must be byte-stable are produced
-  /// with the benches' --no-meta flag instead.
-  void set_meta(std::string git, std::string build, std::string timestamp) {
-    meta_git_ = std::move(git);
-    meta_build_ = std::move(build);
-    meta_timestamp_ = std::move(timestamp);
-    has_meta_ = true;
-  }
-  void clear_meta() { has_meta_ = false; }
-
   Row& add(const std::string& name, double total_cost, double wall_ms) {
     rows_.emplace_back();
     rows_.back().name_ = name;
@@ -153,17 +138,7 @@ class BenchReport {
   /// exactly one implementation in the tree.
   std::vector<std::string> json_lines() const {
     std::vector<std::string> lines;
-    lines.reserve(rows_.size() + (has_meta_ ? 1 : 0));
-    if (has_meta_) {
-      json::Object meta;
-      meta.emplace_back("git", json::Value(meta_git_));
-      meta.emplace_back("build", json::Value(meta_build_));
-      meta.emplace_back("generated", json::Value(meta_timestamp_));
-      json::Object line;
-      line.emplace_back("bench", json::Value(bench_));
-      line.emplace_back("meta", json::Value(std::move(meta)));
-      lines.push_back(json::dump(json::Value(std::move(line))));
-    }
+    lines.reserve(rows_.size());
     for (const Row& row : rows_) {
       json::Object line;
       line.emplace_back("bench", json::Value(bench_));
@@ -185,49 +160,9 @@ class BenchReport {
     for (const std::string& line : json_lines()) std::printf("%s\n", line.c_str());
   }
 
-  /// Writes the JSON lines to `path` via util/atomic_file's
-  /// write-temp-fsync-rename: a bench killed mid-write can never leave a
-  /// truncated or interleaved BENCH_*.json baseline behind (throws
-  /// std::runtime_error on I/O failure).
-  void write_json(const std::string& path) const {
-    std::string text;
-    for (const std::string& line : json_lines()) {
-      text += line;
-      text += '\n';
-    }
-    atomic_write_file(path, text);
-  }
-
  private:
   std::string bench_;
   std::deque<Row> rows_;  ///< deque: add() hands out stable Row references
-  bool has_meta_ = false;
-  std::string meta_git_;
-  std::string meta_build_;
-  std::string meta_timestamp_;
 };
-
-// CMake injects the configure-time `git describe --always --dirty` output
-// and build type into the bench targets; other consumers of this header
-// (the test suite) fall back to "unknown".
-#ifndef RDCN_GIT_DESCRIBE
-#define RDCN_GIT_DESCRIBE "unknown"
-#endif
-#ifndef RDCN_BUILD_TYPE
-#define RDCN_BUILD_TYPE "unknown"
-#endif
-
-/// Stamps the report's meta line from the build identity above plus the
-/// current UTC wall clock. Benches call this unless invoked with --no-meta
-/// (regenerating a committed BENCH_*.json golden needs deterministic bytes).
-inline void stamp_meta(BenchReport& report) {
-  char stamp[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  if (gmtime_r(&now, &utc) != nullptr) {
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-  }
-  report.set_meta(RDCN_GIT_DESCRIBE, RDCN_BUILD_TYPE, stamp);
-}
 
 }  // namespace rdcn::bench

@@ -963,8 +963,8 @@ void append_stage_metrics(json::Object& line, const StreamResult& result) {
 /// Isolate-mode error row: the cell header plus the structured failure
 /// ("status": "failed", exception type + message, the losing repetition
 /// and how many attempts it got). Healthy rows carry no "status" key, so
-/// downstream strict parsers (perf_diff) reject mixed streams loudly
-/// instead of averaging error rows into metrics.
+/// downstream strict parsers can reject mixed streams loudly instead of
+/// averaging error rows into metrics.
 std::string render_error_row(json::Object line, const CellError& error) {
   line.emplace_back("status", "failed");
   line.emplace_back("error_type", error.type);

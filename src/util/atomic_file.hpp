@@ -3,8 +3,7 @@
 // Crash-safe file replacement: write-temp, fsync, rename. After a crash
 // (SIGKILL included) at any byte, the destination either holds its
 // previous contents or the complete new contents -- never a torn prefix.
-// The suite journal, committed bench baselines and perf_diff reports all
-// write through here.
+// The suite journal writes through here.
 
 #include <string>
 

@@ -3,8 +3,8 @@
 // Deterministic, seedable random number generation for reproducible
 // experiments. We ship our own generator (xoshiro256**, seeded via
 // splitmix64) instead of std::mt19937 so that streams are identical across
-// standard library implementations, which matters when EXPERIMENTS.md
-// records exact measured numbers.
+// standard library implementations, which matters when goldens and
+// benches pin exact simulated numbers.
 
 #include <cstdint>
 #include <vector>

@@ -1,9 +1,8 @@
-// BenchReport emits one JSON object per row into the BENCH_*.json
-// trajectory; downstream tooling parses those lines, so every emitted
-// line must be strictly valid JSON. Historically NaN (from, e.g.,
-// Summary::min()/max() on an empty summary) leaked through as the bare
-// token `nan`, which no JSON parser accepts -- non-finite numbers must
-// come out as null.
+// BenchReport emits one JSON object per row; downstream tooling parses
+// those lines, so every emitted line must be strictly valid JSON.
+// Historically NaN (from, e.g., Summary::min()/max() on an empty summary)
+// leaked through as the bare token `nan`, which no JSON parser accepts --
+// non-finite numbers must come out as null.
 
 #include <gtest/gtest.h>
 
@@ -169,30 +168,6 @@ TEST(BenchReport, NonFiniteNumbersBecomeNull) {
   EXPECT_NE(line.find("\"wall_ms\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"not_a_number\":null"), std::string::npos) << line;
   EXPECT_NE(line.find("\"fine\":1.25"), std::string::npos) << line;
-}
-
-TEST(BenchReport, MetaLineIsEmittedFirstAndIsRemovable) {
-  // ISSUE 7: the run-metadata line leads the report so tooling can stamp a
-  // whole BENCH_*.json with its provenance; perf_diff skips lines carrying
-  // a "meta" key, and --no-meta (clear_meta) restores byte-deterministic
-  // output for committed goldens.
-  bench::BenchReport report("meta_bench");
-  report.set_meta("abc1234-dirty", "RelWithDebInfo", "2026-08-08T00:00:00Z");
-  report.add("row", 1.0, 2.0).param("shape", "crossbar16");
-  const auto lines = report.json_lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_TRUE(JsonParser(lines[0]).parse()) << lines[0];
-  EXPECT_NE(lines[0].find("\"meta\":{"), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find("\"git\":\"abc1234-dirty\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"build\":\"RelWithDebInfo\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"generated\":\"2026-08-08T00:00:00Z\""), std::string::npos);
-  // Data rows never carry the key the meta skip matches on.
-  EXPECT_EQ(lines[1].find("\"meta\""), std::string::npos) << lines[1];
-
-  report.clear_meta();
-  const auto without = report.json_lines();
-  ASSERT_EQ(without.size(), 1u);
-  EXPECT_EQ(without[0], lines[1]);
 }
 
 TEST(BenchReport, JsonNumberFormatsFinitesAndRejectsNonFinites) {

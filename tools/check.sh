@@ -34,6 +34,17 @@ strip_timing() {
   sed -E 's/"wall_ms":[0-9.eE+-]+,?//g; s/"phase_[a-z_]+_ns":[0-9]+,?//g' "$1"
 }
 
+# Runs the rdcn_cli of build $1 with the remaining arguments and requires
+# exit status 2, the CLI's usage error.
+expect_usage_error() {
+  local build="$1" status=0
+  "$build/rdcn_cli" "${@:2}" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "check.sh: rdcn_cli ${*:2} exited $status, not 2" >&2
+    exit 1
+  fi
+}
+
 # Runs every gallery suite and both all-keys documents through the
 # rdcn_cli of two builds and requires identical rows; stops at the first
 # suite whose rows differ.
@@ -217,37 +228,14 @@ else
   "$build/bench/bench_bmatching" >/dev/null
 fi
 
-echo "== smoke perf diff =="
-# bench_hotpath's quick subset shares row keys with the committed baseline;
-# perf_diff must parse, match, and (self-compare) report zero regressions.
-"$build/bench/bench_hotpath" --quick --json > "$build/hotpath_current.json"
-"$build/perf_diff" "$build/hotpath_current.json" "$build/hotpath_current.json" \
-    --threshold 0.01 >/dev/null
-# Dev machines vary too much for a local hard gate; CI's perf-smoke job is
-# the blocking diff (same baseline, same threshold, no --warn-only).
-"$build/perf_diff" "$repo/BENCH_hotpath.json" "$build/hotpath_current.json" \
-    --threshold 0.5 --warn-only
-# The suite-level baseline: deterministic cost rows, so the match itself
-# (keys + total_cost within threshold) must hold even locally.
-"$build/bench/bench_suite" > "$build/suite_current.json"
-"$build/perf_diff" "$repo/BENCH_suite.json" "$build/suite_current.json" \
-    --threshold 0.5 --warn-only
-# Per-phase rows (probe-on drains) diff warn-only against their own
-# baseline: phase self-times are noisier than end-to-end medians, so they
-# report rather than gate -- but the keys must still match, and the --json
-# report must come out as strict JSON (perf_diff re-parses before writing).
-"$build/bench/bench_hotpath" --quick --phases --json > "$build/hotpath_phases_current.json"
-"$build/perf_diff" "$repo/BENCH_hotpath_phases.json" "$build/hotpath_phases_current.json" \
-    --threshold 0.5 --warn-only --json "$build/hotpath_phases_diff.json"
-test -s "$build/hotpath_phases_diff.json"
-# Duplicate (bench, name, params) keys are an emitter bug; perf_diff must
-# refuse to match them (negative smoke: exit 2, not silent last-write-wins).
-head -n 1 "$build/hotpath_current.json" > "$build/dup_rows.json"
-head -n 1 "$build/hotpath_current.json" >> "$build/dup_rows.json"
-if "$build/perf_diff" "$build/dup_rows.json" "$build/dup_rows.json" >/dev/null 2>&1; then
-  echo "check.sh: perf_diff accepted duplicate row keys" >&2
-  exit 1
-fi
+echo "== smoke hotpath =="
+# The quick drains exit 3 when repetitions disagree on cost or rounds, or
+# when a probe-on drain diverges from its probe-off schedule.
+"$build/bench/bench_hotpath" --quick --phases >/dev/null
+
+echo "== perf_ab verdicts =="
+# The same-machine A/B's labels and exit status, on synthetic runs.
+python3 "$repo/tools/test_perf_ab.py"
 
 echo "== smoke fuzz =="
 # Fixed-seed differential sweep; the random spec grids draw the whole
@@ -286,14 +274,19 @@ grep -q "stage 2" "$build/smoke_staged.out"
 "$build/rdcn_cli" profile --racks 16 --packets 500 \
     --out "$build/profile_trace.json" >/dev/null
 test -s "$build/profile_trace.json"
+# Malformed or out-of-range numbers are usage errors, never a fallback,
+# a numeric prefix or an infinite bound.
+expect_usage_error "$build" certify "$build/smoke_gen.inst" --eps 0
+expect_usage_error "$build" gen "$build/smoke_bad.inst" --racks 5x
 
 echo "== smoke suites =="
-# Every gallery file must parse and expand; two of them also run.
+# Every gallery file must parse and expand; three of them also run.
 for suite in "$repo"/examples/suites/*.json; do
   "$build/rdcn_cli" suite "$suite" --list >/dev/null
 done
 "$build/rdcn_cli" suite "$repo/examples/suites/paper_baseline.json" >/dev/null
 "$build/rdcn_cli" suite "$repo/examples/suites/failure_sweep.json" >/dev/null
+"$build/rdcn_cli" suite "$repo/examples/suites/topology_zoo.json" >/dev/null
 if "$build/rdcn_cli" suite "$repo/tests/suites/unknown_key.json" >/dev/null 2>&1; then
   echo "check.sh: bad suite file was not rejected" >&2
   exit 1

@@ -15,18 +15,30 @@ that temporary directory.
 For each seed S, S+1, ..., S+N-1 (one pair each) and each workload, both
 sides run `perfbench/run.py --workload W --seed SEED --seconds T --trace 0`
 back to back; the side that goes first alternates from pair to pair, so a
-drift in host speed does not favour either side.
+drift in host speed does not favour either side. T defaults to
+BENCHMARK.json's run_seconds.
 
 The report lists, per workload and per end-to-end metric of BENCHMARK.json,
 each side's median and quartiles over the pairs, the median ratio
 (change / base), how many pairs the change won by the metric's `better`
-direction, and whether the medians differ by more than the base side's
-interquartile range.
+direction (ties count for neither side), and one label:
+
+  REGRESSION  the change's median is worse than the base's by more than
+              the metric's BENCHMARK.json `bound` (a fraction of the base
+              median), however many pairs ran;
+  unresolved  fewer than 10 pairs, or a base interquartile range (IQR)
+              wider than the bound: too few or too noisy runs to tell;
+  gain, loss  at least 9 of every 10 pairs won (or lost) and the medians
+              further apart than the base IQR;
+  unchanged   none of the above;
+  identical, DIFFERS
+              sim_* metrics, which must be equal at every seed: they
+              measure simulated time, which a change that only speeds the
+              simulator up must not move.
 
 Exit status: 1 when a run fails (nonzero exit, `correct` false or a failed
-unit) or when a sim_* metric differs between the two sides at the same
-seed -- simulated-time metrics must not move under a change that only
-speeds the simulator up; 2 on a usage error; 0 otherwise.
+unit), on a REGRESSION, or when a sim_* metric DIFFERS; 2 on a usage
+error; 0 otherwise.
 """
 
 import argparse
@@ -40,6 +52,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The least pairs, and the share of them won, that can resolve a gain.
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
 
 
 class RunFailed(Exception):
@@ -83,48 +99,89 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def won(metric, base, change):
+    """Pairs (base[i], change[i]) that the change wins by the metric's
+    `better` direction; a tie is won by neither side."""
+    higher = metric["better"] == "higher"
+    return sum(1 for x, y in zip(base, change) if (y > x if higher else y < x))
+
+
+def label(metric, base, change):
+    """The verdict on one BENCHMARK.json end-to-end metric, from its values
+    on each side at the same seeds (base[i] and change[i] form pair i)."""
+    if metric["name"].startswith("sim_"):
+        return "identical" if base == change else "DIFFERS"
+    b1, bm, b3 = quartiles(base)
+    cm = quartiles(change)[1]
+    bound = metric["bound"]
+    higher = metric["better"] == "higher"
+    if (cm < bm * (1 - bound)) if higher else (cm > bm * (1 + bound)):
+        return "REGRESSION"
+    pairs = len(base)
+    if pairs < MIN_PAIRS or b3 - b1 > bound * bm:
+        return "unresolved"
+    if abs(cm - bm) > b3 - b1:
+        if won(metric, base, change) >= WIN_SHARE * pairs:
+            return "gain"
+        if won(metric, change, base) >= WIN_SHARE * pairs:
+            return "loss"
+    return "unchanged"
+
+
 def report(workload, metrics, base, change):
-    """Prints one workload's table; returns the names of sim_* metrics that
-    differ between the sides at some seed."""
+    """Prints one workload's table; returns {metric name: label}."""
     seeds = sorted(base)
     print("\n%s: %d pair(s), seeds %s" % (workload, len(seeds), ", ".join(map(str, seeds))))
     print("  %-24s %-36s %-36s %7s %6s %s" % ("metric", "base median [q1, q3]",
                                               "change median [q1, q3]", "ratio", "wins",
-                                              "|d median| > base IQR"))
-    moved = []
+                                              "label"))
+    labels = {}
     for metric in metrics:
         name = metric["name"]
         a = [base[s][name] for s in seeds]
         b = [change[s][name] for s in seeds]
         a1, am, a3 = quartiles(a)
         b1, bm, b3 = quartiles(b)
-        higher = metric["better"] == "higher"
-        wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
         ratio = bm / am if am else float("nan")
-        beyond = "yes" if abs(bm - am) > a3 - a1 else "no"
-        if name.startswith("sim_"):
-            beyond = "identical" if a == b else "DIFFERS"
-            if a != b:
-                moved.append(name)
+        labels[name] = label(metric, a, b)
         print("  %-24s %-36s %-36s %7.3f %3d/%-2d %s" % (
             name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
-            ratio, wins, len(seeds), beyond))
-    return moved
+            ratio, won(metric, a, b), len(seeds), labels[name]))
+    return labels
+
+
+def verdict(metrics, results):
+    """Reports every workload of `results` ({workload: {"base": {seed:
+    {metric: value}}, "change": ...}}); returns the exit status."""
+    failing = {"REGRESSION": [], "DIFFERS": []}
+    for workload, sides in results.items():
+        labels = report(workload, metrics, sides["base"], sides["change"])
+        for name, tag in labels.items():
+            if tag in failing:
+                failing[tag].append("%s %s" % (workload, name))
+    if failing["REGRESSION"]:
+        print("perf_ab: worse than the BENCHMARK.json bound: %s" %
+              ", ".join(failing["REGRESSION"]), file=sys.stderr)
+    if failing["DIFFERS"]:
+        print("perf_ab: simulated metrics differ: %s" % ", ".join(failing["DIFFERS"]),
+              file=sys.stderr)
+    return 1 if failing["REGRESSION"] or failing["DIFFERS"] else 0
 
 
 def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit-ish to compare this checkout against")
     parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=5, help="seeds, one pair each (default 5)")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=8.0, help="per run (default 8)")
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
+                        help="per run (default: BENCHMARK.json's run_seconds, %(default)s)")
     args = parser.parse_args()
     if args.pairs < 1 or args.first_seed < 0 or args.seconds <= 0:
         parser.error("--pairs must be >= 1, --first-seed >= 0 and --seconds > 0")
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
     known = [w["name"] for w in spec["workloads"]]
     workloads = args.workloads.split(",") if args.workloads else known
     unknown = [w for w in workloads if w not in known]
@@ -164,15 +221,7 @@ def main():
         shutil.rmtree(tmp, ignore_errors=True)
 
     print("perf_ab: base %s vs this checkout, %g s per run" % (commit[:12], args.seconds))
-    moved = []
-    for workload in workloads:
-        moved += ["%s %s" % (workload, name) for name in report(
-            workload, spec["end_to_end"], results[workload]["base"],
-            results[workload]["change"])]
-    if moved:
-        print("perf_ab: simulated metrics differ: %s" % ", ".join(moved), file=sys.stderr)
-        return 1
-    return 0
+    return verdict(spec["end_to_end"], results)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@
 //   certify <in.inst> [--eps F]
 //       Runs ALG, builds the dual witness, verifies Lemmas 1-5 and prints
 //       the certified OPT lower bound and ratio; exits 1 if a row fails.
+//       Theorem 1 needs eps > 0; any other --eps exits 2.
 //   show  <in.inst> [--receivers] [--width N]
 //       Runs ALG and renders the schedule as an ASCII Gantt chart.
 //   info  <in.inst>
@@ -78,12 +79,14 @@
 //       chrome://tracing). The written trace is re-read through the strict
 //       parser and sanity-checked; any violation exits nonzero.
 //
+// A numeric flag whose value is not wholly a finite number exits 2.
 // Instance files use the rdcn-instance v1 text format (Instance::save).
 // All execution routes through the run/ subsystem (the same ScenarioRunner
 // and StreamRunner the benches use).
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -141,9 +144,19 @@ struct Args {
     }
     return fallback;
   }
+  /// The flag's value, or `fallback` when the flag is absent; a value
+  /// that is not wholly a finite number exits 2 naming the flag.
   double number(const std::string& flag, double fallback) const {
+    if (!has(flag)) return fallback;
     const std::string v = value(flag, "");
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+    char* end = nullptr;
+    const double parsed = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(parsed)) {
+      std::fprintf(stderr, "%s needs a finite number, got '%s'\n", flag.c_str(),
+                   v.c_str());
+      std::exit(2);
+    }
+    return parsed;
   }
 };
 
@@ -284,9 +297,13 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_certify(const Args& args) {
+  const double eps = args.number("--eps", 1.0);
+  if (eps <= 0.0) {
+    std::fprintf(stderr, "certify: --eps must be > 0, got %g\n", eps);
+    return 2;
+  }
   const ScenarioRunner runner(replay_scenario(args.file));
   const Instance instance = runner.instance(1);
-  const double eps = args.number("--eps", 1.0);
   const RunResult run = runner.run_once(alg_policy(), instance);
   const DualWitness witness = build_dual_witness(instance, run);
   const ChargingAudit audit = audit_charging(instance, run);
@@ -541,7 +558,7 @@ int cmd_profile(const Args& args) {
   const std::string out_path = args.value("--out", "profile_trace.json");
 
   // BM_AlgEndToEnd's exact instance generation (bench/bench_scalability),
-  // so the phase shares speak to the committed BENCH_*.json trajectory.
+  // so the phase shares speak to that benchmark's timings.
   Rng rng(seed);
   TwoTierConfig net;
   net.racks = racks;
