@@ -25,7 +25,8 @@
 //              rows carry the same keys as the full run's)
 //   --phases   additionally run probe-enabled drains and emit one row per
 //              round phase (params gain "phase"; metric phase_ns_per_round
-//              = phase self-time / rounds). The rows above stay probe-OFF.
+//              = phase self-time / rounds), deep-queue rows included. The
+//              rows above stay probe-OFF.
 //              The probed drain must reproduce the probe-off
 //              total_cost/rounds bit-for-bit (the observability layer may
 //              not perturb the schedule); a divergence exits 3.
@@ -180,6 +181,49 @@ std::optional<DrainResult> median_drain(const Topology& topology, const PolicyFa
   return reps[reps.size() / 2];
 }
 
+/// --phases: separate probe-ON drains (the timed rows stay probe-OFF) and
+/// one row per round phase from their median. The probed drains double
+/// as a schedule-invariance check: each must reproduce the probe-off
+/// total_cost/rounds, or the probe perturbed the engine (returns false).
+bool add_phase_rows(BenchReport& report, Table& phase_table, const char* shape,
+                    const Topology& topology, const char* name, const PolicyFactory& policy,
+                    const std::vector<Packet>& load, const DrainResult& median,
+                    int repetitions) {
+  std::vector<DrainResult> probed;
+  probed.reserve(static_cast<std::size_t>(repetitions));
+  for (int rep = 0; rep < repetitions; ++rep) {
+    probed.push_back(drain_once(topology, policy, load, /*probed=*/true));
+    if (probed.back().total_cost != median.total_cost ||
+        probed.back().rounds != median.rounds) {
+      std::fprintf(stderr, "bench_hotpath: %s/%s probe-on drain diverged from probe-off\n",
+                   shape, name);
+      return false;
+    }
+  }
+  std::sort(probed.begin(), probed.end(), [](const DrainResult& a, const DrainResult& b) {
+    return a.ns_per_round < b.ns_per_round;
+  });
+  const DrainResult& probed_median = probed[probed.size() / 2];
+  const double rounds_d = static_cast<double>(probed_median.rounds);
+  for (std::size_t p = 0; p < kNumPhases; ++p) {
+    const char* phase_name = to_string(static_cast<Phase>(p));
+    const double self_ns = static_cast<double>(probed_median.probe.phase_self_ns[p]);
+    const double per_round = rounds_d > 0.0 ? self_ns / rounds_d : 0.0;
+    const double share = probed_median.probe.wall_ns > 0
+                             ? self_ns / static_cast<double>(probed_median.probe.wall_ns)
+                             : 0.0;
+    report.add(name, probed_median.total_cost, probed_median.wall_ms)
+        .param("shape", std::string(shape))
+        .param("packets", static_cast<std::int64_t>(load.size()))
+        .param("phase", std::string(phase_name))
+        .value("phase_ns_per_round", per_round)
+        .value("phase_share", share);
+    phase_table.add_row({shape, name, phase_name, Table::fmt(per_round, 1),
+                         Table::fmt(share * 100.0, 1) + "%"});
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,44 +269,9 @@ int main(int argc, char** argv) {
       table.add_row({shape.name, name, Table::fmt(median.rounds),
                      Table::fmt(median.ns_per_round, 1), Table::fmt(median.total_cost, 1)});
 
-      if (!phases) continue;
-      // Separate probe-ON drains: the timed rows above stay probe-OFF, and
-      // the probed run doubles as a schedule-invariance check (identical
-      // total_cost/rounds, or the probe perturbed the engine).
-      std::vector<DrainResult> probed;
-      probed.reserve(static_cast<std::size_t>(repetitions));
-      for (int rep = 0; rep < repetitions; ++rep) {
-        probed.push_back(drain_once(shape.topology, policy, load, /*probed=*/true));
-        if (probed.back().total_cost != median.total_cost ||
-            probed.back().rounds != median.rounds) {
-          std::fprintf(stderr,
-                       "bench_hotpath: %s/%s probe-on drain diverged from probe-off\n",
-                       shape.name, name);
-          return 3;
-        }
-      }
-      std::sort(probed.begin(), probed.end(),
-                [](const DrainResult& a, const DrainResult& b) {
-                  return a.ns_per_round < b.ns_per_round;
-                });
-      const DrainResult& probed_median = probed[probed.size() / 2];
-      const double rounds_d = static_cast<double>(probed_median.rounds);
-      for (std::size_t p = 0; p < kNumPhases; ++p) {
-        const char* phase_name = to_string(static_cast<Phase>(p));
-        const double self_ns =
-            static_cast<double>(probed_median.probe.phase_self_ns[p]);
-        const double per_round = rounds_d > 0.0 ? self_ns / rounds_d : 0.0;
-        const double share = probed_median.probe.wall_ns > 0
-                                 ? self_ns / static_cast<double>(probed_median.probe.wall_ns)
-                                 : 0.0;
-        report.add(name, probed_median.total_cost, probed_median.wall_ms)
-            .param("shape", std::string(shape.name))
-            .param("packets", static_cast<std::int64_t>(packets))
-            .param("phase", std::string(phase_name))
-            .value("phase_ns_per_round", per_round)
-            .value("phase_share", share);
-        phase_table.add_row({shape.name, name, phase_name, Table::fmt(per_round, 1),
-                             Table::fmt(share * 100.0, 1) + "%"});
+      if (phases && !add_phase_rows(report, phase_table, shape.name, shape.topology, name,
+                                    policy, load, median, repetitions)) {
+        return 3;
       }
     }
   }
@@ -289,6 +298,10 @@ int main(int argc, char** argv) {
           .value("pkts_per_cpu_s", pkts_per_cpu_s);
       deep_table.add_row({name, Table::fmt(median.rounds), Table::fmt(median.ns_per_round, 1),
                           Table::fmt(pkts_per_cpu_s, 0), Table::fmt(median.total_cost, 1)});
+      if (phases && !add_phase_rows(report, phase_table, "deep_two_tier8x2", pod, name,
+                                    policy, load, median, repetitions)) {
+        return 3;
+      }
     }
   }
   table.print("EXP-P2: scheduling-round drain cost (median of repetitions)");

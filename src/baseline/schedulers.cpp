@@ -198,9 +198,15 @@ void FifoScheduler::select(const Engine& engine, Time /*now*/,
                            const std::vector<Candidate>& candidates, Selection& out) {
   order_.resize(candidates.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::sort(order_.begin(), order_.end(), [&candidates](std::size_t a, std::size_t b) {
-    return fifo_before(candidates[a], candidates[b]);
-  });
+  // Ids are assigned in arrival order, so packet-id order is fifo_before's.
+  const bool in_id_order = std::is_sorted(
+      candidates.begin(), candidates.end(),
+      [](const Candidate& a, const Candidate& b) { return a.packet < b.packet; });
+  if (!in_id_order) {
+    std::sort(order_.begin(), order_.end(), [&candidates](std::size_t a, std::size_t b) {
+      return fifo_before(candidates[a], candidates[b]);
+    });
+  }
   scratch_.select_in_order(engine, candidates, order_, out);
 }
 

@@ -18,10 +18,12 @@
 // (SchedulePolicy::select) -- so a round costs O(|E|) however deep the
 // backlog: MaxWeight's heaviest chunk per pair is some edge's priority
 // head, and the FIFO head that iSLIP, rotor and FIFO look for is some
-// edge's arrival head. All five keep their working storage in
-// per-instance members sized by the topology or the round's active
-// endpoints (engine.active_endpoints), so steady-state select() calls
-// perform zero heap allocations.
+// edge's arrival head. MaxWeight therefore declares HeadKinds::Priority
+// and FIFO HeadKinds::Arrival, which hands each one entry per edge in
+// the order it ranks by; iSLIP, rotor and random keep the default Both.
+// All five keep their working storage in per-instance members sized by
+// the topology or the round's active endpoints (engine.active_endpoints),
+// so steady-state select() calls perform zero heap allocations.
 
 #include <cstdint>
 #include <vector>
@@ -38,6 +40,7 @@ class MaxWeightScheduler final : public SchedulePolicy {
  public:
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override;
+  HeadKinds heads() const noexcept override { return HeadKinds::Priority; }
 
  private:
   // The Hungarian runs on the k_active x k_active submatrix of busy
@@ -102,8 +105,12 @@ class RandomMaximalScheduler final : public SchedulePolicy {
 
 class FifoScheduler final : public SchedulePolicy {
  public:
+  /// Scans the list in arrival order: as given when it is already in
+  /// packet-id order (the engine's Arrival list), sorted otherwise (a
+  /// Both list, when a wrapper hides heads()).
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override;
+  HeadKinds heads() const noexcept override { return HeadKinds::Arrival; }
 
  private:
   std::vector<std::size_t> order_;

@@ -120,14 +120,18 @@ void InvariantAuditor::on_selection(const Engine& engine,
   load_t_.resize(load_t_round_.size(), 0);
   load_r_.resize(load_r_round_.size(), 0);
 
-  // Head-list integrity: sorted by the chunk priority order, and exactly
-  // the per-edge heads of the ledger's pending packets -- each edge's
-  // highest-priority and earliest-arriving packet, one entry when they
-  // coincide -- with every entry consistent with the ledger.
-  // (picked_round_ doubles as the per-round "seen" stamp.)
+  // Head-list integrity: exactly the per-edge heads of the ledger's
+  // pending packets that the engine's declared HeadKinds lists -- each
+  // edge's highest-priority packet, its earliest-arriving one, or both
+  // (one entry when they coincide) -- sorted by chunk priority, or by
+  // packet id for an Arrival list, with every entry consistent with the
+  // ledger. (picked_round_ doubles as the per-round "seen" stamp.)
+  const HeadKinds kinds = engine.head_kinds();
+  const bool list_priority = kinds != HeadKinds::Arrival;
+  const bool list_arrival = kinds != HeadKinds::Priority;
   edge_heads_.resize(edge_round_.size());
-  const auto distinct = [](const EdgeHeads& heads) -> std::size_t {
-    return heads.priority == heads.earliest ? 1 : 2;
+  const auto listed = [&](const EdgeHeads& heads) -> std::size_t {
+    return list_priority && list_arrival && heads.priority != heads.earliest ? 2 : 1;
   };
   std::size_t expected = 0;
   for (const auto& [id, ledger] : ledger_) {
@@ -138,7 +142,7 @@ void InvariantAuditor::on_selection(const Engine& engine,
       ++expected;
       continue;
     }
-    expected -= distinct(heads);
+    expected -= listed(heads);
     const bool higher =
         ledger.chunk_weight != heads.priority_weight
             ? ledger.chunk_weight > heads.priority_weight
@@ -156,7 +160,7 @@ void InvariantAuditor::on_selection(const Engine& engine,
       heads.earliest = id;
       heads.earliest_arrival = ledger.arrival;
     }
-    expected += distinct(heads);
+    expected += listed(heads);
   }
   if (candidates.size() != expected) {
     fail(engine, "head list has " + std::to_string(candidates.size()) + " entries but " +
@@ -164,8 +168,11 @@ void InvariantAuditor::on_selection(const Engine& engine,
   }
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    if (i + 1 < candidates.size() && chunk_higher_priority(candidates[i + 1], c)) {
-      fail(engine, "head list is not sorted by chunk priority at index " +
+    if (i + 1 < candidates.size() &&
+        (list_priority ? chunk_higher_priority(candidates[i + 1], c)
+                       : candidates[i + 1].packet < c.packet)) {
+      fail(engine, std::string("head list is not sorted by ") +
+                       (list_priority ? "chunk priority" : "packet id") + " at index " +
                        std::to_string(i));
     }
     auto& seen = picked_round_[c.packet];
@@ -187,10 +194,10 @@ void InvariantAuditor::on_selection(const Engine& engine,
                        " carries endpoints that are not edge " + std::to_string(c.edge));
     }
     const EdgeHeads& heads = edge_heads_[static_cast<std::size_t>(c.edge)];
-    if (heads.round != round || (c.packet != heads.priority && c.packet != heads.earliest)) {
+    if (heads.round != round || !((list_priority && c.packet == heads.priority) ||
+                                  (list_arrival && c.packet == heads.earliest))) {
       fail(engine, "packet " + std::to_string(c.packet) + " is in the head list but is "
-                   "neither the priority nor the arrival head of edge " +
-                       std::to_string(c.edge));
+                   "not a listed head of edge " + std::to_string(c.edge));
     }
   }
 

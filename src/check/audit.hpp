@@ -11,12 +11,13 @@
 //    indices valid and distinct, no edge twice, per-endpoint load within
 //    EngineOptions::endpoint_capacity, every selected chunk genuinely
 //    pending;
-//  * head-list integrity -- the list the scheduler receives is sorted by
-//    chunk_higher_priority and holds exactly the per-edge heads of the
-//    ledger's pending packets (each edge's highest-priority and earliest-
-//    arriving packet, once each), each entry's (edge, chunk weight,
-//    arrival, remaining) agreeing with the ledger; at step end the edge
-//    queues hold exactly the ledger's pending packets;
+//  * head-list integrity -- the list the scheduler receives holds exactly
+//    the per-edge heads of the ledger's pending packets that the engine's
+//    HeadKinds lists (each edge's highest-priority packet, its earliest-
+//    arriving one, or both, once each), sorted by chunk_higher_priority
+//    (by packet id for an Arrival list), each entry's (edge, chunk
+//    weight, arrival, remaining) agreeing with the ledger; at step end the
+//    edge queues hold exactly the ledger's pending packets;
 //  * conservation -- packets dispatched == in flight + retired + dropped,
 //    and the engine's in-flight count matches the ledger size;
 //  * monotone clocks -- the step clock strictly increases, transmissions

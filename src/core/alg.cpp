@@ -44,11 +44,12 @@ RouteDecision ImpactDispatcher::dispatch(const Engine& engine, const Packet& pac
 void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
                                      const std::vector<Candidate>& candidates,
                                      Selection& out) {
-  // The engine hands the per-edge heads in the paper's priority order (see
-  // SchedulePolicy::select), so the greedy stable matching of Section
-  // III-C is a single scan: accept whenever both endpoints are free. An
-  // edge's other packets rank below its priority head and share both its
-  // endpoints, so scanning the full backlog would accept the same set.
+  // The engine hands the per-edge priority heads in the paper's priority
+  // order (see SchedulePolicy::select), so the greedy stable matching of
+  // Section III-C is a single scan: accept whenever both endpoints are
+  // free. An edge's other packets rank below its priority head and share
+  // both its endpoints, so scanning the full backlog -- or a Both list,
+  // which adds each edge's arrival head -- would accept the same set.
   const auto num_t = static_cast<std::size_t>(engine.topology().num_transmitters());
   const auto num_r = static_cast<std::size_t>(engine.topology().num_receivers());
 

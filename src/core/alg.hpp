@@ -31,6 +31,8 @@ class StableMatchingScheduler final : public SchedulePolicy {
  public:
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override;
+  /// Only an edge's priority head can be accepted (see select()).
+  HeadKinds heads() const noexcept override { return HeadKinds::Priority; }
 
  private:
   // Serial-stamped endpoint-taken scratch: one counter bump frees every

@@ -162,6 +162,25 @@ std::vector<Rational> exact_alphas(const Instance& instance, const RunResult& re
   const auto& packets = instance.packets();
   std::vector<Rational> alphas(instance.num_packets(), Rational(0));
 
+  // Reconstructing each dispatch-time pending state: packets earlier in
+  // the input sequence, routed via an edge sharing the packet's
+  // transmitter or receiver, with the chunks they had not yet transmitted
+  // strictly before step a_p (the dispatcher runs before the step's
+  // scheduling round). One sweep in input order keeps, per transmitter
+  // and per receiver, the earlier reconfigurable packets in input order
+  // that may still hold chunks. Arrivals are nondecreasing, so a packet
+  // whose last chunk transmitted before a_p holds none at any later
+  // arrival and leaves both lists for good; `sent[j]` counts packet j's
+  // chunks transmitted before the current arrival. Merging the two lists
+  // visits the holders in input order, so the exact sums are formed in
+  // the same order as a rescan of every earlier packet would.
+  std::vector<std::vector<std::size_t>> at_transmitter(
+      static_cast<std::size_t>(topology.num_transmitters()));
+  std::vector<std::vector<std::size_t>> at_receiver(
+      static_cast<std::size_t>(topology.num_receivers()));
+  std::vector<Rational> chunk_weights(instance.num_packets(), Rational(0));
+  std::vector<std::size_t> sent(instance.num_packets(), 0);
+
   for (std::size_t i = 0; i < instance.num_packets(); ++i) {
     const Packet& packet = packets[i];
     const PacketOutcome& outcome = result.outcomes[i];
@@ -181,34 +200,47 @@ std::vector<Rational> exact_alphas(const Instance& instance, const RunResult& re
          Rational(static_cast<std::int64_t>(edge.delay) + 1, 2) +
          Rational(static_cast<std::int64_t>(topology.receiver_attach_delay(edge.receiver))));
 
-    // Reconstruct the dispatch-time pending state: packets earlier in the
-    // input sequence, routed via an adjacent edge, with the chunks they
-    // had not yet transmitted strictly before step a_p (the dispatcher
-    // runs before the step's scheduling round).
     std::int64_t h_count = 0;
     Rational l_weight(0);
-    for (std::size_t j = 0; j < i; ++j) {
-      const PacketOutcome& other = result.outcomes[j];
-      if (other.route.use_fixed) continue;
-      const ReconfigEdge& other_edge = topology.edge(other.route.edge);
-      if (other_edge.transmitter != edge.transmitter && other_edge.receiver != edge.receiver) {
-        continue;
+    std::vector<std::size_t>& by_t = at_transmitter[static_cast<std::size_t>(edge.transmitter)];
+    std::vector<std::size_t>& by_r = at_receiver[static_cast<std::size_t>(edge.receiver)];
+    std::size_t next_t = 0, next_r = 0, kept_t = 0, kept_r = 0;
+    while (next_t < by_t.size() || next_r < by_r.size()) {
+      // The next holder in input order; a packet on an edge with both
+      // endpoints in common is in both lists and counts once.
+      const bool in_t = next_r == by_r.size() ||
+                        (next_t < by_t.size() && by_t[next_t] <= by_r[next_r]);
+      const std::size_t j = in_t ? by_t[next_t] : by_r[next_r];
+      const bool in_r = next_r < by_r.size() && by_r[next_r] == j;
+      const ChunkSteps& steps = result.outcomes[j].chunk_transmit_steps;
+      while (sent[j] < steps.size() && steps[sent[j]] < packet.arrival) ++sent[j];
+      const std::int64_t remaining =
+          topology.edge(result.outcomes[j].route.edge).delay - static_cast<std::int64_t>(sent[j]);
+      if (remaining > 0) {
+        if (chunk_weights[j] >= own_chunk_weight) {
+          h_count += remaining;
+        } else {
+          l_weight += chunk_weights[j] * Rational(remaining);
+        }
+        if (in_t) by_t[kept_t++] = j;
+        if (in_r) by_r[kept_r++] = j;
       }
-      std::int64_t remaining = other_edge.delay;
-      for (Time transmit : other.chunk_transmit_steps) {
-        if (transmit < packet.arrival) --remaining;
-      }
-      if (remaining <= 0) continue;
-      const Rational other_chunk_weight(integer_weight(packets[j]),
-                                        static_cast<std::int64_t>(other_edge.delay));
-      if (other_chunk_weight >= own_chunk_weight) {
-        h_count += remaining;
-      } else {
-        l_weight += other_chunk_weight * Rational(remaining);
-      }
+      if (in_t) ++next_t;
+      if (in_r) ++next_r;
     }
+    by_t.resize(kept_t);
+    by_r.resize(kept_r);
     alphas[i] = base + Rational(weight) * Rational(h_count) +
                 Rational(static_cast<std::int64_t>(edge.delay)) * l_weight;
+
+    if (!std::is_sorted(outcome.chunk_transmit_steps.begin(),
+                        outcome.chunk_transmit_steps.end())) {
+      throw std::invalid_argument("exact audit: packet " + std::to_string(packet.id) +
+                                  " has chunk transmit steps out of time order");
+    }
+    chunk_weights[i] = own_chunk_weight;
+    by_t.push_back(i);
+    by_r.push_back(i);
   }
   return alphas;
 }

@@ -66,8 +66,11 @@ struct ExactChargingAudit {
 ExactChargingAudit audit_charging_exact(const Instance& instance, const RunResult& result);
 
 /// Recomputes alpha_p for every packet exactly from the run's outcomes
-/// (reconstructing each dispatch-time pending state); the engine's double
-/// alphas must agree with these up to rounding.
+/// (reconstructing each dispatch-time pending state in one sweep over the
+/// packets); the engine's double alphas must agree with these up to
+/// rounding. Throws std::invalid_argument when a packet's
+/// chunk_transmit_steps are out of time order (the engine records them in
+/// order).
 std::vector<Rational> exact_alphas(const Instance& instance, const RunResult& result);
 
 }  // namespace rdcn

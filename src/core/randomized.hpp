@@ -13,8 +13,9 @@
 //
 // Both remain stable with respect to their own per-step priority order,
 // so the engine's matching validation and all delivery invariants hold.
-// Both draw over the engine's head list (each edge's priority and arrival
-// heads; see SchedulePolicy::select), not over every queued packet.
+// Both keep the default HeadKinds::Both and draw over the engine's head
+// list (each edge's priority and arrival heads; see
+// SchedulePolicy::select), not over every queued packet.
 // Like the registry baselines, both keep their working buffers as members
 // so steady-state select() calls allocate nothing.
 

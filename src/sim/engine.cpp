@@ -10,6 +10,32 @@
 
 namespace rdcn {
 
+namespace {
+
+/// The head list's two orders as function objects, so that sorting and
+/// merging inline them: chunk priority (HeadKinds::Both and Priority) and
+/// packet id (Arrival). `exhaust` turns a candidate into one that ranks
+/// after every real entry -- the merge's used-up marker.
+struct PriorityOrder {
+  bool operator()(const Candidate& a, const Candidate& b) const noexcept {
+    return chunk_higher_priority(a, b);
+  }
+  static void exhaust(Candidate& c) noexcept {
+    c.chunk_weight = -std::numeric_limits<double>::infinity();
+  }
+};
+
+struct ArrivalOrder {
+  bool operator()(const Candidate& a, const Candidate& b) const noexcept {
+    return a.packet < b.packet;
+  }
+  static void exhaust(Candidate& c) noexcept {
+    c.packet = std::numeric_limits<PacketIndex>::max();
+  }
+};
+
+}  // namespace
+
 Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
                SchedulePolicy& scheduler, EngineOptions options)
     : instance_(&instance),
@@ -44,6 +70,7 @@ Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
 
 void Engine::init(EngineOptions options) {
   options_ = options;
+  head_kinds_ = scheduler_->heads();
   if (options_.speedup_rounds < 1) throw std::invalid_argument("speedup_rounds must be >= 1");
   if (options_.endpoint_capacity < 1) {
     throw std::invalid_argument("endpoint_capacity must be >= 1");
@@ -184,7 +211,9 @@ std::int32_t Engine::enqueue(const Candidate& candidate) {
          nodes_[static_cast<std::size_t>(older)].candidate.packet > candidate.packet) {
     older = nodes_[static_cast<std::size_t>(older)].older;
   }
-  if (above < 0 || older < 0) mark_dirty(candidate.edge);  // a new head
+  if ((above < 0 && lists_priority_heads()) || (older < 0 && lists_arrival_heads())) {
+    mark_dirty(candidate.edge);  // a new listed head
+  }
 
   std::int32_t n = free_node_;
   if (n >= 0) {
@@ -212,7 +241,9 @@ std::int32_t Engine::enqueue(const Candidate& candidate) {
 void Engine::dequeue(std::int32_t n) {
   QueueNode& node = nodes_[static_cast<std::size_t>(n)];
   EdgeQueue& q = queues_[static_cast<std::size_t>(node.candidate.edge)];
-  if (q.first == n || q.oldest == n) mark_dirty(node.candidate.edge);
+  if ((q.first == n && lists_priority_heads()) || (q.oldest == n && lists_arrival_heads())) {
+    mark_dirty(node.candidate.edge);
+  }
   (node.prev >= 0 ? nodes_[static_cast<std::size_t>(node.prev)].next : q.first) = node.next;
   (node.next >= 0 ? nodes_[static_cast<std::size_t>(node.next)].prev : q.last) = node.prev;
   (node.older >= 0 ? nodes_[static_cast<std::size_t>(node.older)].newer : q.oldest) =
@@ -230,51 +261,63 @@ void Engine::mark_dirty(EdgeIndex e) {
   if (q.dirty) return;
   q.dirty = true;
   dirty_edges_.push_back(e);  // rdcn-lint: allow(hot-alloc) -- reserved to |E| in init
-  // Every head change passes here before it happens, so on an edge's
-  // first change since the last refresh its heads are still the entries
-  // the head list holds for it: the ones the refresh drops.
-  if (q.first >= 0) dropped_heads_ += q.oldest == q.first ? 1 : 2;
+  // Every listed head change passes here before it happens, so on an
+  // edge's first change since the last refresh its heads are still the
+  // entries the head list holds for it: the ones the refresh drops.
+  if (q.first >= 0) {
+    dropped_heads_ += head_kinds_ == HeadKinds::Both && q.oldest != q.first ? 2 : 1;
+  }
 }
 
 // rdcn-lint: hot
 void Engine::refresh_heads() {
   if (dirty_edges_.empty()) return;
-  Probe::Span span(probe_, Phase::MergeCompact);
-  // The dirty edges' current heads, sorted by priority.
+  Probe::Span span(probe_, Phase::HeadRefresh);
+  if (head_kinds_ == HeadKinds::Arrival) {
+    refresh_heads_in(ArrivalOrder{});
+  } else {
+    refresh_heads_in(PriorityOrder{});
+  }
+}
+
+// rdcn-lint: hot
+template <typename Order>
+void Engine::refresh_heads_in(Order before) {
+  // The dirty edges' current listed heads, sorted.
   fresh_heads_.clear();
   for (EdgeIndex e : dirty_edges_) {
     const EdgeQueue& q = queues_[static_cast<std::size_t>(e)];
     if (q.first < 0) continue;  // drained
-    fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.first)].candidate);  // rdcn-lint: allow(hot-alloc) -- grows to the high-water head count once
-    if (q.oldest != q.first) {
+    if (lists_priority_heads()) {
+      fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.first)].candidate);  // rdcn-lint: allow(hot-alloc) -- grows to the high-water head count once
+    }
+    if (lists_arrival_heads() && (q.oldest != q.first || !lists_priority_heads())) {
       fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.oldest)].candidate);  // rdcn-lint: allow(hot-alloc) -- as above
     }
   }
-  if (probe_) probe_->count(Counter::CandidatesMerged, fresh_heads_.size());
-  std::sort(fresh_heads_.begin(), fresh_heads_.end(), chunk_higher_priority);
+  if (probe_) probe_->count(Counter::HeadsRefreshed, fresh_heads_.size());
+  std::sort(fresh_heads_.begin(), fresh_heads_.end(), before);
 
   // One merge pass into the spare buffer: the old entries minus the dirty
-  // edges', and the fresh ones, both in priority order. The next fresh
-  // entry is held by value, so stores do not force it to be reloaded;
-  // once they are used up its chunk weight of -inf fails the cheap
-  // pre-check.
+  // edges', and the fresh ones, both in list order. The next fresh entry
+  // is held by value, so stores do not force it to be reloaded; once they
+  // are used up it is exhausted and ranks after every old entry.
   const EdgeQueue* const queues = queues_.data();
   const std::size_t k = fresh_heads_.size();
   spare_heads_.resize(heads_.size() - dropped_heads_ + k);  // rdcn-lint: allow(hot-alloc) -- at most 2|E| entries, grow-once
   Candidate* out = spare_heads_.data();
-  constexpr double kUsedUp = -std::numeric_limits<double>::infinity();
   Candidate pending;
-  pending.chunk_weight = kUsedUp;
+  Order::exhaust(pending);
   std::size_t next = 0;
   if (k > 0) pending = fresh_heads_.front();
   for (const Candidate& c : heads_) {
     if (queues[static_cast<std::size_t>(c.edge)].dirty) continue;
-    while (pending.chunk_weight >= c.chunk_weight && chunk_higher_priority(pending, c)) {
+    while (before(pending, c)) {
       *out++ = pending;
       if (++next < k) {
         pending = fresh_heads_[next];
       } else {
-        pending.chunk_weight = kUsedUp;
+        Order::exhaust(pending);
       }
     }
     *out++ = c;
@@ -290,8 +333,8 @@ void Engine::refresh_heads() {
 ImpactSplit Engine::impact_split(EdgeIndex e, double threshold) const {
   // Timed at query granularity (rebuild + deferred-event flush + lookup):
   // per-update spans inside add_chunks would cost more than the O(1)
-  // counter work they measure. Nests under Dispatch (or Select).
-  Probe::Span span(probe_, Phase::IndexMaintenance);
+  // counter work they measure. Nests under Inject (or Select).
+  Probe::Span span(probe_, Phase::IndexQuery);
   if (probe_) probe_->count(Counter::ImpactQueries);
   if (!impact_index_.weight_ready()) {
     impact_index_.rebuild([this](const auto& add) { for_each_pending(add); });
@@ -340,7 +383,7 @@ void Engine::inject(const Packet& packet) {
   if (packet.id != static_cast<PacketIndex>(dispatched_count_)) {
     throw std::logic_error("packets must be dispatched in sequence-id order");
   }
-  Probe::Span span(probe_, Phase::Dispatch);
+  Probe::Span span(probe_, Phase::Inject);
   ++dispatched_count_;
   if (probe_) probe_->count(Counter::PacketsDispatched);
   if (dead_edges_ != 0 && !has_viable_route(packet.source, packet.destination)) {
@@ -661,8 +704,9 @@ std::size_t Engine::schedule_round() {
       finished.push_back(index);  // rdcn-lint: allow(hot-alloc) -- ref to finished_scratch_, reserved in init
     }
   }
-  // Retire in head-list (priority) order, each packet before its node is
-  // freed (its edge's heads refresh next round). Each selected head is on
+  // Retire in head-list order (priority, or arrival for an Arrival list),
+  // each packet before its node is freed (its edge's heads refresh next
+  // round). Each selected head is on
   // its own edge, so freeing one node leaves the others where head_node
   // finds them.
   std::sort(finished.begin(), finished.end());

@@ -32,17 +32,21 @@
 //    backlog and recycles nodes through a free list, and each edge costs
 //    four node links plus a dirty flag;
 //  * SchedulePolicy::select receives a head list, not the backlog: for
-//    every edge with pending work, its highest-priority and its earliest-
-//    arriving candidate (one entry when they coincide), sorted by
-//    chunk_higher_priority -- at most 2|E| entries. Each round re-reads
-//    only the edges whose heads changed since the last one and merges
-//    them into the sorted list. Every policy transmits at most one chunk
-//    per edge and round, and a non-head candidate shares both endpoints
-//    with its edge's heads while ranking below one of them in the
-//    policy's own order (chunk priority, or arrival for FIFO, iSLIP and
-//    rotor), so the restriction selects exactly what the full backlog
-//    would -- b-matching included; only policies whose random draws range
-//    over the list (random) see a different draw;
+//    every edge with pending work, the heads its policy declares
+//    (SchedulePolicy::heads). A policy that ranks by chunk priority (ALG,
+//    MaxWeight) gets each edge's highest-priority candidate, sorted by
+//    chunk_higher_priority; FIFO gets each edge's earliest-arriving one,
+//    sorted by packet id; any other policy gets both (one entry when they
+//    coincide), sorted by chunk_higher_priority -- at most 2|E| entries.
+//    Each round re-reads only the edges whose listed heads changed since
+//    the last one and merges them into the sorted list. Every policy
+//    transmits at most one chunk per edge and round, and a non-head
+//    candidate shares both endpoints with its edge's heads while ranking
+//    below one of them in the policy's own order (chunk priority, or
+//    arrival for FIFO, iSLIP and rotor), so the restriction selects
+//    exactly what the full backlog would -- b-matching included; only
+//    policies whose random draws range over the list (random) see a
+//    different draw;
 //  * the steady-state round loop performs zero heap allocations: the
 //    scheduler fills an engine-owned Selection scratch in place, the
 //    reconfiguration-delay filter and the head refresh work on reusable
@@ -215,8 +219,10 @@ using RetireSink = std::function<void(RetiredPacket&&)>;
 
 /// Dense remap of the endpoints that currently carry pending candidates
 /// (built per scheduling round; see Engine::active_endpoints). Ranks are
-/// assigned in order of first appearance in the priority-sorted head
-/// list, so they are deterministic in the engine state.
+/// assigned in order of first appearance in the head list, so they are
+/// deterministic in the engine state. In a priority-sorted list every
+/// endpoint first appears through some edge's priority head, so the Both
+/// and Priority lists rank the endpoints alike.
 struct ActiveEndpoints {
   std::vector<NodeIndex> transmitters;  ///< dense rank -> topology id
   std::vector<NodeIndex> receivers;
@@ -356,12 +362,15 @@ class Engine {
   std::size_t pending_count() const noexcept { return pending_count_; }
 
   /// The head list SchedulePolicy::select receives: for every edge with
-  /// pending work, its highest-priority and its earliest-arriving
-  /// candidate (one entry when they coincide), in decreasing chunk
-  /// priority. Refreshed at the start of each scheduling round, so between
-  /// rounds it may still show packets that finished or miss ones that
-  /// arrived since.
+  /// pending work, the heads of head_kinds() -- its highest-priority
+  /// candidate, its earliest-arriving one, or both (one entry when they
+  /// coincide) -- in decreasing chunk priority, or in increasing packet id
+  /// for HeadKinds::Arrival. Refreshed at the start of each scheduling
+  /// round, so between rounds it may still show packets that finished or
+  /// miss ones that arrived since.
   const std::vector<Candidate>& head_candidates() const noexcept { return heads_; }
+  /// The scheduler's SchedulePolicy::heads(), read once at construction.
+  HeadKinds head_kinds() const noexcept { return head_kinds_; }
 
   /// Calls visit(const Candidate&) for every candidate pending on edge
   /// `e`, in decreasing chunk priority.
@@ -451,8 +460,8 @@ class Engine {
     std::int32_t prev = -1, next = -1;
     std::int32_t older = -1, newer = -1;
   };
-  /// One edge's queue: both ends of both orders, and whether its heads
-  /// changed since the head list last read them.
+  /// One edge's queue: both ends of both orders, and whether its listed
+  /// heads changed since the head list last read them.
   struct EdgeQueue {
     std::int32_t first = -1;   ///< highest priority: the priority head
     std::int32_t last = -1;    ///< lowest priority
@@ -475,9 +484,15 @@ class Engine {
   /// Unlinks node `n` from its edge's orders and frees it; its record
   /// stays intact until the node is reused.
   void dequeue(std::int32_t n);
-  /// The node of head-list entry `c`: its edge's priority or arrival head.
+  /// Whether the head list holds each edge's priority head, and its
+  /// arrival head.
+  bool lists_priority_heads() const noexcept { return head_kinds_ != HeadKinds::Arrival; }
+  bool lists_arrival_heads() const noexcept { return head_kinds_ != HeadKinds::Priority; }
+  /// The node of head-list entry `c`: the listed head of its edge.
   std::int32_t head_node(const Candidate& c) const {
     const EdgeQueue& q = queues_[static_cast<std::size_t>(c.edge)];
+    if (!lists_arrival_heads()) return q.first;
+    if (!lists_priority_heads()) return q.oldest;
     const Candidate& first = nodes_[static_cast<std::size_t>(q.first)].candidate;
     return first.packet == c.packet ? q.first : q.oldest;
   }
@@ -488,11 +503,16 @@ class Engine {
     return Packet{c.packet, c.arrival, record.weight, record.source, record.destination};
   }
   /// Flags edge `e` for the next head refresh; called before each change
-  /// to its heads, so the first call counts the entries the list drops.
+  /// to its listed heads, so the first call counts the entries the list
+  /// drops.
   void mark_dirty(EdgeIndex e);
-  /// Re-reads the heads of the dirty edges and merges them into the
+  /// Re-reads the listed heads of the dirty edges and merges them into the
   /// sorted head list.
   void refresh_heads();
+  /// refresh_heads' body for the list's order `before`, a function object
+  /// so that sort and merge inline it.
+  template <typename Order>
+  void refresh_heads_in(Order before);
   /// Unlists every pending packet `pick` selects and hands it back to the
   /// dispatcher in (arrival, id) order, so re-dispatch is deterministic
   /// and arrival-fair. A packet that already transmitted a chunk, has no
@@ -513,6 +533,7 @@ class Engine {
   const Topology* topology_ = nullptr;
   DispatchPolicy* dispatcher_;
   SchedulePolicy* scheduler_;
+  HeadKinds head_kinds_ = HeadKinds::Both;  ///< scheduler_->heads()
   EngineOptions options_;
   RetireSink sink_;  ///< the caller's, or batch mode's outcome collector
   std::unique_ptr<EngineObserver> auditor_;  ///< set iff options_.audit

@@ -48,9 +48,9 @@ struct Candidate {
 /// using one comparator keeps the dispatcher's H/L classification and the
 /// scheduler's blocking relation consistent (which Lemma 2 relies on).
 ///
-/// The engine keeps each edge's queue and the head list it hands
-/// SchedulePolicy::select sorted by this order, so priority-driven
-/// schedulers never sort.
+/// The engine keeps each edge's queue sorted by this order, and the head
+/// list it hands SchedulePolicy::select too unless the policy declares
+/// HeadKinds::Arrival, so priority-driven schedulers never sort.
 inline bool chunk_higher_priority(const Candidate& a, const Candidate& b) noexcept {
   if (a.chunk_weight != b.chunk_weight) return a.chunk_weight > b.chunk_weight;
   if (a.arrival != b.arrival) return a.arrival < b.arrival;
@@ -88,6 +88,19 @@ class DispatchPolicy {
   virtual RouteDecision dispatch(const Engine& engine, const Packet& packet) = 0;
 };
 
+/// Which of each edge's heads a schedule policy can pick
+/// (SchedulePolicy::heads): the engine hands select() only those.
+enum class HeadKinds : std::uint8_t {
+  /// Each non-empty edge's priority head and arrival head (one entry when
+  /// they coincide), sorted by chunk_higher_priority.
+  Both,
+  /// Each non-empty edge's priority head, sorted by chunk_higher_priority.
+  Priority,
+  /// Each non-empty edge's arrival head, sorted by packet id -- arrival
+  /// order, since ids are assigned in arrival order.
+  Arrival,
+};
+
 class SchedulePolicy {
  public:
   virtual ~SchedulePolicy() = default;
@@ -97,18 +110,24 @@ class SchedulePolicy {
   /// each edge at most once.
   ///
   /// Contract:
-  ///  * `candidates` is the engine's head list, not the whole backlog: for
-  ///    every edge with pending work, its highest-priority candidate and
-  ///    its earliest-arriving candidate (one entry when they coincide), at
-  ///    most 2|E| entries. A policy that ranks an edge's packets by chunk
+  ///  * `candidates` is the engine's head list, not the whole backlog: per
+  ///    edge with pending work, the heads heads() declares -- its highest-
+  ///    priority candidate (priority head), its earliest-arriving one
+  ///    (arrival head), or both -- one entry per edge and head, at most
+  ///    2|E| entries. A policy that ranks an edge's packets by chunk
   ///    priority or by arrival therefore sees every packet it could pick:
-  ///    a packet behind both heads shares its edge's endpoints and ranks
-  ///    below one of them, so whatever excludes that head excludes it.
+  ///    a packet behind the head of its order shares that head's endpoints
+  ///    and ranks below it, so whatever excludes the head excludes it.
   ///    Policies whose random draws range over the list draw over heads.
-  ///  * `candidates` is sorted by chunk_higher_priority (decreasing chunk
-  ///    weight, then arrival, then packet id), so priority-driven
-  ///    schedulers scan it in index order without sorting. Order-sensitive
-  ///    policies (FIFO, randomized) impose their own order on top.
+  ///  * `candidates` is sorted in the declared kind's order: by
+  ///    chunk_higher_priority (decreasing chunk weight, then arrival, then
+  ///    packet id) for Both and Priority, by packet id for Arrival. So a
+  ///    policy that ranks by its declared order scans the list in index
+  ///    order without sorting; other policies impose their own order.
+  ///  * A wrapper that forwards select() but not heads() (a tracing
+  ///    decorator, a test harness) gets the Both list, and so may any
+  ///    caller that builds its own list: a policy that declares Priority or
+  ///    Arrival must still select correctly from a Both list.
   ///  * `out` is an engine-owned scratch buffer reused across rounds;
   ///    policies must not keep references to it. Policies are expected to
   ///    keep their own working storage in members sized on first use so
@@ -121,6 +140,12 @@ class SchedulePolicy {
   ///    Engine::for_each_pending_on / for_each_pending_at.
   virtual void select(const Engine& engine, Time now,
                       const std::vector<Candidate>& candidates, Selection& out) = 0;
+
+  /// The heads select() can pick; the engine reads it once, at
+  /// construction. Both, the default, suits any policy; Priority or
+  /// Arrival shortens the list to one entry per edge for a policy that
+  /// only ever picks that head.
+  virtual HeadKinds heads() const noexcept { return HeadKinds::Both; }
 };
 
 }  // namespace rdcn

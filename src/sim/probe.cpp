@@ -6,12 +6,12 @@ namespace rdcn {
 
 const char* to_string(Phase phase) {
   switch (phase) {
-    case Phase::Dispatch: return "dispatch";
-    case Phase::IndexMaintenance: return "index_maintenance";
+    case Phase::Inject: return "inject";
+    case Phase::IndexQuery: return "index_query";
     case Phase::Select: return "select";
     case Phase::Validate: return "validate";
     case Phase::Service: return "service_retire";
-    case Phase::MergeCompact: return "merge_compact";
+    case Phase::HeadRefresh: return "head_refresh";
   }
   return "?";
 }
@@ -22,7 +22,7 @@ const char* to_string(Counter counter) {
     case Counter::ChunksTransmitted: return "chunks_transmitted";
     case Counter::PacketsDispatched: return "packets_dispatched";
     case Counter::PacketsRetired: return "packets_retired";
-    case Counter::CandidatesMerged: return "candidates_merged";
+    case Counter::HeadsRefreshed: return "heads_refreshed";
     case Counter::ImpactQueries: return "impact_queries";
     case Counter::IndexRebuilds: return "index_rebuilds";
     case Counter::DroppedEvents: return "dropped_events";

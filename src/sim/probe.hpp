@@ -34,27 +34,27 @@
 
 namespace rdcn {
 
-/// The engine's round phases, in round order. Dispatch covers one packet's
-/// dispatch per span (policy decision + route application, per inject);
-/// IndexMaintenance the impact index's lazy rebuild + deferred-event flush
-/// + query, nested inside Dispatch (or Select, for index-using
-/// schedulers); MergeCompact the head-list refresh (re-reading the heads
-/// of the edges whose queues changed and merging them into the sorted
-/// list); Service the chunk transmit, queue removal and retirement
+/// The engine's round phases, in round order. Inject covers one packet's
+/// Engine::inject per span (dispatch decision + route application);
+/// IndexQuery one impact-index query (lazy rebuild + deferred-event flush
+/// + lookup), nested inside Inject (or Select, for index-using
+/// schedulers); HeadRefresh the head-list refresh (re-reading the listed
+/// heads of the edges whose queues changed and merging them into the
+/// sorted list); Service the chunk transmit, queue removal and retirement
 /// accounting.
 enum class Phase : std::uint8_t {
-  Dispatch = 0,
-  IndexMaintenance,
+  Inject = 0,
+  IndexQuery,
   Select,
   Validate,
   Service,
-  MergeCompact,
+  HeadRefresh,
 };
 inline constexpr std::size_t kNumPhases = 6;
 const char* to_string(Phase phase);
 
-/// Monotone counters. CandidatesMerged counts head entries the head-list
-/// refresh merged in; IndexRebuilds mirrors ImpactIndex::rebuilds() (set,
+/// Monotone counters. HeadsRefreshed counts head entries the head-list
+/// refresh re-read and merged in; IndexRebuilds mirrors ImpactIndex::rebuilds() (set,
 /// not incremented, by the engine once per round); DroppedEvents counts
 /// ring-overflow span discards and is maintained by the probe itself.
 enum class Counter : std::uint8_t {
@@ -62,7 +62,7 @@ enum class Counter : std::uint8_t {
   ChunksTransmitted,
   PacketsDispatched,
   PacketsRetired,
-  CandidatesMerged,
+  HeadsRefreshed,
   ImpactQueries,
   IndexRebuilds,
   DroppedEvents,
@@ -180,7 +180,7 @@ class Probe {
   static constexpr std::size_t kMaxSpanDepth = 8;
 
   struct Frame {
-    Phase phase = Phase::Dispatch;
+    Phase phase = Phase::Inject;
     std::uint64_t start_ns = 0;
     std::uint64_t child_ns = 0;  ///< time closed child spans covered
   };

@@ -2,10 +2,12 @@
 
 // Shared fixtures for the test-suite: deterministic random instance
 // families spanning topology shapes (crossbar, sparse two-tier, hybrid,
-// heterogeneous delays) and workload mixes, and the starvation stream that
-// pins the engine's per-packet memory bound.
+// heterogeneous delays) and workload mixes, the starvation stream that
+// pins the engine's per-packet memory bound, and the schedule hash that
+// golden and equivalence tests compare.
 
 #include <cstdint>
+#include <vector>
 
 #include "net/builders.hpp"
 #include "net/instance.hpp"
@@ -85,6 +87,30 @@ inline Instance make_varied_instance(std::uint64_t seed) {
   spec.skew = static_cast<PairSkew>(seed % 5);
   spec.weights = static_cast<WeightDist>(seed % 3 == 0 ? 0 : 1);  // unit / uniform-int
   return make_random_instance(spec);
+}
+
+/// One FNV-1a step over the eight bytes of `v`.
+inline std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over the integral schedule data (route kind/edge, completion,
+/// per-chunk transmit steps) in packet-id order: equal hashes == bit-for-
+/// bit identical schedules, with no floating-point in the fingerprint.
+inline std::uint64_t schedule_hash(const std::vector<PacketOutcome>& outcomes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const PacketOutcome& o : outcomes) {
+    h = mix64(h, o.route.use_fixed ? 1u : 0u);
+    h = mix64(h, static_cast<std::uint64_t>(o.route.use_fixed ? -1 : o.route.edge));
+    h = mix64(h, static_cast<std::uint64_t>(o.completion));
+    h = mix64(h, o.chunk_transmit_steps.size());
+    for (Time t : o.chunk_transmit_steps) h = mix64(h, static_cast<std::uint64_t>(t));
+  }
+  return h;
 }
 
 /// A two-port crossbar whose four edges all have delay `delay`.

@@ -10,7 +10,7 @@ std::string bogus_key() {
 }
 
 std::string real_key() {
-  return "phase_dispatch_ns";  // registered phase: must NOT be flagged
+  return "phase_inject_ns";  // registered phase: must NOT be flagged
 }
 
 }  // namespace fixture

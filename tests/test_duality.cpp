@@ -4,13 +4,19 @@
 //   Lemma 2 -- charges partition ALG's cost and stay within alpha_p
 //              (exactly, in rational arithmetic, for integer weights);
 //   Lemma 3 -- ALG <= (2+eps)/eps * D for the witness objective D;
-//   Lemma 4/5 -- the halved witness is dual-feasible (violation factor < 2).
+//   Lemma 4/5 -- the halved witness is dual-feasible (violation factor < 2);
+// and that exact_alphas' one-pass sweep equals a rescan of every earlier
+// packet (tests/exact_alphas_rescan.hpp), here and on 2000-packet pods.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "core/alg.hpp"
 #include "core/charging.hpp"
 #include "core/dual_witness.hpp"
+#include "exact_alphas_rescan.hpp"
 #include "helpers.hpp"
 #include "sim/metrics.hpp"
 
@@ -81,6 +87,50 @@ TEST_P(DualityProperty, Lemma4HalvedWitnessFeasible) {
 TEST_P(DualityProperty, AlphaSumDominatesCost) {
   // Summing Lemma 2 over packets: ALG <= sum_p alpha_p.
   EXPECT_LE(run_.total_cost, witness_.sum_alpha + 1e-6);
+}
+
+TEST_P(DualityProperty, ExactAlphasMatchTheRescan) {
+  EXPECT_EQ(exact_alphas(instance_, run_), testing::exact_alphas_by_rescan(instance_, run_));
+}
+
+TEST(ExactAlphas, SweepMatchesTheRescanOnLargePods) {
+  // Hybrid and pure two-tier pods with attach delays, congested enough
+  // that packets hold chunks across many later arrivals.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    testing::RandomInstanceSpec spec;
+    spec.seed = seed;
+    spec.racks = 8;
+    spec.density = 0.8;
+    spec.max_edge_delay = 3;
+    spec.attach_delay = seed == 2 ? 1 : 0;
+    spec.fixed_link_delay = seed == 3 ? 0 : 12;
+    spec.packets = 2000;
+    spec.arrival_rate = 6.0;
+    spec.skew = static_cast<PairSkew>(seed);
+    spec.weight_max = 16;
+    const Instance instance = testing::make_random_instance(spec);
+    const RunResult run = run_alg(instance);
+    const std::vector<Rational> alphas = exact_alphas(instance, run);
+    EXPECT_EQ(alphas, testing::exact_alphas_by_rescan(instance, run)) << "seed " << seed;
+    // The engine's double alphas agree with the exact ones.
+    for (std::size_t i = 0; i < instance.num_packets(); ++i) {
+      EXPECT_NEAR(run.outcomes[i].route.alpha, alphas[i].to_double(),
+                  1e-9 * (1.0 + std::abs(alphas[i].to_double())))
+          << "seed " << seed << " packet " << i;
+    }
+  }
+}
+
+TEST(ExactAlphas, RejectsTransmitStepsOutOfOrder) {
+  const Instance instance = testing::make_varied_instance(103);
+  RunResult run = run_alg(instance);
+  for (PacketOutcome& outcome : run.outcomes) {
+    if (outcome.chunk_transmit_steps.size() >= 2) {
+      std::reverse(outcome.chunk_transmit_steps.begin(), outcome.chunk_transmit_steps.end());
+      break;
+    }
+  }
+  EXPECT_THROW(exact_alphas(instance, run), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DualityProperty, ::testing::Range<std::uint64_t>(1, 41));

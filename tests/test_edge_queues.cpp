@@ -1,15 +1,20 @@
-// Property test for the engine's per-edge queues and the head list that
+// Property tests for the engine's per-edge queues and the head list that
 // SchedulePolicy::select receives. On random topology-zoo instances, under
 // endpoint capacity 1 and 2, speedup 2, reconfiguration delay 1, a staged
 // kill with DeadPolicy::Requeue and restricted migration (the last two
-// re-insert older packets behind newer ones), every round checks that
-//  * the list is exactly the priority head and the arrival head of every
-//    non-empty edge (one entry when they coincide), sorted by
-//    chunk_higher_priority and at most 2|E| long;
+// re-insert older packets behind newer ones):
+//  * every round, the list is exactly the heads the scheduler declares
+//    (SchedulePolicy::heads) of every non-empty edge, in that kind's
+//    order: the priority heads by chunk_higher_priority for alg and
+//    maxweight, the arrival heads by packet id for fifo, and both heads
+//    (one entry when they coincide) by chunk_higher_priority for random;
 //  * alg, fifo and maxweight select the same packets, in the same order,
 //    as a second instance of the same policy run on the full pending list
 //    rebuilt from the queues -- the list select() received before the
-//    queues replaced it.
+//    queues replaced it;
+//  * behind a wrapper that forwards select() but not heads(), as a
+//    tracing decorator does, alg, fifo and maxweight get the Both list and
+//    still produce the bare policy's schedule.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hpp"
 #include "run/policies.hpp"
 #include "run/random.hpp"
 #include "run/scenario.hpp"
@@ -27,13 +33,17 @@
 namespace rdcn {
 namespace {
 
-/// Checks the head list against the queues, then runs the wrapped policy
-/// on it and a reference instance of the same policy on the full list.
+/// Checks the head list against the queues and the wrapped policy's
+/// declaration (which it forwards), then runs the wrapped policy on it
+/// and, when given, a reference instance of the same policy on the full
+/// list.
 class HeadListChecker final : public SchedulePolicy {
  public:
   HeadListChecker(std::unique_ptr<SchedulePolicy> policy,
                   std::unique_ptr<SchedulePolicy> reference, std::string label)
       : policy_(std::move(policy)), reference_(std::move(reference)), label_(std::move(label)) {}
+
+  HeadKinds heads() const noexcept override { return policy_->heads(); }
 
   void select(const Engine& engine, Time now, const std::vector<Candidate>& heads,
               Selection& out) override {
@@ -41,6 +51,7 @@ class HeadListChecker final : public SchedulePolicy {
     engine.for_each_pending([this](const Candidate& c) { full_.push_back(c); });
     std::sort(full_.begin(), full_.end(), chunk_higher_priority);
     ASSERT_EQ(full_.size(), engine.pending_count()) << label_;
+    ASSERT_EQ(engine.head_kinds(), policy_->heads()) << label_;
 
     // Per edge: the first entry in priority order, and the earliest arrival.
     std::map<EdgeIndex, std::pair<Candidate, Candidate>> edge_heads;
@@ -52,12 +63,21 @@ class HeadListChecker final : public SchedulePolicy {
         earliest = c;
       }
     }
+    const HeadKinds kinds = policy_->heads();
     std::vector<Candidate> expected;
     for (const auto& [edge, pair] : edge_heads) {
-      expected.push_back(pair.first);
-      if (pair.second.packet != pair.first.packet) expected.push_back(pair.second);
+      if (kinds != HeadKinds::Arrival) expected.push_back(pair.first);
+      if (kinds == HeadKinds::Arrival ||
+          (kinds == HeadKinds::Both && pair.second.packet != pair.first.packet)) {
+        expected.push_back(pair.second);
+      }
     }
-    std::sort(expected.begin(), expected.end(), chunk_higher_priority);
+    if (kinds == HeadKinds::Arrival) {
+      std::sort(expected.begin(), expected.end(),
+                [](const Candidate& a, const Candidate& b) { return a.packet < b.packet; });
+    } else {
+      std::sort(expected.begin(), expected.end(), chunk_higher_priority);
+    }
 
     EXPECT_LE(heads.size(), 2 * static_cast<std::size_t>(engine.topology().num_edges()))
         << label_;
@@ -74,16 +94,17 @@ class HeadListChecker final : public SchedulePolicy {
       EXPECT_EQ(got.remaining, want.remaining) << label_;
     }
 
+    policy_->select(engine, now, heads, out);
+    ++rounds;
+    if (full_.size() > heads.size()) ++deep_rounds;
+    if (!reference_) return;
     reference_out_.clear();
     reference_->select(engine, now, full_, reference_out_);
-    policy_->select(engine, now, heads, out);
     ASSERT_EQ(out.size(), reference_out_.size()) << label_ << " at step " << now;
     for (std::size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(heads[out.indices()[i]].packet, full_[reference_out_.indices()[i]].packet)
           << label_ << " at step " << now << ", pick " << i;
     }
-    ++rounds;
-    if (full_.size() > heads.size()) ++deep_rounds;
   }
 
   int rounds = 0;
@@ -91,10 +112,25 @@ class HeadListChecker final : public SchedulePolicy {
 
  private:
   std::unique_ptr<SchedulePolicy> policy_;
-  std::unique_ptr<SchedulePolicy> reference_;
+  std::unique_ptr<SchedulePolicy> reference_;  ///< null: list checks only
   std::string label_;
   std::vector<Candidate> full_;
   Selection reference_out_;
+};
+
+/// Forwards select() only, as perfbench's tracing decorator does, so the
+/// engine lists the default HeadKinds::Both for the wrapped policy.
+class SelectOnlyWrapper final : public SchedulePolicy {
+ public:
+  explicit SelectOnlyWrapper(std::unique_ptr<SchedulePolicy> inner) : inner_(std::move(inner)) {}
+
+  void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
+              Selection& out) override {
+    inner_->select(engine, now, candidates, out);
+  }
+
+ private:
+  std::unique_ptr<SchedulePolicy> inner_;
 };
 
 struct Variant {
@@ -122,41 +158,55 @@ std::vector<Variant> variants() {
   return list;
 }
 
+/// A zoo topology from the fuzz generator, with a denser workload than its
+/// default so packets queue behind their edge's heads.
+Instance zoo_instance(std::uint64_t seed) {
+  ScenarioSpec spec = random_scenario_spec(seed);
+  spec.workload.num_packets = 160;
+  spec.workload.arrival_rate = 8.0;
+  return ScenarioRunner(spec).instance(spec.base_seed);
+}
+
+/// Runs `scheduler` under `variant` with the invariant auditor on.
+RunResult run_variant(const Instance& instance, const Variant& variant,
+                      DispatchPolicy& dispatcher, SchedulePolicy& scheduler) {
+  EngineOptions options = variant.options;
+  options.audit = true;
+  Engine engine(instance, dispatcher, scheduler, options);
+  std::vector<TimedMutation> schedule;
+  if (variant.staged_kill) {
+    // Every other edge dies at step 3: stranded packets with a surviving
+    // parallel edge requeue onto it, behind newer packets.
+    schedule.resize(2);
+    for (EdgeIndex e = 0; e < instance.topology().num_edges(); e += 2) {
+      schedule[0].mutation.kill_edges.push_back(e);
+    }
+    schedule[0].at = 3;
+    schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
+    schedule[1].at = 9;
+    schedule[1].mutation.restore_edges = schedule[0].mutation.kill_edges;
+  }
+  return engine.run(schedule);
+}
+
 TEST(EdgeQueues, HeadListIsExactAndSelectionsMatchTheFullList) {
   int total_rounds = 0;
   int total_deep_rounds = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    // A zoo topology from the fuzz generator, with a denser workload than
-    // its default so packets queue behind their edge's heads.
-    ScenarioSpec spec = random_scenario_spec(seed);
-    spec.workload.num_packets = 160;
-    spec.workload.arrival_rate = 8.0;
-    const Instance instance = ScenarioRunner(spec).instance(spec.base_seed);
+    const Instance instance = zoo_instance(seed);
     for (const Variant& variant : variants()) {
-      for (const char* name : {"alg", "fifo", "maxweight"}) {
+      for (const char* name : {"alg", "fifo", "maxweight", "random"}) {
         const std::string label = "seed " + std::to_string(seed) + " " + variant.name + " " +
                                   name;
         const PolicyFactory policy = named_policy(name);
         auto dispatcher = policy.dispatcher();
+        // random draws over the list it gets, so a full-list run draws
+        // differently: its list is checked, its picks are not.
+        const bool comparable = std::string(name) != "random";
         HeadListChecker checker(policy.scheduler(instance.topology()),
-                                policy.scheduler(instance.topology()), label);
-        EngineOptions options = variant.options;
-        options.audit = true;
-        Engine engine(instance, *dispatcher, checker, options);
-        std::vector<TimedMutation> schedule;
-        if (variant.staged_kill) {
-          // Every other edge dies at step 3: stranded packets with a
-          // surviving parallel edge requeue onto it, behind newer packets.
-          schedule.resize(2);
-          for (EdgeIndex e = 0; e < instance.topology().num_edges(); e += 2) {
-            schedule[0].mutation.kill_edges.push_back(e);
-          }
-          schedule[0].at = 3;
-          schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
-          schedule[1].at = 9;
-          schedule[1].mutation.restore_edges = schedule[0].mutation.kill_edges;
-        }
-        engine.run(schedule);
+                                comparable ? policy.scheduler(instance.topology()) : nullptr,
+                                label);
+        run_variant(instance, variant, *dispatcher, checker);
         if (::testing::Test::HasFatalFailure()) return;
         total_rounds += checker.rounds;
         total_deep_rounds += checker.deep_rounds;
@@ -166,6 +216,30 @@ TEST(EdgeQueues, HeadListIsExactAndSelectionsMatchTheFullList) {
   EXPECT_GT(total_rounds, 1000);
   // The property only bites when packets wait behind their edge's heads.
   EXPECT_GT(total_deep_rounds, total_rounds / 4);
+}
+
+TEST(EdgeQueues, HiddenDeclarationFallsBackToBothHeadsWithTheSameSchedule) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const Instance instance = zoo_instance(seed);
+    for (const Variant& variant : variants()) {
+      for (const char* name : {"alg", "maxweight", "fifo"}) {
+        const std::string label = "seed " + std::to_string(seed) + " " + variant.name + " " +
+                                  name;
+        const PolicyFactory policy = named_policy(name);
+        auto bare = policy.scheduler(instance.topology());
+        ASSERT_NE(bare->heads(), HeadKinds::Both) << label;
+        SelectOnlyWrapper wrapped(policy.scheduler(instance.topology()));
+        ASSERT_EQ(wrapped.heads(), HeadKinds::Both) << label;
+        auto bare_dispatcher = policy.dispatcher();
+        auto wrapped_dispatcher = policy.dispatcher();
+        const RunResult want = run_variant(instance, variant, *bare_dispatcher, *bare);
+        const RunResult got = run_variant(instance, variant, *wrapped_dispatcher, wrapped);
+        EXPECT_EQ(testing::schedule_hash(got.outcomes), testing::schedule_hash(want.outcomes))
+            << label;
+        EXPECT_EQ(got.total_cost, want.total_cost) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

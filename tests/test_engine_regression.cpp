@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <set>
 
 #include "core/alg.hpp"
 #include "core/charging.hpp"
@@ -26,28 +27,8 @@
 namespace rdcn {
 namespace {
 
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// FNV-1a over the integral schedule data (route kind/edge, completion,
-/// per-chunk transmit steps) in packet-id order: equal hashes == bit-for-
-/// bit identical schedules, with no floating-point in the fingerprint.
-std::uint64_t schedule_hash(const std::vector<PacketOutcome>& outcomes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const PacketOutcome& o : outcomes) {
-    h = mix64(h, o.route.use_fixed ? 1u : 0u);
-    h = mix64(h, static_cast<std::uint64_t>(o.route.use_fixed ? -1 : o.route.edge));
-    h = mix64(h, static_cast<std::uint64_t>(o.completion));
-    h = mix64(h, o.chunk_transmit_steps.size());
-    for (Time t : o.chunk_transmit_steps) h = mix64(h, static_cast<std::uint64_t>(t));
-  }
-  return h;
-}
+using testing::mix64;
+using testing::schedule_hash;
 
 struct Golden {
   std::uint64_t seed;
@@ -392,15 +373,21 @@ TEST(EngineRegression, StagedBatchRunMatchesScheduleGoldens) {
   }
 }
 
-/// Delegating scheduler that asserts the engine's head-list contract.
+/// Delegating scheduler that asserts the engine's head-list contract; it
+/// forwards the wrapped scheduler's head declaration.
 class ContractCheckingScheduler final : public SchedulePolicy {
  public:
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override {
+    // The engine lists what this wrapper declares: ALG's priority heads,
+    // one per non-empty edge, in chunk priority order.
+    EXPECT_EQ(engine.head_kinds(), HeadKinds::Priority);
     EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end(),
                                [](const Candidate& a, const Candidate& b) {
                                  return chunk_higher_priority(a, b);
                                }));
+    std::set<EdgeIndex> edges;
+    for (const Candidate& c : candidates) EXPECT_TRUE(edges.insert(c.edge).second);
     EXPECT_EQ(&candidates, &engine.head_candidates());
     EXPECT_TRUE(out.empty());  // the engine hands the scratch cleared
     const ActiveEndpoints& active = engine.active_endpoints(candidates);
@@ -432,6 +419,7 @@ class ContractCheckingScheduler final : public SchedulePolicy {
     ++rounds_checked;
     inner_.select(engine, now, candidates, out);
   }
+  HeadKinds heads() const noexcept override { return inner_.heads(); }
 
   int rounds_checked = 0;
 

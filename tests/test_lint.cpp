@@ -77,7 +77,7 @@ TEST(RdcnLint, ProbeRegistryCatchesUnregisteredPhaseKey) {
   EXPECT_NE(run.output.find("[probe-registry]"), std::string::npos) << run.output;
   EXPECT_NE(run.output.find("phase_quantum_teleport_ns"), std::string::npos)
       << run.output;
-  // phase_dispatch_ns in the same file is registered and must pass.
+  // phase_inject_ns in the same file is registered and must pass.
   EXPECT_NE(run.output.find("1 violation(s)"), std::string::npos) << run.output;
 }
 

@@ -42,37 +42,47 @@ void burn() {
 TEST(Probe, SpanSelfTimeExcludesChildrenExactly) {
   Probe probe(ProbeConfig{true, 0});
   {
-    Probe::Span dispatch(&probe, Phase::Dispatch);
+    Probe::Span inject(&probe, Phase::Inject);
     burn();
     {
-      Probe::Span index(&probe, Phase::IndexMaintenance);
+      Probe::Span index(&probe, Phase::IndexQuery);
       burn();
     }
     burn();
   }
   const ProbeReport report = probe.report();
-  EXPECT_EQ(report.phase_calls[index_of(Phase::Dispatch)], 1u);
-  EXPECT_EQ(report.phase_calls[index_of(Phase::IndexMaintenance)], 1u);
+  EXPECT_EQ(report.phase_calls[index_of(Phase::Inject)], 1u);
+  EXPECT_EQ(report.phase_calls[index_of(Phase::IndexQuery)], 1u);
   EXPECT_EQ(report.phase_calls[index_of(Phase::Select)], 0u);
-  const std::uint64_t dispatch_self = report.phase_self_ns[index_of(Phase::Dispatch)];
-  const std::uint64_t dispatch_total = report.phase_total_ns[index_of(Phase::Dispatch)];
+  const std::uint64_t inject_self = report.phase_self_ns[index_of(Phase::Inject)];
+  const std::uint64_t inject_total = report.phase_total_ns[index_of(Phase::Inject)];
   const std::uint64_t index_total =
-      report.phase_total_ns[index_of(Phase::IndexMaintenance)];
+      report.phase_total_ns[index_of(Phase::IndexQuery)];
   // The child is the only span closed inside the parent, so the subtraction
   // is exact, not approximate: parent self + child total == parent total.
-  EXPECT_EQ(dispatch_self + index_total, dispatch_total);
-  EXPECT_GT(dispatch_self, 0u);
+  EXPECT_EQ(inject_self + index_total, inject_total);
+  EXPECT_GT(inject_self, 0u);
   EXPECT_GT(index_total, 0u);
   // Leaf spans have no children: self == total.
-  EXPECT_EQ(report.phase_self_ns[index_of(Phase::IndexMaintenance)], index_total);
-  EXPECT_EQ(report.instrumented_ns(), dispatch_self + index_total);
+  EXPECT_EQ(report.phase_self_ns[index_of(Phase::IndexQuery)], index_total);
+  EXPECT_EQ(report.instrumented_ns(), inject_self + index_total);
   EXPECT_GE(report.wall_ns, report.instrumented_ns());
+}
+
+TEST(Probe, NamesMatchWhatTheyTime) {
+  // Suite rows spell these as phase_<name>_ns keys.
+  const char* const phases[kNumPhases] = {"inject",  "index_query",    "select",
+                                          "validate", "service_retire", "head_refresh"};
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    EXPECT_STREQ(to_string(static_cast<Phase>(i)), phases[i]) << i;
+  }
+  EXPECT_STREQ(to_string(Counter::HeadsRefreshed), "heads_refreshed");
 }
 
 TEST(Probe, NullProbeSpansAreNoOps) {
   // Instrumentation sites pass the engine's nullable pointer
   // unconditionally; a null probe must cost one branch and nothing else.
-  Probe::Span outer(nullptr, Phase::Dispatch);
+  Probe::Span outer(nullptr, Phase::Inject);
   Probe::Span inner(nullptr, Phase::Select);
   SUCCEED();
 }
@@ -82,18 +92,18 @@ TEST(Probe, RingDropsOldestAndCountsDiscards) {
   // Ten sequential top-level spans with alternating phases into a ring of
   // four: the first six are discarded (and counted), the last four survive.
   for (int i = 0; i < 10; ++i) {
-    Probe::Span span(&probe, i % 2 == 0 ? Phase::Dispatch : Phase::Select);
+    Probe::Span span(&probe, i % 2 == 0 ? Phase::Inject : Phase::Select);
     burn();
   }
   EXPECT_EQ(probe.dropped_events(), 6u);
   EXPECT_EQ(probe.counter(Counter::DroppedEvents), 6u);
   const std::vector<trace::TraceEvent> events = probe.events();
   ASSERT_EQ(events.size(), 4u);
-  // Survivors are spans 6..9 (0-based), oldest first: dispatch, select,
-  // dispatch, select -- and chronological (start_ns nondecreasing).
-  EXPECT_STREQ(events[0].name, "dispatch");
+  // Survivors are spans 6..9 (0-based), oldest first: inject, select,
+  // inject, select -- and chronological (start_ns nondecreasing).
+  EXPECT_STREQ(events[0].name, "inject");
   EXPECT_STREQ(events[1].name, "select");
-  EXPECT_STREQ(events[2].name, "dispatch");
+  EXPECT_STREQ(events[2].name, "inject");
   EXPECT_STREQ(events[3].name, "select");
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].start_ns, events[i - 1].start_ns) << i;
@@ -116,9 +126,9 @@ TEST(Probe, ChromeTraceRoundTripsAsStrictJson) {
   probe.count(Counter::Rounds, 3);
   probe.gauge(Gauge::InFlight, 7);
   for (int i = 0; i < 3; ++i) {
-    Probe::Span outer(&probe, Phase::Dispatch);
+    Probe::Span outer(&probe, Phase::Inject);
     burn();
-    Probe::Span inner(&probe, Phase::IndexMaintenance);
+    Probe::Span inner(&probe, Phase::IndexQuery);
     burn();
   }
   const std::string text = probe.chrome_trace_json(1);
@@ -192,6 +202,12 @@ TEST(Probe, EngineRunPopulatesCoherentReport) {
   EXPECT_GT(probe.counters[index_of(Counter::ChunksTransmitted)], 0u);
   EXPECT_GT(probe.phase_calls[index_of(Phase::Select)], 0u);
   EXPECT_GT(probe.phase_calls[index_of(Phase::Service)], 0u);
+  // One inject span per packet; the head refresh re-reads at least one
+  // head per refresh.
+  EXPECT_EQ(probe.phase_calls[index_of(Phase::Inject)], packets);
+  EXPECT_GT(probe.phase_calls[index_of(Phase::HeadRefresh)], 0u);
+  EXPECT_GE(probe.counters[index_of(Counter::HeadsRefreshed)],
+            probe.phase_calls[index_of(Phase::HeadRefresh)]);
   EXPECT_GE(probe.wall_ns, probe.instrumented_ns());
   for (std::size_t i = 0; i < kNumPhases; ++i) {
     EXPECT_GE(probe.phase_total_ns[i], probe.phase_self_ns[i]) << i;
@@ -221,7 +237,7 @@ TEST(Probe, TelemetryWindowsPartitionPhaseTime) {
   std::uint64_t folded = 0;
   for (const StreamWindow& window : windows) {
     folded += window.phase_ns[index_of(Phase::Select)];
-    EXPECT_EQ(window.phase_ns[index_of(Phase::Dispatch)], 0u);
+    EXPECT_EQ(window.phase_ns[index_of(Phase::Inject)], 0u);
   }
   // The window deltas partition the probe's cumulative self time exactly.
   EXPECT_EQ(folded, probe.report().phase_self_ns[index_of(Phase::Select)]);

@@ -15,7 +15,8 @@ that temporary directory.
 For each seed S, S+1, ..., S+N-1 (one pair each) and each workload, both
 sides run `perfbench/run.py --workload W --seed SEED --seconds T --trace 0`
 back to back; the side that goes first alternates from pair to pair, so a
-drift in host speed does not favour either side. T defaults to
+drift in host speed does not favour either side. N defaults to 10, the
+least pairs that can label a timing metric (below), and T to
 BENCHMARK.json's run_seconds.
 
 The report lists, per workload and per end-to-end metric of BENCHMARK.json,
@@ -168,16 +169,24 @@ def verdict(metrics, results):
     return 1 if failing["REGRESSION"] or failing["DIFFERS"] else 0
 
 
-def main():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
+def build_parser(spec):
+    """The command line; `spec` is BENCHMARK.json's content."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit-ish to compare this checkout against")
     parser.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=5, help="seeds, one pair each (default 5)")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS,
+                        help="seeds, one pair each (default %(default)s, the least that can "
+                        "label a timing metric gain, loss or unchanged)")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help="per run (default: BENCHMARK.json's run_seconds, %(default)s)")
+    return parser
+
+
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    parser = build_parser(spec)
     args = parser.parse_args()
     if args.pairs < 1 or args.first_seed < 0 or args.seconds <= 0:
         parser.error("--pairs must be >= 1, --first-seed >= 0 and --seconds > 0")

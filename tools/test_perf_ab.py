@@ -106,5 +106,14 @@ class ExitStatus(unittest.TestCase):
         self.assertEqual(exit_status(runs, scaled(runs, "pkts_per_cpu_s", 0.8)), 0)
 
 
+class Defaults(unittest.TestCase):
+    def test_default_pairs_can_resolve_a_label(self):
+        # Fewer pairs than MIN_PAIRS read every timing metric `unresolved`.
+        with open(os.path.join(perf_ab.ROOT, "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        args = perf_ab.build_parser(spec).parse_args(["HEAD"])
+        self.assertEqual(args.pairs, perf_ab.MIN_PAIRS)
+
+
 if __name__ == "__main__":
     unittest.main()
