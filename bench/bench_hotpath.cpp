@@ -16,7 +16,12 @@
 // for alg, maxweight and fifo, so the drain starts with over a hundred
 // packets queued per edge -- the congested regime the 400-packet rows
 // never reach. They report ns_per_round and pkts_per_cpu_s (burst size
-// over the drain's process CPU time) under shape "deep_two_tier8x2".
+// over the drain's process CPU time) under shape "deep_two_tier8x2", and
+// a "fill" row per policy times the burst's injection (ns_per_packet:
+// dispatch plus enqueue into ever deeper queues). Two bursts run: weights
+// drawn uniformly from [0.5, 8) ("continuous": every chunk weight
+// distinct) and integer weights 1-10 ("integer": few distinct chunk
+// weights, as every benchmark workload draws).
 //
 //   bench_hotpath [--quick] [--phases]
 //
@@ -31,6 +36,7 @@
 //              total_cost/rounds bit-for-bit (the observability layer may
 //              not perturb the schedule); a divergence exits 3.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -97,7 +103,8 @@ Topology deep_pod() {
   return build_two_tier(net, rng);
 }
 
-std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint64_t seed) {
+std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint64_t seed,
+                          bool integer_weights = false) {
   Rng rng(seed);
   std::vector<Packet> packets;
   packets.reserve(count);
@@ -105,7 +112,8 @@ std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint
     Packet p;
     p.id = static_cast<PacketIndex>(packets.size());
     p.arrival = 1;
-    p.weight = rng.next_double(0.5, 8.0);
+    p.weight = integer_weights ? static_cast<double>(rng.next_int(1, 10))
+                               : rng.next_double(0.5, 8.0);
     p.source =
         static_cast<NodeIndex>(rng.next_below(static_cast<std::uint64_t>(topology.num_sources())));
     p.destination = static_cast<NodeIndex>(
@@ -117,6 +125,7 @@ std::vector<Packet> burst(const Topology& topology, std::size_t count, std::uint
 }
 
 struct DrainResult {
+  double fill_ns_per_packet = 0.0;  ///< the burst's injection, per packet
   double ns_per_round = 0.0;
   double wall_ms = 0.0;
   double cpu_s = 0.0;  ///< process CPU time of the drain
@@ -134,7 +143,9 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   Engine engine(topology, *dispatcher, *scheduler, options, [](RetiredPacket&&) {});
   const Time arrival = 1;
   engine.begin_step(&arrival);
+  const auto fill_start = std::chrono::steady_clock::now();
   for (const Packet& p : packets) engine.inject(p);
+  const auto fill = std::chrono::steady_clock::now() - fill_start;
   engine.finish_step();
 
   const std::clock_t cpu_start = std::clock();
@@ -147,6 +158,9 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   DrainResult result;
+  result.fill_ns_per_packet =
+      std::chrono::duration_cast<std::chrono::duration<double, std::nano>>(fill).count() /
+      static_cast<double>(std::max<std::size_t>(packets.size(), 1));
   result.cpu_s = static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
   result.rounds = rounds;
   result.wall_ms =
@@ -161,15 +175,18 @@ DrainResult drain_once(const Topology& topology, const PolicyFactory& policy,
   return result;
 }
 
-/// Median (by ns_per_round) of `repetitions` probe-off drains. The
-/// repetitions replay identical engine state, so schedule-derived
-/// quantities must agree bit-for-bit; nullopt flags a mismatch.
+/// Median (by ns_per_round) of `repetitions` probe-off drains, carrying
+/// the median fill time of the same repetitions. The repetitions replay
+/// identical engine state, so schedule-derived quantities must agree
+/// bit-for-bit; nullopt flags a mismatch.
 std::optional<DrainResult> median_drain(const Topology& topology, const PolicyFactory& policy,
                                         const std::vector<Packet>& packets, int repetitions) {
   std::vector<DrainResult> reps;
   reps.reserve(static_cast<std::size_t>(repetitions));
+  std::vector<double> fills;
   for (int rep = 0; rep < repetitions; ++rep) {
     reps.push_back(drain_once(topology, policy, packets));
+    fills.push_back(reps.back().fill_ns_per_packet);
     if (reps.back().total_cost != reps.front().total_cost ||
         reps.back().rounds != reps.front().rounds) {
       return std::nullopt;
@@ -178,7 +195,10 @@ std::optional<DrainResult> median_drain(const Topology& topology, const PolicyFa
   std::sort(reps.begin(), reps.end(), [](const DrainResult& a, const DrainResult& b) {
     return a.ns_per_round < b.ns_per_round;
   });
-  return reps[reps.size() / 2];
+  std::sort(fills.begin(), fills.end());
+  DrainResult median = reps[reps.size() / 2];
+  median.fill_ns_per_packet = fills[fills.size() / 2];
+  return median;
 }
 
 /// --phases: separate probe-ON drains (the timed rows stay probe-OFF) and
@@ -275,38 +295,55 @@ int main(int argc, char** argv) {
       }
     }
   }
-  Table deep_table({"policy", "rounds", "ns/round", "pkts/cpu-s", "total cost"});
+  Table deep_table(
+      {"policy", "weights", "fill ns/pkt", "rounds", "ns/round", "pkts/cpu-s", "total cost"});
   if (!quick) {
     const Topology pod = deep_pod();
     const std::size_t deep_packets = 20000;
-    const std::vector<Packet> load = burst(pod, deep_packets, 11);
-    for (const char* name : {"alg", "maxweight", "fifo"}) {
-      const PolicyFactory policy = named_policy(name);
-      const std::optional<DrainResult> result = median_drain(pod, policy, load, repetitions);
-      if (!result) {
-        std::fprintf(stderr, "bench_hotpath: deep/%s nondeterministic across reps\n", name);
-        return 3;
-      }
-      const DrainResult& median = *result;
-      const double pkts_per_cpu_s =
-          median.cpu_s > 0.0 ? static_cast<double>(deep_packets) / median.cpu_s : 0.0;
-      report.add(name, median.total_cost, median.wall_ms)
-          .param("shape", std::string("deep_two_tier8x2"))
-          .param("packets", static_cast<std::int64_t>(deep_packets))
-          .value("ns_per_round", median.ns_per_round)
-          .value("rounds", static_cast<double>(median.rounds))
-          .value("pkts_per_cpu_s", pkts_per_cpu_s);
-      deep_table.add_row({name, Table::fmt(median.rounds), Table::fmt(median.ns_per_round, 1),
-                          Table::fmt(pkts_per_cpu_s, 0), Table::fmt(median.total_cost, 1)});
-      if (phases && !add_phase_rows(report, phase_table, "deep_two_tier8x2", pod, name,
-                                    policy, load, median, repetitions)) {
-        return 3;
+    for (const bool integer_weights : {false, true}) {
+      const char* weights = integer_weights ? "integer" : "continuous";
+      const std::vector<Packet> load = burst(pod, deep_packets, 11, integer_weights);
+      for (const char* name : {"alg", "maxweight", "fifo"}) {
+        const PolicyFactory policy = named_policy(name);
+        const std::optional<DrainResult> result = median_drain(pod, policy, load, repetitions);
+        if (!result) {
+          std::fprintf(stderr, "bench_hotpath: deep/%s/%s nondeterministic across reps\n",
+                       weights, name);
+          return 3;
+        }
+        const DrainResult& median = *result;
+        const double pkts_per_cpu_s =
+            median.cpu_s > 0.0 ? static_cast<double>(deep_packets) / median.cpu_s : 0.0;
+        report.add(name, median.total_cost, median.wall_ms)
+            .param("shape", std::string("deep_two_tier8x2"))
+            .param("weights", std::string(weights))
+            .param("packets", static_cast<std::int64_t>(deep_packets))
+            .param("timed", std::string("drain"))
+            .value("ns_per_round", median.ns_per_round)
+            .value("rounds", static_cast<double>(median.rounds))
+            .value("pkts_per_cpu_s", pkts_per_cpu_s);
+        report
+            .add(name, median.total_cost,
+                 median.fill_ns_per_packet * static_cast<double>(deep_packets) * 1e-6)
+            .param("shape", std::string("deep_two_tier8x2"))
+            .param("weights", std::string(weights))
+            .param("packets", static_cast<std::int64_t>(deep_packets))
+            .param("timed", std::string("fill"))
+            .value("ns_per_packet", median.fill_ns_per_packet);
+        deep_table.add_row({name, weights, Table::fmt(median.fill_ns_per_packet, 1),
+                            Table::fmt(median.rounds), Table::fmt(median.ns_per_round, 1),
+                            Table::fmt(pkts_per_cpu_s, 0), Table::fmt(median.total_cost, 1)});
+        const std::string shape = std::string("deep_two_tier8x2/") + weights;
+        if (phases && !add_phase_rows(report, phase_table, shape.c_str(), pod, name, policy,
+                                      load, median, repetitions)) {
+          return 3;
+        }
       }
     }
   }
   table.print("EXP-P2: scheduling-round drain cost (median of repetitions)");
   if (!quick) {
-    deep_table.print("EXP-P2: deep-queue drain, 20k-packet burst on the 8-rack pod");
+    deep_table.print("EXP-P2: deep-queue fill and drain, 20k-packet bursts on the 8-rack pod");
   }
   if (phases) {
     phase_table.print("EXP-P2: per-phase self time (probe-on drains, median rep)");

@@ -159,13 +159,26 @@ void Instance::save(std::ostream& out) const {
 }
 
 Instance Instance::load(std::istream& in) {
-  auto expect = [&in](const std::string& keyword) -> std::int64_t {
+  // A count line "keyword N", with N in [0, limit].
+  auto expect = [&in](const std::string& keyword, std::int64_t limit) -> std::int64_t {
     std::string word;
     std::int64_t value = 0;
     if (!(in >> word >> value) || word != keyword) {
       throw std::runtime_error("instance parse error near '" + keyword + "'");
     }
+    if (value < 0 || value > limit) {
+      throw std::runtime_error("instance '" + keyword + "' count " + std::to_string(value) +
+                               " outside [0, " + std::to_string(limit) + "]");
+    }
     return value;
+  };
+  // Record i of section `what` carries a delay of at most kMaxDelay.
+  auto check_delay = [](const char* what, std::int64_t i, Delay delay) {
+    if (delay > kMaxDelay) {
+      throw std::runtime_error("instance " + std::string(what) + " record " +
+                               std::to_string(i) + ": delay " + std::to_string(delay) +
+                               " above the limit " + std::to_string(kMaxDelay));
+    }
   };
   std::string magic, version;
   if (!(in >> magic >> version) || magic != "rdcn-instance" || version != "v1") {
@@ -173,45 +186,54 @@ Instance Instance::load(std::istream& in) {
   }
 
   Topology topology;
-  topology.add_sources(static_cast<NodeIndex>(expect("sources")));
-  topology.add_destinations(static_cast<NodeIndex>(expect("destinations")));
+  topology.add_sources(static_cast<NodeIndex>(expect("sources", kMaxRacks)));
+  topology.add_destinations(static_cast<NodeIndex>(expect("destinations", kMaxRacks)));
 
-  const auto num_transmitters = expect("transmitters");
+  const auto num_transmitters = expect("transmitters", kMaxPorts);
   for (std::int64_t i = 0; i < num_transmitters; ++i) {
     NodeIndex source = 0;
     Delay attach = 0;
     if (!(in >> source >> attach)) throw std::runtime_error("bad transmitter record");
+    check_delay("transmitter", i, attach);
     topology.add_transmitter(source, attach);
   }
-  const auto num_receivers = expect("receivers");
+  const auto num_receivers = expect("receivers", kMaxPorts);
   for (std::int64_t i = 0; i < num_receivers; ++i) {
     NodeIndex destination = 0;
     Delay attach = 0;
     if (!(in >> destination >> attach)) throw std::runtime_error("bad receiver record");
+    check_delay("receiver", i, attach);
     topology.add_receiver(destination, attach);
   }
-  const auto num_edges = expect("edges");
+  const auto num_edges = expect("edges", kMaxEdges);
   for (std::int64_t i = 0; i < num_edges; ++i) {
     NodeIndex t = 0, r = 0;
     Delay delay = 1;
     if (!(in >> t >> r >> delay)) throw std::runtime_error("bad edge record");
+    check_delay("edge", i, delay);
     topology.add_edge(t, r, delay);
   }
-  const auto num_links = expect("fixed_links");
+  const auto num_links = expect("fixed_links", kMaxEdges);
   for (std::int64_t i = 0; i < num_links; ++i) {
     NodeIndex s = 0, d = 0;
     Delay delay = 1;
     if (!(in >> s >> d >> delay)) throw std::runtime_error("bad fixed link record");
+    check_delay("fixed link", i, delay);
     topology.add_fixed_link(s, d, delay);
   }
 
   Instance instance(std::move(topology), {});
-  const auto num_packets = expect("packets");
+  const auto num_packets = expect("packets", kMaxPackets);
   for (std::int64_t i = 0; i < num_packets; ++i) {
     Time arrival = 1;
     Weight weight = 1.0;
     NodeIndex s = 0, d = 0;
     if (!(in >> arrival >> weight >> s >> d)) throw std::runtime_error("bad packet record");
+    if (arrival > kMaxArrival) {
+      throw std::runtime_error("instance packet record " + std::to_string(i) + ": arrival " +
+                               std::to_string(arrival) + " above the limit " +
+                               std::to_string(kMaxArrival));
+    }
     instance.add_packet(arrival, weight, s, d);
   }
   return instance;

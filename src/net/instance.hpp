@@ -49,7 +49,25 @@ class Instance {
   Time horizon_bound() const;
 
   // --- serialization ------------------------------------------------------
+
+  /// What load() accepts from instance text, checked before any count is
+  /// narrowed or sizes anything: each count lies in [0, its limit], each
+  /// delay (edge, fixed link, attach) is at most kMaxDelay and each packet
+  /// arrival at most kMaxArrival. Larger values are refused with an error
+  /// naming the record. The rack limit bounds the per-pair tables (sources
+  /// x destinations entries); the delay limit bounds one packet's chunks
+  /// and its transmit-step log; the arrival limit keeps horizon_bound()
+  /// and the step guard derived from it far from overflow.
+  static constexpr std::int64_t kMaxRacks = 1024;                   ///< sources, destinations
+  static constexpr std::int64_t kMaxPorts = 1 << 16;                ///< transmitters, receivers
+  static constexpr std::int64_t kMaxEdges = 1 << 20;                ///< edges, fixed_links
+  static constexpr std::int64_t kMaxPackets = 1 << 24;              ///< packets
+  static constexpr std::int64_t kMaxDelay = 1 << 16;                ///< any one delay
+  static constexpr std::int64_t kMaxArrival = std::int64_t{1} << 40;  ///< any one arrival
+
   void save(std::ostream& out) const;
+  /// Parses save()'s format; throws std::runtime_error on malformed text
+  /// or a value past the limits above.
   static Instance load(std::istream& in);
   std::string to_string() const;
   static Instance from_string(const std::string& text);

@@ -80,6 +80,18 @@ TrafficConfig stage_traffic(const StreamSpec& spec, std::size_t k, std::uint64_t
   return traffic;
 }
 
+namespace {
+
+/// Whether stage_traffic's result draws the same sequence as `base`: it
+/// differs from the spec-level regime only in the fields it sets.
+bool same_regime(const TrafficConfig& stage, const TrafficConfig& base) {
+  return stage.shape.seed == base.shape.seed && stage.speedup_rounds == base.speedup_rounds &&
+         stage.rho == base.rho && stage.on_stay == base.on_stay &&
+         stage.off_stay == base.off_stay;
+}
+
+}  // namespace
+
 StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
                                               std::uint64_t rep_seed,
                                               const CancelToken* cancel) const {
@@ -89,6 +101,7 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
   const bool staged = !spec_.stages.empty();
   Topology topology;
   std::unique_ptr<TrafficSource> source;
+  TrafficConfig spec_regime;  ///< the spec-level source's config (generative runs)
   Time max_steps = spec_.max_steps;
 
   if (spec_.make_trace) {
@@ -106,13 +119,13 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
     source = make_trace_source(instance.packets());
   } else {
     topology = make_topology(spec_.topology, rep_seed);
-    TrafficConfig traffic = spec_.traffic;
-    traffic.shape.seed = rep_seed;
-    traffic.speedup_rounds = spec_.engine.speedup_rounds;
-    // The spec-level regime. A staged run replaces this source at stage
-    // 0's entry (an override-free stage 0 draws the identical sequence);
-    // its calibrated rate stays the run's nominal rate and sizes the cap.
-    source = make_source(topology, traffic);
+    spec_regime = spec_.traffic;
+    spec_regime.shape.seed = rep_seed;
+    spec_regime.speedup_rounds = spec_.engine.speedup_rounds;
+    // The spec-level regime. Its calibrated rate stays the run's nominal
+    // rate and sizes the cap; a staged run keeps the source through stage
+    // 0 unless that stage changes the regime.
+    source = make_source(topology, spec_regime);
     if (max_steps == 0) {
       // A generative source's rate is > 0 (calibration throws on
       // zero-demand shapes), so the max() below is a pure division guard.
@@ -208,7 +221,9 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
   /// the sink into this stage's counters), derives the traffic regime with
   /// the stage's overrides and swaps in its source, which calibrates it.
   /// The previous source's peeked packet is discarded -- the old regime
-  /// ends at the stage edge.
+  /// ends at the stage edge. Stage 0 in the spec-level regime keeps the
+  /// spec-level source and its peeked packet instead: a fresh source would
+  /// calibrate the same regime again and draw the same sequence.
   const auto enter_stage = [&](std::size_t k) {
     // Stage entry does runner-side work (mutation, calibration, source
     // rebuild) outside any engine step, so it honors the cancel token at
@@ -228,10 +243,12 @@ StreamRepOutcome StreamRunner::run_repetition(const PolicyFactory& policy,
     // the healthy fabric, failures are headwind the metrics expose.
     const TrafficConfig traffic =
         stage_traffic(spec_, k, rep_seed, engine.options().speedup_rounds);
-    source = make_source(topology, traffic);
+    if (k != 0 || !same_regime(traffic, spec_regime)) {
+      source = make_source(topology, traffic);
+      rebase = stage.start - 1;
+      pull();
+    }
     stage.target_rate = source->rate();
-    rebase = stage.start - 1;
-    pull();
     stage.entry_backlog = engine.in_flight();
     stage_departed_base = out.served + out.dropped;
     if (stage.entry_backlog == 0) stage.drain_steps = 0;

@@ -178,78 +178,163 @@ void Engine::apply_route(const Packet& packet, const RouteDecision& route) {
   candidate.remaining = edge.delay;
   impact_index_.add_chunks(edge.transmitter, edge.receiver, route.edge,
                            candidate.chunk_weight, edge.delay);
-  PacketRecord& record = records_[static_cast<std::size_t>(enqueue(candidate))];
-  record = PacketRecord{packet.weight, packet.source, packet.destination, {}};
-  record.outcome.route = route;
-  record.outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
+  // Fill the node's record in place, resetting every field its last
+  // packet set.
+  PacketRecord& r = record(enqueue(candidate));
+  r.weight = packet.weight;
+  r.source = packet.source;
+  r.destination = packet.destination;
+  r.outcome.route = route;
+  r.outcome.chunk_transmit_steps.clear();
+  r.outcome.chunk_transmit_steps.reserve(static_cast<std::size_t>(edge.delay));
+  r.outcome.completion = 0;
+  r.outcome.weighted_latency = 0.0;
+  r.outcome.dropped = false;
 }
 
 // rdcn-lint: hot
 std::int32_t Engine::enqueue(const Candidate& candidate) {
-  EdgeQueue& q = queues_[static_cast<std::size_t>(candidate.edge)];
-  // Priority order: walk in from both ends at once and stop at whichever
-  // meets the insertion point first, so the cost is twice the distance to
-  // the nearer end. (Policies that serve priority heads leave light
-  // packets queued and new arrivals land near the top; FIFO service leaves
-  // a mix.) `above` ends as the node to insert after, -1 for the top.
-  std::int32_t above = q.last;
-  std::int32_t below = q.first;
-  while (above >= 0 &&
-         chunk_higher_priority(candidate, nodes_[static_cast<std::size_t>(above)].candidate)) {
-    if (!chunk_higher_priority(nodes_[static_cast<std::size_t>(below)].candidate, candidate)) {
-      above = nodes_[static_cast<std::size_t>(below)].prev;
-      break;
-    }
-    above = nodes_[static_cast<std::size_t>(above)].prev;
-    below = nodes_[static_cast<std::size_t>(below)].next;
-  }
-  // Arrival order, walked back from the newest: ids are dispatched in
-  // arrival order, so a fresh dispatch appends; a requeued (older) packet
-  // walks back to its place.
-  std::int32_t older = q.newest;
-  while (older >= 0 &&
-         nodes_[static_cast<std::size_t>(older)].candidate.packet > candidate.packet) {
-    older = nodes_[static_cast<std::size_t>(older)].older;
-  }
-  if ((above < 0 && lists_priority_heads()) || (older < 0 && lists_arrival_heads())) {
-    mark_dirty(candidate.edge);  // a new listed head
-  }
-
   std::int32_t n = free_node_;
   if (n >= 0) {
     free_node_ = nodes_[static_cast<std::size_t>(n)].next;
   } else {
     n = static_cast<std::int32_t>(nodes_.size());
     nodes_.emplace_back();  // rdcn-lint: allow(hot-alloc) -- the pool grows to the high-water backlog once
-    records_.emplace_back();  // rdcn-lint: allow(hot-alloc) -- grows with nodes_
+    if ((static_cast<std::size_t>(n) & (kRecordBlock - 1)) == 0) {
+      record_blocks_.push_back(std::make_unique<PacketRecord[]>(kRecordBlock));  // rdcn-lint: allow(hot-alloc) -- one block per kRecordBlock pool nodes
+    }
   }
-  QueueNode& node = nodes_[static_cast<std::size_t>(n)];
-  node.candidate = candidate;
+  nodes_[static_cast<std::size_t>(n)].candidate = candidate;
+  EdgeQueue& q = queues_[static_cast<std::size_t>(candidate.edge)];
+  if (links_priority()) link_priority(q, n);
+  if (links_arrival()) link_arrival(q, n);
+  ++pending_count_;
+  return n;
+}
+
+// rdcn-lint: hot
+void Engine::link_priority(EdgeQueue& q, std::int32_t n) {
+  QueueNode* const nodes = nodes_.data();
+  const auto at = [nodes](std::int32_t i) -> QueueNode& {
+    return nodes[static_cast<std::size_t>(i)];
+  };
+  const Candidate& c = at(n).candidate;
+  const double w = c.chunk_weight;
+  // Find the run of c's chunk weight, or the gap where it would start one:
+  // hop in from both ends a whole run per step and stop at whichever side
+  // meets it first. `above` is the last node of a run (from the bottom),
+  // `below` the first node of one (from the top); runs outside them rank
+  // strictly below c, or strictly above it. (Policies that serve priority
+  // heads leave light packets queued; arrival-order service leaves a mix.)
+  std::int32_t above = q.last;
+  std::int32_t below = q.first;
+  std::int32_t run_first = -1, run_last = -1;
+  while (above >= 0) {
+    const double w_above = at(above).candidate.chunk_weight;
+    if (w_above >= w) {
+      if (w_above == w) {
+        run_last = above;
+        run_first = at(above).run;
+      }
+      break;
+    }
+    const double w_below = at(below).candidate.chunk_weight;
+    if (w_below <= w) {
+      if (w_below == w) {
+        run_first = below;
+        run_last = at(below).run;
+      } else {
+        above = at(below).prev;
+      }
+      break;
+    }
+    above = at(at(above).run).prev;
+    below = at(at(below).run).next;
+  }
+  if (run_first >= 0) {
+    // Inside the run the order is (arrival, id). Ids are dispatched in
+    // arrival order, so a fresh dispatch ranks after every queued packet
+    // and lands at the run's end at once; a requeued (older) packet walks
+    // in from both ends of its run. `above` ends as the node to insert
+    // after.
+    above = run_last;
+    below = run_first;
+    while (above >= 0 && chunk_higher_priority(c, at(above).candidate)) {
+      if (!chunk_higher_priority(at(below).candidate, c)) {
+        above = at(below).prev;
+        break;
+      }
+      above = at(above).prev;
+      below = at(below).next;
+    }
+  }
+  QueueNode& node = at(n);
+  if (run_first < 0) {
+    node.run = n;  // a run of its own
+  } else if (above == run_last) {  // the run's new last node
+    node.run = run_first;
+    at(run_first).run = n;
+  } else if (above == at(run_first).prev) {  // the run's new first node
+    node.run = run_last;
+    at(run_last).run = n;
+  }  // else inside the run, where `run` is stale
+  if (above < 0) mark_dirty(c.edge);  // a new priority head
   node.prev = above;
-  node.next = above >= 0 ? nodes_[static_cast<std::size_t>(above)].next : q.first;
-  (above >= 0 ? nodes_[static_cast<std::size_t>(above)].next : q.first) = n;
-  (node.next >= 0 ? nodes_[static_cast<std::size_t>(node.next)].prev : q.last) = n;
+  node.next = above >= 0 ? at(above).next : q.first;
+  (above >= 0 ? at(above).next : q.first) = n;
+  (node.next >= 0 ? at(node.next).prev : q.last) = n;
+}
+
+// rdcn-lint: hot
+void Engine::link_arrival(EdgeQueue& q, std::int32_t n) {
+  QueueNode& node = nodes_[static_cast<std::size_t>(n)];
+  // Walked back from the newest: ids are dispatched in arrival order, so a
+  // fresh dispatch appends; a requeued (older) packet walks back to its
+  // place.
+  std::int32_t older = q.newest;
+  while (older >= 0 &&
+         nodes_[static_cast<std::size_t>(older)].candidate.packet > node.candidate.packet) {
+    older = nodes_[static_cast<std::size_t>(older)].older;
+  }
+  if (older < 0) mark_dirty(node.candidate.edge);  // a new arrival head
   node.older = older;
   node.newer = older >= 0 ? nodes_[static_cast<std::size_t>(older)].newer : q.oldest;
   (older >= 0 ? nodes_[static_cast<std::size_t>(older)].newer : q.oldest) = n;
   (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) = n;
-  ++pending_count_;
-  return n;
 }
 
 // rdcn-lint: hot
 void Engine::dequeue(std::int32_t n) {
   QueueNode& node = nodes_[static_cast<std::size_t>(n)];
   EdgeQueue& q = queues_[static_cast<std::size_t>(node.candidate.edge)];
-  if ((q.first == n && lists_priority_heads()) || (q.oldest == n && lists_arrival_heads())) {
+  if ((q.first == n && links_priority()) || (q.oldest == n && links_arrival())) {
     mark_dirty(node.candidate.edge);
   }
-  (node.prev >= 0 ? nodes_[static_cast<std::size_t>(node.prev)].next : q.first) = node.next;
-  (node.next >= 0 ? nodes_[static_cast<std::size_t>(node.next)].prev : q.last) = node.prev;
-  (node.older >= 0 ? nodes_[static_cast<std::size_t>(node.older)].newer : q.oldest) =
-      node.newer;
-  (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) =
-      node.older;
+  if (links_priority()) {
+    const auto at = [this](std::int32_t i) -> QueueNode& {
+      return nodes_[static_cast<std::size_t>(i)];
+    };
+    // An end of a run of two or more hands its role to its neighbour
+    // inside the run, which now faces the run's other end.
+    const double w = node.candidate.chunk_weight;
+    const bool starts_run = node.prev < 0 || at(node.prev).candidate.chunk_weight != w;
+    const bool ends_run = node.next < 0 || at(node.next).candidate.chunk_weight != w;
+    if (starts_run && !ends_run) {
+      at(node.next).run = node.run;
+      at(node.run).run = node.next;
+    } else if (ends_run && !starts_run) {
+      at(node.prev).run = node.run;
+      at(node.run).run = node.prev;
+    }
+    (node.prev >= 0 ? at(node.prev).next : q.first) = node.next;
+    (node.next >= 0 ? at(node.next).prev : q.last) = node.prev;
+  }
+  if (links_arrival()) {
+    (node.older >= 0 ? nodes_[static_cast<std::size_t>(node.older)].newer : q.oldest) =
+        node.newer;
+    (node.newer >= 0 ? nodes_[static_cast<std::size_t>(node.newer)].older : q.newest) =
+        node.older;
+  }
   node.next = free_node_;
   free_node_ = n;
   --pending_count_;
@@ -264,7 +349,7 @@ void Engine::mark_dirty(EdgeIndex e) {
   // Every listed head change passes here before it happens, so on an
   // edge's first change since the last refresh its heads are still the
   // entries the head list holds for it: the ones the refresh drops.
-  if (q.first >= 0) {
+  if (front(q) >= 0) {
     dropped_heads_ += head_kinds_ == HeadKinds::Both && q.oldest != q.first ? 2 : 1;
   }
 }
@@ -287,11 +372,11 @@ void Engine::refresh_heads_in(Order before) {
   fresh_heads_.clear();
   for (EdgeIndex e : dirty_edges_) {
     const EdgeQueue& q = queues_[static_cast<std::size_t>(e)];
-    if (q.first < 0) continue;  // drained
-    if (lists_priority_heads()) {
+    if (front(q) < 0) continue;  // drained
+    if (links_priority()) {
       fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.first)].candidate);  // rdcn-lint: allow(hot-alloc) -- grows to the high-water head count once
     }
-    if (lists_arrival_heads() && (q.oldest != q.first || !lists_priority_heads())) {
+    if (links_arrival() && (q.oldest != q.first || !links_priority())) {
       fresh_heads_.push_back(nodes_[static_cast<std::size_t>(q.oldest)].candidate);  // rdcn-lint: allow(hot-alloc) -- as above
     }
   }
@@ -398,11 +483,9 @@ template <typename Pick>
 void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats) {
   requeue_scratch_.clear();
   for (const EdgeQueue& q : queues_) {
-    for (std::int32_t n = q.first; n >= 0; n = nodes_[static_cast<std::size_t>(n)].next) {
-      if (pick(nodes_[static_cast<std::size_t>(n)].candidate)) {
-        requeue_scratch_.push_back(n);
-      }
-    }
+    for_each_node(q, [&](std::int32_t n) {
+      if (pick(nodes_[static_cast<std::size_t>(n)].candidate)) requeue_scratch_.push_back(n);
+    });
   }
   // Ids are injected in arrival order, so id order is (arrival, id) order.
   // A pending packet keeps its node until it leaves, so the indices stay
@@ -416,7 +499,7 @@ void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats)
     // Copy the packet out first: re-dispatch may reuse its node.
     const Candidate c = nodes_[static_cast<std::size_t>(n)].candidate;
     const Packet packet = packet_at(n);
-    PacketOutcome outcome = std::move(records_[static_cast<std::size_t>(n)].outcome);
+    PacketOutcome outcome = std::move(record(n).outcome);
     dequeue(n);
     impact_index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight,
                              -c.remaining);
@@ -687,7 +770,7 @@ std::size_t Engine::schedule_round() {
   for (std::size_t index : selected) {
     Candidate& c = heads_[index];
     const std::int32_t n = head_node(c);
-    PacketOutcome& outcome = records_[static_cast<std::size_t>(n)].outcome;
+    PacketOutcome& outcome = record(n).outcome;
     const Time completion =
         now_ + 1 + edge_meta_[static_cast<std::size_t>(c.edge)].attach_tail;
     outcome.chunk_transmit_steps.push_back(now_);
@@ -712,7 +795,7 @@ std::size_t Engine::schedule_round() {
   std::sort(finished.begin(), finished.end());
   for (std::size_t index : finished) {
     const std::int32_t n = head_node(heads_[index]);
-    retire_packet(packet_at(n), records_[static_cast<std::size_t>(n)].outcome);
+    retire_packet(packet_at(n), record(n).outcome);
     dequeue(n);
   }
   return selected.size();

@@ -27,10 +27,21 @@
 // ScenarioRunner fan-out):
 //  * pending reconfigurable work lives in per-edge queues -- virtual
 //    output queues -- and nowhere else. Each pending packet is one pooled
-//    node holding its Candidate, linked into its edge's priority order and
-//    its edge's arrival order; the pool grows once to the high-water
-//    backlog and recycles nodes through a free list, and each edge costs
-//    four node links plus a dirty flag;
+//    node holding its Candidate, linked into the orders its edge's head
+//    list reads (SchedulePolicy::heads): the priority order for ALG and
+//    MaxWeight, the arrival order for FIFO, both for every other policy.
+//    The pool grows once to the high-water backlog and recycles nodes
+//    through a free list; each edge costs the two ends of both orders plus
+//    a dirty flag;
+//  * one enqueue costs O(runs of equal chunk weight it crosses), not
+//    O(queue depth): each end of a maximal run of equal chunk weight in the
+//    priority order names the run's other end, so the insertion walk hops
+//    in from both ends of the queue a whole run per step. Weights are few
+//    distinct values in practice (integer packet weights over delays 1-2),
+//    and a fresh dispatch ranks after every queued packet of its own
+//    weight, so it lands at its run's end without visiting the run; only a
+//    requeued (older) packet walks inside its run. The arrival order takes
+//    a fresh dispatch in O(1) at the newest end;
 //  * SchedulePolicy::select receives a head list, not the backlog: for
 //    every edge with pending work, the heads its policy declares
 //    (SchedulePolicy::heads). A policy that ranks by chunk priority (ALG,
@@ -69,11 +80,13 @@
 //    only the O(1) counters;
 //  * per-packet state lives only with a packet's queue node: one record
 //    (weight, endpoints, the PacketOutcome its service accumulates) at the
-//    node's index in an array parallel to the node pool, so a packet holds
-//    per-packet memory exactly while it waits in an edge queue, however
-//    long one light packet starves behind heavier ones. Fixed-route
-//    packets and arrival-time drops never get a record; they retire from a
-//    local outcome at dispatch;
+//    node's index, so a packet holds per-packet memory exactly while it
+//    waits in an edge queue, however long one light packet starves behind
+//    heavier ones. Records live in fixed-size blocks that are added as the
+//    node pool grows and never move, so growth neither copies nor
+//    re-constructs a live record, and a dispatch fills its record in
+//    place. Fixed-route packets and arrival-time drops never get a record;
+//    they retire from a local outcome at dispatch;
 //  * matching validation uses round-stamped scratch arrays instead of
 //    per-round allocations sized by the topology;
 //  * time advances event-driven: when no chunk is pending the clock jumps
@@ -346,9 +359,9 @@ class Engine {
   /// Current / peak number of resident per-packet records -- the
   /// memory-bounding quantity. A record lives exactly while its packet is
   /// pending in an edge queue, so this is the backlog: O(in-flight), not
-  /// O(total served). The peak is the record array's high-water size.
+  /// O(total served). The peak is the node pool's high-water size.
   std::size_t resident_slots() const noexcept { return pending_count_; }
-  std::size_t peak_resident_slots() const noexcept { return records_.size(); }
+  std::size_t peak_resident_slots() const noexcept { return nodes_.size(); }
   std::uint64_t packets_dispatched() const noexcept { return dispatched_count_; }
   std::uint64_t packets_retired() const noexcept { return retired_count_; }
 
@@ -373,13 +386,14 @@ class Engine {
   HeadKinds head_kinds() const noexcept { return head_kinds_; }
 
   /// Calls visit(const Candidate&) for every candidate pending on edge
-  /// `e`, in decreasing chunk priority.
+  /// `e`, in the edge's linked order: decreasing chunk priority unless the
+  /// scheduler declares HeadKinds::Arrival, increasing packet id then.
+  /// Callers that need one particular order sort what they collect.
   template <typename Visit>
   void for_each_pending_on(EdgeIndex e, Visit&& visit) const {
-    for (std::int32_t n = queues_[static_cast<std::size_t>(e)].first; n >= 0;
-         n = nodes_[static_cast<std::size_t>(n)].next) {
+    for_each_node(queues_[static_cast<std::size_t>(e)], [&](std::int32_t n) {
       visit(nodes_[static_cast<std::size_t>(n)].candidate);
-    }
+    });
   }
   /// Every pending candidate whose transmitter is `t` or whose receiver is
   /// `r`, each once: the queues of the edges incident to t, then those
@@ -391,7 +405,8 @@ class Engine {
       if (topology_->edge(e).transmitter != t) for_each_pending_on(e, visit);
     }
   }
-  /// Every pending candidate, edge by edge. O(|E| + pending).
+  /// Every pending candidate, edge by edge, each edge in its linked order.
+  /// O(|E| + pending).
   template <typename Visit>
   void for_each_pending(Visit&& visit) const {
     for (std::size_t e = 0; e < queues_.size(); ++e) {
@@ -453,15 +468,21 @@ class Engine {
   };
 
   /// One pending packet: its Candidate, linked into its edge's priority
-  /// order (prev/next) and arrival order (older/newer). A free node keeps
-  /// the free list in `next`.
+  /// order (prev/next, with `run`) and arrival order (older/newer), each
+  /// only where the engine links that order (links_priority,
+  /// links_arrival). At either end of a maximal run of equal chunk weight
+  /// in the priority order, `run` names the run's other end (itself for a
+  /// one-node run); inside a run it is stale. A free node keeps the free
+  /// list in `next`.
   struct QueueNode {
     Candidate candidate;
     std::int32_t prev = -1, next = -1;
     std::int32_t older = -1, newer = -1;
+    std::int32_t run = -1;
   };
-  /// One edge's queue: both ends of both orders, and whether its listed
-  /// heads changed since the head list last read them.
+  /// One edge's queue: both ends of both orders (an order the engine does
+  /// not link stays empty), and whether its listed heads changed since the
+  /// head list last read them.
   struct EdgeQueue {
     std::int32_t first = -1;   ///< highest priority: the priority head
     std::int32_t last = -1;    ///< lowest priority
@@ -469,6 +490,18 @@ class Engine {
     std::int32_t newest = -1;
     bool dirty = false;
   };
+  /// Packet records come in blocks of 2^kRecordBlockBits; record(n) is
+  /// node n's.
+  static constexpr int kRecordBlockBits = 8;
+  static constexpr std::size_t kRecordBlock = std::size_t{1} << kRecordBlockBits;
+  PacketRecord& record(std::int32_t n) {
+    const auto i = static_cast<std::size_t>(n);
+    return record_blocks_[i >> kRecordBlockBits][i & (kRecordBlock - 1)];
+  }
+  const PacketRecord& record(std::int32_t n) const {
+    const auto i = static_cast<std::size_t>(n);
+    return record_blocks_[i >> kRecordBlockBits][i & (kRecordBlock - 1)];
+  }
 
   void init(EngineOptions options);
   /// Hands a finished packet's outcome to the auditor and moves it out
@@ -478,29 +511,53 @@ class Engine {
   /// Applies a dispatch decision to a packet: enqueue it on its edge with a
   /// fresh record, or retire it at once over its fixed link.
   void apply_route(const Packet& packet, const RouteDecision& route);
-  /// Links a fresh node for `candidate` into its edge's two orders and
+  /// Links a fresh node for `candidate` into its edge's linked orders and
   /// returns its index (the index of the packet's record as well).
   std::int32_t enqueue(const Candidate& candidate);
+  /// enqueue's two halves: insert node `n` into queue `q`'s priority
+  /// order, or its arrival order.
+  void link_priority(EdgeQueue& q, std::int32_t n);
+  void link_arrival(EdgeQueue& q, std::int32_t n);
   /// Unlinks node `n` from its edge's orders and frees it; its record
   /// stays intact until the node is reused.
   void dequeue(std::int32_t n);
-  /// Whether the head list holds each edge's priority head, and its
-  /// arrival head.
-  bool lists_priority_heads() const noexcept { return head_kinds_ != HeadKinds::Arrival; }
-  bool lists_arrival_heads() const noexcept { return head_kinds_ != HeadKinds::Priority; }
+  /// Which orders the queues link -- exactly those whose heads the head
+  /// list holds: the priority order unless the scheduler declares
+  /// HeadKinds::Arrival, the arrival order unless it declares Priority.
+  bool links_priority() const noexcept { return head_kinds_ != HeadKinds::Arrival; }
+  bool links_arrival() const noexcept { return head_kinds_ != HeadKinds::Priority; }
+  /// The first node of queue `q`'s linked order (the priority order when
+  /// linked); negative when the edge has nothing pending.
+  std::int32_t front(const EdgeQueue& q) const noexcept {
+    return links_priority() ? q.first : q.oldest;
+  }
+  /// Calls visit(node index) for every node of queue `q`, in its linked
+  /// order.
+  template <typename Visit>
+  void for_each_node(const EdgeQueue& q, Visit&& visit) const {
+    if (links_priority()) {
+      for (std::int32_t n = q.first; n >= 0; n = nodes_[static_cast<std::size_t>(n)].next) {
+        visit(n);
+      }
+    } else {
+      for (std::int32_t n = q.oldest; n >= 0; n = nodes_[static_cast<std::size_t>(n)].newer) {
+        visit(n);
+      }
+    }
+  }
   /// The node of head-list entry `c`: the listed head of its edge.
   std::int32_t head_node(const Candidate& c) const {
     const EdgeQueue& q = queues_[static_cast<std::size_t>(c.edge)];
-    if (!lists_arrival_heads()) return q.first;
-    if (!lists_priority_heads()) return q.oldest;
+    if (!links_arrival()) return q.first;
+    if (!links_priority()) return q.oldest;
     const Candidate& first = nodes_[static_cast<std::size_t>(q.first)].candidate;
     return first.packet == c.packet ? q.first : q.oldest;
   }
   /// The Packet pending at node `n`, rebuilt from its Candidate and record.
   Packet packet_at(std::int32_t n) const {
     const Candidate& c = nodes_[static_cast<std::size_t>(n)].candidate;
-    const PacketRecord& record = records_[static_cast<std::size_t>(n)];
-    return Packet{c.packet, c.arrival, record.weight, record.source, record.destination};
+    const PacketRecord& r = record(n);
+    return Packet{c.packet, c.arrival, r.weight, r.source, r.destination};
   }
   /// Flags edge `e` for the next head refresh; called before each change
   /// to its listed heads, so the first call counts the entries the list
@@ -572,14 +629,14 @@ class Engine {
 
   /// The pending work: one queue per edge over a pooled node arena (free
   /// list threaded through QueueNode::next) with each node's packet record
-  /// beside it, the sorted head list handed to the scheduler (and the
-  /// buffer its refresh merges into), the edges whose heads it has yet to
-  /// re-read, and how many list entries those edges held when they
-  /// changed. nodes_ and records_ grow together, once, to the high-water
-  /// backlog.
+  /// in a block beside it, the sorted head list handed to the scheduler
+  /// (and the buffer its refresh merges into), the edges whose heads it has
+  /// yet to re-read, and how many list entries those edges held when they
+  /// changed. nodes_ grows once to the high-water backlog, and
+  /// record_blocks_ a block at a time with it.
   std::vector<EdgeQueue> queues_;
   std::vector<QueueNode> nodes_;
-  std::vector<PacketRecord> records_;
+  std::vector<std::unique_ptr<PacketRecord[]>> record_blocks_;
   std::int32_t free_node_ = -1;
   std::size_t pending_count_ = 0;
   std::vector<Candidate> heads_, spare_heads_;

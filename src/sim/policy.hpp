@@ -48,9 +48,9 @@ struct Candidate {
 /// using one comparator keeps the dispatcher's H/L classification and the
 /// scheduler's blocking relation consistent (which Lemma 2 relies on).
 ///
-/// The engine keeps each edge's queue sorted by this order, and the head
-/// list it hands SchedulePolicy::select too unless the policy declares
-/// HeadKinds::Arrival, so priority-driven schedulers never sort.
+/// Unless the policy declares HeadKinds::Arrival, the engine keeps each
+/// edge's queue sorted by this order, and the head list it hands
+/// SchedulePolicy::select too, so priority-driven schedulers never sort.
 inline bool chunk_higher_priority(const Candidate& a, const Candidate& b) noexcept {
   if (a.chunk_weight != b.chunk_weight) return a.chunk_weight > b.chunk_weight;
   if (a.arrival != b.arrival) return a.arrival < b.arrival;
@@ -137,14 +137,17 @@ class SchedulePolicy {
   ///    endpoints that currently carry pending candidates, so per-endpoint
   ///    working state can be sized by the number of busy endpoints instead
   ///    of the topology. The full queues stay readable through
-  ///    Engine::for_each_pending_on / for_each_pending_at.
+  ///    Engine::for_each_pending_on / for_each_pending_at, each edge in
+  ///    the order the engine links for heads(): chunk priority, or packet
+  ///    id for Arrival.
   virtual void select(const Engine& engine, Time now,
                       const std::vector<Candidate>& candidates, Selection& out) = 0;
 
   /// The heads select() can pick; the engine reads it once, at
   /// construction. Both, the default, suits any policy; Priority or
   /// Arrival shortens the list to one entry per edge for a policy that
-  /// only ever picks that head.
+  /// only ever picks that head, and the engine then keeps only that
+  /// order in its queues.
   virtual HeadKinds heads() const noexcept { return HeadKinds::Both; }
 };
 

@@ -1,8 +1,14 @@
 // Property tests for the engine's per-edge queues and the head list that
 // SchedulePolicy::select receives. On random topology-zoo instances, under
 // endpoint capacity 1 and 2, speedup 2, reconfiguration delay 1, a staged
-// kill with DeadPolicy::Requeue and restricted migration (the last two
-// re-insert older packets behind newer ones):
+// edge kill and a staged rack kill with DeadPolicy::Requeue, and restricted
+// migration (the edge kill and migration re-insert older packets behind
+// newer ones, and the zoo's integer weights make runs of equal chunk
+// weight for them to land in):
+//  * every round, each edge's queue, read through for_each_pending_on, is
+//    sorted by the order the engine links for the scheduler's
+//    declaration: chunk_higher_priority for Priority and Both, packet id
+//    for Arrival;
 //  * every round, the list is exactly the heads the scheduler declares
 //    (SchedulePolicy::heads) of every non-empty edge, in that kind's
 //    order: the priority heads by chunk_higher_priority for alg and
@@ -15,10 +21,13 @@
 //  * behind a wrapper that forwards select() but not heads(), as a
 //    tracing decorator does, alg, fifo and maxweight get the Both list and
 //    still produce the bare policy's schedule.
+// A hand-built case interleaves requeued and fresh packets of one chunk
+// weight on a single edge, so a requeued packet lands inside a run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +41,35 @@
 
 namespace rdcn {
 namespace {
+
+/// Checks that every edge's queue, as for_each_pending_on yields it, is
+/// sorted by the order the engine links for its scheduler, and that the
+/// queues hold every pending packet. Returns how many edges held two or
+/// more packets.
+int check_queue_orders(const Engine& engine, const std::string& label, Time now) {
+  const bool by_id = engine.head_kinds() == HeadKinds::Arrival;
+  std::vector<Candidate> queue;
+  std::size_t pending = 0;
+  int deep_edges = 0;
+  for (EdgeIndex e = 0; e < engine.topology().num_edges(); ++e) {
+    queue.clear();
+    engine.for_each_pending_on(e, [&](const Candidate& c) { queue.push_back(c); });
+    pending += queue.size();
+    if (queue.size() >= 2) ++deep_edges;
+    for (std::size_t i = 0; i + 1 < queue.size(); ++i) {
+      const Candidate& a = queue[i];
+      const Candidate& b = queue[i + 1];
+      EXPECT_EQ(a.edge, e) << label;
+      EXPECT_TRUE(by_id ? a.packet < b.packet : chunk_higher_priority(a, b))
+          << label << " at step " << now << ": edge " << e << " holds packet " << a.packet
+          << " (chunk weight " << a.chunk_weight << ", arrival " << a.arrival
+          << ") before packet " << b.packet << " (chunk weight " << b.chunk_weight
+          << ", arrival " << b.arrival << ")";
+    }
+  }
+  EXPECT_EQ(pending, engine.pending_count()) << label << " at step " << now;
+  return deep_edges;
+}
 
 /// Checks the head list against the queues and the wrapped policy's
 /// declaration (which it forwards), then runs the wrapped policy on it
@@ -47,6 +85,8 @@ class HeadListChecker final : public SchedulePolicy {
 
   void select(const Engine& engine, Time now, const std::vector<Candidate>& heads,
               Selection& out) override {
+    deep_edges += check_queue_orders(engine, label_, now);
+    if (on_round) on_round(engine);
     full_.clear();
     engine.for_each_pending([this](const Candidate& c) { full_.push_back(c); });
     std::sort(full_.begin(), full_.end(), chunk_higher_priority);
@@ -109,6 +149,8 @@ class HeadListChecker final : public SchedulePolicy {
 
   int rounds = 0;
   int deep_rounds = 0;  ///< rounds where some packet queued behind its heads
+  int deep_edges = 0;   ///< edges holding two or more packets, summed over rounds
+  std::function<void(const Engine&)> on_round;  ///< called before each select
 
  private:
   std::unique_ptr<SchedulePolicy> policy_;
@@ -133,10 +175,14 @@ class SelectOnlyWrapper final : public SchedulePolicy {
   std::unique_ptr<SchedulePolicy> inner_;
 };
 
+/// Which stage mutation a variant applies at step 3 (DeadPolicy::Requeue)
+/// and undoes at step 9.
+enum class Kill { None, EveryOtherEdge, Rack };
+
 struct Variant {
   const char* name;
   EngineOptions options;
-  bool staged_kill = false;
+  Kill kill = Kill::None;
 };
 
 std::vector<Variant> variants() {
@@ -151,7 +197,8 @@ std::vector<Variant> variants() {
   EngineOptions delay1;
   delay1.reconfig_delay = 1;
   list.push_back({"reconfig_delay1", delay1});
-  list.push_back({"staged_kill_requeue", {}, true});
+  list.push_back({"staged_kill_requeue", {}, Kill::EveryOtherEdge});
+  list.push_back({"staged_rack_kill_requeue", {}, Kill::Rack});
   EngineOptions migrate;
   migrate.redispatch_queued = true;
   list.push_back({"redispatch_queued", migrate});
@@ -174,17 +221,24 @@ RunResult run_variant(const Instance& instance, const Variant& variant,
   options.audit = true;
   Engine engine(instance, dispatcher, scheduler, options);
   std::vector<TimedMutation> schedule;
-  if (variant.staged_kill) {
-    // Every other edge dies at step 3: stranded packets with a surviving
-    // parallel edge requeue onto it, behind newer packets.
+  if (variant.kill != Kill::None) {
+    // Every other edge, or rack 1, dies at step 3. Stranded packets with a
+    // surviving parallel edge requeue onto it, behind newer packets; a
+    // rack's stranded packets have none, so they leave for the fixed
+    // layer or drop.
     schedule.resize(2);
-    for (EdgeIndex e = 0; e < instance.topology().num_edges(); e += 2) {
-      schedule[0].mutation.kill_edges.push_back(e);
+    if (variant.kill == Kill::EveryOtherEdge) {
+      for (EdgeIndex e = 0; e < instance.topology().num_edges(); e += 2) {
+        schedule[0].mutation.kill_edges.push_back(e);
+      }
+      schedule[1].mutation.restore_edges = schedule[0].mutation.kill_edges;
+    } else {
+      schedule[0].mutation.kill_racks = {1};
+      schedule[1].mutation.restore_racks = {1};
     }
     schedule[0].at = 3;
     schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
     schedule[1].at = 9;
-    schedule[1].mutation.restore_edges = schedule[0].mutation.kill_edges;
   }
   return engine.run(schedule);
 }
@@ -216,6 +270,70 @@ TEST(EdgeQueues, HeadListIsExactAndSelectionsMatchTheFullList) {
   EXPECT_GT(total_rounds, 1000);
   // The property only bites when packets wait behind their edge's heads.
   EXPECT_GT(total_deep_rounds, total_rounds / 4);
+}
+
+/// Routes even packet ids to edge 0 and odd ones to edge 1, or to the
+/// other edge while one is dead.
+class AlternatingDispatcher final : public DispatchPolicy {
+ public:
+  RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
+    RouteDecision route;
+    route.edge = static_cast<EdgeIndex>(packet.id % 2);
+    if (!engine.edge_alive(route.edge)) route.edge = 1 - route.edge;
+    return route;
+  }
+};
+
+TEST(EdgeQueues, RequeuedPacketsInterleaveWithFreshOnesOfTheirChunkWeight) {
+  // Two edges from rack 0 to rack 0, each on its own ports. Twelve packets
+  // arrive at step 1, split between the edges, all of weight 2 but packet
+  // 5 (weight 5, on edge 1). Edge 0 dies at step 3 and its four untouched
+  // packets requeue onto edge 1, among edge 1's fresh packets of the same
+  // chunk weight. Three more weight-2 packets arrive behind them.
+  Topology topology;
+  topology.add_sources(1);
+  topology.add_destinations(1);
+  topology.add_transmitter(0);
+  topology.add_transmitter(0);
+  topology.add_receiver(0);
+  topology.add_receiver(0);
+  topology.add_edge(0, 0, 1);
+  topology.add_edge(1, 1, 1);
+  Instance instance(topology, {});
+  for (int i = 0; i < 12; ++i) instance.add_packet(1, i == 5 ? 5.0 : 2.0, 0, 0);
+  for (Time t = 4; t <= 6; ++t) instance.add_packet(t, 2.0, 0, 0);
+  std::vector<TimedMutation> schedule(1);
+  schedule[0].at = 3;
+  schedule[0].mutation.kill_edges = {0};
+  schedule[0].mutation.dead_policy = DeadPolicy::Requeue;
+
+  for (const char* name : {"alg", "fifo", "maxweight", "random"}) {
+    const PolicyFactory policy = named_policy(name);
+    HeadListChecker checker(policy.scheduler(topology), nullptr, name);
+    // Whether edge 1 ever held a requeued (even) packet between two fresh
+    // (odd) ones.
+    bool interleaved = false;
+    checker.on_round = [&interleaved](const Engine& engine) {
+      std::vector<PacketIndex> ids;
+      engine.for_each_pending_on(1, [&ids](const Candidate& c) { ids.push_back(c.packet); });
+      for (std::size_t i = 1; i + 1 < ids.size(); ++i) {
+        interleaved |= ids[i] % 2 == 0 && ids[i - 1] % 2 == 1 && ids[i + 1] % 2 == 1;
+      }
+    };
+    AlternatingDispatcher dispatcher;
+    EngineOptions options;
+    options.audit = true;
+    Engine engine(instance, dispatcher, checker, options);
+    const RunResult result = engine.run(schedule);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(interleaved) << name;
+    EXPECT_EQ(engine.packets_requeued(), 4u) << name;
+    EXPECT_EQ(engine.packets_dropped(), 0u) << name;
+    EXPECT_GT(checker.deep_edges, 4) << name;
+    for (const PacketOutcome& outcome : result.outcomes) {
+      EXPECT_GT(outcome.completion, 0) << name;
+    }
+  }
 }
 
 TEST(EdgeQueues, HiddenDeclarationFallsBackToBothHeadsWithTheSameSchedule) {

@@ -238,6 +238,112 @@ TEST(Instance, SerializationRejectsGarbage) {
   EXPECT_THROW(Instance::load(bad), std::runtime_error);
 }
 
+/// One-port instance text with the given delays: a transmitter and a
+/// receiver with their attach delays, one edge, one fixed link, one packet.
+std::string delay_instance_text(Delay tx_attach, Delay rx_attach, Delay edge, Delay link) {
+  std::ostringstream text;
+  text << "rdcn-instance v1\nsources 1\ndestinations 1\n"
+       << "transmitters 1\n0 " << tx_attach << "\nreceivers 1\n0 " << rx_attach << "\n"
+       << "edges 1\n0 0 " << edge << "\nfixed_links 1\n0 0 " << link << "\n"
+       << "packets 1\n1 1 0 0\n";
+  return text.str();
+}
+
+/// Instance text that ends right after section `keyword`'s count line,
+/// which reads `count`; every earlier count is 1 (racks) or 0.
+std::string count_prefix_text(const std::string& keyword, std::int64_t count) {
+  std::string text = "rdcn-instance v1\n";
+  for (const char* section :
+       {"sources", "destinations", "transmitters", "receivers", "edges", "fixed_links",
+        "packets"}) {
+    if (keyword == section) return text + keyword + " " + std::to_string(count) + "\n";
+    const bool rack = std::string(section) == "sources" || std::string(section) == "destinations";
+    text += std::string(section) + (rack ? " 1\n" : " 0\n");
+  }
+  ADD_FAILURE() << "unknown section " << keyword;
+  return text;
+}
+
+/// The message Instance::from_string(text) throws ("" if it loads).
+std::string load_error(const std::string& text) {
+  try {
+    Instance::from_string(text);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Instance, LoadBoundsEveryCountBeforeUsingIt) {
+  const std::pair<const char*, std::int64_t> limits[] = {
+      {"sources", Instance::kMaxRacks},     {"destinations", Instance::kMaxRacks},
+      {"transmitters", Instance::kMaxPorts}, {"receivers", Instance::kMaxPorts},
+      {"edges", Instance::kMaxEdges},        {"fixed_links", Instance::kMaxEdges},
+      {"packets", Instance::kMaxPackets}};
+  for (const auto& [keyword, limit] : limits) {
+    // At the limit the count is taken, and the text then runs out: the
+    // error is about what follows, not the count.
+    const std::string at = load_error(count_prefix_text(keyword, limit));
+    EXPECT_NE(at, "") << keyword;
+    EXPECT_EQ(at.find("count"), std::string::npos) << keyword << ": " << at;
+    for (const std::int64_t bad : {limit + 1, std::int64_t{-1}}) {
+      const std::string past = load_error(count_prefix_text(keyword, bad));
+      EXPECT_NE(past.find(std::string("'") + keyword + "' count " + std::to_string(bad)),
+                std::string::npos)
+          << keyword << ": " << past;
+    }
+  }
+  // 2^32 + 5 would narrow to 5 racks.
+  const std::string wrapped = load_error(count_prefix_text("sources", (std::int64_t{1} << 32) + 5));
+  EXPECT_NE(wrapped.find("'sources' count 4294967301"), std::string::npos) << wrapped;
+  // A full instance at the rack limit loads.
+  std::string racks = "rdcn-instance v1\nsources " + std::to_string(Instance::kMaxRacks) +
+                      "\ndestinations " + std::to_string(Instance::kMaxRacks) +
+                      "\ntransmitters 0\nreceivers 0\nedges 0\nfixed_links 0\npackets 0\n";
+  EXPECT_EQ(load_error(racks), "");
+}
+
+TEST(Instance, LoadBoundsEveryDelay) {
+  const Delay max = Instance::kMaxDelay;
+  const Instance at = Instance::from_string(delay_instance_text(max, max, max, max));
+  EXPECT_EQ(at.validate(), "");
+  EXPECT_EQ(at.topology().edge(0).delay, max);
+  EXPECT_EQ(at.topology().transmitter_attach_delay(0), max);
+  EXPECT_EQ(at.topology().receiver_attach_delay(0), max);
+  EXPECT_EQ(at.topology().fixed_link_delay(0, 0).value_or(0), max);
+  const std::string past[] = {
+      load_error(delay_instance_text(max + 1, 0, 1, 1)),
+      load_error(delay_instance_text(0, max + 1, 1, 1)),
+      load_error(delay_instance_text(0, 0, max + 1, 1)),
+      load_error(delay_instance_text(0, 0, 1, max + 1)),
+      load_error(delay_instance_text(0, 0, 1000000000, 1)),
+  };
+  const std::string suffix = ": delay " + std::to_string(max + 1) + " above the limit " +
+                             std::to_string(max);
+  EXPECT_EQ(past[0], "instance transmitter record 0" + suffix);
+  EXPECT_EQ(past[1], "instance receiver record 0" + suffix);
+  EXPECT_EQ(past[2], "instance edge record 0" + suffix);
+  EXPECT_EQ(past[3], "instance fixed link record 0" + suffix);
+  EXPECT_NE(past[4].find("edge record 0: delay 1000000000"), std::string::npos) << past[4];
+}
+
+TEST(Instance, LoadBoundsEveryArrival) {
+  const auto text = [](Time arrival) {
+    return "rdcn-instance v1\nsources 1\ndestinations 1\ntransmitters 1\n0 0\n"
+           "receivers 1\n0 0\nedges 1\n0 0 1\nfixed_links 0\npackets 2\n1 1 0 0\n" +
+           std::to_string(arrival) + " 1 0 0\n";
+  };
+  const Instance at = Instance::from_string(text(Instance::kMaxArrival));
+  EXPECT_EQ(at.validate(), "");
+  EXPECT_EQ(at.packets().back().arrival, Instance::kMaxArrival);
+  EXPECT_EQ(load_error(text(Instance::kMaxArrival + 1)),
+            "instance packet record 1: arrival " + std::to_string(Instance::kMaxArrival + 1) +
+                " above the limit " + std::to_string(Instance::kMaxArrival));
+  // 9e18 would overflow the step guard derived from horizon_bound().
+  EXPECT_NE(load_error(text(9000000000000000000)).find("arrival 9000000000000000000"),
+            std::string::npos);
+}
+
 TEST(Instance, IdealCostOnFigure1) {
   // p1..p4: best path latency 1 each; p5: min(reconfig 1, fixed 4) = 1.
   EXPECT_DOUBLE_EQ(figure1_instance().ideal_cost(), 5.0);

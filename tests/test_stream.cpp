@@ -584,6 +584,27 @@ TEST(StreamRunner, OverrideFreeSingleStageMatchesUnstaged) {
   EXPECT_EQ(b.stages[0].drain_steps, 0);
 }
 
+TEST(StreamRunner, StageZeroOverridingRhoReportsItsOwnTargetRate) {
+  // A stage 0 that keeps the spec-level regime reuses its source; one that
+  // overrides rho builds its own and reports that source's rate, the one
+  // an unstaged run at that rho calibrates.
+  const StreamSpec plain = small_stream();
+  StreamSpec light = plain;
+  light.traffic.rho = 0.4;
+  StreamSpec staged = plain;
+  staged.stages.emplace_back();
+  staged.stages[0].duration = 50;
+  staged.stages[0].rho = 0.4;
+  staged.stages.emplace_back();
+  const StreamRepOutcome nominal = StreamRunner(plain).run_repetition(alg_policy(), 4);
+  const StreamRepOutcome reference = StreamRunner(light).run_repetition(alg_policy(), 4);
+  const StreamRepOutcome out = StreamRunner(staged).run_repetition(alg_policy(), 4);
+  ASSERT_EQ(out.stages.size(), 2u);
+  EXPECT_NE(reference.target_rate, nominal.target_rate);
+  EXPECT_EQ(out.target_rate, nominal.target_rate);
+  EXPECT_EQ(out.stages[0].target_rate, reference.target_rate);
+}
+
 StreamSpec failure_recovery_stream() {
   StreamSpec spec = small_stream();
   spec.engine.audit = true;  // zero-tolerance invariant audit across stage edges

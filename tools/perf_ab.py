@@ -21,8 +21,11 @@ BENCHMARK.json's run_seconds.
 
 The report lists, per workload and per end-to-end metric of BENCHMARK.json,
 each side's median and quartiles over the pairs, the median ratio
-(change / base), how many pairs the change won by the metric's `better`
-direction (ties count for neither side), and one label:
+(change / base) with a bootstrap 95% interval (the pairs resampled with
+replacement, from a fixed seed, so a report repeats exactly), how many
+pairs the change won by the metric's `better` direction (ties count for
+neither side), and one label. The interval is for reading only: the
+labels below do not use it.
 
   REGRESSION  the change's median is worse than the base's by more than
               the metric's BENCHMARK.json `bound` (a fraction of the base
@@ -45,6 +48,7 @@ error; 0 otherwise.
 import argparse
 import json
 import os
+import random
 import shutil
 import signal
 import statistics
@@ -57,6 +61,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The least pairs, and the share of them won, that can resolve a gain.
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+
+# The median ratio's bootstrap: resamples, and the seed that makes the
+# interval repeat from run to run.
+BOOTSTRAP_SAMPLES = 2000
+BOOTSTRAP_SEED = 12345
 
 
 class RunFailed(Exception):
@@ -100,6 +109,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def ratio_interval(base, change):
+    """Bootstrap 95% interval of median(change) / median(base): resample
+    the pairs (base[i], change[i]) with replacement BOOTSTRAP_SAMPLES
+    times from BOOTSTRAP_SEED and take the 2.5th and 97.5th percentiles
+    of the resampled ratios."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    n = len(base)
+    ratios = []
+    for _ in range(BOOTSTRAP_SAMPLES):
+        picks = [rng.randrange(n) for _ in range(n)]
+        b = statistics.median(base[i] for i in picks)
+        c = statistics.median(change[i] for i in picks)
+        ratios.append(c / b if b else float("nan"))
+    ratios.sort()
+    return ratios[int(0.025 * BOOTSTRAP_SAMPLES)], ratios[int(0.975 * BOOTSTRAP_SAMPLES) - 1]
+
+
 def won(metric, base, change):
     """Pairs (base[i], change[i]) that the change wins by the metric's
     `better` direction; a tie is won by neither side."""
@@ -133,9 +159,9 @@ def report(workload, metrics, base, change):
     """Prints one workload's table; returns {metric name: label}."""
     seeds = sorted(base)
     print("\n%s: %d pair(s), seeds %s" % (workload, len(seeds), ", ".join(map(str, seeds))))
-    print("  %-24s %-36s %-36s %7s %6s %s" % ("metric", "base median [q1, q3]",
-                                              "change median [q1, q3]", "ratio", "wins",
-                                              "label"))
+    print("  %-24s %-36s %-36s %7s %-16s %6s %s" % (
+        "metric", "base median [q1, q3]", "change median [q1, q3]", "ratio", "95% interval",
+        "wins", "label"))
     labels = {}
     for metric in metrics:
         name = metric["name"]
@@ -144,10 +170,12 @@ def report(workload, metrics, base, change):
         a1, am, a3 = quartiles(a)
         b1, bm, b3 = quartiles(b)
         ratio = bm / am if am else float("nan")
+        low, high = ratio_interval(a, b)
         labels[name] = label(metric, a, b)
-        print("  %-24s %-36s %-36s %7.3f %3d/%-2d %s" % (
+        print("  %-24s %-36s %-36s %7.3f %-16s %3d/%-2d %s" % (
             name, "%.4g [%.4g, %.4g]" % (am, a1, a3), "%.4g [%.4g, %.4g]" % (bm, b1, b3),
-            ratio, won(metric, a, b), len(seeds), labels[name]))
+            ratio, "[%.3f, %.3f]" % (low, high), won(metric, a, b), len(seeds),
+            labels[name]))
     return labels
 
 

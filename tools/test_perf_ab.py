@@ -89,6 +89,48 @@ class Labels(unittest.TestCase):
         self.assertEqual(perf_ab.label(cost, [3.0, 4.0], [3.0, 4.0000001]), "DIFFERS")
 
 
+class RatioInterval(unittest.TestCase):
+    BASE = [1.5e6 + 1000.0 * i for i in range(10)]
+
+    def test_a_over_a_interval_brackets_one(self):
+        # The same ten values on both sides, paired in another order.
+        change = [self.BASE[(i * 7) % 10] for i in range(10)]
+        low, high = perf_ab.ratio_interval(self.BASE, change)
+        self.assertAlmostEqual(low, 0.997676, places=6)
+        self.assertAlmostEqual(high, 1.002330, places=6)
+
+    def test_identical_sides_give_a_point_at_one(self):
+        self.assertEqual(perf_ab.ratio_interval(self.BASE, list(self.BASE)), (1.0, 1.0))
+
+    def test_a_uniform_shift_gives_a_point_at_the_shift(self):
+        low, high = perf_ab.ratio_interval(self.BASE, [v * 1.1 for v in self.BASE])
+        self.assertAlmostEqual(low, 1.1, places=12)
+        self.assertAlmostEqual(high, 1.1, places=12)
+
+    def test_a_noisy_shift_excludes_one(self):
+        change = [v * (1.1 + 0.01 * ((i * 3) % 5 - 2)) for i, v in enumerate(self.BASE)]
+        low, high = perf_ab.ratio_interval(self.BASE, change)
+        self.assertAlmostEqual(low, 1.086440, places=6)
+        self.assertAlmostEqual(high, 1.111107, places=6)
+
+    def test_the_interval_repeats(self):
+        change = [self.BASE[(i * 3) % 10] * 1.02 for i in range(10)]
+        self.assertEqual(perf_ab.ratio_interval(self.BASE, change),
+                         perf_ab.ratio_interval(self.BASE, change))
+
+    def test_the_report_prints_the_interval_and_keeps_the_label(self):
+        runs = base_runs(10)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = perf_ab.verdict(METRICS, {"congested_alg": {
+                "base": runs, "change": scaled(runs, "pkts_per_cpu_s", 1.1)}})
+        self.assertEqual(status, 0)
+        row = next(line for line in out.getvalue().splitlines()
+                   if line.strip().startswith("pkts_per_cpu_s"))
+        self.assertIn("[1.100, 1.100]", row)
+        self.assertTrue(row.endswith("gain"), row)
+
+
 class ExitStatus(unittest.TestCase):
     def test_a_thirty_percent_throughput_drop_exits_1(self):
         runs = base_runs(3)
