@@ -3,12 +3,14 @@
 // / direct-only), all under the same stable-matching scheduler. Isolates
 // the value of the dispatch half of ALG.
 //
-// ISSUE 6 adds the dispatch MICRObench: per-decision latency of the
-// impact and JSQ rules at 256-endpoint shapes with deep pending queues,
-// comparing the engine's incremental impact index (O(log n) per edge;
-// O(1) for JSQ's load) against the naive scans kept in core/impact.hpp as
-// oracles. Emits BenchReport JSON (ns_per_dispatch rows) and prints the
-// indexed-vs-scan speedup per shape.
+// The dispatch MICRObench: per-decision latency of the impact and JSQ
+// rules at 256-endpoint shapes with deep pending queues, comparing the
+// engine's incremental impact index (O(log n) per edge; O(1) for JSQ's
+// load) against the naive scans kept in core/impact.hpp as oracles. The
+// scan rows run the very rules the indexed rows do (impact_route,
+// jsq_route), so only the Delta or load source differs. Emits BenchReport
+// JSON (ns_per_dispatch rows) and prints the indexed-vs-scan speedup per
+// shape.
 //
 // The scan rows read the edge queues incident to the candidate edge's
 // endpoints (Engine::for_each_pending_at), so they cost O(pending at those
@@ -17,8 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
-#include <stdexcept>
 
 #include "baseline/dispatchers.hpp"
 #include "common.hpp"
@@ -32,78 +32,32 @@ namespace {
 using namespace rdcn;
 using namespace rdcn::bench;
 
-/// ImpactDispatcher's exact decision rule, resolved through the naive
-/// scan of the queues at the edge's endpoints -- the pre-index rule,
-/// timed as the probe baseline. Decisions are identical to the indexed rule up to l_weight
-/// reassociation ulps.
+/// ALG's rule (impact_route) with Delta resolved through the naive scan of
+/// the queues at the edge's endpoints -- the pre-index rule, timed as the
+/// probe baseline. Decisions are identical to the indexed rule up to
+/// l_weight reassociation ulps.
 class ScanImpactDispatcher final : public DispatchPolicy {
  public:
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
-    const Topology& topology = engine.topology();
-    topology.candidate_edges_into(packet.source, packet.destination, edges_);
-    double best_delta = std::numeric_limits<double>::infinity();
-    EdgeIndex best_edge = kInvalidEdge;
-    for (EdgeIndex e : edges_) {
-      const double delta = impact_of_scan(engine, packet, e).delta;
-      if (delta < best_delta) {
-        best_delta = delta;
-        best_edge = e;
-      }
-    }
-    const auto direct = topology.fixed_link_delay(packet.source, packet.destination);
-    RouteDecision decision;
-    if (best_edge == kInvalidEdge) {
-      if (!direct) throw std::logic_error("packet has no route");
-      decision.use_fixed = true;
-      decision.alpha = packet.weight * static_cast<double>(*direct);
-      return decision;
-    }
-    if (direct && packet.weight * static_cast<double>(*direct) <= best_delta) {
-      decision.use_fixed = true;
-      decision.alpha = packet.weight * static_cast<double>(*direct);
-      return decision;
-    }
-    decision.use_fixed = false;
-    decision.edge = best_edge;
-    decision.alpha = best_delta;
-    return decision;
+    return impact_route(engine, packet, [&](EdgeIndex e) {
+      return impact_of_scan(engine, packet, e).delta;
+    });
   }
-
- private:
-  std::vector<EdgeIndex> edges_;
 };
 
-/// JSQ through a scan of the queues at the edge's endpoints (the load
-/// rule JsqDispatcher reads from the impact index's O(1) counters).
+/// JSQ's rule (jsq_route) with the load from a scan of the queues at the
+/// edge's endpoints instead of the impact index's O(1) counters.
 class ScanJsqDispatcher final : public DispatchPolicy {
  public:
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
-    const Topology& topology = engine.topology();
-    topology.candidate_edges_into(packet.source, packet.destination, edges_);
-    RouteDecision decision;
-    if (edges_.empty()) {
-      decision.use_fixed = true;
-      return decision;
-    }
-    EdgeIndex best = edges_.front();
-    std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
-    for (EdgeIndex e : edges_) {
-      const ReconfigEdge& edge = topology.edge(e);
+    return jsq_route(engine, packet, [&](EdgeIndex e) {
+      const ReconfigEdge& edge = engine.topology().edge(e);
       std::int64_t load = 0;
       engine.for_each_pending_at(edge.transmitter, edge.receiver,
                                  [&load](const Candidate& c) { load += c.remaining; });
-      if (load < best_load) {
-        best_load = load;
-        best = e;
-      }
-    }
-    decision.use_fixed = false;
-    decision.edge = best;
-    return decision;
+      return load;
+    });
   }
-
- private:
-  std::vector<EdgeIndex> edges_;
 };
 
 struct ProbeShape {

@@ -5,67 +5,36 @@
 
 namespace rdcn {
 
-namespace {
-
-RouteDecision fixed_route(const Engine& engine, const Packet& packet) {
-  if (!engine.topology().fixed_link_delay(packet.source, packet.destination)) {
-    throw std::logic_error("packet has no route");
-  }
-  RouteDecision decision;
-  decision.use_fixed = true;
-  return decision;
-}
-
-RouteDecision edge_route(EdgeIndex edge) {
-  RouteDecision decision;
-  decision.use_fixed = false;
-  decision.edge = edge;
-  return decision;
-}
-
-}  // namespace
-
 RouteDecision RandomDispatcher::dispatch(const Engine& engine, const Packet& packet) {
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-  if (edges_.empty()) return fixed_route(engine, packet);
-  return edge_route(edges_[rng_.next_below(edges_.size())]);
+  const auto edges = engine.viable_edges(packet.source, packet.destination);
+  if (edges.empty()) return fixed_route(engine, packet);
+  return edge_route(edges[rng_.next_below(edges.size())]);
 }
 
 RouteDecision RoundRobinDispatcher::dispatch(const Engine& engine, const Packet& packet) {
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-  if (edges_.empty()) return fixed_route(engine, packet);
+  const auto edges = engine.viable_edges(packet.source, packet.destination);
+  if (edges.empty()) return fixed_route(engine, packet);
   std::size_t& next = cursor_[{packet.source, packet.destination}];
-  const EdgeIndex edge = edges_[next % edges_.size()];
+  const EdgeIndex edge = edges[next % edges.size()];
   ++next;
   return edge_route(edge);
 }
 
 RouteDecision JsqDispatcher::dispatch(const Engine& engine, const Packet& packet) {
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-  if (edges_.empty()) return fixed_route(engine, packet);
-  EdgeIndex best = edges_.front();
-  std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
   // The load signal (pending chunks parked at the edge's endpoints, each
   // packet counted once) comes from the impact index's integer counters:
   // O(1) per edge, bit-identical to the old two-queue scan.
   const ImpactIndex& index = engine.impact_index();
-  for (EdgeIndex e : edges_) {
-    const std::int64_t load = index.edge_load(e);
-    if (load < best_load) {
-      best_load = load;
-      best = e;
-    }
-  }
-  return edge_route(best);
+  return jsq_route(engine, packet, [&index](EdgeIndex e) { return index.edge_load(e); });
 }
 
 RouteDecision MinDelayDispatcher::dispatch(const Engine& engine, const Packet& packet) {
   const Topology& topology = engine.topology();
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-  if (edges_.empty()) return fixed_route(engine, packet);
-  EdgeIndex best = edges_.front();
+  const auto edges = engine.viable_edges(packet.source, packet.destination);
+  if (edges.empty()) return fixed_route(engine, packet);
+  EdgeIndex best = edges.front();
   Delay best_delay = std::numeric_limits<Delay>::max();
-  for (EdgeIndex e : edges_) {
+  for (EdgeIndex e : edges) {
     const Delay delay = topology.total_edge_delay(e);
     if (delay < best_delay) {
       best_delay = delay;
@@ -85,9 +54,9 @@ RouteDecision DirectOnlyDispatcher::dispatch(const Engine& engine, const Packet&
   if (topology.fixed_link_delay(packet.source, packet.destination)) {
     return fixed_route(engine, packet);
   }
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-  if (edges_.empty()) throw std::logic_error("packet has no route");
-  return edge_route(edges_.front());
+  const auto edges = engine.viable_edges(packet.source, packet.destination);
+  if (edges.empty()) throw std::logic_error("packet has no route");
+  return edge_route(edges.front());
 }
 
 }  // namespace rdcn

@@ -55,9 +55,8 @@ void MaxWeightScheduler::select(const Engine& engine, Time /*now*/,
   }
 }
 
-IslipScheduler::IslipScheduler(const Topology& topology, int iterations)
-    : iterations_(iterations),
-      grant_pointer_(static_cast<std::size_t>(topology.num_receivers()), 0),
+IslipScheduler::IslipScheduler(const Topology& topology)
+    : grant_pointer_(static_cast<std::size_t>(topology.num_receivers()), 0),
       accept_pointer_(static_cast<std::size_t>(topology.num_transmitters()), 0) {}
 
 void IslipScheduler::select(const Engine& engine, Time /*now*/,
@@ -86,8 +85,9 @@ void IslipScheduler::select(const Engine& engine, Time /*now*/,
   t_matched_.assign(kt, 0);
   r_matched_.assign(kr, 0);
 
-  const int max_rounds =
-      iterations_ > 0 ? iterations_ : static_cast<int>(std::max(kt, kr)) + 1;
+  // Iterate to convergence: a round that accepts nothing ends the loop and
+  // every other round matches a new pair, so the cap never binds.
+  const int max_rounds = static_cast<int>(std::max(kt, kr)) + 1;
   for (int round = 0; round < max_rounds; ++round) {
     // Grant: each unmatched receiver picks, round-robin from its pointer,
     // the requesting unmatched transmitter closest after the pointer --

@@ -53,16 +53,15 @@ class MaxWeightScheduler final : public SchedulePolicy {
 
 class IslipScheduler final : public SchedulePolicy {
  public:
-  /// Sizes the round-robin pointer state from the topology once;
-  /// iterations = 0 runs request/grant/accept until convergence. select()
-  /// asserts the engine's topology matches (a reused scheduler used to
-  /// silently reset its pointers on a size change).
-  explicit IslipScheduler(const Topology& topology, int iterations = 0);
+  /// Sizes the round-robin pointer state from the topology once; each
+  /// round runs request/grant/accept until convergence. select() asserts
+  /// the engine's topology matches (a reused scheduler used to silently
+  /// reset its pointers on a size change).
+  explicit IslipScheduler(const Topology& topology);
   void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
               Selection& out) override;
 
  private:
-  int iterations_;
   std::vector<std::size_t> grant_pointer_;   ///< per receiver (persistent)
   std::vector<std::size_t> accept_pointer_;  ///< per transmitter (persistent)
   // Per-round scratch over active endpoints only.

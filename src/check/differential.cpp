@@ -10,6 +10,7 @@
 #include "core/charging.hpp"
 #include "core/impact.hpp"
 #include "core/dual_witness.hpp"
+#include "opt/brute_force.hpp"
 #include "opt/lower_bounds.hpp"
 #include "run/policies.hpp"
 #include "run/scenario.hpp"
@@ -21,14 +22,19 @@ namespace rdcn::check {
 
 namespace {
 
-/// Tolerance scaled to the magnitudes compared (costs grow with instance
-/// size; the oracles recompute them through different arithmetic orders).
-bool leq(double a, double b, double tol) {
-  return a <= b + tol * (1.0 + std::max(std::abs(a), std::abs(b)));
+/// Relative tolerance of the cost and certificate comparisons, scaled to
+/// the magnitudes compared (costs grow with instance size; the oracles
+/// recompute them through different arithmetic orders).
+constexpr double kTolerance = 1e-6;
+/// Arrival-prefix length recorded for a stream spec's batch replay.
+constexpr std::size_t kStreamReplayPackets = 1500;
+
+bool leq(double a, double b) {
+  return a <= b + kTolerance * (1.0 + std::max(std::abs(a), std::abs(b)));
 }
 
-bool close(double a, double b, double tol) {
-  return std::abs(a - b) <= tol * (1.0 + std::max(std::abs(a), std::abs(b)));
+bool close(double a, double b) {
+  return std::abs(a - b) <= kTolerance * (1.0 + std::max(std::abs(a), std::abs(b)));
 }
 
 std::vector<std::string> policy_list(const DiffOptions& options) {
@@ -178,16 +184,15 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
   if (!all_delivered(instance, run)) {
     report.violations.push_back(std::string(label) + name + ": not every packet delivered");
   }
-  const double tol = options.tolerance;
-  if (!close(recompute_cost(instance, run), run.total_cost, tol)) {
+  if (!close(recompute_cost(instance, run), run.total_cost)) {
     report.violations.push_back(std::string(label) + name +
                                 ": engine cost != per-chunk recomputation");
   }
-  if (!close(recompute_cost_active_form(instance, run), run.total_cost, tol)) {
+  if (!close(recompute_cost_active_form(instance, run), run.total_cost)) {
     report.violations.push_back(std::string(label) + name +
                                 ": engine cost != active-form recomputation");
   }
-  if (!close(run.reconfig_cost + run.fixed_cost, run.total_cost, tol)) {
+  if (!close(run.reconfig_cost + run.fixed_cost, run.total_cost)) {
     report.violations.push_back(std::string(label) + name +
                                 ": reconfig + fixed cost shares do not sum to the total");
   }
@@ -202,11 +207,11 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
   return run.total_cost;
 }
 
-/// Dispatcher replicating ImpactDispatcher's decision rule while, for
-/// every candidate edge it evaluates, cross-validating the engine's
-/// incremental impact index against both oracles. Both read the engine's
-/// one pending structure, the edge queues, at the edges incident to e's
-/// transmitter or receiver (each packet once):
+/// ALG's dispatcher -- its own rule, impact_route -- with a Delta that,
+/// for every candidate edge the rule evaluates, cross-validates the
+/// engine's incremental impact index against both oracles. Both read the
+/// engine's one pending structure, the edge queues, at the edges incident
+/// to e's transmitter or receiver (each packet once):
 ///
 ///  * the naive scan (impact_of_scan): base and h_count must match
 ///    EXACTLY (integer / identical arithmetic); l_weight and delta to a
@@ -228,37 +233,11 @@ class CrossCheckedImpactDispatcher final : public DispatchPolicy {
   std::size_t checked_edges() const noexcept { return checked_; }
 
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override {
-    const Topology& topology = engine.topology();
-    engine.viable_edges_into(packet.source, packet.destination, edges_);
-
-    double best_delta = std::numeric_limits<double>::infinity();
-    EdgeIndex best_edge = kInvalidEdge;
-    for (EdgeIndex e : edges_) {
+    return impact_route(engine, packet, [&](EdgeIndex e) {
       const ImpactBreakdown indexed = impact_of(engine, packet, e);
       verify_edge(engine, packet, e, indexed);
-      if (indexed.delta < best_delta) {  // ties keep the lowest edge index
-        best_delta = indexed.delta;
-        best_edge = e;
-      }
-    }
-
-    const auto direct = topology.fixed_link_delay(packet.source, packet.destination);
-    RouteDecision decision;
-    if (best_edge == kInvalidEdge) {
-      if (!direct) throw std::logic_error("packet has no route");
-      decision.use_fixed = true;
-      decision.alpha = packet.weight * static_cast<double>(*direct);
-      return decision;
-    }
-    if (direct && packet.weight * static_cast<double>(*direct) <= best_delta) {
-      decision.use_fixed = true;
-      decision.alpha = packet.weight * static_cast<double>(*direct);
-      return decision;
-    }
-    decision.use_fixed = false;
-    decision.edge = best_edge;
-    decision.alpha = best_delta;
-    return decision;
+      return indexed.delta;
+    });
   }
 
  private:
@@ -339,7 +318,6 @@ class CrossCheckedImpactDispatcher final : public DispatchPolicy {
 
   DiffReport* report_;
   std::size_t checked_ = 0;
-  std::vector<EdgeIndex> edges_;
   ImpactAggregate t_agg_, r_agg_, p_agg_;
 };
 
@@ -392,7 +370,7 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
   }
 
   EngineOptions base;
-  base.audit = options.audit;
+  base.audit = true;
   const std::vector<std::string> names = policy_list(options);
   std::vector<std::pair<std::string, double>> costs;
   for (const std::string& name : names) {
@@ -402,7 +380,7 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
   }
   for (const EngineOptions& variant : options.variants) {
     EngineOptions audited = variant;
-    audited.audit = options.audit;
+    audited.audit = true;
     const std::string label = "variant(speedup " + std::to_string(variant.speedup_rounds) +
                               ", capacity " + std::to_string(variant.endpoint_capacity) +
                               ", reconfig " + std::to_string(variant.reconfig_delay) +
@@ -414,26 +392,25 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
 
   // Bound relations (valid in the unit-speed analysis model the base runs
   // use): no schedule beats the trivial bound or the exhaustive optimum.
-  const double tol = options.tolerance;
   const double ideal = instance.ideal_cost();
   ++report.checks;
   for (const auto& [name, cost] : costs) {
-    if (!leq(ideal, cost, tol)) {
+    if (!leq(ideal, cost)) {
       report.violations.push_back(name + ": cost " + std::to_string(cost) +
                                   " beats the trivial lower bound " + std::to_string(ideal));
     }
   }
-  if (instance.num_packets() <= options.brute_force.max_packets) {
-    if (const auto optimum = brute_force_opt(instance, options.brute_force)) {
+  if (instance.num_packets() <= BruteForceLimits{}.max_packets) {
+    if (const auto optimum = brute_force_opt(instance)) {
       ++report.checks;
       for (const auto& [name, cost] : costs) {
-        if (!leq(optimum->cost, cost, tol)) {
+        if (!leq(optimum->cost, cost)) {
           report.violations.push_back(name + ": cost " + std::to_string(cost) +
                                       " beats the exhaustive optimum " +
                                       std::to_string(optimum->cost));
         }
       }
-      if (!leq(ideal, optimum->cost, tol)) {
+      if (!leq(ideal, optimum->cost)) {
         report.violations.push_back("trivial bound " + std::to_string(ideal) +
                                     " exceeds the exhaustive optimum " +
                                     std::to_string(optimum->cost));
@@ -448,17 +425,17 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
     check_impact_index(instance, report);
     try {
       EngineOptions audited;
-      audited.audit = options.audit;
+      audited.audit = true;
       const RunResult run = run_alg(instance, audited);
 
       ++report.checks;
       const ChargingAudit charging = audit_charging(instance, run);
-      if (charging.max_overcharge > tol * (1.0 + std::abs(run.total_cost))) {
+      if (charging.max_overcharge > kTolerance * (1.0 + std::abs(run.total_cost))) {
         report.violations.push_back("charging: a packet is charged beyond its alpha "
                                     "(Lemma 2 violated by " +
                                     std::to_string(charging.max_overcharge) + ")");
       }
-      if (charging.cover_gap > tol * (1.0 + std::abs(run.total_cost))) {
+      if (charging.cover_gap > kTolerance * (1.0 + std::abs(run.total_cost))) {
         report.violations.push_back("charging: charges do not partition ALG's cost (gap " +
                                     std::to_string(charging.cover_gap) + ")");
       }
@@ -478,16 +455,13 @@ DiffReport check_instance(const Instance& instance, const DiffOptions& options) 
       if (!check_dual_feasibility(instance, witness).halved_feasible) {
         report.violations.push_back("dual witness: halved witness infeasible (Lemma 4/5)");
       }
-      if (lemma1_gap(witness, run) > tol * (1.0 + std::abs(run.total_cost))) {
+      if (lemma1_gap(witness, run) > kTolerance * (1.0 + std::abs(run.total_cost))) {
         report.violations.push_back("dual witness: Lemma 1 beta/cost balance broken");
       }
 
-      LowerBoundOptions bound_options;
-      bound_options.eps = options.eps;
-      bound_options.max_lp_variables = options.max_lp_variables;
-      const LowerBounds bounds = compute_lower_bounds(instance, bound_options);
+      const LowerBounds bounds = compute_lower_bounds(instance, LowerBoundOptions{});
       ++report.checks;
-      if (bounds.lp_bound && !leq(bounds.dual_witness_bound, *bounds.lp_bound, tol)) {
+      if (bounds.lp_bound && !leq(bounds.dual_witness_bound, *bounds.lp_bound)) {
         report.violations.push_back(
             "weak duality broken: dual witness bound " +
             std::to_string(bounds.dual_witness_bound) + " exceeds the LP optimum " +
@@ -505,7 +479,7 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
                         const DiffOptions& options) {
   DiffReport report;
   StreamSpec audited = spec;
-  audited.engine.audit = options.audit;
+  audited.engine.audit = true;
 
   std::unique_ptr<StreamRunner> runner;
   try {
@@ -515,7 +489,6 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
     return report;
   }
 
-  const double tol = options.tolerance;
   bool calibrated = true;
   for (const std::string& name : policy_list(options)) {
     const PolicyFactory policy = named_policy(name);
@@ -557,10 +530,10 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
     }
     if (out.steps > 0 &&
         !close(out.throughput,
-               static_cast<double>(out.served) / static_cast<double>(out.steps), tol)) {
+               static_cast<double>(out.served) / static_cast<double>(out.steps))) {
       report.violations.push_back(name + ": throughput != served / steps");
     }
-    if (out.measured > 0 && !close(out.mean_latency, out.latency.mean(), tol)) {
+    if (out.measured > 0 && !close(out.mean_latency, out.latency.mean())) {
       report.violations.push_back(name + ": mean latency disagrees with the histogram");
     }
     if (out.measured > 0 && out.latency.min() < 1) {
@@ -656,7 +629,7 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
   try {
     const Topology topology = make_topology(spec.topology, rep_seed);
     const std::size_t prefix = std::min(spec.warmup_packets + spec.measure_packets,
-                                        options.stream_replay_packets);
+                                        kStreamReplayPackets);
     if (!staged) {
       TrafficConfig traffic = spec.traffic;
       traffic.shape.seed = rep_seed;

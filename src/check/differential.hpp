@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "net/instance.hpp"
-#include "opt/brute_force.hpp"
 #include "run/stream.hpp"
 #include "sim/engine.hpp"
 
@@ -54,14 +53,7 @@ struct DiffOptions {
   /// demand-oblivious and randomized baselines can legitimately starve
   /// under a reconfiguration delay, which is behaviour, not a bug.
   std::vector<std::string> variant_policies = {"alg", "maxweight", "fifo"};
-  bool audit = true;
   bool check_stream_equivalence = true;
-  double eps = 1.0;
-  double tolerance = 1e-6;
-  BruteForceLimits brute_force{};
-  std::size_t max_lp_variables = 4000;
-  /// Arrival-prefix length recorded for a stream spec's batch replay.
-  std::size_t stream_replay_packets = 1500;
 };
 
 struct DiffReport {

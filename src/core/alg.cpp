@@ -1,44 +1,14 @@
 #include "core/alg.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
 #include "core/impact.hpp"
 
 namespace rdcn {
 
 RouteDecision ImpactDispatcher::dispatch(const Engine& engine, const Packet& packet) {
-  const Topology& topology = engine.topology();
-  engine.viable_edges_into(packet.source, packet.destination, edges_);
-
-  double best_delta = std::numeric_limits<double>::infinity();
-  EdgeIndex best_edge = kInvalidEdge;
-  for (EdgeIndex e : edges_) {
-    const double delta = impact_of(engine, packet, e).delta;
-    if (delta < best_delta) {  // ties keep the lowest edge index
-      best_delta = delta;
-      best_edge = e;
-    }
-  }
-
-  const auto direct = topology.fixed_link_delay(packet.source, packet.destination);
-  RouteDecision decision;
-  if (best_edge == kInvalidEdge) {
-    if (!direct) throw std::logic_error("packet has no route");
-    decision.use_fixed = true;
-    decision.alpha = packet.weight * static_cast<double>(*direct);
-    return decision;
-  }
-  if (direct && packet.weight * static_cast<double>(*direct) <= best_delta) {
-    decision.use_fixed = true;
-    decision.alpha = packet.weight * static_cast<double>(*direct);
-    return decision;
-  }
-  decision.use_fixed = false;
-  decision.edge = best_edge;
-  decision.alpha = best_delta;
-  return decision;
+  return impact_route(engine, packet,
+                      [&](EdgeIndex e) { return impact_of(engine, packet, e).delta; });
 }
 
 void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,

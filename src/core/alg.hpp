@@ -1,10 +1,10 @@
 #pragma once
 
 // The paper's online algorithm ALG (Section III):
-//  * ImpactDispatcher  -- the greedy-dispatch rule of Section III-B:
-//    commit each arriving packet to the route minimizing its worst-case
-//    impact, i.e. argmin_e Delta_p(e), or the fixed direct link when
-//    w_p * dl(p) <= min_e Delta_p(e);
+//  * ImpactDispatcher  -- the greedy-dispatch rule of Section III-B
+//    (impact_route): commit each arriving packet to the route minimizing
+//    its worst-case impact, i.e. argmin_e Delta_p(e), or the fixed direct
+//    link when w_p * dl(p) <= min_e Delta_p(e);
 //  * StableMatchingScheduler -- the scheduler of Section III-C: per step,
 //    greedily build a stable matching of pending chunks, scanning them in
 //    decreasing weight / increasing arrival order.
@@ -13,18 +13,52 @@
 // are exactly the dual variables alpha_p of Section IV-B.
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
 
 namespace rdcn {
 
+/// ALG's dispatch rule, the one place impacts become a RouteDecision: the
+/// viable edge of E_p with the least delta_of(e) (ties keep the earliest
+/// edge of E_p), unless the fixed link is at least as cheap (w_p * dl(p)
+/// <= min Delta) or no edge is viable; alpha is the chosen bound. Throws
+/// std::logic_error when the packet has neither. ImpactDispatcher passes
+/// impact_of's Delta; the differential checker and bench_dispatch pass
+/// theirs through the same rule.
+template <typename DeltaOf>
+RouteDecision impact_route(const Engine& engine, const Packet& packet,
+                           DeltaOf&& delta_of) {
+  double best_delta = std::numeric_limits<double>::infinity();
+  EdgeIndex best_edge = kInvalidEdge;
+  for (EdgeIndex e : engine.viable_edges(packet.source, packet.destination)) {
+    const double delta = delta_of(e);
+    if (delta < best_delta) {
+      best_delta = delta;
+      best_edge = e;
+    }
+  }
+  const auto direct =
+      engine.topology().fixed_link_delay(packet.source, packet.destination);
+  RouteDecision decision;
+  if (direct && (best_edge == kInvalidEdge ||
+                 packet.weight * static_cast<double>(*direct) <= best_delta)) {
+    decision.use_fixed = true;
+    decision.alpha = packet.weight * static_cast<double>(*direct);
+    return decision;
+  }
+  if (best_edge == kInvalidEdge) throw std::logic_error("packet has no route");
+  decision.use_fixed = false;
+  decision.edge = best_edge;
+  decision.alpha = best_delta;
+  return decision;
+}
+
 class ImpactDispatcher final : public DispatchPolicy {
  public:
   RouteDecision dispatch(const Engine& engine, const Packet& packet) override;
-
- private:
-  std::vector<EdgeIndex> edges_;  ///< candidate_edges_into scratch
 };
 
 class StableMatchingScheduler final : public SchedulePolicy {

@@ -66,7 +66,7 @@ DualFeasibilityReport check_dual_feasibility(const Instance& instance,
     //   alpha_p - d(e) (beta_{t,tau} + beta_{r,tau}) <= w_p (tau + d^(e) - a_p).
     // Beyond the horizon both betas vanish and the RHS grows, so checking
     // tau in [a_p, horizon] is exhaustive.
-    for (EdgeIndex e : topology.candidate_edges(packet.source, packet.destination)) {
+    for (EdgeIndex e : topology.pair_edges(packet.source, packet.destination)) {
       const ReconfigEdge& edge = topology.edge(e);
       const double d = static_cast<double>(edge.delay);
       const double total_delay = static_cast<double>(topology.total_edge_delay(e));

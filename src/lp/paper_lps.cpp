@@ -55,7 +55,7 @@ PrimalLp build_primal_lp(const Instance& instance, const PaperLpOptions& options
     const Packet& packet = instance.packets()[i];
     std::vector<lp::Term> completeness;
 
-    for (EdgeIndex e : topology.candidate_edges(packet.source, packet.destination)) {
+    for (EdgeIndex e : topology.pair_edges(packet.source, packet.destination)) {
       const ReconfigEdge& edge = topology.edge(e);
       const double total_delay = static_cast<double>(topology.total_edge_delay(e));
       for (Time tau = packet.arrival; tau <= result.horizon; ++tau) {
@@ -136,7 +136,7 @@ DualLp build_dual_lp(const Instance& instance, const PaperLpOptions& options) {
 
   for (std::size_t i = 0; i < instance.num_packets(); ++i) {
     const Packet& packet = instance.packets()[i];
-    for (EdgeIndex e : topology.candidate_edges(packet.source, packet.destination)) {
+    for (EdgeIndex e : topology.pair_edges(packet.source, packet.destination)) {
       const ReconfigEdge& edge = topology.edge(e);
       const double d = static_cast<double>(edge.delay);
       const double total_delay = static_cast<double>(topology.total_edge_delay(e));

@@ -8,12 +8,18 @@ namespace rdcn::lp {
 
 namespace {
 
+constexpr std::size_t kMaxIterations = 200000;
+constexpr double kTolerance = 1e-9;
+/// Switch from Dantzig to Bland pivoting after this many iterations
+/// (guarantees termination on degenerate problems).
+constexpr std::size_t kBlandAfter = 20000;
+
 /// Dense two-phase tableau. Columns: structural | slack/surplus |
 /// artificial. Rows carry Ax = b with b >= 0; `basis[i]` is the basic
 /// column of row i. The reduced-cost row is maintained incrementally.
 class Tableau {
  public:
-  Tableau(const Model& model, const SolveOptions& options) : options_(options) {
+  explicit Tableau(const Model& model) {
     const std::size_t n = model.num_variables();
     const std::size_t m = model.num_constraints();
     // Normalized rows: coefficients over structural vars, relation, rhs>=0.
@@ -152,15 +158,14 @@ class Tableau {
   }
 
   SolveStatus iterate(Solution& solution, bool allow_artificial) {
-    const double tol = options_.tolerance;
     const std::size_t limit = allow_artificial ? num_columns_ : first_artificial_;
     while (true) {
-      if (solution.iterations >= options_.max_iterations) return SolveStatus::IterationLimit;
-      const bool bland = solution.iterations >= options_.bland_after;
+      if (solution.iterations >= kMaxIterations) return SolveStatus::IterationLimit;
+      const bool bland = solution.iterations >= kBlandAfter;
 
       // Entering column: most negative reduced cost (or Bland: first).
       std::size_t entering = num_columns_;
-      double best = -tol;
+      double best = -kTolerance;
       for (std::size_t j = 0; j < limit; ++j) {
         if (reduced_[j] < best) {
           entering = j;
@@ -176,10 +181,10 @@ class Tableau {
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < a_.size(); ++i) {
         const double coeff = a_[i][entering];
-        if (coeff <= tol) continue;
+        if (coeff <= kTolerance) continue;
         const double ratio = b_[i] / coeff;
-        const bool strictly_better = ratio < best_ratio - tol;
-        const bool tie = std::abs(ratio - best_ratio) <= tol;
+        const bool strictly_better = ratio < best_ratio - kTolerance;
+        const bool tie = std::abs(ratio - best_ratio) <= kTolerance;
         bool take = false;
         if (leaving == a_.size() || strictly_better) {
           take = true;
@@ -214,7 +219,6 @@ class Tableau {
     }
   }
 
-  const SolveOptions options_;
   std::size_t num_structural_ = 0;
   std::size_t first_artificial_ = 0;
   std::size_t num_columns_ = 0;
@@ -228,7 +232,7 @@ class Tableau {
 
 }  // namespace
 
-Solution solve(const Model& model, const SolveOptions& options) {
+Solution solve(const Model& model) {
   Solution solution;
   if (model.num_constraints() == 0) {
     // With x >= 0 and no rows, the optimum is at 0 unless some coefficient
@@ -245,7 +249,7 @@ Solution solve(const Model& model, const SolveOptions& options) {
     solution.objective = 0.0;
     return solution;
   }
-  Tableau tableau(model, options);
+  Tableau tableau(model);
   solution.status = tableau.run(solution, model.maximize());
   return solution;
 }

@@ -14,14 +14,6 @@ namespace rdcn::lp {
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-struct SolveOptions {
-  std::size_t max_iterations = 200000;
-  double tolerance = 1e-9;
-  /// Switch from Dantzig to Bland pivoting after this many iterations
-  /// (guarantees termination on degenerate problems).
-  std::size_t bland_after = 20000;
-};
-
 struct Solution {
   SolveStatus status = SolveStatus::IterationLimit;
   double objective = 0.0;            ///< in the model's sense (max or min)
@@ -29,6 +21,9 @@ struct Solution {
   std::size_t iterations = 0;
 };
 
-Solution solve(const Model& model, const SolveOptions& options = {});
+/// Pivots with tolerance 1e-9, switches from Dantzig to Bland pivoting
+/// after 20000 iterations (guaranteeing termination on degenerate
+/// problems) and gives up with IterationLimit after 200000.
+Solution solve(const Model& model);
 
 }  // namespace rdcn::lp

@@ -104,7 +104,7 @@ double Instance::ideal_cost() const {
     if (auto direct = topology_.fixed_link_delay(p.source, p.destination)) {
       best = static_cast<double>(*direct);
     }
-    for (EdgeIndex e : topology_.candidate_edges(p.source, p.destination)) {
+    for (EdgeIndex e : topology_.pair_edges(p.source, p.destination)) {
       // Even alone in the system, a packet on edge e pays the staircase
       // (d(e)+1)/2 average over its d(e) chunks plus attach delays.
       const ReconfigEdge& edge = topology_.edge(e);

@@ -85,18 +85,6 @@ Delay Topology::total_edge_delay(EdgeIndex e) const {
          receiver_attach_delay_.at(edge_ref.receiver);
 }
 
-std::vector<EdgeIndex> Topology::candidate_edges(NodeIndex source,
-                                                 NodeIndex destination) const {
-  const std::span<const EdgeIndex> edges = pair_edges(source, destination);
-  return {edges.begin(), edges.end()};
-}
-
-void Topology::candidate_edges_into(NodeIndex source, NodeIndex destination,
-                                    std::vector<EdgeIndex>& out) const {
-  const std::span<const EdgeIndex> edges = pair_edges(source, destination);
-  out.assign(edges.begin(), edges.end());
-}
-
 void Topology::build_pair_cache() const {
   const auto pairs = static_cast<std::size_t>(num_sources_) *
                      static_cast<std::size_t>(num_destinations_);

@@ -108,12 +108,6 @@ class Topology {
   /// Valid until the next mutation. Throws std::out_of_range for a bad
   /// source; empty for a destination out of range.
   std::span<const EdgeIndex> pair_edges(NodeIndex source, NodeIndex destination) const;
-  /// pair_edges copied into a fresh vector.
-  std::vector<EdgeIndex> candidate_edges(NodeIndex source, NodeIndex destination) const;
-  /// pair_edges copied into `out` (cleared first), for callers that keep
-  /// a filtered copy in member scratch.
-  void candidate_edges_into(NodeIndex source, NodeIndex destination,
-                            std::vector<EdgeIndex>& out) const;
 
   /// dℓ for the pair, if a fixed direct link exists (nullopt for pairs out
   /// of range). One table read from the pair cache.

@@ -180,7 +180,8 @@ std::optional<BruteForceResult> brute_force_opt(const Instance& instance,
   std::vector<std::vector<EdgeIndex>> options(instance.num_packets());
   for (std::size_t i = 0; i < instance.num_packets(); ++i) {
     const Packet& packet = instance.packets()[i];
-    options[i] = topology.candidate_edges(packet.source, packet.destination);
+    const auto edges = topology.pair_edges(packet.source, packet.destination);
+    options[i].assign(edges.begin(), edges.end());
     if (topology.fixed_link_delay(packet.source, packet.destination)) {
       options[i].push_back(kInvalidEdge);
     }

@@ -28,9 +28,9 @@ LowerBounds compute_lower_bounds(const Instance& instance, const LowerBoundOptio
     const Time horizon = default_lp_horizon(instance, options.eps);
     std::size_t variables = 0;
     for (const Packet& packet : instance.packets()) {
-      const auto edges =
-          instance.topology().candidate_edges(packet.source, packet.destination);
-      variables += edges.size() * static_cast<std::size_t>(horizon - packet.arrival + 1);
+      const std::size_t edges =
+          instance.topology().pair_edges(packet.source, packet.destination).size();
+      variables += edges * static_cast<std::size_t>(horizon - packet.arrival + 1);
     }
     if (variables <= options.max_lp_variables) {
       bounds.lp_bound = lp_opt_lower_bound(instance, options.eps, horizon);

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <queue>
-#include <stdexcept>
 #include <vector>
 
 namespace rdcn {
 
-double output_queueing_bound(const Instance& instance,
-                             const OutputQueueingOptions& options) {
-  if (options.service_per_receiver < 1) {
-    throw std::invalid_argument("service_per_receiver must be >= 1");
-  }
+double output_queueing_bound(const Instance& instance) {
   const Topology& topology = instance.topology();
 
   struct Job {
@@ -33,8 +28,7 @@ double output_queueing_bound(const Instance& instance,
     // step; destinations reachable only via fixed links still pay >= 1
     // step each, which a 1-per-step server under-counts safely.
     const std::size_t receivers = topology.receivers_of_destination(dest).size();
-    const std::size_t capacity = std::max<std::size_t>(
-        1, receivers * static_cast<std::size_t>(options.service_per_receiver));
+    const std::size_t capacity = std::max<std::size_t>(1, receivers);
 
     std::sort(jobs.begin(), jobs.end(),
               [](const Job& a, const Job& b) { return a.arrival < b.arrival; });

@@ -16,16 +16,9 @@
 
 namespace rdcn {
 
-struct OutputQueueingOptions {
-  /// Packets a destination absorbs per step per attached receiver; 1 is
-  /// the base model, k models a k-speed switch fabric.
-  int service_per_receiver = 1;
-};
-
 /// Lower bound on the weighted fractional latency of ANY unit-speed
 /// schedule of the instance (ignores transmitter contention, matching
 /// constraints, and all path delays beyond the minimal 1-step service).
-double output_queueing_bound(const Instance& instance,
-                             const OutputQueueingOptions& options = {});
+double output_queueing_bound(const Instance& instance);
 
 }  // namespace rdcn

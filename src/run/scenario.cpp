@@ -77,11 +77,6 @@ std::vector<std::uint64_t> repetition_seeds(std::uint64_t base_seed,
   return seeds;
 }
 
-void ScenarioRunner::each_instance(
-    const std::function<void(std::uint64_t, const Instance&)>& fn) const {
-  for (const std::uint64_t seed : seeds()) fn(seed, instance(seed));
-}
-
 RepetitionOutcome ScenarioRunner::run_repetition(const PolicyFactory& policy,
                                                  std::uint64_t rep_seed,
                                                  const RepMetric& metric,

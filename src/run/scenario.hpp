@@ -147,10 +147,6 @@ class ScenarioRunner {
   ScenarioResult aggregate(const PolicyFactory& policy,
                            std::vector<RepetitionOutcome> outcomes) const;
 
-  /// Calls fn(seed, instance) for every repetition, instances built by the
-  /// runner -- the hook for benches computing bespoke audits per instance.
-  void each_instance(const std::function<void(std::uint64_t, const Instance&)>& fn) const;
-
  private:
   friend class BatchRunner;
   /// `cancel` (nullable) is handed to the engine, which throws

@@ -94,6 +94,12 @@ void Engine::init(EngineOptions options) {
   const auto num_edges = static_cast<std::size_t>(topology_->num_edges());
   queues_.assign(num_edges, EdgeQueue{});
   dirty_edges_.reserve(num_edges);  // an edge is listed at most once
+  // The head list holds at most one entry per edge and listed kind, and so
+  // does the buffer a refresh merges it into; the two swap, so both take
+  // that bound.
+  const std::size_t list_bound = num_edges * (head_kinds_ == HeadKinds::Both ? 2 : 1);
+  heads_.reserve(list_bound);
+  spare_heads_.reserve(list_bound);
   edge_alive_.assign(num_edges, 1);
   edge_meta_.resize(num_edges);
   for (std::size_t i = 0; i < num_edges; ++i) {
@@ -346,12 +352,6 @@ void Engine::mark_dirty(EdgeIndex e) {
   if (q.dirty) return;
   q.dirty = true;
   dirty_edges_.push_back(e);  // rdcn-lint: allow(hot-alloc) -- reserved to |E| in init
-  // Every listed head change passes here before it happens, so on an
-  // edge's first change since the last refresh its heads are still the
-  // entries the head list holds for it: the ones the refresh drops.
-  if (front(q) >= 0) {
-    dropped_heads_ += head_kinds_ == HeadKinds::Both && q.oldest != q.first ? 2 : 1;
-  }
 }
 
 // rdcn-lint: hot
@@ -389,8 +389,11 @@ void Engine::refresh_heads_in(Order before) {
   // are used up it is exhausted and ranks after every old entry.
   const EdgeQueue* const queues = queues_.data();
   const std::size_t k = fresh_heads_.size();
-  spare_heads_.resize(heads_.size() - dropped_heads_ + k);  // rdcn-lint: allow(hot-alloc) -- at most 2|E| entries, grow-once
-  Candidate* out = spare_heads_.data();
+  // Room for the old list plus the fresh heads, capped at the capacity
+  // init reserved: the list's bound, which the merge never exceeds.
+  spare_heads_.resize(std::min(heads_.size() + k, spare_heads_.capacity()));  // rdcn-lint: allow(hot-alloc) -- within the bound reserved in init
+  Candidate* const begin = spare_heads_.data();
+  Candidate* out = begin;
   Candidate pending;
   Order::exhaust(pending);
   std::size_t next = 0;
@@ -408,10 +411,10 @@ void Engine::refresh_heads_in(Order before) {
     *out++ = c;
   }
   for (; next < k; ++next) *out++ = fresh_heads_[next];
+  spare_heads_.resize(static_cast<std::size_t>(out - begin));
   heads_.swap(spare_heads_);
   for (EdgeIndex e : dirty_edges_) queues_[static_cast<std::size_t>(e)].dirty = false;
   dirty_edges_.clear();
-  dropped_heads_ = 0;
 }
 
 // rdcn-lint: hot
@@ -520,15 +523,15 @@ void Engine::requeue_pending(Pick pick, DeadPolicy policy, MutationStats* stats)
 }
 
 // rdcn-lint: hot
-void Engine::viable_edges_into(NodeIndex source, NodeIndex destination,
-                               std::vector<EdgeIndex>& out) const {
-  topology_->candidate_edges_into(source, destination, out);
-  if (dead_edges_ == 0) return;  // steady state: pure pass-through
-  std::size_t write = 0;
-  for (EdgeIndex e : out) {
-    if (edge_alive_[static_cast<std::size_t>(e)]) out[write++] = e;
+std::span<const EdgeIndex> Engine::viable_edges(NodeIndex source,
+                                                NodeIndex destination) const {
+  const std::span<const EdgeIndex> edges = topology_->pair_edges(source, destination);
+  if (dead_edges_ == 0) return edges;  // steady state: the topology's own view
+  viable_scratch_.clear();
+  for (EdgeIndex e : edges) {
+    if (edge_alive_[static_cast<std::size_t>(e)]) viable_scratch_.push_back(e);  // rdcn-lint: allow(hot-alloc) -- grows once to the widest pair
   }
-  out.resize(write);
+  return viable_scratch_;
 }
 
 bool Engine::has_viable_route(NodeIndex source, NodeIndex destination) const {

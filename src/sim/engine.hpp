@@ -97,6 +97,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/instance.hpp"
@@ -309,13 +310,12 @@ class Engine {
   bool edge_alive(EdgeIndex e) const noexcept {
     return dead_edges_ == 0 || edge_alive_[static_cast<std::size_t>(e)] != 0;
   }
-  std::size_t dead_edge_count() const noexcept { return dead_edges_; }
 
-  /// candidate_edges_into() restricted to alive edges -- what dispatchers
-  /// route over. The common no-failures case is a pass-through (zero-cost:
-  /// one integer compare).
-  void viable_edges_into(NodeIndex source, NodeIndex destination,
-                         std::vector<EdgeIndex>& out) const;
+  /// E_p's alive edges, in E_p order -- what dispatchers route over. While
+  /// no edge is dead this is the topology's pair_edges view itself;
+  /// otherwise the alive subset, in one engine-owned scratch that stays
+  /// valid until the next call.
+  std::span<const EdgeIndex> viable_edges(NodeIndex source, NodeIndex destination) const;
 
   /// True if source->destination still has some way through: a fixed
   /// direct link, or at least one alive reconfigurable edge.
@@ -356,11 +356,10 @@ class Engine {
   std::size_t in_flight() const noexcept {
     return static_cast<std::size_t>(dispatched_count_ - retired_count_ - dropped_count_);
   }
-  /// Current / peak number of resident per-packet records -- the
-  /// memory-bounding quantity. A record lives exactly while its packet is
-  /// pending in an edge queue, so this is the backlog: O(in-flight), not
+  /// Peak number of resident per-packet records -- the memory-bounding
+  /// quantity. A record lives exactly while its packet is pending in an
+  /// edge queue, so the current count is pending_count(): O(in-flight), not
   /// O(total served). The peak is the node pool's high-water size.
-  std::size_t resident_slots() const noexcept { return pending_count_; }
   std::size_t peak_resident_slots() const noexcept { return nodes_.size(); }
   std::uint64_t packets_dispatched() const noexcept { return dispatched_count_; }
   std::uint64_t packets_retired() const noexcept { return retired_count_; }
@@ -559,9 +558,8 @@ class Engine {
     const PacketRecord& r = record(n);
     return Packet{c.packet, c.arrival, r.weight, r.source, r.destination};
   }
-  /// Flags edge `e` for the next head refresh; called before each change
-  /// to its listed heads, so the first call counts the entries the list
-  /// drops.
+  /// Flags edge `e` for the next head refresh, which drops its entries
+  /// from the head list and re-reads its listed heads.
   void mark_dirty(EdgeIndex e);
   /// Re-reads the listed heads of the dirty edges and merges them into the
   /// sorted head list.
@@ -618,11 +616,13 @@ class Engine {
   std::uint64_t requeued_count_ = 0;
 
   /// Stage-mutation state. dead_edges_ == 0 is the steady-state fast path:
-  /// edge_alive() and viable_edges_into() reduce to one compare, so runs
-  /// without mutations pay nothing. step_open_ guards the step-boundary
-  /// contract of apply_mutation.
+  /// edge_alive() reduces to one compare and viable_edges() hands out the
+  /// topology's view, so runs without mutations pay nothing; while some
+  /// edge is dead, viable_edges() filters into viable_scratch_ (grow-once).
+  /// step_open_ guards the step-boundary contract of apply_mutation.
   std::vector<char> edge_alive_;
   std::size_t dead_edges_ = 0;
+  mutable std::vector<EdgeIndex> viable_scratch_;
   bool step_open_ = false;
   /// Requeue-path scratch (cold): the nodes requeue_pending handles.
   std::vector<std::int32_t> requeue_scratch_;
@@ -630,10 +630,10 @@ class Engine {
   /// The pending work: one queue per edge over a pooled node arena (free
   /// list threaded through QueueNode::next) with each node's packet record
   /// in a block beside it, the sorted head list handed to the scheduler
-  /// (and the buffer its refresh merges into), the edges whose heads it has
-  /// yet to re-read, and how many list entries those edges held when they
-  /// changed. nodes_ grows once to the high-water backlog, and
-  /// record_blocks_ a block at a time with it.
+  /// (and the buffer its refresh merges into, sized for the old list plus
+  /// the fresh heads up to the list's bound, then truncated to what the
+  /// merge wrote), and the edges whose heads it has yet to re-read. nodes_ grows once to the
+  /// high-water backlog, and record_blocks_ a block at a time with it.
   std::vector<EdgeQueue> queues_;
   std::vector<QueueNode> nodes_;
   std::vector<std::unique_ptr<PacketRecord[]>> record_blocks_;
@@ -641,7 +641,6 @@ class Engine {
   std::size_t pending_count_ = 0;
   std::vector<Candidate> heads_, spare_heads_;
   std::vector<EdgeIndex> dirty_edges_;
-  std::size_t dropped_heads_ = 0;
 
   /// Round-stamped scratch for selection validation (replaces per-round
   /// allocations sized by the topology).

@@ -138,7 +138,6 @@ class TreapStore {
     path_.reserve(64);
   }
   std::size_t live_nodes() const noexcept { return live_; }
-  std::size_t pool_capacity() const noexcept { return pool_.capacity(); }
 
  private:
   std::int32_t add_slow(std::int32_t root, double key, std::int64_t delta);

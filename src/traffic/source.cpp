@@ -142,29 +142,24 @@ std::int64_t cheapest_demand(const Topology& topology, NodeIndex source,
   return best;
 }
 
-double mean_service_demand(const Topology& topology, const WorkloadConfig& shape,
-                           std::size_t draws) {
-  return estimate_service_demand(topology, shape, draws).mean_demand;
-}
-
 DemandEstimate estimate_service_demand(const Topology& topology,
-                                       const WorkloadConfig& shape, std::size_t draws) {
-  if (draws == 0) throw std::invalid_argument("estimate_service_demand needs draws >= 1");
+                                       const WorkloadConfig& shape) {
+  constexpr std::size_t kDraws = 4096;
   // Fork the seed so the estimate never perturbs the arrival stream drawn
   // from the same WorkloadConfig.
   Rng rng(Rng(shape.seed).fork(0x9a1fULL).next_u64());
   const PairSampler sampler(topology, shape, rng);
   double total = 0.0;
   std::size_t zero = 0;
-  for (std::size_t i = 0; i < draws; ++i) {
+  for (std::size_t i = 0; i < kDraws; ++i) {
     const auto [source, destination] = sampler.sample(rng);
     const std::int64_t demand = cheapest_demand(topology, source, destination);
     if (demand == 0) ++zero;
     total += static_cast<double>(demand);
   }
   DemandEstimate estimate;
-  estimate.mean_demand = total / static_cast<double>(draws);
-  estimate.zero_fraction = static_cast<double>(zero) / static_cast<double>(draws);
+  estimate.mean_demand = total / static_cast<double>(kDraws);
+  estimate.zero_fraction = static_cast<double>(zero) / static_cast<double>(kDraws);
   return estimate;
 }
 

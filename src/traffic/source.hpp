@@ -116,23 +116,18 @@ double matching_capacity(const Topology& topology, int speedup_rounds = 1);
 std::int64_t cheapest_demand(const Topology& topology, NodeIndex source,
                              NodeIndex destination);
 
-/// E[demand] of the configured pair distribution, estimated by a
-/// deterministic Monte-Carlo (seeded from shape.seed) of `draws` pairs.
-double mean_service_demand(const Topology& topology, const WorkloadConfig& shape,
-                           std::size_t draws = 4096);
-
-/// Demand profile of the pair distribution: the mean over all draws plus
-/// the fraction of draws with no reconfigurable route at all (demand 0);
-/// the latter is invisible in the mean alone -- cheapest_demand cannot
-/// distinguish "cheap route" from "no route" -- and silently dilutes any
-/// rho computed from it.
+/// Demand profile of the pair distribution, estimated by a deterministic
+/// Monte-Carlo (seeded from shape.seed) of 4096 pairs: E[demand] over all
+/// draws plus the fraction of draws with no reconfigurable route at all
+/// (demand 0); the latter is invisible in the mean alone --
+/// cheapest_demand cannot distinguish "cheap route" from "no route" -- and
+/// silently dilutes any rho computed from it.
 struct DemandEstimate {
   double mean_demand = 0.0;    ///< over all draws (zero-demand included)
   double zero_fraction = 0.0;  ///< share of draws with demand == 0
 };
 DemandEstimate estimate_service_demand(const Topology& topology,
-                                       const WorkloadConfig& shape,
-                                       std::size_t draws = 4096);
+                                       const WorkloadConfig& shape);
 
 /// Packets per step targeting utilization config.rho (see header comment).
 /// Throws when the pair distribution never touches the reconfigurable

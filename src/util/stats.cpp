@@ -48,11 +48,6 @@ double Summary::percentile(double q) const {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double Summary::ci95_halfwidth() const noexcept {
-  if (samples_.size() < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(samples_.size()));
-}
-
 LatencyHistogram::LatencyHistogram(int sub_bucket_bits) : bits_(sub_bucket_bits) {
   if (sub_bucket_bits < 0 || sub_bucket_bits > 20) {
     throw std::invalid_argument("sub_bucket_bits must be in [0, 20]");

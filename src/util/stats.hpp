@@ -31,8 +31,6 @@ class Summary {
   /// Linear-interpolated percentile, q in [0, 100].
   double percentile(double q) const;
   double median() const { return percentile(50.0); }
-  /// Half-width of the normal-approximation 95% confidence interval.
-  double ci95_halfwidth() const noexcept;
 
   const std::vector<double>& samples() const noexcept { return samples_; }
 

@@ -68,7 +68,7 @@ inline lp::ExactModel build_primal_lp_exact(const Instance& instance, ExactEps e
     const Rational weight(exact_detail::integer_weight(packet));
     std::vector<lp::ExactTerm> completeness;
 
-    for (EdgeIndex e : topology.candidate_edges(packet.source, packet.destination)) {
+    for (EdgeIndex e : topology.pair_edges(packet.source, packet.destination)) {
       const ReconfigEdge& edge = topology.edge(e);
       const Rational usage(static_cast<std::int64_t>(edge.delay));
       const Rational total_delay(static_cast<std::int64_t>(topology.total_edge_delay(e)));

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "baseline/dispatchers.hpp"
@@ -203,13 +204,56 @@ TEST(HotPathAllocations, StarvedPacketStreamAllocatesNothingAfterWarmup) {
   EXPECT_EQ(engine.packets_retired(), 5001u);
 }
 
+/// While an edge is dead, dispatchers read E_p from the engine's filtered
+/// scratch, which grows once: a stream that keeps dispatching after a stage
+/// boundary killed an edge allocates nothing once the first 1000 steps
+/// have sized the scratch, the record pool and the index.
+TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
+  const Topology topology = hotpath_topology(3);
+  const std::vector<Packet> shapes = burst_packets(topology, 64, 23);
+  // The first edge of a pair that keeps another: its packets still route,
+  // over the survivor, through the filtered view.
+  EdgeIndex victim = kInvalidEdge;
+  for (const Packet& p : shapes) {
+    const std::span<const EdgeIndex> edges = topology.pair_edges(p.source, p.destination);
+    if (edges.size() >= 2) {
+      victim = edges.front();
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidEdge);
+  ImpactDispatcher dispatcher;
+  StableMatchingScheduler scheduler;
+  Engine engine(topology, dispatcher, scheduler, {}, [](RetiredPacket&&) {});
+  StageMutation kill;
+  kill.kill_edges = {victim};
+  PacketIndex id = 0;
+  std::uint64_t before = 0;
+  std::uint64_t dispatched_before = 0;
+  for (Time next = 1; next <= 3000; ++next) {
+    if (next == 100) engine.apply_mutation(kill);
+    if (next == 1000) {
+      before = g_allocation_count.load();
+      dispatched_before = engine.packets_dispatched();
+    }
+    engine.begin_step(&next);
+    const Packet& p = shapes[static_cast<std::size_t>(next) % shapes.size()];
+    engine.inject(Packet{id++, engine.now(), p.weight, p.source, p.destination});
+    engine.finish_step();
+  }
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "dispatching with a dead edge hit the heap after warm-up";
+  EXPECT_EQ(engine.packets_dispatched() - dispatched_before, 2001u);
+  EXPECT_FALSE(engine.edge_alive(victim));
+}
+
 // ----------------------------------------------------- dispatch phase --
 
-/// ISSUE 6: the dispatch phase itself -- impact_of through the incremental
-/// index, JSQ through the integer counters -- must be allocation-free at
-/// steady state. dispatch() is a pure reader, so after a warmup that grows
-/// the dispatcher scratch and the index's treap pool to their high-water
-/// sizes, probing decisions against a live engine (with drain steps
+/// The dispatch phase itself -- impact_of through the incremental index,
+/// JSQ through the integer counters -- must be allocation-free at steady
+/// state. dispatch() is a pure reader, so after a warmup that grows the
+/// index's treap pool to its high-water size, probing decisions against a
+/// live engine (with drain steps
 /// interleaved, so the probes also flush real deferred index maintenance)
 /// must not touch the heap.
 TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
@@ -228,10 +272,9 @@ TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
   // Probe packets only feed (weight, source, destination) to dispatch().
   const std::vector<Packet> probes = burst_packets(topology, 32, 23);
 
-  // Warmup: grow dispatcher scratch + index pool to their high-water sizes
-  // (every probe once, since candidate-list scratch grows exact-fit), then
-  // let drain rounds queue deferred index events so the measured probes
-  // exercise flush().
+  // Warmup: grow the index pool to its high-water size (every probe once),
+  // then let drain rounds queue deferred index events so the measured
+  // probes exercise flush().
   for (int i = 0; i < 2; ++i) {
     for (const Packet& p : probes) {
       impact.dispatch(engine, p);

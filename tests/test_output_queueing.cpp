@@ -49,16 +49,6 @@ TEST(OutputQueueing, MultipleReceiversRaiseCapacity) {
   EXPECT_DOUBLE_EQ(output_queueing_bound(instance), 2.0);  // both in step 1
 }
 
-TEST(OutputQueueing, ServiceSpeedOptionScales) {
-  const Topology g = build_crossbar(2);
-  Instance instance(g, {});
-  for (int i = 0; i < 4; ++i) instance.add_packet(1, 1.0, 0, 1);
-  // capacity 1: 1+2+3+4 = 10; capacity 2: 1+1+2+2 = 6.
-  EXPECT_DOUBLE_EQ(output_queueing_bound(instance), 10.0);
-  EXPECT_DOUBLE_EQ(output_queueing_bound(instance, {2}), 6.0);
-  EXPECT_THROW(output_queueing_bound(instance, {0}), std::invalid_argument);
-}
-
 TEST(OutputQueueing, RespectsArrivalGaps) {
   const Topology g = build_crossbar(2);
   Instance instance(g, {});
