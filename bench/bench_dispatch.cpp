@@ -15,6 +15,12 @@
 // The scan rows read the edge queues incident to the candidate edge's
 // endpoints (Engine::for_each_pending_at), so they cost O(pending at those
 // endpoints) per edge, like the per-endpoint scans the index replaced.
+//
+// The two continuous-weight shapes draw weights from [0.5, 8) over delays
+// up to 3, which puts the index on its treaps; the integer shape draws
+// weights 1-10 over delays 1-2, as every benchmark workload does, which
+// keeps it on its exact count lines (sim/impact_index.hpp, EXACT SUMS).
+// Each row's `index` param names the representation that answered.
 
 #include <algorithm>
 #include <chrono>
@@ -63,10 +69,12 @@ class ScanJsqDispatcher final : public DispatchPolicy {
 struct ProbeShape {
   const char* name;
   Topology topology;
+  bool integer_weights = false;
 };
 
-/// Two 256-endpoint shapes: a sparse wide pod and a parallel-link-heavy
-/// pod (many edges per (t, r) pair -- the pair-overlap path).
+/// Three 256-endpoint shapes: a sparse wide pod and a parallel-link-heavy
+/// pod (many edges per (t, r) pair -- the pair-overlap path) with
+/// continuous weights, and the wide pod on delays 1-2 with integer weights.
 std::vector<ProbeShape> probe_shapes() {
   std::vector<ProbeShape> shapes;
   {
@@ -89,11 +97,21 @@ std::vector<ProbeShape> probe_shapes() {
     Rng rng(7);
     shapes.push_back({"parallel32x4", build_two_tier(net, rng)});
   }
+  {
+    TwoTierConfig net;
+    net.racks = 64;
+    net.lasers_per_rack = 2;
+    net.photodetectors_per_rack = 2;
+    net.density = 0.25;
+    net.max_edge_delay = 2;
+    Rng rng(7);
+    shapes.push_back({"two_tier64x2_int", build_two_tier(net, rng), true});
+  }
   return shapes;
 }
 
 std::vector<Packet> deep_burst(const Topology& topology, std::size_t count,
-                               std::uint64_t seed) {
+                               std::uint64_t seed, bool integer_weights) {
   Rng rng(seed);
   std::vector<Packet> packets;
   packets.reserve(count);
@@ -101,7 +119,8 @@ std::vector<Packet> deep_burst(const Topology& topology, std::size_t count,
     Packet p;
     p.id = static_cast<PacketIndex>(packets.size());
     p.arrival = 1;
-    p.weight = rng.next_double(0.5, 8.0);
+    p.weight = integer_weights ? static_cast<double>(rng.next_int(1, 10))
+                               : rng.next_double(0.5, 8.0);
     p.source = static_cast<NodeIndex>(
         rng.next_below(static_cast<std::uint64_t>(topology.num_sources())));
     p.destination = static_cast<NodeIndex>(
@@ -136,7 +155,7 @@ double probe_ns_per_dispatch(DispatchPolicy& dispatcher, const Engine& engine,
 
 void run_probe_bench(BenchReport& report) {
   std::printf("\nper-dispatch latency at 256-endpoint shapes (deep pending state)\n");
-  Table table({"shape", "probe", "ns/dispatch", "speedup vs scan"});
+  Table table({"shape", "index", "probe", "ns/dispatch", "speedup vs scan"});
   for (const ProbeShape& shape : probe_shapes()) {
     // Freeze one contended engine state: a deep burst dispatched by the
     // real impact rule, plus one scheduling round so the index has seen
@@ -144,13 +163,15 @@ void run_probe_bench(BenchReport& report) {
     ImpactDispatcher impact;
     StableMatchingScheduler scheduler;
     Engine engine(shape.topology, impact, scheduler, {}, [](RetiredPacket&&) {});
-    const std::vector<Packet> load = deep_burst(shape.topology, 131072, 11);
+    const std::vector<Packet> load =
+        deep_burst(shape.topology, 131072, 11, shape.integer_weights);
     const Time arrival = 1;
     engine.begin_step(&arrival);
     for (const Packet& p : load) engine.inject(p);
     engine.finish_step();
 
-    const std::vector<Packet> probes = deep_burst(shape.topology, 256, 23);
+    const std::vector<Packet> probes =
+        deep_burst(shape.topology, 256, 23, shape.integer_weights);
     const int reps = 7;
     ScanImpactDispatcher impact_scan;
     JsqDispatcher jsq;
@@ -167,16 +188,22 @@ void run_probe_bench(BenchReport& report) {
                     {"jsq-scan", &jsq_scan}};
     for (Probe& row : rows) {
       row.ns = probe_ns_per_dispatch(*row.dispatcher, engine, probes, reps);
+    }
+    // Read after the probes: the first impact query enables the index.
+    const std::string index = engine.impact_index().exact() ? "exact" : "treaps";
+    for (const Probe& row : rows) {
       report.add(row.name, 0.0, 0.0)
           .param("shape", std::string(shape.name))
+          .param("weights", std::string(shape.integer_weights ? "integer" : "continuous"))
+          .param("index", index)
           .param("pending", static_cast<std::int64_t>(load.size()))
           .value("ns_per_dispatch", row.ns);
     }
     const double impact_speedup = rows[1].ns / rows[0].ns;
     const double jsq_speedup = rows[3].ns / rows[2].ns;
-    table.add_row({shape.name, "impact", Table::fmt(rows[0].ns, 1),
+    table.add_row({shape.name, index, "impact", Table::fmt(rows[0].ns, 1),
                    Table::fmt(impact_speedup, 1) + "x"});
-    table.add_row({shape.name, "jsq", Table::fmt(rows[2].ns, 1),
+    table.add_row({shape.name, index, "jsq", Table::fmt(rows[2].ns, 1),
                    Table::fmt(jsq_speedup, 1) + "x"});
   }
   table.print("dispatch microbench (median per decision; speedup = scan / indexed)");

@@ -220,8 +220,9 @@ std::optional<double> run_and_check(const Instance& instance, const std::string&
 ///    (t + r) - pair combination can cancel);
 ///  * a fresh ImpactAggregate per endpoint, rebuilt from the queues in
 ///    scan order and combined through combine_impact: must
-///    match the live index BIT FOR BIT (canonical shape makes the sums a
-///    pure function of the pending multiset);
+///    match the live index BIT FOR BIT, whether its treaps answer
+///    (canonical shape makes the sums a pure function of the pending
+///    multiset) or its exact count lines do (every sum is exact);
 ///  * the index's O(1) integer edge load against a scan of the queues
 ///    (JSQ's signal): exact.
 ///
@@ -330,7 +331,10 @@ void check_impact_index(const Instance& instance, DiffReport& report) {
     StableMatchingScheduler scheduler;
     EngineOptions options;
     options.audit = false;  // pure reader pass; the audited run already ran
-    simulate(instance, dispatcher, scheduler, options);
+    Engine engine(instance, dispatcher, scheduler, options);
+    engine.run();
+    const ImpactIndex& index = engine.impact_index();
+    if (index.rebuilds() > 0) ++(index.exact() ? report.index_exact : report.index_fell_back);
   } catch (const std::exception& error) {
     report.violations.push_back(std::string("impact index replay threw: ") + error.what());
     return;

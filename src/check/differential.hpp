@@ -60,6 +60,11 @@ struct DiffReport {
   std::size_t checks = 0;                ///< individual cross-checks evaluated
   std::vector<std::string> violations;   ///< each one is a proven bug
   std::vector<std::string> skipped;      ///< spec rejections (not bugs)
+  /// check_impact_index replays whose index served a query, by the
+  /// representation it ended on: exact count lines, or the treaps after a
+  /// fallback (sim/impact_index.hpp, EXACT SUMS).
+  std::size_t index_exact = 0;
+  std::size_t index_fell_back = 0;
   bool ok() const noexcept { return violations.empty(); }
   std::string to_string() const;         ///< violations joined for messages
 };
@@ -77,8 +82,9 @@ DiffReport check_stream(const StreamSpec& spec, std::uint64_t rep_seed,
 
 /// Replays ALG's dispatch sequence on the instance with the incremental
 /// impact index cross-validated against both oracles at every candidate
-/// edge of every dispatch (see header). Violations land in `report`;
-/// called by check_instance/check_stream and directly by property tests.
+/// edge of every dispatch (see header). Violations land in `report`, and
+/// the replay counts toward index_exact or index_fell_back; called by
+/// check_instance/check_stream and directly by property tests.
 void check_impact_index(const Instance& instance, DiffReport& report);
 
 /// First `keep` packets of the instance (same topology) -- the workload

@@ -71,13 +71,19 @@
 //  * dispatch-side queries go through an incremental per-endpoint impact
 //    index (sim/impact_index.hpp), a query structure derived from the
 //    queues: integer chunk-load counters make JSQ's edge load O(1), and
-//    weight-keyed order-statistic treaps answer impact_of's |H|/w(L)
-//    split in O(log n) instead of scanning the queues of the candidate
-//    edge's endpoints. The engine feeds the index at the three points
-//    where the queues change (dispatch, per-chunk service, unlisting); the
-//    weight structures are enabled lazily by the first impact_split() call
-//    and decay during long non-impact drains, so non-impact policies pay
-//    only the O(1) counters;
+//    per-endpoint weight aggregates answer impact_of's |H|/w(L) split
+//    instead of scanning the queues of the candidate edge's endpoints.
+//    While every chunk weight is a coarse dyadic value (integer weights
+//    over short delays, as every benchmark draws) the aggregates are
+//    lines of exact per-weight chunk counts, O(1) to update and summed
+//    over a dictionary prefix per query; the first weight on which a sum
+//    could round switches the index to canonical weight-keyed treaps,
+//    O(log n) per update and query, for good. Both give the same bits.
+//    The engine feeds the index at the three points where the queues
+//    change (dispatch, per-chunk service, unlisting); the weight
+//    structures are enabled lazily by the first impact_split() call and
+//    decay during long non-impact drains, so non-impact policies pay only
+//    the O(1) counters;
 //  * per-packet state lives only with a packet's queue node: one record
 //    (weight, endpoints, the PacketOutcome its service accumulates) at the
 //    node's index, so a packet holds per-packet memory exactly while it
@@ -431,7 +437,7 @@ class Engine {
   const Probe* probe() const noexcept { return probe_; }
   Probe* probe() noexcept { return probe_; }
 
-  /// O(log n) |H_p(e)| / w(L_p(e)) split at `threshold` = w_p/d(e) -- the
+  /// The |H_p(e)| / w(L_p(e)) split at `threshold` = w_p/d(e) -- the
   /// hot path behind impact_of. Enables (or rebuilds after decay) the
   /// index's weight structures on first use; `mutable` for the same reason
   /// as the active-endpoint cache: a lazily-built view behind the const
@@ -579,7 +585,7 @@ class Engine {
   /// One scheduling round; returns number of chunks transmitted.
   std::size_t schedule_round();
   /// Verifies the incremental impact index against a rebuild from scratch
-  /// (integer loads always; treap splits when the weight structures are
+  /// (integer loads always; weight splits when the weight structures are
   /// live). Throws std::logic_error on any mismatch. Called after every
   /// apply_mutation -- mutations are cold, rebuilds are O(n log n).
   void crosscheck_impact_index();

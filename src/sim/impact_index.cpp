@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -224,14 +226,13 @@ void ImpactIndex::attach(const Topology& topology) {
   t_root_.assign(num_t, -1);
   r_root_.assign(num_r, -1);
   p_root_.assign(static_cast<std::size_t>(num_pairs_), -1);
-  store_.reset();
+  decay();
+  exact_ = true;
   // Deferred-event capacity doubles as the decay threshold (see
   // add_chunks): fixed up front so maintenance never reallocates it, and
   // sized so several full scheduling rounds of per-chunk service fit
   // between consecutive impact queries without forcing a decay/rebuild.
-  events_.clear();
   events_.reserve(std::max<std::size_t>(256, 8 * std::min(num_t, num_r)));
-  weight_ready_ = false;
 }
 
 void ImpactIndex::reserve_pending(std::size_t packets) {
@@ -240,6 +241,15 @@ void ImpactIndex::reserve_pending(std::size_t packets) {
   // ceiling, capped to keep huge batch instances from over-reserving.
   store_.reserve(3 * std::min<std::size_t>(packets, 1u << 16));
 }
+
+namespace {
+
+/// The exact-sums gate's grid and bounds (see the header's EXACT SUMS).
+constexpr double kUnitsPerWeight = 65536.0;       // 2^16
+constexpr double kWeightPerUnit = 1.0 / 65536.0;  // 2^-16
+constexpr double kUnitLimit = 2147483648.0;       // 2^31: weights below 2^15
+
+}  // namespace
 
 void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                              std::int64_t delta) {
@@ -255,7 +265,99 @@ void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk
     decay();
     return;
   }
-  events_.push_back(Event{chunk_weight, delta, t, r, pair});
+  std::int32_t slot = -1;
+  if (exact_) {
+    // Inline, the common case: an admitted weight whose chunks keep the
+    // pending units in bounds. Anything else goes through the full gate.
+    slot = admitted_slot(chunk_weight);
+    if (slot < 0 || !charge(units_[static_cast<std::size_t>(slot)], delta)) [[unlikely]] {
+      queue_through_gate(t, r, pair, chunk_weight, delta);
+      return;
+    }
+  }
+  events_.push_back(Event{chunk_weight, delta, t, r, pair, slot});
+}
+
+std::int32_t ImpactIndex::admitted_slot(double chunk_weight) const {
+  // Scaling by 2^16 is exact, so the weight is a multiple of 2^-16 iff its
+  // scaled value is an integer; the range test also rejects NaN.
+  const double scaled = chunk_weight * kUnitsPerWeight;
+  if (!(scaled >= 1.0 && scaled < kUnitLimit)) return -1;
+  const auto units = static_cast<std::int32_t>(scaled);
+  const std::int32_t slot = slots_below(units);
+  return slot < num_weights_ && units_[static_cast<std::size_t>(slot)] == units &&
+                 static_cast<double>(units) == scaled
+             ? slot
+             : -1;
+}
+
+void ImpactIndex::queue_through_gate(NodeIndex t, NodeIndex r, std::int32_t pair,
+                                     double chunk_weight, std::int64_t delta) {
+  const std::int32_t slot = admit(chunk_weight, delta);
+  if (slot < 0) {
+    fall_back();
+    return;
+  }
+  events_.push_back(Event{chunk_weight, delta, t, r, pair, slot});
+}
+
+std::int32_t ImpactIndex::admit(double chunk_weight, std::int64_t delta) {
+  std::int32_t slot = admitted_slot(chunk_weight);
+  if (slot < 0) {
+    const double scaled = chunk_weight * kUnitsPerWeight;
+    if (!(scaled >= 1.0 && scaled < kUnitLimit) || scaled != std::floor(scaled) ||
+        num_weights_ == kMaxWeights) {
+      return -1;
+    }
+    const auto units = static_cast<std::int32_t>(scaled);
+    slot = slots_below(units);
+    insert_weight(slot, units);
+  }
+  return charge(units_[static_cast<std::size_t>(slot)], delta) ? slot : -1;
+}
+
+void ImpactIndex::insert_weight(std::int32_t slot, std::int32_t units) {
+  // Queued events name slots of the old layout: apply them first. Then
+  // every line opens the new slot.
+  flush();
+  const auto at = static_cast<std::size_t>(slot);
+  const auto end = static_cast<std::size_t>(num_weights_);
+  for (CountLine& line : lines_) {
+    std::copy_backward(line.count.begin() + at, line.count.begin() + end,
+                       line.count.begin() + end + 1);
+    line.count[at] = 0;
+  }
+  std::copy_backward(units_.begin() + at, units_.begin() + end, units_.begin() + end + 1);
+  units_[at] = units;
+  ++num_weights_;
+}
+
+std::int32_t ImpactIndex::prefix_below(double threshold) const {
+  // weight < threshold iff units < threshold * 2^16 (exact scaling) iff
+  // units < ceil(threshold * 2^16), the units being integers.
+  const double scaled = threshold * kUnitsPerWeight;
+  if (!(scaled > 0.0)) return 0;  // also NaN, as the treaps' `key < NaN`
+  if (scaled > kUnitLimit - 1.0) return num_weights_;  // above every unit count
+  auto bound = static_cast<std::int32_t>(scaled);  // the floor, as scaled > 0
+  if (static_cast<double>(bound) < scaled) ++bound;
+  return slots_below(bound);
+}
+
+void ImpactIndex::apply_lines(NodeIndex t, NodeIndex r, std::int32_t pair, std::int32_t slot,
+                              std::int64_t delta) {
+  apply_line(t_root_[static_cast<std::size_t>(t)], slot, delta);
+  apply_line(r_root_[static_cast<std::size_t>(r)], slot, delta);
+  apply_line(p_root_[static_cast<std::size_t>(pair)], slot, delta);
+}
+
+void ImpactIndex::apply_line(std::int32_t& root, std::int32_t slot, std::int64_t delta) {
+  if (root < 0) {
+    root = static_cast<std::int32_t>(lines_.size());
+    lines_.emplace_back();  // grows once, to the aggregates that ever held a chunk
+  }
+  std::int64_t& count = lines_[static_cast<std::size_t>(root)].count[static_cast<std::size_t>(slot)];
+  count += delta;
+  if (count < 0) throw std::logic_error("impact index: chunk count went negative");
 }
 
 void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
@@ -269,20 +371,35 @@ void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
 }
 
 void ImpactIndex::flush() {
-  for (const Event& event : events_) {
-    apply_weight(event.transmitter, event.receiver, event.pair, event.chunk_weight,
-                 event.delta);
+  if (exact_) {
+    for (const Event& event : events_) {
+      apply_lines(event.transmitter, event.receiver, event.pair, event.slot, event.delta);
+    }
+  } else {
+    for (const Event& event : events_) {
+      apply_weight(event.transmitter, event.receiver, event.pair, event.chunk_weight,
+                   event.delta);
+    }
   }
   events_.clear();
 }
 
 void ImpactIndex::decay() {
   store_.reset();
+  lines_.clear();
+  units_.fill(std::numeric_limits<std::int32_t>::max());
+  num_weights_ = 0;
+  pending_units_ = 0;
   std::fill(t_root_.begin(), t_root_.end(), -1);
   std::fill(r_root_.begin(), r_root_.end(), -1);
   std::fill(p_root_.begin(), p_root_.end(), -1);
   events_.clear();
   weight_ready_ = false;
+}
+
+void ImpactIndex::fall_back() {
+  exact_ = false;
+  decay();
 }
 
 ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
@@ -291,9 +408,33 @@ ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
   }
   if (!events_.empty()) flush();
   const ReconfigEdge& edge = topology_->edge(e);
-  const std::int32_t t_root = t_root_[static_cast<std::size_t>(edge.transmitter)];
-  const std::int32_t r_root = r_root_[static_cast<std::size_t>(edge.receiver)];
-  const std::int32_t p_root = p_root_[static_cast<std::size_t>(pair_of_[static_cast<std::size_t>(e)])];
+  const auto t = static_cast<std::size_t>(edge.transmitter);
+  const auto r = static_cast<std::size_t>(edge.receiver);
+  const auto pair = static_cast<std::size_t>(pair_of_[static_cast<std::size_t>(e)]);
+  const std::int32_t t_root = t_root_[t];
+  const std::int32_t r_root = r_root_[r];
+  const std::int32_t p_root = p_root_[pair];
+  if (exact_) {
+    // Summed slot by slot, (t + r) - pair: every partial is an exact
+    // multiple of 2^-16 below 2^53 units, so this is combine_impact's
+    // result over the treaps, bit for bit (EXACT SUMS). Flushed lines total
+    // the always-on counters.
+    const CountLine& t_line = line(t_root);
+    const CountLine& r_line = line(r_root);
+    const CountLine& p_line = line(p_root);
+    const auto prefix = static_cast<std::size_t>(prefix_below(threshold));
+    std::int64_t chunks = 0;
+    std::int64_t units = 0;
+    for (std::size_t i = 0; i < prefix; ++i) {
+      const std::int64_t c = t_line.count[i] + r_line.count[i] - p_line.count[i];
+      chunks += c;
+      units += c * units_[i];
+    }
+    ImpactSplit split;
+    split.heavier = (t_chunks_[t] + r_chunks_[r] - p_chunks_[pair]) - chunks;
+    split.lighter_weight = static_cast<double>(units) * kWeightPerUnit;
+    return split;
+  }
   return combine_impact(store_.chunks(t_root), store_.below(t_root, threshold),
                         store_.chunks(r_root), store_.below(r_root, threshold),
                         store_.chunks(p_root), store_.below(p_root, threshold));

@@ -1,7 +1,7 @@
 #pragma once
 
 // Incremental per-endpoint impact index (ISSUE 6): the engine-maintained
-// order-statistic aggregate behind O(log n) Delta_p(e) queries.
+// aggregate behind cheap Delta_p(e) queries.
 //
 // impact_of must resolve, for a probe chunk weight w_p/d(e) against the
 // chunks pending at e's transmitter t and receiver r,
@@ -11,29 +11,34 @@
 //   w(L_p(e))  -- total weight of the strictly lighter pending chunks,
 //
 // which the naive rule re-derives by scanning the edge queues at both
-// endpoints per candidate edge. This index instead maintains one weight-keyed treap per
-// transmitter, per receiver, and per (t, r) edge group ("pair": parallel
-// edges share pending state), each node aggregating every pending chunk of
-// one distinct chunk-weight key:
+// endpoints per candidate edge. This index instead keeps one weight
+// aggregate per transmitter, per receiver, and per (t, r) edge group
+// ("pair": parallel edges share pending state), and combines the three
+// with a fixed shape:
+//
+//   |H| = (H_t + H_r) - H_pair        w(L) = (L_t + L_r) - L_pair
+//
+// (the pair aggregate removes the packets counted at both endpoints --
+// exactly those assigned to a parallel edge of the same pair).
+//
+// An aggregate has one of two representations, chosen by the chunk
+// weights themselves (see EXACT SUMS): a line of per-weight chunk counts
+// while every sum is exact, and otherwise a weight-keyed treap whose nodes
+// each aggregate every pending chunk of one distinct chunk-weight key:
 //
 //   count          exact remaining-chunk total at this key (int64)
 //   value          (double)count * key, re-rounded on every count change
 //   sum            subtree total, always bracketed (left + value) + right
 //   subtree_count  subtree chunk total (exact)
 //
-// A query descends once, accumulating the strictly-below-threshold count
-// and weight sum; the at-or-above count is the (exact integer) complement.
-// The split for an edge combines the three structures with a fixed shape:
-//
-//   |H| = (H_t + H_r) - H_pair        w(L) = (L_t + L_r) - L_pair
-//
-// (the pair structure removes the packets counted at both endpoints --
-// exactly those assigned to a parallel edge of the same pair).
+// A treap query descends once, accumulating the strictly-below-threshold
+// count and weight sum; the at-or-above count is the (exact integer)
+// complement.
 //
 // DETERMINISM BY CANONICAL SHAPE. Floating-point sums are association-
 // sensitive, and an incremental structure cannot reproduce a flat
-// scan-order sum bit-for-bit. The index therefore defines its own
-// canonical summation order and makes it a pure function of the pending
+// scan-order sum bit-for-bit. The treaps therefore define their own
+// canonical summation order and make it a pure function of the pending
 // multiset: each node's heap priority is a stateless hash of its key's
 // bits, so the treap shape -- hence every bracketing -- depends only on
 // the SET of live keys, never on insertion/removal history. Rebuilding
@@ -44,21 +49,57 @@
 // tolerance. The engine's schedule goldens verify that this never flips a
 // dispatch decision on the pinned workloads.
 //
+// EXACT SUMS. Most workloads draw few distinct chunk weights on a coarse
+// grid (integer packet weights over delays 1-2 give 15 multiples of 1/2),
+// and then every sum the treaps form is exact, so any summation order
+// yields their bits. While that holds, the aggregates are pooled lines of
+// chunk counts, one count per weight of a sorted dictionary of at most
+// kMaxWeights admitted chunk weights (kept as integer counts of 2^-16
+// units); an aggregate gets its line when it first holds a chunk and
+// keeps it until the structures are dropped, which empties the
+// dictionary too. A deferred event is one
+// count update per line instead of three treap adds, and a query finds
+// the dictionary prefix below the threshold once and sums the three lines
+// over it, slot by slot, in integers. A weight is admitted when its first
+// event is queued (or a rebuild meets it) if
+//
+//   * it is a positive multiple of 2^-16 below 2^15 (w * 2^16 is an
+//     integer "unit" count below 2^31),
+//   * the dictionary has room, and
+//   * the index's pending weight, counted in units, stays at most 2^52
+//     (checked on every queued event).
+//
+// Under that gate every node value, subtree sum, prefix sum and the
+// t + r - pair combination the canonical treaps would form is a multiple
+// of 2^-16 of magnitude at most 2^53 units (t + r counts each pending
+// chunk at most twice), hence an exact double. Exact arithmetic has no
+// association, so the lines' integer sums, scaled by 2^-16, equal the
+// treaps' results bit for bit -- Delta, alpha and every schedule are the
+// same whichever representation answered.
+//
+// The first event whose weight fails the gate drops the lines and flips
+// exact() to false for the rest of the index's life: the next query
+// rebuilds the treaps from the engine's queues (the rebuild path below)
+// and the treaps serve from then on. A rebuild that meets such a weight
+// falls back the same way. The treaps stay the only path for inexact
+// inputs and the oracle the differential checker builds (ImpactAggregate).
+//
 // LIFECYCLE. Integer per-endpoint/per-pair chunk-load counters are always
 // maintained, O(1) eagerly, on dispatch, per-chunk service, and unlisting
 // -- they make JSQ's edge load a three-counter read with bit-identical
-// results. The weight treaps are lazily enabled on the first impact query
-// (rebuilt from the engine's edge queues) and thereafter maintained
-// through a deferred-event queue flushed at query time: because the
-// structure is a pure function of the current multiset, batching updates
-// is equivalent to applying them eagerly. If many maintenance events
-// accumulate with no impact query between them (a pure drain under a
-// non-impact policy), the weight structures decay -- they are dropped and
-// rebuilt at the next query -- so idle maintenance stays O(1) per event
-// and bounded in memory. All storage is pooled and grow-once: at steady
-// state neither queries nor maintenance touch the heap (pinned by
-// tests/test_hotpath.cpp's allocation counter).
+// results. The weight structures (lines or treaps) are lazily enabled on
+// the first impact query (rebuilt from the engine's edge queues) and
+// thereafter maintained through a deferred-event queue flushed at query
+// time: because the structure is a pure function of the current multiset,
+// batching updates is equivalent to applying them eagerly. If many
+// maintenance events accumulate with no impact query between them (a pure
+// drain under a non-impact policy), the weight structures decay -- they
+// are dropped and rebuilt at the next query -- so idle maintenance stays
+// O(1) per event and bounded in memory. All storage is pooled and
+// grow-once: at steady state neither queries nor maintenance touch the
+// heap (pinned by tests/test_hotpath.cpp's allocation counter).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -80,9 +121,11 @@ struct ImpactSplit {
   double lighter_weight = 0.0;    ///< w(L_p(e)), canonical bracketing
 };
 
-/// The single combination formula shared by the live index and every
+/// The single combination formula shared by the treaps and every
 /// verification oracle, so "bit-for-bit" has one definition: transmitter
-/// plus receiver minus the pair overlap, in exactly this association.
+/// plus receiver minus the pair overlap, in exactly this association. (The
+/// exact count lines reach the same bits by exact arithmetic; see EXACT
+/// SUMS.)
 inline ImpactSplit combine_impact(std::int64_t t_chunks, const WeightBelow& t,
                                   std::int64_t r_chunks, const WeightBelow& r,
                                   std::int64_t pair_chunks, const WeightBelow& pair) {
@@ -227,16 +270,33 @@ class ImpactIndex {
 
   bool weight_ready() const noexcept { return weight_ready_; }
 
-  /// (Re)builds the weight treaps from the full pending multiset and
+  /// (Re)builds the weight structures from the full pending multiset and
   /// enables query-time maintenance: `for_each_pending(add)` must call
   /// add(const Candidate&) once per pending candidate (as
   /// Engine::for_each_pending does). The engine calls this lazily on the
-  /// first impact query and again after a decay.
+  /// first impact query and again after a decay or a fallback. While
+  /// exact(), the multiset goes into count lines; a weight that fails the
+  /// gate ends that and the walk repeats into the treaps.
   template <typename ForEachPending>
   void rebuild(ForEachPending&& for_each_pending) {
     decay();
     weight_ready_ = true;
     ++rebuilds_;
+    if (exact_) {
+      bool admitted = true;
+      for_each_pending([&](const Candidate& c) {
+        if (!admitted || c.remaining <= 0) return;
+        const std::int32_t slot = admit(c.chunk_weight, c.remaining);
+        if (slot < 0) {
+          admitted = false;
+          return;
+        }
+        apply_lines(c.transmitter, c.receiver, pair_of(c.edge), slot, c.remaining);
+      });
+      if (admitted) return;
+      fall_back();
+      weight_ready_ = true;
+    }
     for_each_pending([this](const Candidate& c) {
       if (c.remaining <= 0) return;
       apply_weight(c.transmitter, c.receiver, pair_of(c.edge), c.chunk_weight, c.remaining);
@@ -244,30 +304,87 @@ class ImpactIndex {
   }
 
   /// |H| and w(L) for edge `e` at `threshold` = w_p/d(e); requires
-  /// weight_ready(). Flushes deferred maintenance first (O(log n) each),
-  /// then answers in O(log n).
+  /// weight_ready(). Flushes deferred maintenance first, then answers: in
+  /// O(kMaxWeights) from the count lines while exact(), else in O(log n)
+  /// from the treaps.
   ImpactSplit edge_split(EdgeIndex e, double threshold);
 
   /// Test hooks.
   std::size_t deferred_events() const noexcept { return events_.size(); }
-  std::size_t live_weight_nodes() const noexcept { return store_.live_nodes(); }
+  /// False from the first chunk weight that failed the exact-sums gate
+  /// on (EXACT SUMS); never true again for this attachment.
+  bool exact() const noexcept { return exact_; }
+  /// Live weight-structure entries: treap nodes plus count lines -- the
+  /// probe's index_entries gauge.
+  std::size_t live_entries() const noexcept { return store_.live_nodes() + lines_.size(); }
   /// Times rebuild() ran (lazy enables + post-decay rebuilds) -- surfaced
   /// as the probe's index_rebuilds counter.
   std::uint64_t rebuilds() const noexcept { return rebuilds_; }
 
  private:
+  /// Most distinct chunk weights the exact count lines hold (EXACT SUMS).
+  static constexpr int kMaxWeights = 16;
+  static constexpr std::int64_t kMaxPendingUnits = std::int64_t{1} << 52;
+
   struct Event {
     double chunk_weight = 0.0;
     std::int64_t delta = 0;
     NodeIndex transmitter = 0;
     NodeIndex receiver = 0;
     std::int32_t pair = 0;
+    std::int32_t slot = -1;  ///< dictionary slot while exact_
+  };
+
+  /// One aggregate's chunk counts per dictionary slot. Its total is the
+  /// aggregate's always-on counter once the events are flushed.
+  struct CountLine {
+    std::array<std::int64_t, kMaxWeights> count{};
   };
 
   void apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair, double chunk_weight,
                     std::int64_t delta);
+  /// add_chunks' cold path: admit() the event, queueing it, or fall back.
+  [[gnu::noinline]] void queue_through_gate(NodeIndex t, NodeIndex r, std::int32_t pair,
+                                            double chunk_weight, std::int64_t delta);
+  /// The gate (EXACT SUMS): the dictionary slot of `chunk_weight`,
+  /// inserting it if new, with `delta` chunks charged to the pending
+  /// units; -1 when the weight or the new total fails.
+  std::int32_t admit(double chunk_weight, std::int64_t delta);
+  /// The slot of an admitted `chunk_weight`, else -1.
+  std::int32_t admitted_slot(double chunk_weight) const;
+  /// Charges `delta` chunks of `units` to the pending units; false (and
+  /// no charge) past kMaxPendingUnits.
+  bool charge(std::int64_t units, std::int64_t delta) {
+    std::int64_t charged = 0;
+    std::int64_t pending = 0;
+    if (__builtin_mul_overflow(delta, units, &charged) ||
+        __builtin_add_overflow(pending_units_, charged, &pending) ||
+        pending > kMaxPendingUnits) {
+      return false;
+    }
+    pending_units_ = pending;
+    return true;
+  }
+  /// Dictionary slots holding fewer than `units`: a prefix, as the
+  /// dictionary is sorted (and its unused slots hold INT32_MAX).
+  std::int32_t slots_below(std::int32_t units) const {
+    std::int32_t below = 0;
+    for (std::size_t i = 0; i < kMaxWeights; ++i) below += units_[i] < units ? 1 : 0;
+    return below;
+  }
+  /// Dictionary slots whose weight is below `threshold` (any double).
+  std::int32_t prefix_below(double threshold) const;
+  void insert_weight(std::int32_t slot, std::int32_t units);
+  void apply_lines(NodeIndex t, NodeIndex r, std::int32_t pair, std::int32_t slot,
+                   std::int64_t delta);
+  void apply_line(std::int32_t& root, std::int32_t slot, std::int64_t delta);
+  const CountLine& line(std::int32_t root) const {
+    static const CountLine kEmpty{};
+    return root < 0 ? kEmpty : lines_[static_cast<std::size_t>(root)];
+  }
   void flush();
   void decay();
+  void fall_back();
 
   const Topology* topology_ = nullptr;
   std::vector<std::int32_t> pair_of_;  ///< edge -> (t, r) group id
@@ -275,8 +392,19 @@ class ImpactIndex {
 
   std::vector<std::int64_t> t_chunks_, r_chunks_, p_chunks_;
 
-  impact_detail::TreapStore store_;
+  /// Each aggregate's treap root or count line, per exact_ (-1: none yet).
+  /// An aggregate keeps its line, emptied or not, until the weight
+  /// structures are dropped, so the lines number at most T + R + pairs.
   std::vector<std::int32_t> t_root_, r_root_, p_root_;
+  impact_detail::TreapStore store_;
+  std::vector<CountLine> lines_;
+  /// The sorted dictionary: each admitted chunk weight as its count of
+  /// 2^-16 units (exact, below 2^31), INT32_MAX in the unused slots.
+  std::array<std::int32_t, kMaxWeights> units_{};
+  std::int32_t num_weights_ = 0;
+  std::int64_t pending_units_ = 0;  ///< pending weight in units, while exact_
+  bool exact_ = true;
+
   std::vector<Event> events_;  ///< deferred while weight_ready_; capacity-bounded
   bool weight_ready_ = false;
   std::uint64_t rebuilds_ = 0;

@@ -39,7 +39,7 @@ const char* to_string(Gauge gauge) {
     case Gauge::SelectedPerRound: return "selected_per_round";
     case Gauge::ActiveTransmitters: return "active_transmitters";
     case Gauge::ActiveReceivers: return "active_receivers";
-    case Gauge::TreapNodes: return "treap_nodes";
+    case Gauge::IndexEntries: return "index_entries";
     case Gauge::InFlight: return "in_flight";
   }
   return "?";

@@ -76,13 +76,15 @@ const char* to_string(Counter counter);
 /// Sampled gauges: last value and high-water mark. Sampled once per
 /// scheduling round (ActiveTransmitters/ActiveReceivers only on rounds
 /// where the policy built the active-endpoint map). PendingCandidates
-/// counts pending packets (the queues' total), not head-list entries.
+/// counts pending packets (the queues' total), not head-list entries;
+/// IndexEntries the impact index's live weight entries, treap nodes or
+/// count lines (ImpactIndex::live_entries()).
 enum class Gauge : std::uint8_t {
   PendingCandidates = 0,
   SelectedPerRound,
   ActiveTransmitters,
   ActiveReceivers,
-  TreapNodes,
+  IndexEntries,
   InFlight,
 };
 inline constexpr std::size_t kNumGauges = 6;

@@ -55,19 +55,22 @@ namespace {
 /// A contended multi-chunk workload on a two-tier pod: every packet is
 /// injected at step 1, so the drain that follows is a pure scheduling-round
 /// loop (no dispatches) lasting tens of steps.
-Topology hotpath_topology(std::uint64_t seed) {
+Topology hotpath_topology(std::uint64_t seed, Delay max_edge_delay = 3) {
   TwoTierConfig net;
   net.racks = 6;
   net.lasers_per_rack = 2;
   net.photodetectors_per_rack = 2;
   net.density = 0.7;
-  net.max_edge_delay = 3;
+  net.max_edge_delay = max_edge_delay;
   Rng rng(seed);
   return build_two_tier(net, rng);
 }
 
+/// Weights from [0.5, 8) by default, whose chunk weights put the impact
+/// index on its treaps; `integer_weights` draws 1-10, which over delays
+/// 1-2 keep it on its exact count lines (sim/impact_index.hpp).
 std::vector<Packet> burst_packets(const Topology& topology, std::size_t count,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, bool integer_weights = false) {
   Rng rng(seed);
   std::vector<Packet> packets;
   packets.reserve(count);
@@ -75,7 +78,8 @@ std::vector<Packet> burst_packets(const Topology& topology, std::size_t count,
     Packet p;
     p.id = static_cast<PacketIndex>(packets.size());
     p.arrival = 1;
-    p.weight = rng.next_double(0.5, 8.0);
+    p.weight = integer_weights ? static_cast<double>(rng.next_int(1, 10))
+                               : rng.next_double(0.5, 8.0);
     p.source = static_cast<NodeIndex>(rng.next_below(
         static_cast<std::uint64_t>(topology.num_sources())));
     p.destination = static_cast<NodeIndex>(rng.next_below(
@@ -207,10 +211,11 @@ TEST(HotPathAllocations, StarvedPacketStreamAllocatesNothingAfterWarmup) {
 /// While an edge is dead, dispatchers read E_p from the engine's filtered
 /// scratch, which grows once: a stream that keeps dispatching after a stage
 /// boundary killed an edge allocates nothing once the first 1000 steps
-/// have sized the scratch, the record pool and the index.
-TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
-  const Topology topology = hotpath_topology(3);
-  const std::vector<Packet> shapes = burst_packets(topology, 64, 23);
+/// have sized the scratch, the record pool and the index. Returns whether
+/// the index ended on its exact count lines.
+bool expect_dead_edge_stream_allocates_nothing(const Topology& topology,
+                                               bool integer_weights) {
+  const std::vector<Packet> shapes = burst_packets(topology, 64, 23, integer_weights);
   // The first edge of a pair that keeps another: its packets still route,
   // over the survivor, through the filtered view.
   EdgeIndex victim = kInvalidEdge;
@@ -221,7 +226,8 @@ TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
       break;
     }
   }
-  ASSERT_NE(victim, kInvalidEdge);
+  EXPECT_NE(victim, kInvalidEdge);
+  if (victim == kInvalidEdge) return false;
   ImpactDispatcher dispatcher;
   StableMatchingScheduler scheduler;
   Engine engine(topology, dispatcher, scheduler, {}, [](RetiredPacket&&) {});
@@ -245,6 +251,17 @@ TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
       << "dispatching with a dead edge hit the heap after warm-up";
   EXPECT_EQ(engine.packets_dispatched() - dispatched_before, 2001u);
   EXPECT_FALSE(engine.edge_alive(victim));
+  return engine.impact_index().exact();
+}
+
+TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
+  EXPECT_FALSE(expect_dead_edge_stream_allocates_nothing(hotpath_topology(3), false))
+      << "continuous weights should exercise the treaps";
+}
+
+TEST(HotPathAllocations, IntegerWeightDeadEdgeStreamDispatchesWithoutAllocating) {
+  EXPECT_TRUE(expect_dead_edge_stream_allocates_nothing(hotpath_topology(3, 2), true))
+      << "integer weights over delays 1-2 left the exact count lines";
 }
 
 // ----------------------------------------------------- dispatch phase --
@@ -252,25 +269,26 @@ TEST(HotPathAllocations, DeadEdgeStreamDispatchesWithoutAllocating) {
 /// The dispatch phase itself -- impact_of through the incremental index,
 /// JSQ through the integer counters -- must be allocation-free at steady
 /// state. dispatch() is a pure reader, so after a warmup that grows the
-/// index's treap pool to its high-water size, probing decisions against a
-/// live engine (with drain steps
+/// index's pools (treap nodes or count lines) to their high-water sizes,
+/// probing decisions against a live engine (with drain steps
 /// interleaved, so the probes also flush real deferred index maintenance)
-/// must not touch the heap.
-TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
-  const Topology topology = hotpath_topology(3);
+/// must not touch the heap. Returns whether the index ended on its exact
+/// count lines.
+bool expect_dispatch_decisions_allocate_nothing(const Topology& topology,
+                                                bool integer_weights) {
   ImpactDispatcher impact;
   JsqDispatcher jsq;
   StableMatchingScheduler scheduler;
   Engine engine(topology, impact, scheduler, {}, [](RetiredPacket&&) {});
 
-  const std::vector<Packet> packets = burst_packets(topology, 160, 11);
+  const std::vector<Packet> packets = burst_packets(topology, 160, 11, integer_weights);
   const Time arrival = 1;
   engine.begin_step(&arrival);
   for (const Packet& p : packets) engine.inject(p);
   engine.finish_step();
 
   // Probe packets only feed (weight, source, destination) to dispatch().
-  const std::vector<Packet> probes = burst_packets(topology, 32, 23);
+  const std::vector<Packet> probes = burst_packets(topology, 32, 23, integer_weights);
 
   // Warmup: grow the index pool to its high-water size (every probe once),
   // then let drain rounds queue deferred index events so the measured
@@ -293,13 +311,24 @@ TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
       const RouteDecision a = impact.dispatch(engine, p);
       const RouteDecision b = jsq.dispatch(engine, p);
       decisions += 2;
-      ASSERT_TRUE(a.use_fixed || a.edge >= 0);
-      ASSERT_TRUE(b.use_fixed || b.edge >= 0);
+      EXPECT_TRUE(a.use_fixed || a.edge >= 0);
+      EXPECT_TRUE(b.use_fixed || b.edge >= 0);
     }
   }
   EXPECT_GT(decisions, 100u) << "probe loop too short to be meaningful";
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "steady-state dispatch decisions hit the heap";
+  return engine.impact_index().exact();
+}
+
+TEST(HotPathAllocations, DispatchDecisionsAllocateNothingAtSteadyState) {
+  EXPECT_FALSE(expect_dispatch_decisions_allocate_nothing(hotpath_topology(3), false))
+      << "continuous weights should exercise the treaps";
+}
+
+TEST(HotPathAllocations, IntegerWeightDispatchDecisionsAllocateNothingAtSteadyState) {
+  EXPECT_TRUE(expect_dispatch_decisions_allocate_nothing(hotpath_topology(3, 2), true))
+      << "integer weights over delays 1-2 left the exact count lines";
 }
 
 // ------------------------------------------------- active-endpoint remap --

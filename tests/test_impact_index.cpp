@@ -3,7 +3,10 @@
 //
 //  1. unit: ImpactAggregate against hand-built multisets, including the
 //     canonical-shape guarantee -- any insertion/removal history of the
-//     same multiset yields BIT-identical counts and weight sums;
+//     same multiset yields BIT-identical counts and weight sums -- and the
+//     index's exact count lines against those treap aggregates, bit for
+//     bit, through dictionary growth and every way the exact-sums gate
+//     can fail;
 //  2. differential: check_impact_index replays ALG over the topology zoo
 //     and the random instance family, cross-validating the live index
 //     against the naive scan and a fresh canonical rebuild at every
@@ -15,10 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "check/differential.hpp"
+#include "core/alg.hpp"
 #include "helpers.hpp"
 #include "net/builders.hpp"
 #include "run/policies.hpp"
@@ -154,6 +160,265 @@ TEST(ImpactAggregate, RandomizedAgainstFlatReference) {
 }
 
 // --------------------------------------------------------------------------
+// 1b. Exact count lines vs treap aggregates
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// A two-tier pod on delays 1-2.
+Topology exact_topology() {
+  TwoTierConfig net;
+  net.racks = 6;
+  net.lasers_per_rack = 2;
+  net.photodetectors_per_rack = 2;
+  net.density = 0.6;
+  net.max_edge_delay = 2;
+  Rng rng(13);
+  return build_two_tier(net, rng);
+}
+
+/// A hand-driven pending multiset, fed to an ImpactIndex through
+/// add_chunks the way the engine feeds it, and the oracle the differential
+/// checker builds: three ImpactAggregates per edge over the same list,
+/// combined by combine_impact.
+class PendingModel {
+ public:
+  explicit PendingModel(Topology topology) : topology_(std::move(topology)) {
+    index_.attach(topology_);
+  }
+  // The index points at the member topology.
+  PendingModel(const PendingModel&) = delete;
+  PendingModel& operator=(const PendingModel&) = delete;
+  const ImpactIndex& index() const { return index_; }
+  const Topology& topology() const { return topology_; }
+  std::size_t size() const { return pending_.size(); }
+
+  void add(EdgeIndex e, double chunk_weight, std::int64_t chunks) {
+    Candidate c;
+    c.packet = next_id_++;
+    c.edge = e;
+    c.transmitter = topology_.edge(e).transmitter;
+    c.receiver = topology_.edge(e).receiver;
+    c.chunk_weight = chunk_weight;
+    c.remaining = chunks;
+    pending_.push_back(c);
+    index_.add_chunks(c.transmitter, c.receiver, e, chunk_weight, chunks);
+  }
+  /// One chunk of the i-th pending packet served; it leaves at zero.
+  void serve(std::size_t i) {
+    Candidate& c = pending_[i];
+    index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -1);
+    if (--c.remaining == 0) pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  /// The i-th pending packet unlisted with all its remaining chunks.
+  void remove(std::size_t i) {
+    const Candidate c = pending_[i];
+    index_.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, -c.remaining);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+  /// Rebuilds from the list, as the engine does on a query while the
+  /// weight structures are down (or to force one).
+  void rebuild() {
+    index_.rebuild([this](const auto& add) {
+      for (const Candidate& c : pending_) add(c);
+    });
+  }
+
+  ImpactSplit split(EdgeIndex e, double threshold) {
+    if (!index_.weight_ready()) rebuild();
+    return index_.edge_split(e, threshold);
+  }
+
+  ImpactSplit oracle(EdgeIndex e, double threshold) const {
+    const ReconfigEdge& edge = topology_.edge(e);
+    ImpactAggregate t, r, pair;
+    for (const Candidate& c : pending_) {
+      const bool at_t = c.transmitter == edge.transmitter;
+      const bool at_r = c.receiver == edge.receiver;
+      if (at_t) t.add(c.chunk_weight, c.remaining);
+      if (at_r) r.add(c.chunk_weight, c.remaining);
+      if (at_t && at_r) pair.add(c.chunk_weight, c.remaining);
+    }
+    return combine_impact(t.chunks(), t.below(threshold), r.chunks(), r.below(threshold),
+                          pair.chunks(), pair.below(threshold));
+  }
+
+  /// Every edge at every threshold: the live split equals the oracle's bits.
+  void expect_matches_oracle(const std::vector<double>& thresholds, const std::string& where) {
+    for (EdgeIndex e = 0; e < topology_.num_edges(); ++e) {
+      for (const double threshold : thresholds) {
+        const ImpactSplit live = split(e, threshold);
+        const ImpactSplit want = oracle(e, threshold);
+        ASSERT_EQ(live.heavier, want.heavier) << where << " edge " << e << " at " << threshold;
+        ASSERT_EQ(bits(live.lighter_weight), bits(want.lighter_weight))
+            << where << " edge " << e << " at " << threshold << ": " << live.lighter_weight
+            << " vs " << want.lighter_weight;
+      }
+    }
+  }
+
+  EdgeIndex random_edge(Rng& rng) const {
+    return static_cast<EdgeIndex>(
+        rng.next_below(static_cast<std::uint64_t>(topology_.num_edges())));
+  }
+
+ private:
+  Topology topology_;
+  ImpactIndex index_;
+  std::vector<Candidate> pending_;
+  PacketIndex next_id_ = 0;
+};
+
+/// Chunk weights of the benchmark workloads: integer weights 1-10 over
+/// delays 1-2, probed at, between and beyond them -- including thresholds
+/// off the 2^-16 grid a hair above and below admitted weights, as an
+/// inexact packet's own w_p/d(e) is.
+double benchmark_chunk_weight(Rng& rng) {
+  return static_cast<double>(rng.next_int(1, 10)) / static_cast<double>(rng.next_int(1, 2));
+}
+const std::vector<double> kProbeThresholds = {
+    0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 3.0, 4.5, 5.0, 7.5, 10.0, 11.0, 1.0 / 3.0,
+    std::nextafter(1.0, 2.0), 1.0 + 0x1p-20, std::nextafter(5.0, 0.0), 4.5 + 0x1p-17};
+
+TEST(ImpactIndexExact, SplitsMatchTreapAggregatesBitForBit) {
+  PendingModel model(exact_topology());
+  Rng rng(41);
+  // Pending state before the first query, as at the engine's lazy enable.
+  for (int i = 0; i < 40; ++i) {
+    model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+  }
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t op = rng.next_below(4);
+    if (op < 2 || model.size() == 0) {
+      model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+    } else if (op == 2) {
+      model.serve(rng.next_below(model.size()));
+    } else {
+      model.remove(rng.next_below(model.size()));
+    }
+    if (step % 150 == 0) {
+      model.expect_matches_oracle(kProbeThresholds, "step " + std::to_string(step));
+      ASSERT_TRUE(model.index().exact()) << "step " << step;
+    }
+  }
+  while (model.size() > 0) model.serve(0);
+  model.expect_matches_oracle(kProbeThresholds, "drained");
+  EXPECT_TRUE(model.index().exact());
+  // At most one line per transmitter, receiver and pair aggregate.
+  const Topology& topology = model.topology();
+  EXPECT_LE(model.index().live_entries(),
+            static_cast<std::size_t>(topology.num_transmitters() + topology.num_receivers() +
+                                     model.index().num_pairs()));
+}
+
+TEST(ImpactIndexExact, DictionaryGrowsUnderLiveLines) {
+  // Lines are live and events queued when weights arrive below, between
+  // and above the admitted ones: every line shifts to open the new slot.
+  PendingModel model(exact_topology());
+  Rng rng(43);
+  for (int i = 0; i < 30; ++i) {
+    model.add(model.random_edge(rng), 2.0 * static_cast<double>(rng.next_int(1, 3)), 2);
+  }
+  model.expect_matches_oracle(kProbeThresholds, "weights 2, 4, 6");
+  for (const double weight : {4.0, 1.0, 0.25, 5.0, 8.0, 0.5}) {
+    for (int i = 0; i < 6; ++i) model.add(model.random_edge(rng), 6.0, 1);  // queued
+    for (int i = 0; i < 4; ++i) model.add(model.random_edge(rng), weight, 2);
+    model.expect_matches_oracle(kProbeThresholds, "after weight " + std::to_string(weight));
+  }
+  for (std::size_t i = 0; i < model.size(); i += 3) model.serve(i);
+  model.expect_matches_oracle(kProbeThresholds, "after service");
+  EXPECT_TRUE(model.index().exact());
+  EXPECT_EQ(model.index().rebuilds(), 1u);  // grown in place, never rebuilt
+}
+
+/// One way to fail the exact-sums gate: `fail(model, rng)` queues the event
+/// that must flip the index to the treaps.
+struct GateFailure {
+  const char* name;
+  void (*fail)(PendingModel& model, Rng& rng);
+};
+
+const GateFailure kGateFailures[] = {
+    {"a w/3 weight",
+     [](PendingModel& m, Rng& rng) { m.add(m.random_edge(rng), 7.0 / 3.0, 3); }},
+    {"a weight of 2^15", [](PendingModel& m, Rng& rng) { m.add(m.random_edge(rng), 32768.0, 1); }},
+    {"a weight finer than 2^-16",
+     [](PendingModel& m, Rng& rng) {
+       // Its 2^-16 units truncate to those of the admitted weight 1.
+       m.add(m.random_edge(rng), 1.0 + 0x1p-17, 1);
+     }},
+    {"a weight below 2^-16", [](PendingModel& m, Rng& rng) { m.add(m.random_edge(rng), 0x1p-17, 1); }},
+    {"a 17th distinct weight",
+     [](PendingModel& m, Rng& rng) {
+       // The model holds chunk weights from {0.5, 1, ..., 10}: 15 of them.
+       m.add(m.random_edge(rng), 0.25, 1);  // the 16th still fits
+       ASSERT_TRUE(m.index().exact());
+       m.add(m.random_edge(rng), 0.125, 1);
+     }},
+    {"pending units past 2^52",
+     [](PendingModel& m, Rng& rng) {
+       // 2^36 chunks of weight 1 are 2^52 units on their own.
+       m.add(m.random_edge(rng), 1.0, (std::int64_t{1} << 36) + 1);
+     }},
+};
+
+TEST(ImpactIndexExact, EachGateFailureFallsBackForGood) {
+  for (const GateFailure& failure : kGateFailures) {
+    SCOPED_TRACE(failure.name);
+    PendingModel model(exact_topology());
+    Rng rng(47);
+    for (int i = 0; i < 60; ++i) {
+      model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+    }
+    for (const double weight : {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 7.0,
+                                8.0, 9.0, 10.0}) {
+      model.add(model.random_edge(rng), weight, 1);  // all 15 benchmark weights
+    }
+    model.expect_matches_oracle(kProbeThresholds, "before");
+    ASSERT_TRUE(model.index().exact());
+
+    failure.fail(model, rng);
+    EXPECT_FALSE(model.index().exact());
+    EXPECT_FALSE(model.index().weight_ready());  // the lines are gone
+    model.expect_matches_oracle(kProbeThresholds, "fallen back");
+
+    // The offending packet leaves and only exact weights follow; a
+    // rebuild of the now exact multiset still takes the treaps.
+    model.remove(model.size() - 1);
+    for (int i = 0; i < 20; ++i) {
+      model.add(model.random_edge(rng), benchmark_chunk_weight(rng), 1);
+      model.serve(rng.next_below(model.size()));
+    }
+    model.expect_matches_oracle(kProbeThresholds, "after");
+    model.rebuild();
+    model.expect_matches_oracle(kProbeThresholds, "rebuilt");
+    EXPECT_FALSE(model.index().exact());
+  }
+}
+
+TEST(ImpactIndexExact, PendingUnitsMayReachTwoToThe52) {
+  PendingModel model(exact_topology());
+  model.rebuild();  // enabled on the empty multiset
+  model.add(0, 1.0, std::int64_t{1} << 36);  // exactly 2^52 units
+  model.expect_matches_oracle({0.5, 1.0, 2.0}, "at 2^52");
+  EXPECT_TRUE(model.index().exact());
+  model.add(1, 0x1p-16, 1);  // one unit more
+  EXPECT_FALSE(model.index().exact());
+  model.expect_matches_oracle({0x1p-16, 0.5, 1.0, 2.0}, "past 2^52");
+}
+
+TEST(ImpactIndexExact, RebuildMeetingAnInexactWeightTakesTheTreaps) {
+  PendingModel model(exact_topology());
+  Rng rng(53);
+  for (int i = 0; i < 30; ++i) {
+    model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+  }
+  model.add(model.random_edge(rng), 0.1, 1);  // not a multiple of 2^-16
+  model.expect_matches_oracle(kProbeThresholds, "first query");
+  EXPECT_FALSE(model.index().exact());
+  EXPECT_EQ(model.index().rebuilds(), 1u);
+}
+
+// --------------------------------------------------------------------------
 // 2. Differential: live index vs scan vs fresh rebuild, over real runs
 
 struct ZooCase {
@@ -241,8 +506,70 @@ TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
   ASSERT_FALSE(engine.impact_index().weight_ready());
   engine.run();
   EXPECT_FALSE(engine.impact_index().weight_ready());
+  EXPECT_EQ(engine.impact_index().rebuilds(), 0u);
   EXPECT_EQ(engine.impact_index().deferred_events(), 0u);
-  EXPECT_EQ(engine.impact_index().live_weight_nodes(), 0u);
+  EXPECT_EQ(engine.impact_index().live_entries(), 0u);
+}
+
+TEST(ImpactIndexLifecycle, FallenBackIndexPassesCrosscheckAgainstExactRebuild) {
+  // The live index meets a w/3 chunk weight and falls back to the treaps
+  // for good. Once that packet has retired, the fresh index that
+  // apply_mutation's cross-check rebuilds from the queues is exact again,
+  // and the two must still agree bit for bit.
+  const Topology topology = exact_topology();
+  ImpactDispatcher dispatcher;
+  StableMatchingScheduler scheduler;
+  bool light_retired = false;
+  Engine engine(topology, dispatcher, scheduler, {}, [&](RetiredPacket&& retired) {
+    if (retired.id == 0) light_retired = true;
+  });
+  Rng rng(59);
+  PacketIndex id = 0;
+  const auto inject = [&](double weight) {
+    for (;;) {
+      const auto s = static_cast<NodeIndex>(
+          rng.next_below(static_cast<std::uint64_t>(topology.num_sources())));
+      const auto d = static_cast<NodeIndex>(
+          rng.next_below(static_cast<std::uint64_t>(topology.num_destinations())));
+      if (!topology.routable(s, d)) continue;
+      engine.inject(Packet{id++, engine.now(), weight, s, d});
+      return;
+    }
+  };
+  Time next = 1;
+  engine.begin_step(&next);
+  inject(1.0 / 3.0);
+  engine.finish_step();
+  EXPECT_FALSE(engine.impact_index().exact());
+  for (int step = 0; step < 400 && !light_retired; ++step) {
+    ++next;
+    engine.begin_step(&next);
+    inject(static_cast<double>(rng.next_int(1, 10)));
+    engine.finish_step();
+  }
+  ASSERT_TRUE(light_retired);
+  ++next;
+  engine.begin_step(&next);
+  // Queries after the fallback keep the treaps up; a burst leaves some
+  // packets queued for the cross-check.
+  for (int i = 0; i < 12; ++i) inject(4.0);
+  engine.finish_step();
+  ASSERT_TRUE(engine.impact_index().weight_ready());
+
+  ImpactIndex fresh;
+  fresh.attach(topology);
+  engine.for_each_pending([&fresh](const Candidate& c) {
+    fresh.add_chunks(c.transmitter, c.receiver, c.edge, c.chunk_weight, c.remaining);
+  });
+  fresh.rebuild([&engine](const auto& add) { engine.for_each_pending(add); });
+  ASSERT_TRUE(fresh.exact()) << "the scenario needs an exact multiset at the mutation";
+  ASSERT_GT(engine.pending_count(), 0u);
+
+  StageMutation kill;
+  kill.kill_edges = {0};
+  kill.dead_policy = DeadPolicy::Requeue;
+  EXPECT_NO_THROW(engine.apply_mutation(kill));
+  EXPECT_FALSE(engine.impact_index().exact());
 }
 
 TEST(ImpactIndexLifecycle, CountersDrainToZero) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/alg.hpp"
 #include "helpers.hpp"
 #include "run/policies.hpp"
 #include "sim/engine.hpp"
@@ -77,6 +78,41 @@ TEST(Probe, NamesMatchWhatTheyTime) {
     EXPECT_STREQ(to_string(static_cast<Phase>(i)), phases[i]) << i;
   }
   EXPECT_STREQ(to_string(Counter::HeadsRefreshed), "heads_refreshed");
+}
+
+TEST(Probe, GaugeNamesMatchWhatTheyCount) {
+  const char* const gauges[kNumGauges] = {"pending_candidates", "selected_per_round",
+                                          "active_transmitters", "active_receivers",
+                                          "index_entries",      "in_flight"};
+  for (std::size_t i = 0; i < kNumGauges; ++i) {
+    EXPECT_STREQ(to_string(static_cast<Gauge>(i)), gauges[i]) << i;
+  }
+}
+
+TEST(Probe, IndexEntriesCountTheLinesOrNodesThatServe) {
+  // The gauge reads the impact index's live weight entries on either
+  // representation: count lines for integer weights over delay 1, treap
+  // nodes once a w/3 chunk weight made the index fall back.
+  for (const bool exact : {true, false}) {
+    const Topology topology = testing::delay_crossbar(exact ? 1 : 3);
+    ImpactDispatcher dispatcher;
+    StableMatchingScheduler scheduler;
+    EngineOptions options;
+    options.probe.enabled = true;
+    Engine engine(topology, dispatcher, scheduler, options, [](RetiredPacket&&) {});
+    PacketIndex id = 0;
+    for (Time next = 1; next <= 20; ++next) {
+      engine.begin_step(&next);
+      for (NodeIndex s = 0; s < 2; ++s) {
+        engine.inject(Packet{id++, engine.now(), 1.0 + static_cast<double>(next % 4), s, 1});
+      }
+      engine.finish_step();
+    }
+    EXPECT_EQ(engine.impact_index().exact(), exact);
+    const ProbeReport report = engine.probe()->report();
+    EXPECT_GT(report.gauge_max[static_cast<std::size_t>(Gauge::IndexEntries)], 0u)
+        << (exact ? "count lines" : "treap nodes");
+  }
 }
 
 TEST(Probe, NullProbeSpansAreNoOps) {

@@ -78,6 +78,15 @@ struct Totals {
   std::size_t skipped = 0;
   std::size_t failures = 0;
   std::size_t transient_retries = 0;
+  std::size_t index_exact = 0;      ///< ALG replays whose impact index stayed exact
+  std::size_t index_fell_back = 0;  ///< ... and those that fell back to the treaps
+
+  void add(const check::DiffReport& report) {
+    checks += report.checks;
+    skipped += report.skipped.size();
+    index_exact += report.index_exact;
+    index_fell_back += report.index_fell_back;
+  }
 };
 
 /// --inject-transient budget: the first N checks throw before running.
@@ -194,8 +203,7 @@ int main(int argc, char** argv) {
         return check::check_scenario_seed(seed, 0, options);
       });
       ++totals.scenarios;
-      totals.checks += report.checks;
-      totals.skipped += report.skipped.size();
+      totals.add(report);
       if (!report.ok()) {
         ++totals.failures;
         report_failure("batch", seed, report, minimize, options);
@@ -209,8 +217,7 @@ int main(int argc, char** argv) {
         return check::check_stream_seed(seed, 0, true, options);
       });
       ++totals.scenarios;
-      totals.checks += report.checks;
-      totals.skipped += report.skipped.size();
+      totals.add(report);
       if (!report.ok()) {
         ++totals.failures;
         report_failure("stream", seed, report, minimize, options);
@@ -224,8 +231,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nrdcn_fuzz: %zu scenarios, %zu cross-checks, %zu spec skips, %zu failures, "
-      "%zu transient retries\n",
+      "%zu transient retries; impact index replays: %zu exact, %zu fell back\n",
       totals.scenarios, totals.checks, totals.skipped, totals.failures,
-      totals.transient_retries);
+      totals.transient_retries, totals.index_exact, totals.index_fell_back);
   return totals.failures == 0 ? 0 : 1;
 }
