@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "baseline/schedulers.hpp"
 #include "common.hpp"
 #include "core/randomized.hpp"
 
@@ -48,7 +49,7 @@ int main() {
       policy.name = variant.name;
       if (variant.sigma < 0) {
         policy.scheduler = [coin](const Topology&) {
-          return std::make_unique<RandomSerialDictatorScheduler>(coin * 7919);
+          return std::make_unique<RandomMaximalScheduler>(coin * 7919);
         };
       } else if (variant.sigma > 0) {
         const double sigma = variant.sigma;

@@ -29,8 +29,9 @@ void MaxWeightScheduler::select(const Engine& engine, Time /*now*/,
   // side): cell (i, j) holds minus the heaviest chunk weight between the
   // pair, 0 when no candidate connects them, so the min-cost assignment
   // restricted to negative cells is a maximum-weight matching. This is
-  // max_weight_matching's encoding (match/hungarian.cpp) inlined over
-  // candidates to skip the edge-list build -- keep the two in sync.
+  // max_weight_matching's encoding (tests/matching_reference.hpp, which
+  // checks the solver against brute force) inlined over candidates to
+  // skip the edge-list build -- keep the two in sync.
   const bool transpose = kt > kr;
   const std::size_t rows = transpose ? kr : kt;
   const std::size_t cols = transpose ? kt : kr;
@@ -196,17 +197,19 @@ void RandomMaximalScheduler::select(const Engine& engine, Time /*now*/,
 
 void FifoScheduler::select(const Engine& engine, Time /*now*/,
                            const std::vector<Candidate>& candidates, Selection& out) {
-  order_.resize(candidates.size());
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
   // Ids are assigned in arrival order, so packet-id order is fifo_before's.
   const bool in_id_order = std::is_sorted(
       candidates.begin(), candidates.end(),
       [](const Candidate& a, const Candidate& b) { return a.packet < b.packet; });
-  if (!in_id_order) {
-    std::sort(order_.begin(), order_.end(), [&candidates](std::size_t a, std::size_t b) {
-      return fifo_before(candidates[a], candidates[b]);
-    });
+  if (in_id_order) {
+    scratch_.select_in_list_order(engine, candidates, out);
+    return;
   }
+  order_.resize(candidates.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [&candidates](std::size_t a, std::size_t b) {
+    return fifo_before(candidates[a], candidates[b]);
+  });
   scratch_.select_in_order(engine, candidates, order_, out);
 }
 

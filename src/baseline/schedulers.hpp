@@ -10,7 +10,8 @@
 //                         request/grant/accept with pointer desynchronization;
 //   RotorScheduler     -- cycles through a fixed edge coloring of the
 //                         reconfigurable layer, demand-obliviously;
-//   RandomMaximalScheduler -- random-order greedy maximal matching;
+//   RandomMaximalScheduler -- random-order greedy maximal matching (the
+//                         uniform serial dictatorship);
 //   FifoScheduler      -- greedy maximal matching in arrival order
 //                         (weight-blind stable matching).
 //

@@ -24,20 +24,8 @@ void StableMatchingScheduler::select(const Engine& engine, Time /*now*/,
   const auto num_r = static_cast<std::size_t>(engine.topology().num_receivers());
 
   if (engine.options().endpoint_capacity == 1) {
-    transmitter_taken_.resize(num_t, 0);
-    receiver_taken_.resize(num_r, 0);
-    ++serial_;
-    const std::size_t limit = std::min(num_t, num_r);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      auto& t_taken = transmitter_taken_[static_cast<std::size_t>(c.transmitter)];
-      auto& r_taken = receiver_taken_[static_cast<std::size_t>(c.receiver)];
-      if (t_taken == serial_ || r_taken == serial_) continue;
-      t_taken = serial_;
-      r_taken = serial_;
-      out.push(i);
-      if (out.size() == limit) break;  // every further chunk is blocked
-    }
+    // Once min(T, R) are accepted, every further chunk is blocked.
+    scratch_.select_in_list_order(engine, candidates, out, std::min(num_t, num_r));
     return;
   }
 

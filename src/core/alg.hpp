@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/greedy_select.hpp"
 
 namespace rdcn {
 
@@ -69,17 +70,12 @@ class StableMatchingScheduler final : public SchedulePolicy {
   HeadKinds heads() const noexcept override { return HeadKinds::Priority; }
 
  private:
-  // Serial-stamped endpoint-taken scratch: one counter bump frees every
-  // endpoint, so a round is a single candidate pass with direct topology
-  // indexing -- no per-round clearing and no allocations after the arrays
-  // grow to the topology size once.
-  std::uint64_t serial_ = 0;
-  std::vector<std::uint64_t> transmitter_taken_;
-  std::vector<std::uint64_t> receiver_taken_;
+  GreedySelectScratch scratch_;  ///< the capacity-1 pass
   // b-matching path (endpoint_capacity > 1): stamped per-endpoint load
   // counters and a stamped per-edge used flag -- the capacitated greedy
   // stable b-matching, run in place (tests/capacitated_matching.hpp keeps
   // a reference implementation and its stability checker).
+  std::uint64_t serial_ = 0;
   std::vector<std::uint64_t> t_load_stamp_, r_load_stamp_, edge_used_stamp_;
   std::vector<std::int32_t> t_load_, r_load_;
 };

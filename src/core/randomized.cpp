@@ -31,13 +31,4 @@ void PerturbedStableScheduler::select(const Engine& engine, Time /*now*/,
   scratch_.select_in_order(engine, candidates, order_, out);
 }
 
-void RandomSerialDictatorScheduler::select(const Engine& engine, Time /*now*/,
-                                           const std::vector<Candidate>& candidates,
-                                           Selection& out) {
-  order_.resize(candidates.size());
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  rng_.shuffle(order_);
-  scratch_.select_in_order(engine, candidates, order_, out);
-}
-
 }  // namespace rdcn

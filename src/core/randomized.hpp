@@ -1,15 +1,15 @@
 #pragma once
 
 // Randomized scheduling -- the paper's Section VI names "exploring
-// randomized scheduling algorithms" as future work; this module provides
-// two natural candidates built on the same stable-matching skeleton, so
-// the bench harness can measure whether randomization helps in practice:
+// randomized scheduling algorithms" as future work. Two natural
+// candidates share the stable-matching skeleton, so the bench harness can
+// measure whether randomization helps in practice:
 //
-//   * PerturbedStableScheduler -- multiplies each chunk's priority weight
-//     by exp(sigma * N(0,1)) before the greedy pass (smoothed priorities;
-//     sigma = 0 degenerates to ALG's scheduler);
-//   * RandomSerialDictatorScheduler -- a random packet order per step
-//     (uniform serial dictatorship), the unweighted analogue.
+//   * PerturbedStableScheduler (here) -- multiplies each chunk's priority
+//     weight by exp(sigma * N(0,1)) before the greedy pass (smoothed
+//     priorities; sigma = 0 degenerates to ALG's scheduler);
+//   * the uniform serial dictatorship -- a random packet order per step,
+//     the unweighted analogue -- is baseline/'s RandomMaximalScheduler.
 //
 // Both remain stable with respect to their own per-step priority order,
 // so the engine's matching validation and all delivery invariants hold.
@@ -42,19 +42,6 @@ class PerturbedStableScheduler final : public SchedulePolicy {
   double sigma_;
   Rng rng_;
   std::vector<double> noisy_;
-  std::vector<std::size_t> order_;
-  GreedySelectScratch scratch_;
-};
-
-class RandomSerialDictatorScheduler final : public SchedulePolicy {
- public:
-  explicit RandomSerialDictatorScheduler(std::uint64_t seed = 1) : rng_(seed) {}
-
-  void select(const Engine& engine, Time now, const std::vector<Candidate>& candidates,
-              Selection& out) override;
-
- private:
-  Rng rng_;
   std::vector<std::size_t> order_;
   GreedySelectScratch scratch_;
 };

@@ -83,34 +83,4 @@ EdgeColoring color_bipartite_edges(const std::vector<BipartiteEdge>& edges,
   return result;
 }
 
-std::vector<std::vector<std::size_t>> coloring_to_matchings(const EdgeColoring& coloring) {
-  std::vector<std::vector<std::size_t>> matchings(
-      static_cast<std::size_t>(std::max(coloring.num_colors, 0)));
-  for (std::size_t k = 0; k < coloring.color.size(); ++k) {
-    matchings[static_cast<std::size_t>(coloring.color[k])].push_back(k);
-  }
-  return matchings;
-}
-
-bool is_proper_edge_coloring(const std::vector<BipartiteEdge>& edges,
-                             const EdgeColoring& coloring, std::size_t num_left,
-                             std::size_t num_right) {
-  if (coloring.color.size() != edges.size()) return false;
-  for (std::int32_t c : coloring.color) {
-    if (c < 0 || c >= coloring.num_colors) return false;
-  }
-  const auto colors = static_cast<std::size_t>(coloring.num_colors);
-  std::vector<std::vector<bool>> seen_left(num_left, std::vector<bool>(colors, false));
-  std::vector<std::vector<bool>> seen_right(num_right, std::vector<bool>(colors, false));
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const auto c = static_cast<std::size_t>(coloring.color[k]);
-    auto&& l = seen_left[static_cast<std::size_t>(edges[k].left)][c];
-    auto&& r = seen_right[static_cast<std::size_t>(edges[k].right)][c];
-    if (l || r) return false;
-    l = true;
-    r = true;
-  }
-  return true;
-}
-
 }  // namespace rdcn

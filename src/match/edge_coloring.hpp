@@ -26,12 +26,4 @@ struct EdgeColoring {
 EdgeColoring color_bipartite_edges(const std::vector<BipartiteEdge>& edges,
                                    std::size_t num_left, std::size_t num_right);
 
-/// Groups the edges by color: result[c] = edge indices of color c.
-std::vector<std::vector<std::size_t>> coloring_to_matchings(const EdgeColoring& coloring);
-
-/// Verifies that every color class is a matching.
-bool is_proper_edge_coloring(const std::vector<BipartiteEdge>& edges,
-                             const EdgeColoring& coloring, std::size_t num_left,
-                             std::size_t num_right);
-
 }  // namespace rdcn

@@ -1,6 +1,5 @@
 #include "match/hungarian.hpp"
 
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -105,64 +104,6 @@ void HungarianWorkspace::solve(const double* cost, std::size_t rows, std::size_t
   for (std::size_t j = 1; j <= cols; ++j) {
     if (p_[j] != 0) row_to_col[p_[j] - 1] = static_cast<std::int32_t>(j - 1);
   }
-}
-
-std::vector<std::int32_t> min_cost_assignment(const std::vector<std::vector<double>>& cost) {
-  const std::size_t n = cost.size();
-  if (n == 0) return {};
-  std::vector<double> flat;
-  flat.reserve(n * n);
-  for (const auto& row : cost) {
-    if (row.size() != n) throw std::invalid_argument("assignment matrix must be square");
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  HungarianWorkspace workspace;
-  std::vector<std::int32_t> assignment;
-  workspace.solve(flat.data(), n, n, assignment);
-  return assignment;
-}
-
-MatchingResult max_weight_matching(const std::vector<WeightedBipartiteEdge>& edges,
-                                   std::size_t num_left, std::size_t num_right) {
-  MatchingResult result;
-  if (edges.empty() || num_left == 0 || num_right == 0) return result;
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-  // Cell (i, j) holds minus the best (heaviest) gain between i and j;
-  // absent pairs cost 0, so the optimal assignment restricted to
-  // negative-cost cells is exactly a maximum-weight matching. Transpose so
-  // rows is the smaller side (the solver is rectangular).
-  // MaxWeightScheduler::select (baseline/schedulers.cpp) inlines this
-  // encoding over its candidate list -- keep the two in sync.
-  const bool transpose = num_left > num_right;
-  const std::size_t rows = transpose ? num_right : num_left;
-  const std::size_t cols = transpose ? num_left : num_right;
-  std::vector<double> cost(rows * cols, 0.0);
-  std::vector<std::size_t> best_edge(rows * cols, kNone);
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const auto& e = edges[k];
-    assert(e.left >= 0 && static_cast<std::size_t>(e.left) < num_left);
-    assert(e.right >= 0 && static_cast<std::size_t>(e.right) < num_right);
-    const auto i = static_cast<std::size_t>(transpose ? e.right : e.left);
-    const auto j = static_cast<std::size_t>(transpose ? e.left : e.right);
-    if (-e.weight < cost[i * cols + j]) {
-      cost[i * cols + j] = -e.weight;
-      best_edge[i * cols + j] = k;
-    }
-  }
-
-  HungarianWorkspace workspace;
-  std::vector<std::int32_t> assignment;
-  workspace.solve(cost.data(), rows, cols, assignment);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const auto j = static_cast<std::size_t>(assignment[i]);
-    const std::size_t cell = i * cols + j;
-    if (cost[cell] < 0.0 && best_edge[cell] != kNone) {
-      result.edges.push_back(best_edge[cell]);
-      result.total_weight -= cost[cell];
-    }
-  }
-  return result;
 }
 
 }  // namespace rdcn

@@ -8,25 +8,14 @@
 // The workhorse is HungarianWorkspace: a reusable, allocation-free (after
 // first growth) solver over a caller-owned row-major cost matrix, so the
 // per-round scheduling hot path can run it on the k_active x k_active
-// submatrix of busy endpoints without touching the heap. The vector-based
-// free functions below are convenience wrappers for tests and one-shot
-// callers.
+// submatrix of busy endpoints without touching the heap. The tests'
+// vector-based wrappers (max_weight_matching, min_cost_assignment) live
+// in tests/matching_reference.hpp.
 
 #include <cstdint>
 #include <vector>
 
 namespace rdcn {
-
-struct WeightedBipartiteEdge {
-  std::int32_t left = 0;
-  std::int32_t right = 0;
-  double weight = 0.0;
-};
-
-struct MatchingResult {
-  std::vector<std::size_t> edges;  ///< indices into the input edge list
-  double total_weight = 0.0;
-};
 
 /// Reusable min-cost assignment solver. One instance per caller; internal
 /// arrays grow to the high-water problem size once and are then reused, so
@@ -46,16 +35,5 @@ class HungarianWorkspace {
   std::vector<double> u_, v_, minv_;
   std::vector<std::size_t> p_, way_, free_cols_, used_cols_;
 };
-
-/// Maximum-weight (not necessarily perfect, not necessarily maximum-
-/// cardinality) matching: only edges with positive weight contribute, and
-/// the matching maximizes the total weight. Negative-weight edges are never
-/// selected. O((L+R)^3).
-MatchingResult max_weight_matching(const std::vector<WeightedBipartiteEdge>& edges,
-                                   std::size_t num_left, std::size_t num_right);
-
-/// Minimum-cost assignment on a dense square matrix: returns, for each row,
-/// the assigned column. cost[i][j] may be any finite double. O(n^3).
-std::vector<std::int32_t> min_cost_assignment(const std::vector<std::vector<double>>& cost);
 
 }  // namespace rdcn

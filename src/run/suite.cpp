@@ -1,6 +1,7 @@
 #include "run/suite.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <mutex>
@@ -8,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "net/instance.hpp"
 #include "run/batch.hpp"
 #include "run/policies.hpp"
 #include "util/atomic_file.hpp"
@@ -18,9 +20,15 @@ namespace rdcn {
 
 namespace {
 
-constexpr std::int64_t kMaxDelay = 1'000'000;
-constexpr std::int64_t kMaxPorts = 256;
-constexpr std::int64_t kMaxRacks = 4096;
+// Topology sizes and delays obey the limits instance text does
+// (Instance::kMax*), so a suite cannot build what load() would refuse.
+constexpr std::int64_t kMaxRacks = Instance::kMaxRacks;
+constexpr std::int64_t kMaxPorts = Instance::kMaxPorts;
+constexpr std::int64_t kMaxDelay = Instance::kMaxDelay;
+// A crossbar port is a rack of its own, and an expander or a rotor wires
+// one edge per rack and degree or matching, so their edge counts stay
+// within the limit; two-tier and oversubscribed pods are checked below.
+static_assert(kMaxRacks * kMaxRacks <= Instance::kMaxEdges);
 constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
 // Stage index lists are checked against the topology later
 // (Engine::apply_mutation at run time -- the suite grid may span several
@@ -41,6 +49,29 @@ constexpr EnumName<DeadPolicy> kDeadPolicyNames[] = {
     {DeadPolicy::Drop, "drop"},
     {DeadPolicy::Requeue, "requeue"},
 };
+
+/// Rejects port totals past Instance::kMaxPorts at the key that completes
+/// each total, and, when `dense` (every transmitter may reach every
+/// receiver), a candidate edge count T x R past Instance::kMaxEdges at
+/// the receiver key.
+template <typename IO>
+void port_limits(IO& io, std::int64_t transmitters, const char* t_key,
+                 std::int64_t receivers, const char* r_key, bool dense) {
+  const auto above = [](const char* what, std::int64_t count, std::int64_t limit) {
+    return "implies " + std::to_string(count) + " " + what + ", above the limit " +
+           std::to_string(limit);
+  };
+  if (transmitters > kMaxPorts) {
+    io.reject_at(t_key, above("transmitters", transmitters, kMaxPorts));
+  }
+  if (receivers > kMaxPorts) {
+    io.reject_at(r_key, above("receivers", receivers, kMaxPorts));
+  }
+  const std::int64_t edges = transmitters * receivers;
+  if (dense && edges > Instance::kMaxEdges) {
+    io.reject_at(r_key, above("candidate edges", edges, Instance::kMaxEdges));
+  }
+}
 
 std::string slash_error(const std::string& label) {
   return "label \"" + label + "\" may not contain '/' (labels compose cell names)";
@@ -419,6 +450,9 @@ void fields(IO& io, Record<IO, TwoTierConfig>& net) {
   io.integer("racks", net.racks, 2, kMaxRacks);
   io.integer("lasers", net.lasers_per_rack, 1, kMaxPorts);
   io.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  port_limits(io, std::int64_t{net.racks} * net.lasers_per_rack, "lasers",
+              std::int64_t{net.racks} * net.photodetectors_per_rack, "photodetectors",
+              true);
   io.real("density", net.density, 0.0, 1.0);
   io.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
   io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
@@ -438,6 +472,11 @@ void fields(IO& io, Record<IO, OversubscribedConfig>& net) {
   io.integer("hot_photodetectors", net.hot_photodetectors, 1, kMaxPorts);
   io.integer("cold_lasers", net.cold_lasers, 1, kMaxPorts);
   io.integer("cold_photodetectors", net.cold_photodetectors, 1, kMaxPorts);
+  const std::int64_t hot = net.hot_racks;
+  const std::int64_t cold = net.racks - net.hot_racks;
+  port_limits(io, hot * net.hot_lasers + cold * net.cold_lasers, "cold_lasers",
+              hot * net.hot_photodetectors + cold * net.cold_photodetectors,
+              "cold_photodetectors", true);
   io.real("density", net.density, 0.0, 1.0);
   io.integer("fast_delay", net.fast_delay, 1, kMaxDelay);
   io.integer("slow_delay", net.slow_delay, 1, kMaxDelay);
@@ -449,6 +488,13 @@ void fields(IO& io, Record<IO, OversubscribedConfig>& net) {
   io.integer("attach_delay", net.attach_delay, 0, kMaxDelay);
   io.integer("fixed_base_delay", net.fixed_base_delay, 0, kMaxDelay);
   io.real("oversubscription", net.oversubscription, 1.0, 64.0);
+  // The fixed links' delay is the base delay scaled by oversubscription.
+  const double fixed_delay =
+      static_cast<double>(net.fixed_base_delay) * net.oversubscription;
+  if (std::llround(fixed_delay) > kMaxDelay) {
+    io.reject("scales fixed_base_delay " + std::to_string(net.fixed_base_delay) +
+              " past the delay limit " + std::to_string(kMaxDelay));
+  }
 }
 
 template <typename IO>
@@ -461,6 +507,9 @@ void fields(IO& io, Record<IO, ExpanderConfig>& net) {
   }
   io.integer("lasers", net.lasers_per_rack, 1, kMaxPorts);
   io.integer("photodetectors", net.photodetectors_per_rack, 1, kMaxPorts);
+  port_limits(io, std::int64_t{net.racks} * net.lasers_per_rack, "lasers",
+              std::int64_t{net.racks} * net.photodetectors_per_rack, "photodetectors",
+              false);
   io.integer("min_edge_delay", net.min_edge_delay, 1, kMaxDelay);
   io.integer("max_edge_delay", net.max_edge_delay, 1, kMaxDelay);
   if (net.max_edge_delay < net.min_edge_delay) {
@@ -475,6 +524,8 @@ template <typename IO>
 void fields(IO& io, Record<IO, RotorConfig>& net) {
   io.integer("racks", net.racks, 2, kMaxRacks);
   io.integer("ports", net.ports_per_rack, 1, kMaxPorts);
+  const std::int64_t ports = std::int64_t{net.racks} * net.ports_per_rack;
+  port_limits(io, ports, "ports", ports, "ports", false);
   io.integer("matchings", net.num_matchings, 0, kMaxRacks);
   if (net.num_matchings > net.racks - 1) {
     io.reject(std::to_string(net.num_matchings) + " exceeds racks - 1 (" +
@@ -582,8 +633,8 @@ void fields(IO& io, Record<IO, StageSpec>& stage) {
   if (bad_override(stage.off_stay)) io.reject("must be in (0, 1)" + inherit);
   io.indices("kill_edges", mutation.kill_edges, kMaxIndex);
   io.indices("restore_edges", mutation.restore_edges, kMaxIndex);
-  io.indices("kill_racks", mutation.kill_racks, kMaxRacks);
-  io.indices("restore_racks", mutation.restore_racks, kMaxRacks);
+  io.indices("kill_racks", mutation.kill_racks, kMaxRacks - 1);
+  io.indices("restore_racks", mutation.restore_racks, kMaxRacks - 1);
   io.integer("speedup", mutation.speedup_rounds, 0, 16);
   io.integer("capacity", mutation.endpoint_capacity, 0, 64);
   io.choice("dead", mutation.dead_policy, kDeadPolicyNames);

@@ -51,9 +51,7 @@ Engine::Engine(const Instance& instance, DispatchPolicy& dispatcher,
   if (options_.max_steps == 0) {
     options_.max_steps = default_max_steps(instance, options_.reconfig_delay);
   }
-  const std::size_t n = instance.num_packets();
-  impact_index_.reserve_pending(n);
-  result_.outcomes.resize(n);
+  result_.outcomes.resize(instance.num_packets());
 }
 
 Engine::Engine(const Topology& topology, DispatchPolicy& dispatcher,
@@ -424,9 +422,9 @@ void Engine::refresh_heads_in(Order before) {
 
 // rdcn-lint: hot
 ImpactSplit Engine::impact_split(EdgeIndex e, double threshold) const {
-  // Timed at query granularity (rebuild + deferred-event flush + lookup):
-  // per-update spans inside add_chunks would cost more than the O(1)
-  // counter work they measure. Nests under Inject (or Select).
+  // Timed at query granularity (lazy rebuild + lookup); the updates
+  // themselves run untimed inside add_chunks, where a span per update
+  // would cost about as much as the update. Nests under Inject (or Select).
   Probe::Span span(probe_, Phase::IndexQuery);
   if (probe_) probe_->count(Counter::ImpactQueries);
   if (!impact_index_.weight_ready()) {

@@ -80,10 +80,10 @@
 //    could round switches the index to canonical weight-keyed treaps,
 //    O(log n) per update and query, for good. Both give the same bits.
 //    The engine feeds the index at the three points where the queues
-//    change (dispatch, per-chunk service, unlisting); the weight
-//    structures are enabled lazily by the first impact_split() call and
-//    decay during long non-impact drains, so non-impact policies pay only
-//    the O(1) counters;
+//    change (dispatch, per-chunk service, unlisting), and each change
+//    updates the weight structures at once. They are enabled lazily by
+//    the first impact_split() call and decay during long non-impact
+//    drains, so non-impact policies pay only the O(1) counters;
 //  * per-packet state lives only with a packet's queue node: one record
 //    (weight, endpoints, the PacketOutcome its service accumulates) at the
 //    node's index, so a packet holds per-packet memory exactly while it

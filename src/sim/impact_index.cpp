@@ -228,18 +228,9 @@ void ImpactIndex::attach(const Topology& topology) {
   p_root_.assign(static_cast<std::size_t>(num_pairs_), -1);
   decay();
   exact_ = true;
-  // Deferred-event capacity doubles as the decay threshold (see
-  // add_chunks): fixed up front so maintenance never reallocates it, and
-  // sized so several full scheduling rounds of per-chunk service fit
+  // Sized so several full scheduling rounds of per-chunk service fit
   // between consecutive impact queries without forcing a decay/rebuild.
-  events_.reserve(std::max<std::size_t>(256, 8 * std::min(num_t, num_r)));
-}
-
-void ImpactIndex::reserve_pending(std::size_t packets) {
-  // Each pending packet holds one key in its transmitter, receiver and
-  // pair structure; distinct-key nodes are shared, so 3x packets is a
-  // ceiling, capped to keep huge batch instances from over-reserving.
-  store_.reserve(3 * std::min<std::size_t>(packets, 1u << 16));
+  decay_after_ = std::max<std::size_t>(256, 8 * std::min(num_t, num_r));
 }
 
 namespace {
@@ -258,24 +249,41 @@ void ImpactIndex::add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk
   r_chunks_[static_cast<std::size_t>(r)] += delta;
   p_chunks_[static_cast<std::size_t>(pair)] += delta;
   if (!weight_ready_) return;
-  if (events_.size() == events_.capacity()) {
+  if (updates_since_query_ == decay_after_) {
     // Long maintenance streak with no impact query in between: drop the
-    // weight structures instead of growing the queue; the next query
+    // weight structures instead of maintaining them; the next query
     // rebuilds from the then-current multiset (purity makes that exact).
     decay();
     return;
   }
-  std::int32_t slot = -1;
-  if (exact_) {
-    // Inline, the common case: an admitted weight whose chunks keep the
-    // pending units in bounds. Anything else goes through the full gate.
-    slot = admitted_slot(chunk_weight);
-    if (slot < 0 || !charge(units_[static_cast<std::size_t>(slot)], delta)) [[unlikely]] {
-      queue_through_gate(t, r, pair, chunk_weight, delta);
+  ++updates_since_query_;
+  update(t, r, pair, chunk_weight, delta);
+}
+
+void ImpactIndex::update(NodeIndex t, NodeIndex r, std::int32_t pair, double chunk_weight,
+                         std::int64_t delta) {
+  auto& t_root = t_root_[static_cast<std::size_t>(t)];
+  auto& r_root = r_root_[static_cast<std::size_t>(r)];
+  auto& p_root = p_root_[static_cast<std::size_t>(pair)];
+  if (!exact_) {
+    t_root = store_.add(t_root, chunk_weight, delta);
+    r_root = store_.add(r_root, chunk_weight, delta);
+    p_root = store_.add(p_root, chunk_weight, delta);
+    return;
+  }
+  // Inline, the common case: an admitted weight whose chunks keep the
+  // pending units in bounds. Anything else goes through the full gate.
+  std::int32_t slot = admitted_slot(chunk_weight);
+  if (slot < 0 || !charge(units_[static_cast<std::size_t>(slot)], delta)) [[unlikely]] {
+    slot = admit(chunk_weight, delta);
+    if (slot < 0) {
+      fall_back();
       return;
     }
   }
-  events_.push_back(Event{chunk_weight, delta, t, r, pair, slot});
+  apply_line(t_root, slot, delta);
+  apply_line(r_root, slot, delta);
+  apply_line(p_root, slot, delta);
 }
 
 std::int32_t ImpactIndex::admitted_slot(double chunk_weight) const {
@@ -289,16 +297,6 @@ std::int32_t ImpactIndex::admitted_slot(double chunk_weight) const {
                  static_cast<double>(units) == scaled
              ? slot
              : -1;
-}
-
-void ImpactIndex::queue_through_gate(NodeIndex t, NodeIndex r, std::int32_t pair,
-                                     double chunk_weight, std::int64_t delta) {
-  const std::int32_t slot = admit(chunk_weight, delta);
-  if (slot < 0) {
-    fall_back();
-    return;
-  }
-  events_.push_back(Event{chunk_weight, delta, t, r, pair, slot});
 }
 
 std::int32_t ImpactIndex::admit(double chunk_weight, std::int64_t delta) {
@@ -317,9 +315,7 @@ std::int32_t ImpactIndex::admit(double chunk_weight, std::int64_t delta) {
 }
 
 void ImpactIndex::insert_weight(std::int32_t slot, std::int32_t units) {
-  // Queued events name slots of the old layout: apply them first. Then
-  // every line opens the new slot.
-  flush();
+  // Every line opens the new slot.
   const auto at = static_cast<std::size_t>(slot);
   const auto end = static_cast<std::size_t>(num_weights_);
   for (CountLine& line : lines_) {
@@ -343,13 +339,6 @@ std::int32_t ImpactIndex::prefix_below(double threshold) const {
   return slots_below(bound);
 }
 
-void ImpactIndex::apply_lines(NodeIndex t, NodeIndex r, std::int32_t pair, std::int32_t slot,
-                              std::int64_t delta) {
-  apply_line(t_root_[static_cast<std::size_t>(t)], slot, delta);
-  apply_line(r_root_[static_cast<std::size_t>(r)], slot, delta);
-  apply_line(p_root_[static_cast<std::size_t>(pair)], slot, delta);
-}
-
 void ImpactIndex::apply_line(std::int32_t& root, std::int32_t slot, std::int64_t delta) {
   if (root < 0) {
     root = static_cast<std::int32_t>(lines_.size());
@@ -358,30 +347,6 @@ void ImpactIndex::apply_line(std::int32_t& root, std::int32_t slot, std::int64_t
   std::int64_t& count = lines_[static_cast<std::size_t>(root)].count[static_cast<std::size_t>(slot)];
   count += delta;
   if (count < 0) throw std::logic_error("impact index: chunk count went negative");
-}
-
-void ImpactIndex::apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair,
-                               double chunk_weight, std::int64_t delta) {
-  auto& t_root = t_root_[static_cast<std::size_t>(t)];
-  t_root = store_.add(t_root, chunk_weight, delta);
-  auto& r_root = r_root_[static_cast<std::size_t>(r)];
-  r_root = store_.add(r_root, chunk_weight, delta);
-  auto& p_root = p_root_[static_cast<std::size_t>(pair)];
-  p_root = store_.add(p_root, chunk_weight, delta);
-}
-
-void ImpactIndex::flush() {
-  if (exact_) {
-    for (const Event& event : events_) {
-      apply_lines(event.transmitter, event.receiver, event.pair, event.slot, event.delta);
-    }
-  } else {
-    for (const Event& event : events_) {
-      apply_weight(event.transmitter, event.receiver, event.pair, event.chunk_weight,
-                   event.delta);
-    }
-  }
-  events_.clear();
 }
 
 void ImpactIndex::decay() {
@@ -393,7 +358,7 @@ void ImpactIndex::decay() {
   std::fill(t_root_.begin(), t_root_.end(), -1);
   std::fill(r_root_.begin(), r_root_.end(), -1);
   std::fill(p_root_.begin(), p_root_.end(), -1);
-  events_.clear();
+  updates_since_query_ = 0;
   weight_ready_ = false;
 }
 
@@ -406,7 +371,7 @@ ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
   if (!weight_ready_) {
     throw std::logic_error("impact index: edge_split before rebuild");
   }
-  if (!events_.empty()) flush();
+  updates_since_query_ = 0;
   const ReconfigEdge& edge = topology_->edge(e);
   const auto t = static_cast<std::size_t>(edge.transmitter);
   const auto r = static_cast<std::size_t>(edge.receiver);
@@ -417,7 +382,7 @@ ImpactSplit ImpactIndex::edge_split(EdgeIndex e, double threshold) {
   if (exact_) {
     // Summed slot by slot, (t + r) - pair: every partial is an exact
     // multiple of 2^-16 below 2^53 units, so this is combine_impact's
-    // result over the treaps, bit for bit (EXACT SUMS). Flushed lines total
+    // result over the treaps, bit for bit (EXACT SUMS). The lines total
     // the always-on counters.
     const CountLine& t_line = line(t_root);
     const CountLine& r_line = line(r_root);

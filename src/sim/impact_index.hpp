@@ -57,17 +57,17 @@
 // kMaxWeights admitted chunk weights (kept as integer counts of 2^-16
 // units); an aggregate gets its line when it first holds a chunk and
 // keeps it until the structures are dropped, which empties the
-// dictionary too. A deferred event is one
-// count update per line instead of three treap adds, and a query finds
-// the dictionary prefix below the threshold once and sums the three lines
-// over it, slot by slot, in integers. A weight is admitted when its first
-// event is queued (or a rebuild meets it) if
+// dictionary too. An update is one count change per line instead of
+// three treap adds, and a query finds the dictionary prefix below the
+// threshold once and sums the three lines over it, slot by slot, in
+// integers. A weight is admitted when its first update arrives (or a
+// rebuild meets it) if
 //
 //   * it is a positive multiple of 2^-16 below 2^15 (w * 2^16 is an
 //     integer "unit" count below 2^31),
 //   * the dictionary has room, and
 //   * the index's pending weight, counted in units, stays at most 2^52
-//     (checked on every queued event).
+//     (checked on every update).
 //
 // Under that gate every node value, subtree sum, prefix sum and the
 // t + r - pair combination the canonical treaps would form is a multiple
@@ -77,7 +77,7 @@
 // treaps' results bit for bit -- Delta, alpha and every schedule are the
 // same whichever representation answered.
 //
-// The first event whose weight fails the gate drops the lines and flips
+// The first update whose weight fails the gate drops the lines and flips
 // exact() to false for the rest of the index's life: the next query
 // rebuilds the treaps from the engine's queues (the rebuild path below)
 // and the treaps serve from then on. A rebuild that meets such a weight
@@ -89,15 +89,16 @@
 // -- they make JSQ's edge load a three-counter read with bit-identical
 // results. The weight structures (lines or treaps) are lazily enabled on
 // the first impact query (rebuilt from the engine's edge queues) and
-// thereafter maintained through a deferred-event queue flushed at query
-// time: because the structure is a pure function of the current multiset,
-// batching updates is equivalent to applying them eagerly. If many
-// maintenance events accumulate with no impact query between them (a pure
-// drain under a non-impact policy), the weight structures decay -- they
-// are dropped and rebuilt at the next query -- so idle maintenance stays
-// O(1) per event and bounded in memory. All storage is pooled and
-// grow-once: at steady state neither queries nor maintenance touch the
-// heap (pinned by tests/test_hotpath.cpp's allocation counter).
+// thereafter updated as each change is reported, through the same routine
+// the rebuild replays the pending multiset with; as both representations
+// are pure functions of that multiset, when an update lands cannot change
+// an answer. If more than max(256, 8 * min(T, R)) updates arrive with no
+// impact query between them (a pure drain under a non-impact policy), the
+// weight structures decay -- they are dropped and rebuilt at the next
+// query -- so idle maintenance stays O(1) per update and bounded in
+// memory. All storage is pooled and grow-once: at steady state neither
+// queries nor maintenance touch the heap (pinned by
+// tests/test_hotpath.cpp's allocation counter).
 
 #include <array>
 #include <cstdint>
@@ -176,10 +177,6 @@ class TreapStore {
     live_ = 0;
   }
 
-  void reserve(std::size_t nodes) {
-    pool_.reserve(nodes);
-    path_.reserve(64);
-  }
   std::size_t live_nodes() const noexcept { return live_; }
 
  private:
@@ -228,11 +225,6 @@ class ImpactIndex {
   /// groups parallel edges into (t, r) pairs. Called from Engine::init.
   void attach(const Topology& topology);
 
-  /// Presizes the treap pool for an expected pending-packet population
-  /// (batch mode passes the instance size; each pending packet occupies at
-  /// most three nodes, typically shared between packets of equal key).
-  void reserve_pending(std::size_t packets);
-
   std::int32_t pair_of(EdgeIndex e) const {
     return pair_of_[static_cast<std::size_t>(e)];
   }
@@ -240,8 +232,8 @@ class ImpactIndex {
 
   /// The engine's single mutation hook: `delta` chunks of one packet with
   /// the given chunk weight enter (dispatch) or leave (per-chunk service,
-  /// unlisting) edge `e`. Counters update eagerly; weight-structure
-  /// updates are deferred until the next query.
+  /// unlisting) edge `e`. Counters update always; the weight structures,
+  /// once enabled, update at once (or decay; see LIFECYCLE).
   void add_chunks(NodeIndex t, NodeIndex r, EdgeIndex e, double chunk_weight,
                   std::int64_t delta);
 
@@ -271,46 +263,34 @@ class ImpactIndex {
   bool weight_ready() const noexcept { return weight_ready_; }
 
   /// (Re)builds the weight structures from the full pending multiset and
-  /// enables query-time maintenance: `for_each_pending(add)` must call
+  /// enables their maintenance: `for_each_pending(add)` must call
   /// add(const Candidate&) once per pending candidate (as
   /// Engine::for_each_pending does). The engine calls this lazily on the
-  /// first impact query and again after a decay or a fallback. While
-  /// exact(), the multiset goes into count lines; a weight that fails the
-  /// gate ends that and the walk repeats into the treaps.
+  /// first impact query and again after a decay or a fallback. Each
+  /// candidate goes through update(), as a reported change does; a weight
+  /// that fails the gate drops the lines and the walk repeats into the
+  /// treaps.
   template <typename ForEachPending>
   void rebuild(ForEachPending&& for_each_pending) {
-    decay();
-    weight_ready_ = true;
     ++rebuilds_;
-    if (exact_) {
-      bool admitted = true;
-      for_each_pending([&](const Candidate& c) {
-        if (!admitted || c.remaining <= 0) return;
-        const std::int32_t slot = admit(c.chunk_weight, c.remaining);
-        if (slot < 0) {
-          admitted = false;
-          return;
-        }
-        apply_lines(c.transmitter, c.receiver, pair_of(c.edge), slot, c.remaining);
-      });
-      if (admitted) return;
-      fall_back();
+    do {
+      decay();
       weight_ready_ = true;
-    }
-    for_each_pending([this](const Candidate& c) {
-      if (c.remaining <= 0) return;
-      apply_weight(c.transmitter, c.receiver, pair_of(c.edge), c.chunk_weight, c.remaining);
-    });
+      for_each_pending([this](const Candidate& c) {
+        if (weight_ready_ && c.remaining > 0) {
+          update(c.transmitter, c.receiver, pair_of(c.edge), c.chunk_weight, c.remaining);
+        }
+      });
+    } while (!weight_ready_);
   }
 
   /// |H| and w(L) for edge `e` at `threshold` = w_p/d(e); requires
-  /// weight_ready(). Flushes deferred maintenance first, then answers: in
-  /// O(kMaxWeights) from the count lines while exact(), else in O(log n)
-  /// from the treaps.
+  /// weight_ready(). Answers in O(kMaxWeights) from the count lines while
+  /// exact(), else in O(log n) from the treaps, and restarts the decay
+  /// count.
   ImpactSplit edge_split(EdgeIndex e, double threshold);
 
   /// Test hooks.
-  std::size_t deferred_events() const noexcept { return events_.size(); }
   /// False from the first chunk weight that failed the exact-sums gate
   /// on (EXACT SUMS); never true again for this attachment.
   bool exact() const noexcept { return exact_; }
@@ -326,30 +306,21 @@ class ImpactIndex {
   static constexpr int kMaxWeights = 16;
   static constexpr std::int64_t kMaxPendingUnits = std::int64_t{1} << 52;
 
-  struct Event {
-    double chunk_weight = 0.0;
-    std::int64_t delta = 0;
-    NodeIndex transmitter = 0;
-    NodeIndex receiver = 0;
-    std::int32_t pair = 0;
-    std::int32_t slot = -1;  ///< dictionary slot while exact_
-  };
-
   /// One aggregate's chunk counts per dictionary slot. Its total is the
-  /// aggregate's always-on counter once the events are flushed.
+  /// aggregate's always-on counter.
   struct CountLine {
     std::array<std::int64_t, kMaxWeights> count{};
   };
 
-  void apply_weight(NodeIndex t, NodeIndex r, std::int32_t pair, double chunk_weight,
-                    std::int64_t delta);
-  /// add_chunks' cold path: admit() the event, queueing it, or fall back.
-  [[gnu::noinline]] void queue_through_gate(NodeIndex t, NodeIndex r, std::int32_t pair,
-                                            double chunk_weight, std::int64_t delta);
-  /// The gate (EXACT SUMS): the dictionary slot of `chunk_weight`,
-  /// inserting it if new, with `delta` chunks charged to the pending
-  /// units; -1 when the weight or the new total fails.
-  std::int32_t admit(double chunk_weight, std::int64_t delta);
+  /// The one update path, shared by add_chunks and rebuild: `delta` chunks
+  /// of `chunk_weight` into the count lines through the gate while exact_,
+  /// else into the treaps. A gate failure falls back instead.
+  void update(NodeIndex t, NodeIndex r, std::int32_t pair, double chunk_weight,
+              std::int64_t delta);
+  /// The gate (EXACT SUMS), update's cold path: the dictionary slot of
+  /// `chunk_weight`, inserting it if new, with `delta` chunks charged to
+  /// the pending units; -1 when the weight or the new total fails.
+  [[gnu::noinline]] std::int32_t admit(double chunk_weight, std::int64_t delta);
   /// The slot of an admitted `chunk_weight`, else -1.
   std::int32_t admitted_slot(double chunk_weight) const;
   /// Charges `delta` chunks of `units` to the pending units; false (and
@@ -375,14 +346,11 @@ class ImpactIndex {
   /// Dictionary slots whose weight is below `threshold` (any double).
   std::int32_t prefix_below(double threshold) const;
   void insert_weight(std::int32_t slot, std::int32_t units);
-  void apply_lines(NodeIndex t, NodeIndex r, std::int32_t pair, std::int32_t slot,
-                   std::int64_t delta);
   void apply_line(std::int32_t& root, std::int32_t slot, std::int64_t delta);
   const CountLine& line(std::int32_t root) const {
     static const CountLine kEmpty{};
     return root < 0 ? kEmpty : lines_[static_cast<std::size_t>(root)];
   }
-  void flush();
   void decay();
   void fall_back();
 
@@ -405,8 +373,9 @@ class ImpactIndex {
   std::int64_t pending_units_ = 0;  ///< pending weight in units, while exact_
   bool exact_ = true;
 
-  std::vector<Event> events_;  ///< deferred while weight_ready_; capacity-bounded
   bool weight_ready_ = false;
+  std::size_t updates_since_query_ = 0;
+  std::size_t decay_after_ = 0;  ///< max(256, 8 * min(T, R)), set by attach
   std::uint64_t rebuilds_ = 0;
 };
 

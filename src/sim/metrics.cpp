@@ -84,39 +84,6 @@ bool all_delivered(const Instance& instance, const RunResult& result) {
   return true;
 }
 
-std::vector<LinkStats> link_stats(const Instance& instance, const RunResult& result) {
-  std::vector<LinkStats> stats(static_cast<std::size_t>(instance.topology().num_edges()));
-  Time span_start = instance.num_packets() ? instance.packets().front().arrival : 1;
-  const Time span = std::max<Time>(1, result.makespan - span_start);
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
-    const PacketOutcome& outcome = result.outcomes[i];
-    if (outcome.route.use_fixed) continue;
-    LinkStats& entry = stats[static_cast<std::size_t>(outcome.route.edge)];
-    for (Time transmit : outcome.chunk_transmit_steps) {
-      ++entry.chunks_carried;
-      if (entry.first_busy == 0 || transmit < entry.first_busy) entry.first_busy = transmit;
-      entry.last_busy = std::max(entry.last_busy, transmit);
-    }
-  }
-  for (LinkStats& entry : stats) {
-    entry.utilization = static_cast<double>(entry.chunks_carried) / static_cast<double>(span);
-  }
-  return stats;
-}
-
-double load_concentration(const Instance& instance, const RunResult& result) {
-  const std::vector<LinkStats> stats = link_stats(instance, result);
-  double total = 0.0;
-  for (const LinkStats& entry : stats) total += static_cast<double>(entry.chunks_carried);
-  if (total <= 0.0) return 0.0;
-  double herfindahl = 0.0;
-  for (const LinkStats& entry : stats) {
-    const double share = static_cast<double>(entry.chunks_carried) / total;
-    herfindahl += share * share;
-  }
-  return herfindahl;
-}
-
 ScheduleSummary summarize(const Instance& instance, const RunResult& result) {
   ScheduleSummary summary;
   summary.total_cost = result.total_cost;

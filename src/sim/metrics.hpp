@@ -34,21 +34,6 @@ struct ScheduleSummary {
 
 ScheduleSummary summarize(const Instance& instance, const RunResult& result);
 
-/// Per-reconfigurable-edge usage statistics over a run.
-struct LinkStats {
-  std::int64_t chunks_carried = 0;  ///< chunks transmitted on the edge
-  Time first_busy = 0;              ///< first transmit step (0 = never used)
-  Time last_busy = 0;               ///< last transmit step
-  double utilization = 0.0;  ///< busy steps / steps in [first arrival, makespan)
-};
-
-/// One entry per topology edge; utilization relative to the run's span.
-std::vector<LinkStats> link_stats(const Instance& instance, const RunResult& result);
-
-/// Herfindahl-style load concentration over edges in [1/E, 1]: 1 = all
-/// traffic on one link, 1/E = perfectly spread. Useful for skew studies.
-double load_concentration(const Instance& instance, const RunResult& result);
-
 // --- streaming telemetry -----------------------------------------------
 
 /// One fixed-length window of a streamed run's time series.

@@ -36,12 +36,12 @@ namespace rdcn {
 
 /// The engine's round phases, in round order. Inject covers one packet's
 /// Engine::inject per span (dispatch decision + route application);
-/// IndexQuery one impact-index query (lazy rebuild + deferred-event flush
-/// + lookup), nested inside Inject (or Select, for index-using
-/// schedulers); HeadRefresh the head-list refresh (re-reading the listed
-/// heads of the edges whose queues changed and merging them into the
-/// sorted list); Service the chunk transmit, queue removal and retirement
-/// accounting.
+/// IndexQuery one impact-index query (lazy rebuild + lookup; the index's
+/// updates run in the self time of Inject and Service), nested inside
+/// Inject (or Select, for index-using schedulers); HeadRefresh the
+/// head-list refresh (re-reading the listed heads of the edges whose
+/// queues changed and merging them into the sorted list); Service the
+/// chunk transmit, queue removal and retirement accounting.
 enum class Phase : std::uint8_t {
   Inject = 0,
   IndexQuery,

@@ -69,13 +69,6 @@ double Rng::next_double(double lo, double hi) noexcept {
 
 bool Rng::next_bool(double p) noexcept { return next_double() < p; }
 
-double Rng::next_exponential(double lambda) noexcept {
-  assert(lambda > 0);
-  double u = next_double();
-  if (u >= 1.0) u = 0.9999999999999999;
-  return -std::log1p(-u) / lambda;
-}
-
 std::uint64_t Rng::next_poisson(double mean) noexcept {
   assert(mean >= 0);
   if (mean <= 0) return 0;

@@ -37,9 +37,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool next_bool(double p) noexcept;
 
-  /// Exponential with rate lambda (> 0).
-  double next_exponential(double lambda) noexcept;
-
   /// Poisson-distributed count with given mean (Knuth for small means,
   /// normal approximation for large ones).
   std::uint64_t next_poisson(double mean) noexcept;

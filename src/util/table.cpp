@@ -52,30 +52,6 @@ std::string Table::to_ascii() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  std::ostringstream out;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << escape(row[c]);
-    }
-    out << '\n';
-  };
-  emit_row(headers_);
-  for (const auto& row : rows_) emit_row(row);
-  return out.str();
-}
-
 void Table::print(const std::string& title) const {
   std::printf("\n=== %s ===\n%s", title.c_str(), to_ascii().c_str());
   std::fflush(stdout);

@@ -22,8 +22,6 @@ class Table {
 
   /// Renders an aligned ASCII table with a separator under the header.
   std::string to_ascii() const;
-  /// Renders RFC-4180-ish CSV (cells containing commas/quotes get quoted).
-  std::string to_csv() const;
 
   /// Prints the ASCII form to stdout with a title banner.
   void print(const std::string& title) const;

@@ -133,15 +133,6 @@ Instance generate_workload(const Topology& topology, const WorkloadConfig& confi
   return instance;
 }
 
-void append_flow(Instance& instance, Time arrival, double total_weight, std::int64_t size,
-                 NodeIndex source, NodeIndex destination) {
-  if (size < 1) throw std::invalid_argument("flow size must be >= 1");
-  const double unit_weight = total_weight / static_cast<double>(size);
-  for (std::int64_t i = 0; i < size; ++i) {
-    instance.add_packet(arrival, unit_weight, source, destination);
-  }
-}
-
 const char* to_string(PairSkew skew) { return name_of(kPairSkewNames, skew); }
 
 const char* to_string(WeightDist weights) { return name_of(kWeightDistNames, weights); }

@@ -85,11 +85,6 @@ double sample_weight(const WorkloadConfig& config, Rng& rng);
 /// config.seed.
 Instance generate_workload(const Topology& topology, const WorkloadConfig& config);
 
-/// The standard multi-unit reduction (Section II): appends `size` unit
-/// packets of weight total_weight / size, all arriving at `arrival`.
-void append_flow(Instance& instance, Time arrival, double total_weight, std::int64_t size,
-                 NodeIndex source, NodeIndex destination);
-
 /// The names suite files, rdcn_cli flags and benchmark tables use.
 inline constexpr EnumName<PairSkew> kPairSkewNames[] = {
     {PairSkew::Uniform, "uniform"},

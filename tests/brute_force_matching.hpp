@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "match/hungarian.hpp"
+#include "matching_reference.hpp"
 
 namespace rdcn {
 

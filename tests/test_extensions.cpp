@@ -205,7 +205,7 @@ TEST(RandomizedSchedulers, DeliverAndAccountConsistently) {
     }
     {
       ImpactDispatcher dispatcher;
-      RandomSerialDictatorScheduler scheduler(seed);
+      RandomMaximalScheduler scheduler(seed);
       const RunResult run = simulate(instance, dispatcher, scheduler, {});
       EXPECT_TRUE(all_delivered(instance, run));
     }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "baseline/dispatchers.hpp"
+#include "baseline/schedulers.hpp"
 #include "core/alg.hpp"
 #include "core/randomized.hpp"
 #include "helpers.hpp"
@@ -179,12 +180,12 @@ TEST(HotPathAllocations, RandomizedSchedulersDrainWithoutAllocating) {
     EXPECT_EQ(allocations, 0u) << "PerturbedStableScheduler";
   }
   {
-    RandomSerialDictatorScheduler scheduler(7);
+    RandomMaximalScheduler scheduler(7);
     auto dispatcher = named_policy("alg").dispatcher();
     const auto [steps, allocations] =
         measure_drain_allocations(*dispatcher, scheduler, topology, 3);
     EXPECT_GT(steps, 5);
-    EXPECT_EQ(allocations, 0u) << "RandomSerialDictatorScheduler";
+    EXPECT_EQ(allocations, 0u) << "RandomMaximalScheduler";
   }
 }
 
@@ -271,8 +272,8 @@ TEST(HotPathAllocations, IntegerWeightDeadEdgeStreamDispatchesWithoutAllocating)
 /// state. dispatch() is a pure reader, so after a warmup that grows the
 /// index's pools (treap nodes or count lines) to their high-water sizes,
 /// probing decisions against a live engine (with drain steps
-/// interleaved, so the probes also flush real deferred index maintenance)
-/// must not touch the heap. Returns whether the index ended on its exact
+/// interleaved, whose service updates the live index) must not touch the
+/// heap. Returns whether the index ended on its exact
 /// count lines.
 bool expect_dispatch_decisions_allocate_nothing(const Topology& topology,
                                                 bool integer_weights) {
@@ -291,8 +292,8 @@ bool expect_dispatch_decisions_allocate_nothing(const Topology& topology,
   const std::vector<Packet> probes = burst_packets(topology, 32, 23, integer_weights);
 
   // Warmup: grow the index pool to its high-water size (every probe once),
-  // then let drain rounds queue deferred index events so the measured
-  // probes exercise flush().
+  // with drain rounds whose service updates the index, as the measured
+  // steps' does.
   for (int i = 0; i < 2; ++i) {
     for (const Packet& p : probes) {
       impact.dispatch(engine, p);

@@ -311,8 +311,8 @@ TEST(ImpactIndexExact, SplitsMatchTreapAggregatesBitForBit) {
 }
 
 TEST(ImpactIndexExact, DictionaryGrowsUnderLiveLines) {
-  // Lines are live and events queued when weights arrive below, between
-  // and above the admitted ones: every line shifts to open the new slot.
+  // Lines are live when weights arrive below, between and above the
+  // admitted ones: every line shifts to open the new slot.
   PendingModel model(exact_topology());
   Rng rng(43);
   for (int i = 0; i < 30; ++i) {
@@ -320,7 +320,7 @@ TEST(ImpactIndexExact, DictionaryGrowsUnderLiveLines) {
   }
   model.expect_matches_oracle(kProbeThresholds, "weights 2, 4, 6");
   for (const double weight : {4.0, 1.0, 0.25, 5.0, 8.0, 0.5}) {
-    for (int i = 0; i < 6; ++i) model.add(model.random_edge(rng), 6.0, 1);  // queued
+    for (int i = 0; i < 6; ++i) model.add(model.random_edge(rng), 6.0, 1);
     for (int i = 0; i < 4; ++i) model.add(model.random_edge(rng), weight, 2);
     model.expect_matches_oracle(kProbeThresholds, "after weight " + std::to_string(weight));
   }
@@ -330,7 +330,7 @@ TEST(ImpactIndexExact, DictionaryGrowsUnderLiveLines) {
   EXPECT_EQ(model.index().rebuilds(), 1u);  // grown in place, never rebuilt
 }
 
-/// One way to fail the exact-sums gate: `fail(model, rng)` queues the event
+/// One way to fail the exact-sums gate: `fail(model, rng)` makes the update
 /// that must flip the index to the treaps.
 struct GateFailure {
   const char* name;
@@ -496,8 +496,8 @@ INSTANTIATE_TEST_SUITE_P(VariedInstances, ImpactIndexProperty,
                                            107, 110, 113, 116, 119, 122));
 
 TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
-  // JSQ reads only the O(1) counters; the weight treaps must stay off for
-  // the entire run (no rebuilds, no deferred events, no decay churn).
+  // JSQ reads only the O(1) counters; the weight structures must stay
+  // off for the entire run (no rebuilds, no live entries, no decay churn).
   const Instance instance = testing::make_varied_instance(105);
   const PolicyFactory policy = named_policy("jsq");
   auto dispatcher = policy.dispatcher();
@@ -507,7 +507,6 @@ TEST(ImpactIndexLifecycle, NonImpactPoliciesNeverEnableWeightStructures) {
   engine.run();
   EXPECT_FALSE(engine.impact_index().weight_ready());
   EXPECT_EQ(engine.impact_index().rebuilds(), 0u);
-  EXPECT_EQ(engine.impact_index().deferred_events(), 0u);
   EXPECT_EQ(engine.impact_index().live_entries(), 0u);
 }
 
@@ -570,6 +569,68 @@ TEST(ImpactIndexLifecycle, FallenBackIndexPassesCrosscheckAgainstExactRebuild) {
   kill.dead_policy = DeadPolicy::Requeue;
   EXPECT_NO_THROW(engine.apply_mutation(kill));
   EXPECT_FALSE(engine.impact_index().exact());
+}
+
+/// The decay rule (sim/impact_index.hpp, LIFECYCLE) on the model's
+/// current representation: max(256, 8 * min(T, R)) updates with no query
+/// between them keep the weight structures, one more drops them, and the
+/// next query rebuilds them with the oracle's bits.
+void expect_decay_rule(PendingModel& model, Rng& rng) {
+  const Topology& topology = model.topology();
+  const auto decay_after = std::max<std::size_t>(
+      256, 8 * static_cast<std::size_t>(
+                   std::min(topology.num_transmitters(), topology.num_receivers())));
+  // Query-free updates, alternating arrivals and served chunks so the
+  // multiset stays small.
+  const auto update = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i % 2 == 0 || model.size() == 0) {
+        model.add(model.random_edge(rng), benchmark_chunk_weight(rng),
+                  rng.next_int(1, 2));
+      } else {
+        model.serve(rng.next_below(model.size()));
+      }
+    }
+  };
+  model.expect_matches_oracle(kProbeThresholds, "enabled");  // a query restarts the count
+  const bool exact = model.index().exact();
+  const std::uint64_t rebuilds = model.index().rebuilds();
+
+  update(decay_after);
+  EXPECT_TRUE(model.index().weight_ready());
+  EXPECT_GT(model.index().live_entries(), 0u);
+  model.expect_matches_oracle(kProbeThresholds, "at the threshold");
+  EXPECT_EQ(model.index().rebuilds(), rebuilds);
+
+  update(decay_after);
+  ASSERT_TRUE(model.index().weight_ready());
+  update(1);
+  EXPECT_FALSE(model.index().weight_ready());
+  EXPECT_EQ(model.index().live_entries(), 0u);
+  model.expect_matches_oracle(kProbeThresholds, "one past the threshold");
+  EXPECT_EQ(model.index().rebuilds(), rebuilds + 1);
+  EXPECT_EQ(model.index().exact(), exact);
+}
+
+TEST(ImpactIndexLifecycle, CountLinesDecayOnePastTheThreshold) {
+  PendingModel model(exact_topology());
+  Rng rng(61);
+  for (int i = 0; i < 40; ++i) {
+    model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+  }
+  expect_decay_rule(model, rng);
+  EXPECT_TRUE(model.index().exact());
+}
+
+TEST(ImpactIndexLifecycle, TreapsDecayOnePastTheThreshold) {
+  PendingModel model(exact_topology());
+  Rng rng(67);
+  for (int i = 0; i < 40; ++i) {
+    model.add(model.random_edge(rng), benchmark_chunk_weight(rng), rng.next_int(1, 2));
+  }
+  model.add(model.random_edge(rng), 0.1, 1);  // not a multiple of 2^-16
+  expect_decay_rule(model, rng);
+  EXPECT_FALSE(model.index().exact());
 }
 
 TEST(ImpactIndexLifecycle, CountersDrainToZero) {

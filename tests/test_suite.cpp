@@ -21,6 +21,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/instance.hpp"
 #include "run/random.hpp"
 #include "run/stream.hpp"
 #include "run/suite.hpp"
@@ -390,6 +391,111 @@ TEST(SuiteParse, StageErrorsNameTheExactPath) {
                      "stages[0].dead", "known:");
   expect_suite_error(stream_prefix + R"("stages": [{"duration": 5, "durration": 6}]})",
                      "stages[0].durration", "unknown key");
+}
+
+/// One input limit of a suite file: `at_limit` parses, `past_limit`
+/// (one past it) is rejected at `path` with a message naming `needle`.
+struct InputLimit {
+  std::string at_limit;
+  std::string past_limit;
+  std::string path;
+  std::string needle;
+};
+
+/// A batch suite around one topology entry and one engine entry.
+std::string limit_suite(const std::string& topology,
+                        const std::string& engine = R"({"name": "e"})") {
+  return R"({"suite": "x", "policies": ["alg"], "topologies": [)" + topology +
+         R"(], "engines": [)" + engine + R"(], "workloads": [{"packets": 10}]})";
+}
+
+/// A stream suite around one stage entry.
+std::string stage_limit_suite(const std::string& stage) {
+  return R"({"suite": "x", "mode": "stream", "policies": ["alg"],
+             "topologies": [{"kind": "crossbar"}], "traffic": [{"rho": 0.5}],
+             "stages": [)" +
+         stage + "]}";
+}
+
+/// Topology rule: `key` at `limit` parses inside `prefix`'s record, one
+/// more is rejected at that key.
+InputLimit topology_limit(const std::string& prefix, const std::string& key,
+                          std::int64_t limit, const std::string& needle,
+                          const std::string& past_key = "") {
+  const std::string at = std::to_string(limit);
+  const std::string past = std::to_string(limit + 1);
+  return {limit_suite("{" + prefix + ", \"" + key + "\": " + at + "}"),
+          limit_suite("{" + prefix + ", \"" + key + "\": " + past + "}"),
+          "topologies[0]." + (past_key.empty() ? key : past_key), needle};
+}
+
+TEST(SuiteParse, TopologySizesAndDelaysObeyTheInstanceLimits) {
+  const std::string racks = std::to_string(Instance::kMaxRacks);
+  const std::vector<InputLimit> limits = {
+      // Racks, as instance text counts sources and destinations; a
+      // crossbar port is a rack of its own.
+      topology_limit(R"("kind": "two_tier", "lasers": 1, "photodetectors": 1)", "racks",
+                     Instance::kMaxRacks, "out of range [2, 1024]"),
+      topology_limit(R"("kind": "crossbar")", "ports", Instance::kMaxRacks,
+                     "out of range [2, 1024]"),
+      topology_limit(R"("kind": "rotor")", "racks", Instance::kMaxRacks,
+                     "out of range [2, 1024]"),
+      // Any one delay.
+      topology_limit(R"("kind": "two_tier")", "max_edge_delay", Instance::kMaxDelay,
+                     "out of range [1, 65536]"),
+      topology_limit(R"("kind": "two_tier")", "attach_delay", Instance::kMaxDelay,
+                     "out of range [0, 65536]"),
+      topology_limit(R"("kind": "expander", "racks": 4, "degree": 2)", "fixed_link_delay",
+                     Instance::kMaxDelay, "out of range [0, 65536]"),
+      topology_limit(R"("kind": "rotor")", "edge_delay", Instance::kMaxDelay,
+                     "out of range [1, 65536]"),
+      topology_limit(R"("kind": "oversubscribed", "fast_delay": 1)", "slow_delay",
+                     Instance::kMaxDelay, "out of range [1, 65536]"),
+      // Oversubscribed fixed links: the base delay times oversubscription.
+      topology_limit(R"("kind": "oversubscribed", "oversubscription": 64)",
+                     "fixed_base_delay", Instance::kMaxDelay / 64,
+                     "past the delay limit 65536", "oversubscription"),
+      {limit_suite(R"({"kind": "crossbar"})", R"({"reconfig_delay": 65536})"),
+       limit_suite(R"({"kind": "crossbar"})", R"({"reconfig_delay": 65537})"),
+       "engines[0].reconfig_delay", "out of range [0, 65536]"},
+      // Stage rack indices name a rack below the rack limit.
+      {stage_limit_suite(R"({"duration": 0, "kill_racks": [)" +
+                         std::to_string(Instance::kMaxRacks - 1) + "]}"),
+       stage_limit_suite(R"({"duration": 0, "kill_racks": [)" + racks + "]}"),
+       "stages[0].kill_racks[0]", "out of range [0, 1023]"},
+      {stage_limit_suite(R"({"duration": 0, "restore_racks": [)" +
+                         std::to_string(Instance::kMaxRacks - 1) + "]}"),
+       stage_limit_suite(R"({"duration": 0, "restore_racks": [)" + racks + "]}"),
+       "stages[0].restore_racks[0]", "out of range [0, 1023]"},
+      // Transmitter and receiver totals: 16 racks of 4096 ports are 2^16.
+      topology_limit(R"("kind": "two_tier", "racks": 16, "photodetectors": 1)", "lasers",
+                     4096, "implies 65552 transmitters, above the limit 65536"),
+      topology_limit(R"("kind": "two_tier", "racks": 16, "lasers": 1)", "photodetectors",
+                     4096, "implies 65552 receivers, above the limit 65536"),
+      topology_limit(R"("kind": "expander", "racks": 16, "degree": 1)", "lasers", 4096,
+                     "implies 65552 transmitters"),
+      topology_limit(R"("kind": "expander", "racks": 16, "degree": 1)", "photodetectors",
+                     4096, "implies 65552 receivers"),
+      topology_limit(R"("kind": "rotor", "racks": 16)", "ports", 4096,
+                     "implies 65552 transmitters"),
+      topology_limit(R"("kind": "oversubscribed", "racks": 16, "hot_racks": 0,
+                        "cold_photodetectors": 1)",
+                     "cold_lasers", 4096, "implies 65552 transmitters"),
+      topology_limit(R"("kind": "oversubscribed", "racks": 16, "hot_racks": 0,
+                        "cold_lasers": 1)",
+                     "cold_photodetectors", 4096, "implies 65552 receivers"),
+      // Candidate edges T x R of a dense pod: 2^16 x 16 is 2^20.
+      topology_limit(R"("kind": "two_tier", "racks": 16, "lasers": 4096)",
+                     "photodetectors", 1, "implies 2097152 candidate edges"),
+      topology_limit(R"("kind": "oversubscribed", "racks": 16, "hot_racks": 0,
+                        "cold_lasers": 4096)",
+                     "cold_photodetectors", 1, "implies 2097152 candidate edges"),
+  };
+  for (const InputLimit& limit : limits) {
+    SCOPED_TRACE(limit.past_limit);
+    EXPECT_NO_THROW(parse_suite(limit.at_limit)) << limit.at_limit;
+    expect_suite_error(limit.past_limit, limit.path, limit.needle);
+  }
 }
 
 TEST(SuiteParse, CrossFieldConstraints) {
@@ -842,12 +948,12 @@ bool explains(const std::string& slot, const std::string& error) {
   if (key_of(slot) == "kind" || key_of(slot) == "mode") return parent_of(error) == record;
   // Record rules reject the later of the two keys they relate.
   static const std::set<std::string> rule_keys = {
-      "hot_racks",
-      "slow_delay",
-      "degree",
-      "max_edge_delay",
-      "matchings",
-      "reconfig_delay",
+      "hot_racks",        "slow_delay",          "degree",
+      "max_edge_delay",   "matchings",           "reconfig_delay",
+      "oversubscription",
+      // Port totals and candidate edges (Instance::kMaxPorts, kMaxEdges).
+      "lasers",           "photodetectors",      "ports",
+      "cold_lasers",      "cold_photodetectors",
   };
   if (parent_of(error) == record && rule_keys.count(key_of(error)) > 0) return true;
   // Axis labels are distinct, so a label edit can collide with another.

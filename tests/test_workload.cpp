@@ -185,18 +185,6 @@ TEST(Workload, BurstyPreservesApproxRateButClumps) {
   EXPECT_GE(peak, 10u);
 }
 
-TEST(Workload, AppendFlowSplitsEvenly) {
-  Topology g = figure2_topology();
-  Instance instance(std::move(g), {});
-  append_flow(instance, 1, 6.0, 4, 0, 0);
-  ASSERT_EQ(instance.num_packets(), 4u);
-  for (const Packet& p : instance.packets()) {
-    EXPECT_DOUBLE_EQ(p.weight, 1.5);
-    EXPECT_EQ(p.arrival, 1);
-  }
-  EXPECT_THROW(append_flow(instance, 1, 1.0, 0, 0, 0), std::invalid_argument);
-}
-
 TEST(Workload, LabelsRoundTrip) {
   EXPECT_STREQ(to_string(PairSkew::Zipf), "zipf");
   EXPECT_STREQ(to_string(WeightDist::Bimodal), "bimodal");

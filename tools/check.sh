@@ -12,6 +12,9 @@
 #   $ tools/check.sh rows parent-build [build-dir]
 #                                       # suite rows of two existing builds
 #                                       #   must match byte for byte
+#   $ tools/check.sh lines              # code lines (CHANGES.md measure)
+#                                       #   of src/ bench/ tools/ examples/
+#                                       #   tests/
 #
 # RDCN_WERROR=ON in the environment turns warnings into errors (CI does).
 # Exit code is nonzero if any stage fails.
@@ -160,6 +163,19 @@ if [ "${1:-}" = "resume" ]; then
   exit 0
 fi
 
+if [ "${1:-}" = "lines" ]; then
+  # Non-blank lines of *.cpp/*.hpp/*.h once // comments are stripped.
+  total=0
+  for dir in src bench tools examples tests; do
+    count="$(find "$repo/$dir" \( -name '*.cpp' -o -name '*.hpp' -o -name '*.h' \) \
+               -exec sed -E 's://.*$::' {} + | grep -cv '^\s*$' || true)"
+    echo "$dir/ $count"
+    total=$((total + count))
+  done
+  echo "total $total"
+  exit 0
+fi
+
 if [ "${1:-}" = "rows" ]; then
   if [ -z "${2:-}" ]; then
     echo "usage: tools/check.sh rows parent-build [build-dir]" >&2
@@ -240,8 +256,15 @@ python3 "$repo/tools/test_perf_ab.py"
 echo "== smoke fuzz =="
 # Fixed-seed differential sweep; the random spec grids draw the whole
 # topology zoo (two-tier, crossbar, oversubscribed, expander, rotor), so
-# every wiring family passes through the checker on every run.
-"$build/rdcn_fuzz" --seeds 15 --base 1 >/dev/null
+# every wiring family passes through the checker on every run. The summary
+# line must count ALG replays that ended on each impact-index representation
+# (exact count lines and fallen-back treaps), so neither branch of the
+# index's update routine drops out of the sweep unnoticed.
+summary="$("$build/rdcn_fuzz" --seeds 15 --base 1 | tail -n 1)"
+if ! echo "$summary" | grep -Eq 'replays: [1-9][0-9]* exact, [1-9][0-9]* fell back'; then
+  echo "check.sh: smoke fuzz did not replay both index representations: $summary" >&2
+  exit 1
+fi
 # Staged stream specs (failure injection / mid-run rewiring): seed 17
 # historically caught a telemetry served-count bug at stage boundaries.
 "$build/rdcn_fuzz" --seeds 10 --base 12 --mode stream >/dev/null
